@@ -104,15 +104,16 @@ Result<ProfileRewriteProbe> ProbeProfile(const Catalog& catalog,
 
   Optimizer optimizer(config);
   auto start = std::chrono::steady_clock::now();
-  VDM_ASSIGN_OR_RETURN(PlanRef optimized, optimizer.OptimizeChecked(probe));
+  VDM_ASSIGN_OR_RETURN(OptimizeResult optimized,
+                       optimizer.OptimizeChecked(probe));
   auto end = std::chrono::steady_clock::now();
 
   ProfileRewriteProbe result;
   result.profile = profile;
   result.joins_before = ComputePlanStats(probe).joins;
-  result.joins_after = ComputePlanStats(optimized).joins;
+  result.joins_after = ComputePlanStats(optimized.plan).joins;
   result.passes_fired = auditor.fired_counts();
-  result.converged = optimizer.last_run_converged();
+  result.converged = optimized.converged;
   result.optimize_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();

@@ -54,7 +54,6 @@ Database::Database()
   if (const char* env = std::getenv("VDM_PLAN_CACHE")) {
     plan_cache_enabled_ = env[0] != '\0' && std::string(env) != "0";
   }
-  config_fingerprint_ = FingerprintConfig(optimizer_config_);
   // Governor defaults (ExecLimits doc comment lists the knobs).
   default_limits_.timeout_ms = EnvInt64("VDM_TIMEOUT_MS", 0);
   int64_t mem_mb = EnvInt64("VDM_MEM_LIMIT_MB", 0);
@@ -69,6 +68,7 @@ Database::Database()
   txn_retries_ = static_cast<int>(
       std::max<int64_t>(0, EnvInt64("VDM_TXN_RETRIES", txn_retries_)));
   ApplyEnvOverrides();
+  OnOptimizerConfigChanged();
   int64_t merge_threshold = EnvInt64("VDM_MERGE_THRESHOLD", 0);
   if (merge_threshold > 0) {
     SetMergeThreshold(static_cast<size_t>(merge_threshold));
@@ -98,7 +98,6 @@ void Database::ApplyEnvOverrides() {
       optimizer_config_.join_reordering = std::string(env) != "0";
     }
   }
-  config_fingerprint_ = FingerprintConfig(optimizer_config_);
 }
 
 void Database::SetProfile(SystemProfile profile) {
@@ -114,10 +113,11 @@ void Database::SetOptimizerConfig(OptimizerConfig config) {
 
 void Database::OnOptimizerConfigChanged() {
   config_fingerprint_ = FingerprintConfig(optimizer_config_);
-  {
-    std::lock_guard<std::mutex> lock(optimizer_mu_);
-    optimizer_.reset();
-  }
+  // stats_catalog points at the live catalog, so refreshed statistics are
+  // picked up without a rebuild.
+  OptimizerConfig config = optimizer_config_;
+  config.stats_catalog = &catalog_;
+  optimizer_ = std::make_unique<const Optimizer>(std::move(config));
   plan_cache_->Clear();
 }
 
@@ -402,10 +402,7 @@ Result<PlanRef> Database::PlanQueryTimed(const std::string& sql,
   Result<PlanRef> bound = binder.BindSelect(*stmt->select);
   timing->bind_ns += NowNs() - start;
   if (!bound.ok()) return bound.status();
-  start = NowNs();
-  Result<PlanRef> optimized = OptimizePlan(*bound);
-  timing->optimize_ns += NowNs() - start;
-  return optimized;
+  return OptimizePlan(*bound, timing);
 }
 
 Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
@@ -471,9 +468,7 @@ Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
     timing->used_cache = false;
     return PlanQueryTimed(sql, timing);
   }
-  start = NowNs();
-  Result<PlanRef> optimized = OptimizePlan(*bound);
-  timing->optimize_ns += NowNs() - start;
+  Result<PlanRef> optimized = OptimizePlan(*bound, timing);
   if (!optimized.ok()) {
     timing->used_cache = false;
     return PlanQueryTimed(sql, timing);
@@ -606,9 +601,7 @@ Result<PlanRef> Database::PlanPrepared(const PreparedStatement& stmt,
         "prepared statement is no longer rebindable (limit-sentinel "
         "collision after a view change); re-prepare it");
   }
-  start = NowNs();
-  VDM_ASSIGN_OR_RETURN(PlanRef optimized, OptimizePlan(*bound));
-  timing->optimize_ns += NowNs() - start;
+  VDM_ASSIGN_OR_RETURN(PlanRef optimized, OptimizePlan(*bound, timing));
   auto cached = std::make_shared<CachedPlan>();
   cached->plan = optimized;
   cached->param_types = ps.param_types;
@@ -898,34 +891,33 @@ Result<PlanRef> Database::PlanQuery(const std::string& sql) const {
   return OptimizePlan(plan);
 }
 
-Result<PlanRef> Database::OptimizePlan(const PlanRef& plan) const {
-  if (optimizer_config_.verify_rewrites &&
-      optimizer_config_.verification_hook == nullptr) {
-    // The auditor lives on the stack, so this path still builds a
-    // per-query Optimizer around it.
-    OptimizerConfig config = optimizer_config_;
-    config.stats_catalog = &catalog_;
-    RewriteAuditor::Options options;
-    options.derivation = config.derivation;
-    if (config.verify_rewrites_exec) options.storage = &storage_;
-    RewriteAuditor auditor(options);
-    config.verification_hook = &auditor;
-    Optimizer optimizer(config);
-    return optimizer.OptimizeChecked(plan);
+Result<PlanRef> Database::OptimizePlan(const PlanRef& plan,
+                                       QueryTiming* timing) const {
+  const int64_t start = NowNs();
+  Result<OptimizeResult> optimized = [&]() -> Result<OptimizeResult> {
+    if (optimizer_config_.verify_rewrites &&
+        optimizer_config_.verification_hook == nullptr) {
+      // The auditor lives on the stack, so this path still builds a
+      // per-query Optimizer around it.
+      OptimizerConfig config = optimizer_->config();
+      RewriteAuditor::Options options;
+      options.derivation = config.derivation;
+      if (config.verify_rewrites_exec) options.storage = &storage_;
+      RewriteAuditor auditor(options);
+      config.verification_hook = &auditor;
+      return Optimizer(std::move(config)).OptimizeChecked(plan);
+    }
+    return optimizer_->OptimizeChecked(plan);
+  }();
+  if (timing != nullptr) {
+    timing->optimize_ns += NowNs() - start;
+    if (optimized.ok()) {
+      timing->optimize_passes = optimized->passes;
+      timing->optimize_converged = optimized->converged;
+    }
   }
-  // Common path: the Optimizer (and its config copy) is built once per
-  // config change, not once per query. stats_catalog points at the live
-  // catalog, so refreshed statistics are picked up without a rebuild.
-  // The lock spans the OptimizeChecked call too: the hoisted instance
-  // keeps per-run state (last_run_converged), and with the plan cache
-  // warm concurrent sessions rarely compile at all.
-  std::lock_guard<std::mutex> lock(optimizer_mu_);
-  if (optimizer_ == nullptr) {
-    OptimizerConfig config = optimizer_config_;
-    config.stats_catalog = &catalog_;
-    optimizer_ = std::make_unique<Optimizer>(std::move(config));
-  }
-  return optimizer_->OptimizeChecked(plan);
+  if (!optimized.ok()) return optimized.status();
+  return std::move(optimized->plan);
 }
 
 Result<Chunk> Database::ExecutePlan(const PlanRef& plan, ExecMetrics* metrics,
@@ -1015,6 +1007,12 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
   }
   if (timing.optimize_ns > 0) {
     out += StrFormat("optimize: %.3f ms\n", ms(timing.optimize_ns));
+  }
+  if (timing.optimize_passes > 0) {
+    out += StrFormat("optimizer: %d pass%s, %s\n", timing.optimize_passes,
+                     timing.optimize_passes == 1 ? "" : "es",
+                     timing.optimize_converged ? "converged"
+                                               : "hit max_passes");
   }
   if (timing.rebind_ns > 0) {
     out += StrFormat("rebind: %.3f ms\n", ms(timing.rebind_ns));

@@ -98,6 +98,11 @@ struct QueryTiming {
   int64_t optimize_ns = 0;
   int64_t rebind_ns = 0;
   int64_t execute_ns = 0;
+  /// Fixpoint iterations of the last optimize run (0 = nothing was
+  /// optimized, e.g. a plan-cache hit) and whether it converged before
+  /// OptimizerConfig::max_passes.
+  int optimize_passes = 0;
+  bool optimize_converged = false;
   /// The plan-cache path was eligible for this statement.
   bool used_cache = false;
   bool cache_hit = false;
@@ -262,7 +267,10 @@ class Database {
   /// Optimizes an already-bound plan under the current profile. When the
   /// config enables verify_rewrites (and no hook is installed already), a
   /// RewriteAuditor checks every rewrite; audit failures surface here.
-  Result<PlanRef> OptimizePlan(const PlanRef& plan) const;
+  /// `timing`, when given, gets the optimize wall time added and the pass
+  /// count and convergence recorded. Safe to call concurrently.
+  Result<PlanRef> OptimizePlan(const PlanRef& plan,
+                               QueryTiming* timing = nullptr) const;
   /// Executes an arbitrary plan directly. `ctx`, when given, governs the
   /// run (cancellation, deadline, memory charging); there is no admission
   /// gate or degradation retry on this low-level path.
@@ -349,8 +357,8 @@ class Database {
   Result<Chunk> GovernedExecute(const PlanRef& plan, const ExecLimits& limits,
                                 ExecMetrics* metrics, QueryContext* ctx) const;
 
-  /// Recomputes the config fingerprint, clears the plan cache, and drops
-  /// the hoisted optimizer. Called whenever optimizer_config_ changes.
+  /// Recomputes the config fingerprint, clears the plan cache, and rebuilds
+  /// the shared optimizer. Called whenever optimizer_config_ changes.
   void OnOptimizerConfigChanged();
 
   /// Applies environment overrides (VDM_JOIN_REORDER) to the current
@@ -393,14 +401,12 @@ class Database {
   // lock-free (ParallelFor serializes internally, extra callers inline).
   mutable std::mutex exec_pool_mu_;
   mutable std::unique_ptr<ThreadPool> exec_pool_;
-  // Hoisted optimizer for the common non-verifying path: constructed once
-  // per config change instead of per query (the config copy is large
-  // enough to show up on short compile paths). Lazily built because
-  // OptimizePlan is const. optimizer_mu_ covers creation AND the
-  // OptimizeChecked call (the instance keeps per-run state); compiles are
-  // rare once the plan cache is warm, so serializing them is cheap.
-  mutable std::mutex optimizer_mu_;
-  mutable std::unique_ptr<Optimizer> optimizer_;
+  // Shared optimizer for the common non-verifying path, rebuilt with every
+  // config change (the config copy is large enough to show up on short
+  // compile paths). Optimizer is stateless, so concurrent sessions compile
+  // through it in parallel without a lock. Config changes must not race
+  // with queries (the same holds for optimizer_config_ itself).
+  std::unique_ptr<const Optimizer> optimizer_;
   // Serializes dynamic-cached-view freshness checks/refreshes across
   // concurrent sessions (a refresh rewrites catalog + storage state).
   mutable std::mutex caches_mu_;

@@ -122,16 +122,16 @@ PlanRef DropLastColumnForTesting(const PlanRef& plan) {
 }  // namespace
 
 PlanRef Optimizer::Optimize(const PlanRef& plan) const {
-  Result<PlanRef> checked = OptimizeChecked(plan);
+  Result<OptimizeResult> checked = OptimizeChecked(plan);
   if (!checked.ok()) {
     std::fprintf(stderr, "Optimizer::Optimize: %s\n",
                  checked.status().ToString().c_str());
     std::abort();
   }
-  return *checked;
+  return checked->plan;
 }
 
-Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
+Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&, bool*);
   struct PassDef {
     const char* name;
@@ -162,7 +162,8 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       config_.verify_rewrites && config_.verification_hook != nullptr;
   // Post-fixpoint finishing step: cost-based join ordering (once, audited
   // like any pass), then the limit-hint annotation.
-  auto finish = [&](PlanRef done) -> Result<PlanRef> {
+  auto finish = [&](PlanRef done, bool converged,
+                    int ran) -> Result<OptimizeResult> {
     if (config_.join_reordering) {
       bool fired = false;
       PlanRef before = done;
@@ -183,10 +184,9 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
         }
       }
     }
-    return AnnotateJoinLimitHints(done);
+    return OptimizeResult{AnnotateJoinLimitHints(done), converged, ran};
   };
   PlanRef current = plan;
-  last_converged_ = false;
   for (int pass = 0; pass < config_.max_passes; ++pass) {
     bool changed = false;
     for (const PassDef& def : passes) {
@@ -210,12 +210,9 @@ Result<PlanRef> Optimizer::OptimizeChecked(const PlanRef& plan) const {
         }
       }
     }
-    if (!changed) {
-      last_converged_ = true;
-      return finish(current);
-    }
+    if (!changed) return finish(current, /*converged=*/true, pass + 1);
   }
-  return finish(current);
+  return finish(current, /*converged=*/false, config_.max_passes);
 }
 
 }  // namespace vdm

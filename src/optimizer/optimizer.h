@@ -102,6 +102,18 @@ enum class SystemProfile {
 OptimizerConfig ConfigForProfile(SystemProfile profile);
 std::string ProfileName(SystemProfile profile);
 
+/// What one Optimize run produced. `converged` is false when the run
+/// exhausted config.max_passes while passes were still changing the plan:
+/// the plan is then sound but may be under-optimized. `passes` counts the
+/// fixpoint iterations that ran (the final no-change one included).
+struct OptimizeResult {
+  PlanRef plan;
+  bool converged = false;
+  int passes = 0;
+};
+
+/// Stateless: one instance may serve any number of concurrent Optimize
+/// calls (the verification hook, if installed, must then be thread-safe).
 class Optimizer {
  public:
   explicit Optimizer(OptimizerConfig config) : config_(std::move(config)) {}
@@ -115,18 +127,12 @@ class Optimizer {
   /// is installed.
   PlanRef Optimize(const PlanRef& plan) const;
 
-  /// Like Optimize, but surfaces verification-hook failures as a Status.
-  /// With verification off the behaviour is identical to Optimize().
-  Result<PlanRef> OptimizeChecked(const PlanRef& plan) const;
-
-  /// True if the last Optimize/OptimizeChecked call reached a fixpoint
-  /// before exhausting config.max_passes. False means the returned plan may
-  /// be under-optimized (more passes would have changed it further).
-  bool last_run_converged() const { return last_converged_; }
+  /// Like Optimize, but surfaces verification-hook failures as a Status and
+  /// reports whether the fixpoint was reached.
+  Result<OptimizeResult> OptimizeChecked(const PlanRef& plan) const;
 
  private:
   OptimizerConfig config_;
-  mutable bool last_converged_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -138,7 +144,8 @@ class Optimizer {
 PlanRef PassConstantFolding(const PlanRef& plan, const OptimizerConfig& config,
                             bool* changed);
 
-/// Pushes filters through projects, into join sides, through union all.
+/// Pushes filters through projects, into join sides, through union all,
+/// sort and group keys. Each filter sinks as far as it can in one call.
 PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
                            bool* changed);
 

@@ -110,130 +110,149 @@ PlanRef PassConstantFolding(const PlanRef& plan, const OptimizerConfig& config,
   });
 }
 
+namespace {
+
+PlanRef PushFilter(const FilterOp& filter, bool* changed);
+
+/// Places a filter over `input` and keeps pushing it down, so a filter
+/// reaches its final position in one PassFilterPushdown call instead of
+/// moving one operator per fixpoint iteration.
+PlanRef SinkFilter(PlanRef input, ExprRef predicate, bool* changed) {
+  auto placed =
+      std::make_shared<FilterOp>(std::move(input), std::move(predicate));
+  PlanRef pushed = PushFilter(*placed, changed);
+  return pushed ? pushed : placed;
+}
+
+/// One filter-pushdown step at `filter`, with every filter it places below
+/// sunk further. Returns nullptr when the filter cannot move.
+PlanRef PushFilter(const FilterOp& filter, bool* changed) {
+  const PlanRef& child = filter.child(0);
+
+  switch (child->kind()) {
+    case OpKind::kFilter: {
+      const auto& inner = static_cast<const FilterOp&>(*child);
+      *changed = true;
+      return SinkFilter(child->child(0),
+                        And(inner.predicate(), filter.predicate()), changed);
+    }
+    case OpKind::kProject: {
+      const auto& project = static_cast<const ProjectOp&>(*child);
+      // Cannot push a filter below a projection that computes aggregates
+      // (none exist in Project) — always safe to substitute.
+      ExprRef pushed = SubstituteItems(filter.predicate(), project.items());
+      *changed = true;
+      return std::make_shared<ProjectOp>(
+          SinkFilter(child->child(0), std::move(pushed), changed),
+          project.items());
+    }
+    case OpKind::kJoin: {
+      const auto& join = static_cast<const JoinOp&>(*child);
+      std::vector<std::string> left_names = join.left()->OutputNames();
+      std::vector<std::string> right_names = join.right()->OutputNames();
+      std::vector<ExprRef> to_left, to_right, keep;
+      for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
+        if (ReferencesOnly(conjunct, left_names)) {
+          to_left.push_back(conjunct);
+        } else if (join.join_type() == JoinType::kInner &&
+                   ReferencesOnly(conjunct, right_names)) {
+          to_right.push_back(conjunct);
+        } else {
+          keep.push_back(conjunct);
+        }
+      }
+      if (to_left.empty() && to_right.empty()) return nullptr;
+      *changed = true;
+      PlanRef new_left = join.left();
+      PlanRef new_right = join.right();
+      if (!to_left.empty()) {
+        new_left = SinkFilter(new_left, AndAll(std::move(to_left)), changed);
+      }
+      if (!to_right.empty()) {
+        new_right =
+            SinkFilter(new_right, AndAll(std::move(to_right)), changed);
+      }
+      PlanRef new_join = std::make_shared<JoinOp>(
+          new_left, new_right, join.join_type(), join.condition(),
+          join.declared_cardinality(), join.is_case_join());
+      if (keep.empty()) return new_join;
+      return std::make_shared<FilterOp>(new_join, AndAll(std::move(keep)));
+    }
+    case OpKind::kUnionAll: {
+      const auto& u = static_cast<const UnionAllOp&>(*child);
+      std::vector<PlanRef> new_children;
+      for (const PlanRef& uc : child->children()) {
+        std::vector<std::string> child_names = uc->OutputNames();
+        // Positional rename: union output name -> child output name.
+        std::map<std::string, ExprRef> rename;
+        for (size_t p = 0; p < u.output_names().size(); ++p) {
+          rename[u.output_names()[p]] = Col(child_names[p]);
+        }
+        ExprRef renamed = RemapColumns(
+            filter.predicate(), [&](const std::string& name) -> ExprRef {
+              auto it = rename.find(name);
+              return it == rename.end() ? nullptr : it->second;
+            });
+        new_children.push_back(SinkFilter(uc, std::move(renamed), changed));
+      }
+      *changed = true;
+      return std::make_shared<UnionAllOp>(std::move(new_children),
+                                          u.output_names(),
+                                          u.branch_id_column(),
+                                          u.logical_table());
+    }
+    case OpKind::kSort: {
+      const auto& sort = static_cast<const SortOp&>(*child);
+      *changed = true;
+      return std::make_shared<SortOp>(
+          SinkFilter(child->child(0), filter.predicate(), changed),
+          sort.keys());
+    }
+    case OpKind::kAggregate: {
+      // Conjuncts that reference only group columns select whole groups
+      // and may be applied before aggregation.
+      const auto& agg = static_cast<const AggregateOp&>(*child);
+      if (agg.group_by().empty()) return nullptr;
+      std::map<std::string, ExprRef> group_defs;
+      std::vector<std::string> group_names;
+      for (const AggregateOp::GroupItem& g : agg.group_by()) {
+        group_defs[g.name] = g.expr;
+        group_names.push_back(g.name);
+      }
+      std::vector<ExprRef> push, keep;
+      for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
+        if (ReferencesOnly(conjunct, group_names)) {
+          push.push_back(RemapColumns(
+              conjunct, [&](const std::string& name) -> ExprRef {
+                auto it = group_defs.find(name);
+                return it == group_defs.end() ? nullptr : it->second;
+              }));
+        } else {
+          keep.push_back(conjunct);
+        }
+      }
+      if (push.empty()) return nullptr;
+      *changed = true;
+      PlanRef new_agg = std::make_shared<AggregateOp>(
+          SinkFilter(child->child(0), AndAll(std::move(push)), changed),
+          agg.group_by(), agg.aggregates());
+      if (keep.empty()) return new_agg;
+      return std::make_shared<FilterOp>(std::move(new_agg),
+                                        AndAll(std::move(keep)));
+    }
+    default:
+      return nullptr;
+  }
+}
+
+}  // namespace
+
 PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
                            bool* changed) {
   (void)config;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kFilter) return nullptr;
-    const auto& filter = static_cast<const FilterOp&>(*node);
-    const PlanRef& child = node->child(0);
-
-    switch (child->kind()) {
-      case OpKind::kFilter: {
-        const auto& inner = static_cast<const FilterOp&>(*child);
-        *changed = true;
-        return std::make_shared<FilterOp>(
-            child->child(0), And(inner.predicate(), filter.predicate()));
-      }
-      case OpKind::kProject: {
-        const auto& project = static_cast<const ProjectOp&>(*child);
-        // Cannot push a filter below a projection that computes aggregates
-        // (none exist in Project) — always safe to substitute.
-        ExprRef pushed = SubstituteItems(filter.predicate(), project.items());
-        *changed = true;
-        return std::make_shared<ProjectOp>(
-            std::make_shared<FilterOp>(child->child(0), pushed),
-            project.items());
-      }
-      case OpKind::kJoin: {
-        const auto& join = static_cast<const JoinOp&>(*child);
-        std::vector<std::string> left_names = join.left()->OutputNames();
-        std::vector<std::string> right_names = join.right()->OutputNames();
-        std::vector<ExprRef> to_left, to_right, keep;
-        for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
-          if (ReferencesOnly(conjunct, left_names)) {
-            to_left.push_back(conjunct);
-          } else if (join.join_type() == JoinType::kInner &&
-                     ReferencesOnly(conjunct, right_names)) {
-            to_right.push_back(conjunct);
-          } else {
-            keep.push_back(conjunct);
-          }
-        }
-        if (to_left.empty() && to_right.empty()) return nullptr;
-        *changed = true;
-        PlanRef new_left = join.left();
-        PlanRef new_right = join.right();
-        if (!to_left.empty()) {
-          new_left =
-              std::make_shared<FilterOp>(new_left, AndAll(std::move(to_left)));
-        }
-        if (!to_right.empty()) {
-          new_right = std::make_shared<FilterOp>(new_right,
-                                                 AndAll(std::move(to_right)));
-        }
-        PlanRef new_join = std::make_shared<JoinOp>(
-            new_left, new_right, join.join_type(), join.condition(),
-            join.declared_cardinality(), join.is_case_join());
-        if (keep.empty()) return new_join;
-        return std::make_shared<FilterOp>(new_join, AndAll(std::move(keep)));
-      }
-      case OpKind::kUnionAll: {
-        const auto& u = static_cast<const UnionAllOp&>(*child);
-        std::vector<PlanRef> new_children;
-        for (const PlanRef& uc : child->children()) {
-          std::vector<std::string> child_names = uc->OutputNames();
-          // Positional rename: union output name -> child output name.
-          std::map<std::string, ExprRef> rename;
-          for (size_t p = 0; p < u.output_names().size(); ++p) {
-            rename[u.output_names()[p]] = Col(child_names[p]);
-          }
-          ExprRef renamed = RemapColumns(
-              filter.predicate(), [&](const std::string& name) -> ExprRef {
-                auto it = rename.find(name);
-                return it == rename.end() ? nullptr : it->second;
-              });
-          new_children.push_back(std::make_shared<FilterOp>(uc, renamed));
-        }
-        *changed = true;
-        return std::make_shared<UnionAllOp>(std::move(new_children),
-                                            u.output_names(),
-                                            u.branch_id_column(),
-                                            u.logical_table());
-      }
-      case OpKind::kSort: {
-        const auto& sort = static_cast<const SortOp&>(*child);
-        *changed = true;
-        return std::make_shared<SortOp>(
-            std::make_shared<FilterOp>(child->child(0), filter.predicate()),
-            sort.keys());
-      }
-      case OpKind::kAggregate: {
-        // Conjuncts that reference only group columns select whole groups
-        // and may be applied before aggregation.
-        const auto& agg = static_cast<const AggregateOp&>(*child);
-        if (agg.group_by().empty()) return nullptr;
-        std::map<std::string, ExprRef> group_defs;
-        std::vector<std::string> group_names;
-        for (const AggregateOp::GroupItem& g : agg.group_by()) {
-          group_defs[g.name] = g.expr;
-          group_names.push_back(g.name);
-        }
-        std::vector<ExprRef> push, keep;
-        for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
-          if (ReferencesOnly(conjunct, group_names)) {
-            push.push_back(RemapColumns(
-                conjunct, [&](const std::string& name) -> ExprRef {
-                  auto it = group_defs.find(name);
-                  return it == group_defs.end() ? nullptr : it->second;
-                }));
-          } else {
-            keep.push_back(conjunct);
-          }
-        }
-        if (push.empty()) return nullptr;
-        *changed = true;
-        PlanRef new_agg = std::make_shared<AggregateOp>(
-            std::make_shared<FilterOp>(child->child(0),
-                                       AndAll(std::move(push))),
-            agg.group_by(), agg.aggregates());
-        if (keep.empty()) return new_agg;
-        return std::make_shared<FilterOp>(std::move(new_agg),
-                                          AndAll(std::move(keep)));
-      }
-      default:
-        return nullptr;
-    }
+    return PushFilter(static_cast<const FilterOp&>(*node), changed);
   });
 }
 

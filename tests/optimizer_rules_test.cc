@@ -96,9 +96,50 @@ TEST(FilterPushdownTest, ThroughUnionAllRenames) {
   bool changed = false;
   PlanRef result = PassFilterPushdown(plan, Full(), &changed);
   EXPECT_TRUE(changed);
-  ASSERT_EQ(result->kind(), OpKind::kUnionAll);
-  EXPECT_EQ(result->child(0)->kind(), OpKind::kFilter);
-  EXPECT_EQ(result->child(1)->kind(), OpKind::kFilter);
+  // The filter is renamed per branch and sinks on through each branch's
+  // projection, so every branch filters on its own base column.
+  ASSERT_EQ(result->kind(), OpKind::kUnionAll) << PrintPlan(result);
+  const char* base[] = {"a.status", "b.status"};
+  for (size_t i = 0; i < 2; ++i) {
+    const PlanRef& branch = result->child(i);
+    ASSERT_EQ(branch->kind(), OpKind::kProject) << PrintPlan(result);
+    ASSERT_EQ(branch->child(0)->kind(), OpKind::kFilter) << PrintPlan(result);
+    EXPECT_EQ(branch->child(0)->child(0)->kind(), OpKind::kScan);
+    const auto& filter = static_cast<const FilterOp&>(*branch->child(0));
+    std::vector<std::string> refs;
+    CollectColumnRefs(filter.predicate(), &refs);
+    EXPECT_EQ(refs, std::vector<std::string>{base[i]}) << PrintPlan(result);
+  }
+}
+
+TEST(FilterPushdownTest, SinksThroughChainDeeperThanMaxPassesInOneCall) {
+  // A filter on the anchor above a LEFT OUTER chain deeper than the
+  // fixpoint budget, the shape of a company filter over a VDM view's
+  // augmentation joins. One pushdown call lands it on the anchor scan.
+  const int depth = Full().max_passes + 2;
+  PlanBuilder chain = PlanBuilder::ScanSchema(Fact(), "f");
+  for (int i = 0; i < depth; ++i) {
+    const std::string alias = "d" + std::to_string(i);
+    chain = chain.Join(PlanBuilder::ScanSchema(Dim(), alias),
+                       JoinType::kLeftOuter,
+                       Eq(Col("f.dim_key"), Col(alias + ".k")));
+  }
+  PlanRef plan = chain.Filter(Eq(Col("f.status"), LitInt(1))).Build();
+  bool changed = false;
+  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  EXPECT_TRUE(changed);
+  PlanRef node = result;
+  for (int i = 0; i < depth; ++i) {
+    ASSERT_EQ(node->kind(), OpKind::kJoin) << PrintPlan(result);
+    EXPECT_EQ(node->child(1)->kind(), OpKind::kScan);
+    node = node->child(0);
+  }
+  ASSERT_EQ(node->kind(), OpKind::kFilter) << PrintPlan(result);
+  EXPECT_EQ(node->child(0)->kind(), OpKind::kScan);
+  // Nothing is left to push: a second call is a no-op.
+  changed = false;
+  EXPECT_EQ(PassFilterPushdown(result, Full(), &changed), result);
+  EXPECT_FALSE(changed);
 }
 
 // --- constant folding / project merge ---------------------------------------
@@ -706,35 +747,37 @@ TEST(ConvergenceTest, TruncatedRunIsReportedAsNotConverged) {
           .Build();
   OptimizerConfig truncated = Full();
   truncated.max_passes = 1;
-  Optimizer one_pass(truncated);
-  PlanRef partial = one_pass.Optimize(plan);
-  EXPECT_FALSE(one_pass.last_run_converged()) << PrintPlan(partial);
+  Result<OptimizeResult> partial = Optimizer(truncated).OptimizeChecked(plan);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_FALSE(partial->converged) << PrintPlan(partial->plan);
+  EXPECT_EQ(partial->passes, 1);
 
   // With the default budget the same plan reaches a fixpoint.
-  Optimizer full(Full());
-  PlanRef done = full.Optimize(plan);
-  EXPECT_TRUE(full.last_run_converged()) << PrintPlan(done);
+  Result<OptimizeResult> done = Optimizer(Full()).OptimizeChecked(plan);
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(done->converged) << PrintPlan(done->plan);
+  EXPECT_LE(done->passes, Full().max_passes);
   // And the fixpoint is at least as reduced as the truncated plan.
-  EXPECT_EQ(ComputePlanStats(done).joins, 0u) << PrintPlan(done);
+  EXPECT_EQ(ComputePlanStats(done->plan).joins, 0u) << PrintPlan(done->plan);
 }
 
-TEST(ConvergenceTest, ConvergedStateResetsPerRun) {
-  Optimizer optimizer([] {
-    OptimizerConfig config = Full();
-    config.max_passes = 1;
-    return config;
-  }());
+TEST(ConvergenceTest, FlagBelongsToEachCall) {
+  OptimizerConfig config = Full();
+  config.max_passes = 1;
+  const Optimizer optimizer(config);
   PlanRef trivial = PlanBuilder::ScanSchema(Fact(), "f").Build();
-  optimizer.Optimize(trivial);
-  EXPECT_TRUE(optimizer.last_run_converged());
   PlanRef busy = PlanBuilder::ScanSchema(Fact(), "f")
                      .Join(PlanBuilder::ScanSchema(Dim(), "d"),
                            JoinType::kLeftOuter,
                            Eq(Col("f.dim_key"), Col("d.k")))
                      .Project({{Col("f.id"), "id"}})
                      .Build();
-  optimizer.Optimize(busy);
-  EXPECT_FALSE(optimizer.last_run_converged());
+  Result<OptimizeResult> busy_run = optimizer.OptimizeChecked(busy);
+  Result<OptimizeResult> trivial_run = optimizer.OptimizeChecked(trivial);
+  ASSERT_TRUE(busy_run.ok() && trivial_run.ok());
+  EXPECT_FALSE(busy_run->converged);
+  EXPECT_TRUE(trivial_run->converged);
+  EXPECT_EQ(trivial_run->passes, 1);
 }
 
 }  // namespace

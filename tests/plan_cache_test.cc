@@ -360,10 +360,23 @@ TEST_F(PlanCacheDbTest, ExplainAnalyzeReportsCacheOutcome) {
   Result<std::string> cold = db_->ExplainAnalyze(sql);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_NE(cold->find("plan cache: miss"), std::string::npos) << *cold;
+  EXPECT_NE(cold->find(", converged\n"), std::string::npos) << *cold;
   Result<std::string> warm = db_->ExplainAnalyze(sql);
   ASSERT_TRUE(warm.ok());
   EXPECT_NE(warm->find("plan cache: hit"), std::string::npos) << *warm;
   EXPECT_NE(warm->find("rebind"), std::string::npos) << *warm;
+  EXPECT_EQ(warm->find("optimizer:"), std::string::npos) << *warm;
+
+  // A compile cut off by max_passes says so.
+  OptimizerConfig truncated = db_->optimizer_config();
+  truncated.max_passes = 1;
+  db_->SetOptimizerConfig(truncated);
+  Result<std::string> cut = db_->ExplainAnalyze(sql);
+  db_->SetProfile(SystemProfile::kHana);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_NE(cut->find("optimizer: 1 pass, hit max_passes"),
+            std::string::npos)
+      << *cut;
 }
 
 }  // namespace

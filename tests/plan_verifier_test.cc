@@ -316,7 +316,7 @@ TEST(RewriteAuditorTest, CleanOptimizationPasses) {
           .Limit(10)
           .Build();
   Optimizer optimizer(config);
-  Result<PlanRef> result = optimizer.OptimizeChecked(plan);
+  Result<OptimizeResult> result = optimizer.OptimizeChecked(plan);
   ASSERT_TRUE(result.ok()) << result.status().message();
   // The UAJ elimination and limit handling fired and were each audited.
   EXPECT_GT(auditor.total_fired(), 0);
@@ -335,7 +335,7 @@ TEST(RewriteAuditorTest, CatchesCorruptedPassByName) {
           .Project({{Col("f.id"), "id"}, {Col("d.name"), "name"}})
           .Build();
   Optimizer optimizer(config);
-  Result<PlanRef> result = optimizer.OptimizeChecked(plan);
+  Result<OptimizeResult> result = optimizer.OptimizeChecked(plan);
   ASSERT_FALSE(result.ok());
   // The error identifies the corrupted pass and dumps both plans.
   EXPECT_NE(result.status().message().find("filter_pushdown"),

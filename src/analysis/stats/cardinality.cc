@@ -151,6 +151,16 @@ CardinalityEstimator::NodeInfo CardinalityEstimator::Compute(
       for (auto& [name, est] : out.cols) {
         if (est.distinct > 0) est.distinct = std::min(est.distinct, out.rows);
       }
+      // A column pinned to a literal has one distinct value left, so a
+      // join on it is not charged for that selectivity a second time.
+      for (const ExprRef& conjunct : SplitConjuncts(filter->predicate())) {
+        std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+        if (!cc.has_value() || cc->value.is_null()) continue;
+        auto it = out.cols.find(cc->column);
+        if (it != out.cols.end() && it->second.distinct > 0) {
+          it->second.distinct = std::min(it->second.distinct, 1.0);
+        }
+      }
       return out;
     }
     case OpKind::kProject: {

@@ -9,9 +9,8 @@
 // fall back to a materializing scan so the counts stay exact.
 //
 // Database::AnalyzeTables() writes the result into the catalog via
-// SetTableStats, which bumps the catalog version — the stats version IS
-// the catalog version, so every cached plan (keyed on it) is invalidated
-// by a refresh.
+// SetTableStats, which bumps the table's Catalog::stats_version(): cached
+// plans that scan the table recompile on their next hit.
 #ifndef VDMQO_ANALYSIS_STATS_TABLE_STATS_H_
 #define VDMQO_ANALYSIS_STATS_TABLE_STATS_H_
 

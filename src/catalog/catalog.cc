@@ -73,7 +73,7 @@ Status Catalog::DropTable(const std::string& name) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.erase(ToLower(name));
-    data_versions_.erase(ToLower(name));
+    stats_versions_.erase(ToLower(name));
   }
   ++version_;
   return Status::OK();

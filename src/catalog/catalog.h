@@ -131,16 +131,16 @@ class Catalog {
   std::vector<std::string> TableNames() const;
   std::vector<std::string> ViewNames() const;
 
-  /// Publishes fresh statistics for a table and bumps its data version
-  /// (new stats can change the plan shape, so cached plans scanning this
-  /// table must recompile — but only those; see data_version()).
+  /// Publishes fresh statistics for a table and bumps its stats_version():
+  /// new statistics can change the plan shape, so cached plans scanning
+  /// this table must recompile — but only those.
   /// Thread-safe: callable from the background merge worker while queries
   /// plan concurrently.
   void SetTableStats(const std::string& name, TableStats stats) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_[ToLowerKey(name)] =
         std::make_shared<const TableStats>(std::move(stats));
-    ++data_versions_[ToLowerKey(name)];
+    ++stats_versions_[ToLowerKey(name)];
   }
   /// Stats for a table, or nullptr when never analyzed. The returned
   /// snapshot stays valid (immutable) even if SetTableStats replaces it
@@ -155,23 +155,20 @@ class Catalog {
   /// Monotonic *schema* version. Bumped by every mutation that can change
   /// what a statement binds to (DDL, view replacement). The plan cache
   /// keys on it, so any schema change invalidates all cached plans
-  /// without explicit bookkeeping. Data changes do NOT bump it — they
-  /// bump the written table's data_version() instead, so DML against one
-  /// table keeps every other table's cached plans warm.
+  /// without explicit bookkeeping.
   uint64_t version() const { return version_; }
 
-  /// Monotonic per-table *data* version. Bumped on every committed write,
-  /// delta merge, or stats refresh of that table. Cached plans record the
-  /// data version of every base table they scan at compile time and are
-  /// re-validated per hit. Unknown tables report 0.
-  uint64_t data_version(const std::string& name) const {
+  /// Monotonic per-table *statistics* version, bumped only by
+  /// SetTableStats (ANALYZE, a delta merge, the delta-heavy auto-analyze).
+  /// A compiled plan depends on table contents only through statistics —
+  /// the executor pins its MVCC snapshot and lowers predicates to
+  /// dictionary codes at run time — so commits leave it alone. Cached
+  /// plans record it for every base table they scan and are re-validated
+  /// per hit. Unknown or never-analyzed tables report 0.
+  uint64_t stats_version(const std::string& name) const {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = data_versions_.find(ToLowerKey(name));
-    return it == data_versions_.end() ? 0 : it->second;
-  }
-  void BumpDataVersion(const std::string& name) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++data_versions_[ToLowerKey(name)];
+    auto it = stats_versions_.find(ToLowerKey(name));
+    return it == stats_versions_.end() ? 0 : it->second;
   }
 
  private:
@@ -182,11 +179,11 @@ class Catalog {
   // Keyed by lower-cased name (SQL identifiers are case-insensitive here).
   std::map<std::string, TableSchema> tables_;
   std::map<std::string, ViewDef> views_;
-  // Statistics and data versions are written by the background merge
+  // Statistics and their versions are written by the background merge
   // worker and read by concurrent planners; both live behind stats_mu_.
   mutable std::mutex stats_mu_;
   std::map<std::string, std::shared_ptr<const TableStats>> stats_;
-  std::map<std::string, uint64_t> data_versions_;
+  std::map<std::string, uint64_t> stats_versions_;
 };
 
 }  // namespace vdm

@@ -405,6 +405,49 @@ Result<PlanRef> Database::PlanQueryTimed(const std::string& sql,
   return OptimizePlan(*bound, timing);
 }
 
+PlanRef Database::ServeCachedPlan(const std::string& key,
+                                  const std::vector<Value>& params,
+                                  int64_t limit, int64_t offset,
+                                  QueryTiming* timing) {
+  std::shared_ptr<const CachedPlan> hit = plan_cache_->Lookup(key);
+  if (hit == nullptr) return nullptr;
+  // The key covers the schema version; statistics are validated per hit,
+  // so fresh stats on table A retire only the plans that scan A.
+  for (const auto& [table, version] : hit->table_stats_versions) {
+    if (catalog_.stats_version(table) != version) {
+      plan_cache_->Invalidate(key);
+      return nullptr;
+    }
+  }
+  const int64_t start = NowNs();
+  Result<PlanRef> rebound = BindCachedPlan(*hit, params, limit, offset);
+  timing->rebind_ns += NowNs() - start;
+  if (!rebound.ok()) return nullptr;  // rebind mismatch: recompile
+  timing->cache_hit = true;
+  return *rebound;
+}
+
+std::shared_ptr<CachedPlan> Database::NewCachedPlan(
+    const ParameterizedStatement& ps, const PlanRef& bound) const {
+  auto cached = std::make_shared<CachedPlan>();
+  cached->param_types = ps.param_types;
+  cached->has_limit = ps.has_limit;
+  cached->has_offset = ps.has_offset;
+  // Every base table the *bound* plan scans: the optimizer may prove scans
+  // redundant and drop them, but their statistics still shaped the plan.
+  VisitPlan(bound, [&](const PlanRef& node) {
+    if (node->kind() != OpKind::kScan) return;
+    const std::string table =
+        ToLower(static_cast<const ScanOp&>(*node).table_name());
+    for (const auto& [existing, version] : cached->table_stats_versions) {
+      if (existing == table) return;
+    }
+    cached->table_stats_versions.emplace_back(table,
+                                              catalog_.stats_version(table));
+  });
+  return cached;
+}
+
 Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
                                           QueryTiming* timing) {
   // Every early `return PlanQueryTimed(...)` below is the safety valve:
@@ -426,30 +469,9 @@ Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
   }
   const std::string key =
       ComposePlanCacheKey(ps->key, config_fingerprint_, catalog_.version());
-  if (std::shared_ptr<const CachedPlan> hit = plan_cache_->Lookup(key)) {
-    // The key covers the schema version only; data changes bump the
-    // written table's data version instead, validated per hit — DML on
-    // table A must not evict plans that only touch table B.
-    bool data_current = true;
-    for (const auto& [table, dv] : hit->table_data_versions) {
-      if (catalog_.data_version(table) != dv) {
-        data_current = false;
-        break;
-      }
-    }
-    if (!data_current) {
-      plan_cache_->Invalidate(key);
-    } else {
-      start = NowNs();
-      Result<PlanRef> rebound =
-          BindCachedPlan(*hit, ps->params, ps->limit, ps->offset);
-      timing->rebind_ns += NowNs() - start;
-      if (rebound.ok()) {
-        timing->cache_hit = true;
-        return rebound;
-      }
-      // Rebind mismatch: recompile from scratch below.
-    }
+  if (PlanRef hit = ServeCachedPlan(key, ps->params, ps->limit, ps->offset,
+                                    timing)) {
+    return hit;
   }
   start = NowNs();
   Result<Statement> stmt = ParseTokenStream(sql, ps->tokens);
@@ -468,6 +490,7 @@ Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
     timing->used_cache = false;
     return PlanQueryTimed(sql, timing);
   }
+  std::shared_ptr<CachedPlan> cached = NewCachedPlan(*ps, *bound);
   Result<PlanRef> optimized = OptimizePlan(*bound, timing);
   if (!optimized.ok()) {
     timing->used_cache = false;
@@ -478,25 +501,7 @@ Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
     timing->used_cache = false;
     return PlanQueryTimed(sql, timing);
   }
-  auto cached = std::make_shared<CachedPlan>();
   cached->plan = *optimized;
-  cached->param_types = ps->param_types;
-  cached->has_limit = ps->has_limit;
-  cached->has_offset = ps->has_offset;
-  // Record the data version of every base table the *bound* plan scans
-  // (the optimizer may prove scans redundant and drop them, but the
-  // statement's result still only depends on tables the bound form
-  // reads). Validated on every hit.
-  VisitPlan(*bound, [&](const PlanRef& node) {
-    if (node->kind() != OpKind::kScan) return;
-    const std::string table =
-        ToLower(static_cast<const ScanOp&>(*node).table_name());
-    for (const auto& [existing, version] : cached->table_data_versions) {
-      if (existing == table) return;
-    }
-    cached->table_data_versions.emplace_back(table,
-                                             catalog_.data_version(table));
-  });
   start = NowNs();
   Result<PlanRef> rebound =
       BindCachedPlan(*cached, ps->params, ps->limit, ps->offset);
@@ -557,26 +562,8 @@ Result<PlanRef> Database::PlanPrepared(const PreparedStatement& stmt,
   if (PlanCacheUsable()) {
     timing->used_cache = true;
     key = ComposePlanCacheKey(ps.key, config_fingerprint_, catalog_.version());
-    if (std::shared_ptr<const CachedPlan> hit = plan_cache_->Lookup(key)) {
-      bool data_current = true;
-      for (const auto& [table, dv] : hit->table_data_versions) {
-        if (catalog_.data_version(table) != dv) {
-          data_current = false;
-          break;
-        }
-      }
-      if (!data_current) {
-        plan_cache_->Invalidate(key);
-      } else {
-        int64_t start = NowNs();
-        Result<PlanRef> rebound = BindCachedPlan(*hit, params, limit, offset);
-        timing->rebind_ns += NowNs() - start;
-        if (rebound.ok()) {
-          timing->cache_hit = true;
-          return rebound;
-        }
-        // Rebind mismatch: recompile from the token stream below.
-      }
+    if (PlanRef hit = ServeCachedPlan(key, params, limit, offset, timing)) {
+      return hit;
     }
   }
   // Miss (or cache unusable): recompile from the stored token stream.
@@ -601,22 +588,9 @@ Result<PlanRef> Database::PlanPrepared(const PreparedStatement& stmt,
         "prepared statement is no longer rebindable (limit-sentinel "
         "collision after a view change); re-prepare it");
   }
+  std::shared_ptr<CachedPlan> cached = NewCachedPlan(ps, *bound);
   VDM_ASSIGN_OR_RETURN(PlanRef optimized, OptimizePlan(*bound, timing));
-  auto cached = std::make_shared<CachedPlan>();
   cached->plan = optimized;
-  cached->param_types = ps.param_types;
-  cached->has_limit = ps.has_limit;
-  cached->has_offset = ps.has_offset;
-  VisitPlan(*bound, [&](const PlanRef& node) {
-    if (node->kind() != OpKind::kScan) return;
-    const std::string table =
-        ToLower(static_cast<const ScanOp&>(*node).table_name());
-    for (const auto& [existing, version] : cached->table_data_versions) {
-      if (existing == table) return;
-    }
-    cached->table_data_versions.emplace_back(table,
-                                             catalog_.data_version(table));
-  });
   start = NowNs();
   Result<PlanRef> rebound = BindCachedPlan(*cached, params, limit, offset);
   timing->rebind_ns += NowNs() - start;
@@ -681,7 +655,6 @@ Status Database::Insert(const std::string& table,
   for (const std::vector<Value>& row : rows) {
     VDM_RETURN_NOT_OK(t->AppendRow(row));
   }
-  catalog_.BumpDataVersion(table);
   return Status::OK();
 }
 
@@ -794,7 +767,6 @@ void Database::AfterCommit(const std::vector<Table*>& written) {
   }
   for (Table* t : written) {
     const std::string& name = t->schema().name();
-    catalog_.BumpDataVersion(name);
     const size_t delta = t->NumDeltaRows();
     const size_t total = t->NumRows();
     // Delta-heavy auto-analyze: once the delta outgrows a fifth of the
@@ -875,8 +847,8 @@ Status Database::MergeTableMvcc(const std::string& table) {
   VDM_RETURN_NOT_OK(t->MergeDeltaMvcc(opts));
   merges_done_.fetch_add(1, std::memory_order_relaxed);
   // A merge rewrites the physical layout and purges dead rows: refresh
-  // the table's statistics (which also bumps its data version, retiring
-  // cached plans compiled against the pre-merge state).
+  // the table's statistics (which bumps its stats version, retiring cached
+  // plans compiled against the pre-merge statistics).
   RefreshTableStats(table);
   return Status::OK();
 }

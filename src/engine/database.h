@@ -317,7 +317,7 @@ class Database {
   /// Refreshes catalog table statistics from storage (the ANALYZE
   /// equivalent; feeds join ordering and cardinality estimation). Full
   /// per-column statistics by default; VDM_STATS=0 degrades to row counts
-  /// only. Bumps the catalog version, invalidating cached plans.
+  /// only. Bumps every table's stats version, retiring cached plans.
   void AnalyzeTables();
 
  private:
@@ -340,15 +340,16 @@ class Database {
   /// Fault-free rollback primitive (internal cleanup paths; the
   /// fault-checked RollbackTxn wraps it).
   void FinishRollback(Transaction* txn);
-  /// Post-commit bookkeeping for every written table: bump its data
-  /// version, auto-analyze delta-heavy tables, enqueue background merges.
+  /// Post-commit bookkeeping for every written table: auto-analyze
+  /// delta-heavy tables, enqueue background merges. A commit itself
+  /// invalidates no cached plan.
   void AfterCommit(const std::vector<Table*>& written);
   void EnqueueMerge(const std::string& table);
   void MergeWorkerLoop();
   /// Drops the handle from open_txns_ (destroying the Transaction).
   void ReleaseTxnHandle(Transaction* txn);
   /// Recollects one table's statistics under the current VDM_STATS mode
-  /// (bumps its data version via SetTableStats).
+  /// (bumps its stats version via SetTableStats).
   void RefreshTableStats(const std::string& name);
 
   /// The governed execution path shared by Query and ExplainAnalyze:
@@ -385,6 +386,19 @@ class Database {
                                const std::vector<Value>& params,
                                int64_t limit, int64_t offset,
                                QueryTiming* timing);
+
+  /// The plan-cache hit path shared by PlanQueryCached and PlanPrepared:
+  /// looks `key` up, drops the entry if a table it scans has fresh
+  /// statistics, and rebinds it to the given values. nullptr means the
+  /// caller compiles.
+  PlanRef ServeCachedPlan(const std::string& key,
+                          const std::vector<Value>& params, int64_t limit,
+                          int64_t offset, QueryTiming* timing);
+  /// A cache entry for `ps` without its plan, recording the stats version
+  /// of every table `bound` scans. Called before optimizing, so statistics
+  /// refreshed during the compile retire the entry on its first hit.
+  std::shared_ptr<CachedPlan> NewCachedPlan(const ParameterizedStatement& ps,
+                                            const PlanRef& bound) const;
 
   /// Uncached compile pipeline with the same timing breakdown.
   Result<PlanRef> PlanQueryTimed(const std::string& sql,

@@ -13,9 +13,11 @@
 // re-derives JoinOp::limit_hint so the executor's early-exit budgets match
 // the real window, not the sentinel.
 //
-// Invalidation is structural: the catalog version is part of the key, so
-// any DDL or stats refresh makes every old entry unreachable; profile and
-// optimizer-config changes additionally clear the cache outright.
+// Invalidation: the catalog schema version is part of the key, so any DDL
+// makes every old entry unreachable; a statistics refresh retires only the
+// entries that scan the refreshed table (CachedPlan::table_stats_versions);
+// profile and optimizer-config changes clear the cache outright. Commits
+// invalidate nothing — a plan's correctness does not depend on the data.
 #ifndef VDMQO_ENGINE_PLAN_CACHE_H_
 #define VDMQO_ENGINE_PLAN_CACHE_H_
 
@@ -42,12 +44,11 @@ struct CachedPlan {
   std::vector<DataType> param_types;
   bool has_limit = false;
   bool has_offset = false;
-  /// Data version of every base table the bound plan scans, recorded at
-  /// compile time. A hit is only served while all of them still match:
-  /// DML or a delta merge bumps the written table's data version, so
-  /// plans over *other* tables stay warm (the schema version in the key
-  /// only covers DDL).
-  std::vector<std::pair<std::string, uint64_t>> table_data_versions;
+  /// Catalog::stats_version() of every base table the bound plan scans,
+  /// recorded at compile time. A hit is only served while all of them
+  /// still match: fresh statistics on one table recompile the plans that
+  /// scan it and leave plans over *other* tables warm.
+  std::vector<std::pair<std::string, uint64_t>> table_stats_versions;
 };
 
 struct PlanCacheStats {
@@ -70,7 +71,7 @@ class PlanCache {
   /// entry when over capacity.
   void Insert(const std::string& key, std::shared_ptr<const CachedPlan> plan);
 
-  /// Drops one entry whose recorded table data versions no longer match
+  /// Drops one entry whose recorded table stats versions no longer match
   /// (counted as an invalidation, not an eviction). No-op when absent.
   void Invalidate(const std::string& key);
 
@@ -94,7 +95,7 @@ class PlanCache {
 
 /// Stable hash of every plan-shaping OptimizerConfig field. Pointer-valued
 /// fields (stats_catalog, verification_hook) are excluded: statistics are
-/// covered by the catalog version in the cache key, and hooks do not change
+/// covered by each entry's table_stats_versions, and hooks do not change
 /// the produced plan.
 uint64_t FingerprintConfig(const OptimizerConfig& config);
 

@@ -630,6 +630,42 @@ RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config) {
   return RelProps{};
 }
 
+namespace {
+
+/// The right side of a candidate AJ 1a join as the referenced table's
+/// scan: the scan itself, or the scan under a filter the left side already
+/// implies — each conjunct pins an equated right column to the literal its
+/// left partner is pinned to (what predicate transfer leaves behind), so
+/// the filter keeps every row a surviving left row can match. nullptr
+/// otherwise.
+const ScanOp* ReferencedScan(
+    const PlanRef& right,
+    const std::vector<std::pair<std::string, std::string>>& equi_pairs,
+    const RelProps& left_props) {
+  if (right->kind() == OpKind::kScan) {
+    return static_cast<const ScanOp*>(right.get());
+  }
+  if (right->kind() != OpKind::kFilter ||
+      right->child(0)->kind() != OpKind::kScan) {
+    return nullptr;
+  }
+  for (const ExprRef& conjunct : SplitConjuncts(
+           static_cast<const FilterOp&>(*right).predicate())) {
+    std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+    if (!cc.has_value()) return nullptr;
+    bool implied = false;
+    for (const auto& [l, r] : equi_pairs) {
+      auto pinned = left_props.constants.find(l);
+      implied |= r == cc->column && pinned != left_props.constants.end() &&
+                 pinned->second == cc->value;
+    }
+    if (!implied) return nullptr;
+  }
+  return static_cast<const ScanOp*>(right->child(0).get());
+}
+
+}  // namespace
+
 JoinAnalysis AnalyzeJoin(const JoinOp& join, const RelProps& left_props,
                          const RelProps& right_props,
                          const DerivationConfig& config) {
@@ -699,10 +735,13 @@ JoinAnalysis AnalyzeJoin(const JoinOp& join, const RelProps& left_props,
 
   // AJ 1a: inner equi-join over a foreign key constraint guarantees
   // exactly one match.
-  if (!analysis.right_exactly_one && analysis.pure_equi &&
-      join.join_type() == JoinType::kInner && analysis.right_at_most_one &&
-      join.right()->kind() == OpKind::kScan) {
-    const auto& right_scan = static_cast<const ScanOp&>(*join.right());
+  const ScanOp* right_scan =
+      !analysis.right_exactly_one && analysis.pure_equi &&
+              join.join_type() == JoinType::kInner &&
+              analysis.right_at_most_one
+          ? ReferencedScan(join.right(), analysis.equi_pairs, left_props)
+          : nullptr;
+  if (right_scan != nullptr) {
     // All left join columns must originate, un-null-extended, from one
     // scan whose table declares a matching FK to the right table.
     uint64_t left_source = 0;
@@ -731,7 +770,7 @@ JoinAnalysis AnalyzeJoin(const JoinOp& join, const RelProps& left_props,
       if (left_scan) {
         for (const ForeignKeyDef& fk : left_scan->table_schema().foreign_keys()) {
           if (!EqualsIgnoreCase(fk.referenced_table,
-                                right_scan.table_name())) {
+                                right_scan->table_name())) {
             continue;
           }
           if (fk.columns.size() != fk_cols.size()) continue;

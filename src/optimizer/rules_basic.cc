@@ -1,6 +1,7 @@
 // Generic rewrites: constant folding, filter pushdown, distinct elimination.
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "expr/fold.h"
@@ -114,6 +115,126 @@ namespace {
 
 PlanRef PushFilter(const FilterOp& filter, bool* changed);
 
+bool Contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Type of an output column that passes through unchanged from a base
+/// table column (through renames, group keys and UNION ALL positions);
+/// nullopt when it is computed on the way or cannot be traced.
+std::optional<DataType> PassThroughType(const PlanRef& plan,
+                                        const std::string& name) {
+  auto traced = [](const PlanRef& input,
+                   const ExprRef& expr) -> std::optional<DataType> {
+    if (expr->kind() != ExprKind::kColumnRef) return std::nullopt;
+    return PassThroughType(input,
+                           static_cast<const ColumnRefExpr&>(*expr).name());
+  };
+  switch (plan->kind()) {
+    case OpKind::kScan: {
+      const auto& scan = static_cast<const ScanOp&>(*plan);
+      for (size_t c : scan.column_indexes()) {
+        if (scan.QualifiedName(c) == name) {
+          return scan.table_schema().column(c).type;
+        }
+      }
+      return std::nullopt;
+    }
+    case OpKind::kProject:
+      for (const ProjectOp::Item& item :
+           static_cast<const ProjectOp&>(*plan).items()) {
+        if (item.name == name) return traced(plan->child(0), item.expr);
+      }
+      return std::nullopt;
+    case OpKind::kJoin:
+      for (const PlanRef& side : plan->children()) {
+        if (Contains(side->OutputNames(), name)) {
+          return PassThroughType(side, name);
+        }
+      }
+      return std::nullopt;
+    case OpKind::kAggregate: {
+      const auto& agg = static_cast<const AggregateOp&>(*plan);
+      for (const AggregateOp::GroupItem& g : agg.group_by()) {
+        if (g.name == name) return traced(plan->child(0), g.expr);
+      }
+      for (const AggregateOp::AggItem& a : agg.aggregates()) {
+        if (a.name != name) continue;
+        for (const AggregateOp::GroupItem& g : agg.group_by()) {
+          if (a.expr->Equals(*g.expr)) return traced(plan->child(0), g.expr);
+        }
+        return std::nullopt;
+      }
+      return std::nullopt;
+    }
+    case OpKind::kUnionAll: {
+      const auto& u = static_cast<const UnionAllOp&>(*plan);
+      auto pos = std::find(u.output_names().begin(), u.output_names().end(),
+                           name);
+      if (pos == u.output_names().end()) return std::nullopt;
+      const auto p = static_cast<size_t>(pos - u.output_names().begin());
+      std::optional<DataType> type;
+      for (const PlanRef& branch : plan->children()) {
+        std::optional<DataType> t =
+            PassThroughType(branch, branch->OutputNames()[p]);
+        if (!t.has_value() || (type.has_value() && *type != *t)) {
+          return std::nullopt;
+        }
+        type = t;
+      }
+      return type;
+    }
+    case OpKind::kFilter:
+    case OpKind::kSort:
+    case OpKind::kLimit:
+    case OpKind::kDistinct:
+      return PassThroughType(plan->child(0), name);
+  }
+  return std::nullopt;
+}
+
+/// Predicate transfer across a join: for every `col = literal` conjunct in
+/// `pushed` (bound for the `from` side) whose column the join condition
+/// equates, at top level, to a same-typed column of the `to` side, appends
+/// `other = literal` to `to_conjuncts`. Every joined row has col = other,
+/// so the transferred filter only drops `to` rows that cannot match a
+/// surviving `from` row.
+void TransferEqualities(const JoinOp& join, const std::vector<ExprRef>& pushed,
+                        const PlanRef& from, const PlanRef& to,
+                        const std::vector<std::string>& from_names,
+                        const std::vector<std::string>& to_names,
+                        std::vector<ExprRef>* to_conjuncts) {
+  for (const ExprRef& conjunct : pushed) {
+    std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+    if (!cc.has_value() || cc->value.is_null() ||
+        Contains(to_names, cc->column)) {
+      continue;
+    }
+    for (const ExprRef& cond : SplitConjuncts(join.condition())) {
+      std::optional<ColumnPair> pair = MatchColumnEqColumn(cond);
+      if (!pair.has_value()) continue;
+      std::string other;
+      if (pair->left == cc->column) other = pair->right;
+      if (pair->right == cc->column) other = pair->left;
+      if (other.empty() || !Contains(to_names, other) ||
+          Contains(from_names, other)) {
+        continue;
+      }
+      std::optional<DataType> from_type = PassThroughType(from, cc->column);
+      std::optional<DataType> to_type = PassThroughType(to, other);
+      if (!from_type.has_value() || from_type != to_type) continue;
+      auto pins_same = [&](const ExprRef& existing) {
+        std::optional<ColumnConstant> e = MatchColumnEqConstant(existing);
+        return e.has_value() && e->column == other && e->value == cc->value;
+      };
+      if (std::none_of(to_conjuncts->begin(), to_conjuncts->end(),
+                       pins_same)) {
+        to_conjuncts->push_back(Eq(Col(other), Lit(cc->value)));
+      }
+    }
+  }
+}
+
 /// Places a filter over `input` and keeps pushing it down, so a filter
 /// reaches its final position in one PassFilterPushdown call instead of
 /// moving one operator per fixpoint iteration.
@@ -162,6 +283,17 @@ PlanRef PushFilter(const FilterOp& filter, bool* changed) {
         }
       }
       if (to_left.empty() && to_right.empty()) return nullptr;
+      // Equalities cross from the preserved left side to the right; on an
+      // INNER join also back, but never out of a null-supplying side.
+      if (!join.is_case_join()) {
+        const std::vector<ExprRef> pushed_right = to_right;
+        TransferEqualities(join, to_left, join.left(), join.right(),
+                           left_names, right_names, &to_right);
+        if (join.join_type() == JoinType::kInner) {
+          TransferEqualities(join, pushed_right, join.right(), join.left(),
+                             right_names, left_names, &to_left);
+        }
+      }
       *changed = true;
       PlanRef new_left = join.left();
       PlanRef new_right = join.right();
@@ -210,7 +342,9 @@ PlanRef PushFilter(const FilterOp& filter, bool* changed) {
     }
     case OpKind::kAggregate: {
       // Conjuncts that reference only group columns select whole groups
-      // and may be applied before aggregation.
+      // and may be applied before aggregation. An output item that merely
+      // repeats a group expression (the binder's `acdoca.rbukrs AS
+      // rbukrs`) is a group column too.
       const auto& agg = static_cast<const AggregateOp&>(*child);
       if (agg.group_by().empty()) return nullptr;
       std::map<std::string, ExprRef> group_defs;
@@ -218,6 +352,15 @@ PlanRef PushFilter(const FilterOp& filter, bool* changed) {
       for (const AggregateOp::GroupItem& g : agg.group_by()) {
         group_defs[g.name] = g.expr;
         group_names.push_back(g.name);
+      }
+      for (const AggregateOp::AggItem& a : agg.aggregates()) {
+        for (const AggregateOp::GroupItem& g : agg.group_by()) {
+          if (!a.expr->Equals(*g.expr)) continue;
+          if (group_defs.emplace(a.name, g.expr).second) {
+            group_names.push_back(a.name);
+          }
+          break;
+        }
       }
       std::vector<ExprRef> push, keep;
       for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {

@@ -137,8 +137,7 @@ class Table {
 
   const TableSchema& schema() const { return schema_; }
   /// Monotonic modification counter; bumped on every append, stamp, and
-  /// merge install. Used by dynamic cached views and the plan cache's
-  /// per-table data version to detect staleness.
+  /// merge install. Used by dynamic cached views to detect staleness.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
   size_t NumRows() const;      // physical rows, both fragments
   size_t NumMainRows() const;

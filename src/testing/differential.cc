@@ -496,6 +496,14 @@ Result<QueryCorpus> SetUpFuzzDatabase(Database* db) {
   s4.generic_dimensions = 2;
   VDM_RETURN_NOT_OK(CreateS4Schema(db, s4));
   VDM_RETURN_NOT_OK(LoadS4Data(db, s4));
+  // Per-document totals keyed like the JEIB's i_documenttotal; S4Corpus
+  // LEFT OUTER joins it on its 4-column key.
+  VDM_RETURN_NOT_OK(
+      db->Execute("create view fuzz_documenttotal as "
+                  "select rldnr, rbukrs, gjahr, belnr, "
+                  "sum(hsl) as documenttotal, count(*) as documentlines "
+                  "from acdoca group by rldnr, rbukrs, gjahr, belnr")
+          .status());
 
   SyntheticVdmOptions vdm;
   vdm.num_views = 6;

@@ -283,8 +283,8 @@ constexpr LegSpec kLegs[] = {
     // Serial execution, merges exactly where the script puts them.
     {"hana-serial-scriptmerge", SystemProfile::kHana, false, 1, false},
     // Parallel execution, background merge races the script, plan cache
-    // on — DML must invalidate by per-table data version, never serve a
-    // stale plan's result.
+    // on — cached plans outlive commits and merges retire them through
+    // stats versions; every read must still see its own snapshot.
     {"postgres-parallel-bgmerge-cache", SystemProfile::kPostgres, true, 2,
      true},
     // No merges at all: the delta grows unboundedly, every scan takes the

@@ -184,6 +184,15 @@ QueryCorpus S4Corpus() {
       {" left outer join t001 tc on a.rbukrs = tc.bukrs",
        {C("tc.butxt", GenColClass::kString),
         C("tc.land1", GenColClass::kInt)}},
+      // The i_documenttotal augmenter shape (SetUpFuzzDatabase creates the
+      // view): the company filter on the anchor crosses this join and the
+      // view's GROUP BY onto its ACDOCA scan.
+      {" left outer join fuzz_documenttotal dt on a.rldnr = dt.rldnr"
+       " and a.rbukrs = dt.rbukrs and a.gjahr = dt.gjahr"
+       " and a.belnr = dt.belnr",
+       {C("dt.documenttotal", GenColClass::kDecimal),
+        C("dt.documentlines", GenColClass::kInt)},
+       "a.rbukrs = 'C003'"},
   };
   a.augment_clause =
       " left outer many to one join t005 aug_zz on a.land1 = aug_zz.land1";
@@ -343,6 +352,7 @@ GeneratedQuery QueryGenerator::Next() {
     if (!rng_.Bernoulli(0.4)) continue;
     q.joins.push_back(dim.clause);
     for (const GenColumn& col : dim.columns) available.push_back(col);
+    if (!dim.where.empty() && rng_.Bernoulli(0.5)) q.where.push_back(dim.where);
   }
 
   int n_predicates = static_cast<int>(rng_.Uniform(0, 2));

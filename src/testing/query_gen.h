@@ -54,6 +54,9 @@ struct GenColumn {
 struct GenJoin {
   std::string clause;  // e.g. " left outer join part p on l.l_partkey = ..."
   std::vector<GenColumn> columns;
+  /// Optional WHERE conjunct added (half the time) with the join: an
+  /// anchor filter a rewrite is meant to carry across it.
+  std::string where = "";
 };
 
 /// A FROM-clause anchor: a table, a generated view stack, or a fixed

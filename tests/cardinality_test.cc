@@ -145,6 +145,34 @@ TEST(CardinalityEstimatorTest, FilterEqualityUsesDistinctCount) {
   EXPECT_NEAR(est.EstimateRows(plan), 100.0, 1.0);
 }
 
+TEST(CardinalityEstimatorTest, LiteralPinnedJoinKeyIsNotChargedTwice) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable(Fact()).ok());
+  catalog.SetTableStats(
+      "fact", StatsWith(1000, {Entry(1000), Entry(10), Entry(100)}));
+  // Both sides pinned to dim_key = 3 (the shape predicate transfer leaves
+  // behind): 100 rows each, and every pair joins.
+  PlanRef pinned = PlanBuilder::ScanSchema(Fact(), "a")
+                       .Filter(Eq(Col("a.dim_key"), LitInt(3)))
+                       .Join(PlanBuilder::ScanSchema(Fact(), "b")
+                                 .Filter(Eq(LitInt(3), Col("b.dim_key"))),
+                             JoinType::kInner,
+                             Eq(Col("a.dim_key"), Col("b.dim_key")))
+                       .Build();
+  CardinalityEstimator est(&catalog);
+  ASSERT_TRUE(est.ResolveColumn(pinned->child(0), "a.dim_key").has_value());
+  EXPECT_DOUBLE_EQ(
+      est.ResolveColumn(pinned->child(0), "a.dim_key")->distinct, 1.0);
+  // A range filter leaves the distinct count to the row-count clamp.
+  PlanRef ranged = PlanBuilder::ScanSchema(Fact(), "a")
+                       .Filter(Bin(BinaryOpKind::kGreater, Col("a.dim_key"),
+                                   LitInt(3)))
+                       .Build();
+  EXPECT_GT(est.ResolveColumn(ranged, "a.dim_key")->distinct, 1.0);
+  // 100 · 100 / 1, not 100 · 100 / 10.
+  EXPECT_NEAR(est.EstimateRows(pinned), 10000.0, 1.0);
+}
+
 TEST(CardinalityEstimatorTest, JoinPriorityDeclaredThenUniqueThenDistinct) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterTable(Fact()).ok());
@@ -297,8 +325,8 @@ TEST_F(StatsDatabaseTest, StatsRefreshInvalidatesPlanCache) {
   ASSERT_TRUE(db_.Query(sql, nullptr, &timing).ok());
   ASSERT_TRUE(db_.Query(sql, nullptr, &timing).ok());
   EXPECT_TRUE(timing.cache_hit);
-  // A stats refresh bumps the catalog version, so the cached plan (keyed
-  // on it) must not be served again.
+  // A stats refresh bumps the table's stats version, so the cached plan
+  // (which recorded it) must not be served again.
   db_.AnalyzeTables();
   ASSERT_TRUE(db_.Query(sql, nullptr, &timing).ok());
   EXPECT_FALSE(timing.cache_hit);

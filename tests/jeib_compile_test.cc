@@ -1,7 +1,8 @@
 // Compiles of ad-hoc JournalEntryItemBrowser reports (the paper's §4.1
 // workload: a few fields picked from the expansive view, restricted to one
 // company): the fixpoint converges with the company filter on the ACDOCA
-// scan, and concurrent compiles through one Database are deterministic.
+// scan — in the document-total augmenter too — and concurrent compiles
+// through one Database are deterministic.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -99,6 +100,42 @@ TEST_F(JeibCompileTest, AdhocReportsConvergeWithCompanyFilterOnAcdoca) {
     EXPECT_GE(on_acdoca, 1) << PrintPlan(*plan);
     EXPECT_EQ(elsewhere, 0) << PrintPlan(*plan);
   }
+}
+
+TEST_F(JeibCompileTest, DocumentTotalAugmenterGetsCompanyFilter) {
+  // The HTAP report shape: per-ledger totals of one company, reading the
+  // i_documenttotal augmenter. The company filter crosses the LEFT OUTER
+  // join (predicate transfer on `j.rbukrs = dt.rbukrs`) and the view's
+  // GROUP BY, so the aggregate reads one company's lines, not all.
+  const char* sql =
+      "select rldnr, sum(hsl) as total, count(*) as lines, "
+      "count(documenttotal) as n1 from journalentryitembrowser "
+      "where rbukrs = 'C012' group by rldnr order by rldnr";
+  Result<PlanRef> bound = db_->BindQuery(sql);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Result<PlanRef> plan = db_->OptimizePlan(*bound);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  int doc_totals = 0;
+  VisitPlan(*plan, [&](const PlanRef& node) {
+    if (node->kind() != OpKind::kAggregate ||
+        static_cast<const AggregateOp&>(*node).group_by().size() != 4) {
+      return;
+    }
+    ++doc_totals;
+    const PlanRef& below = node->child(0);
+    ASSERT_EQ(below->kind(), OpKind::kFilter) << PrintPlan(*plan);
+    EXPECT_EQ(static_cast<const FilterOp&>(*below).predicate()->ToString(),
+              "(acdoca.rbukrs = 'C012')");
+    ASSERT_EQ(below->child(0)->kind(), OpKind::kScan);
+    EXPECT_EQ(static_cast<const ScanOp&>(*below->child(0)).table_name(),
+              "acdoca");
+  });
+  EXPECT_EQ(doc_totals, 1) << PrintPlan(*plan);
+  // Same rows as the unoptimized plan.
+  Result<Chunk> optimized = db_->ExecutePlan(*plan);
+  Result<Chunk> raw = db_->ExecutePlan(*bound);
+  ASSERT_TRUE(optimized.ok() && raw.ok());
+  EXPECT_EQ(optimized->ToString(), raw->ToString());
 }
 
 TEST_F(JeibCompileTest, ConcurrentCompilesMatchSerial) {

@@ -1,7 +1,8 @@
 // Unit tests for individual optimizer passes, exercised on hand-built
-// plans: filter pushdown, projection/UAJ pruning, project merging, limit
-// sinking, distinct elimination, ASJ elimination (including the canonical
-// Fig. 13 union-all shapes), and aggregate merging/eager aggregation.
+// plans: filter pushdown and predicate transfer, projection/UAJ pruning,
+// project merging, limit sinking, distinct elimination, ASJ elimination
+// (including the canonical Fig. 13 union-all shapes), and aggregate
+// merging/eager aggregation.
 #include <gtest/gtest.h>
 
 #include "expr/fold.h"
@@ -633,6 +634,168 @@ TEST(FilterPushdownTest, AggregateOnlyConjunctsStayAbove) {
   EXPECT_EQ(result->kind(), OpKind::kFilter);
 }
 
+
+// --- predicate transfer across joins ------------------------------------------
+
+// Predicates of the filters sitting directly on the scan aliased `alias`.
+std::vector<std::string> FiltersOnScan(const PlanRef& plan,
+                                       const std::string& alias) {
+  std::vector<std::string> out;
+  VisitPlan(plan, [&](const PlanRef& node) {
+    if (node->kind() != OpKind::kFilter ||
+        node->child(0)->kind() != OpKind::kScan ||
+        static_cast<const ScanOp&>(*node->child(0)).alias() != alias) {
+      return;
+    }
+    out.push_back(
+        static_cast<const FilterOp&>(*node).predicate()->ToString());
+  });
+  return out;
+}
+
+PlanRef PushedFilter(JoinType join_type, const ExprRef& condition,
+                     const ExprRef& predicate) {
+  PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f")
+                     .Join(PlanBuilder::ScanSchema(Dim(), "d"), join_type,
+                           condition)
+                     .Filter(predicate)
+                     .Build();
+  bool changed = false;
+  return PassFilterPushdown(plan, Full(), &changed);
+}
+
+TEST(PredicateTransferTest, InnerJoinTransfersBothWays) {
+  const ExprRef on = Eq(Col("f.dim_key"), Col("d.k"));
+  PlanRef from_left =
+      PushedFilter(JoinType::kInner, on, Eq(Col("f.dim_key"), LitInt(3)));
+  EXPECT_EQ(FiltersOnScan(from_left, "d"),
+            std::vector<std::string>{"(d.k = 3)"})
+      << PrintPlan(from_left);
+  PlanRef from_right =
+      PushedFilter(JoinType::kInner, on, Eq(LitInt(3), Col("d.k")));
+  EXPECT_EQ(FiltersOnScan(from_right, "f"),
+            std::vector<std::string>{"(f.dim_key = 3)"})
+      << PrintPlan(from_right);
+  // A side that already pins the column gets no second copy.
+  PlanRef both = PushedFilter(
+      JoinType::kInner, on,
+      And(Eq(Col("f.dim_key"), LitInt(3)), Eq(LitInt(3), Col("d.k"))));
+  EXPECT_EQ(FiltersOnScan(both, "f"),
+            std::vector<std::string>{"(f.dim_key = 3)"})
+      << PrintPlan(both);
+  EXPECT_EQ(FiltersOnScan(both, "d"), std::vector<std::string>{"(3 = d.k)"})
+      << PrintPlan(both);
+}
+
+TEST(PredicateTransferTest, LeftOuterTransfersOnlyLeftToRight) {
+  const ExprRef on = Eq(Col("d.k"), Col("f.dim_key"));
+  PlanRef from_left = PushedFilter(JoinType::kLeftOuter, on,
+                                   Eq(Col("f.dim_key"), LitInt(3)));
+  EXPECT_EQ(FiltersOnScan(from_left, "d"),
+            std::vector<std::string>{"(d.k = 3)"})
+      << PrintPlan(from_left);
+  // A conjunct on the null-supplying side stays above the join and
+  // transfers nowhere: the preserved side keeps all of its rows.
+  PlanRef from_right = PushedFilter(JoinType::kLeftOuter, on,
+                                    Eq(Col("d.k"), LitInt(3)));
+  EXPECT_EQ(from_right->kind(), OpKind::kFilter) << PrintPlan(from_right);
+  EXPECT_TRUE(FiltersOnScan(from_right, "f").empty())
+      << PrintPlan(from_right);
+  EXPECT_TRUE(FiltersOnScan(from_right, "d").empty())
+      << PrintPlan(from_right);
+}
+
+TEST(PredicateTransferTest, OnlyLiteralEqualitiesOverTopLevelSameTypedKeys) {
+  const ExprRef on = Eq(Col("f.dim_key"), Col("d.k"));
+  struct Case {
+    const char* what;
+    ExprRef condition;
+    ExprRef predicate;
+  };
+  const Case cases[] = {
+      {"non-equality", on,
+       Bin(BinaryOpKind::kGreater, Col("f.dim_key"), LitInt(3))},
+      {"OR", on,
+       Bin(BinaryOpKind::kOr, Eq(Col("f.dim_key"), LitInt(3)),
+           Eq(Col("f.status"), LitInt(1)))},
+      {"residual conjunct over both sides", on,
+       Eq(Col("f.dim_key"), Bin(BinaryOpKind::kAdd, Col("d.k"), LitInt(3)))},
+      {"equality nested under OR in the join condition",
+       Bin(BinaryOpKind::kOr, on, Eq(Col("f.id"), Col("d.k"))),
+       Eq(Col("f.dim_key"), LitInt(3))},
+      {"decimal = int key", Eq(Col("f.amount"), Col("d.k")),
+       Eq(Col("f.amount"), LitInt(3))},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    PlanRef result = PushedFilter(JoinType::kInner, c.condition, c.predicate);
+    EXPECT_TRUE(FiltersOnScan(result, "d").empty()) << PrintPlan(result);
+  }
+}
+
+TEST(PredicateTransferTest, AggregateOutputRepeatingGroupKeySinks) {
+  // The binder's grouped-view shape: the group key re-emitted as an output
+  // item under the view's column name.
+  PlanRef plan =
+      PlanBuilder::ScanSchema(Fact(), "f")
+          .Aggregate({{Col("f.status"), "f.status"}},
+                     {{Col("f.status"), "st"},
+                      {Agg(AggKind::kSum, Col("f.amount")), "total"}})
+          .Filter(Eq(Col("st"), LitInt(1)))
+          .Build();
+  bool changed = false;
+  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  EXPECT_TRUE(changed);
+  ASSERT_EQ(result->kind(), OpKind::kAggregate) << PrintPlan(result);
+  EXPECT_EQ(FiltersOnScan(result, "f"),
+            std::vector<std::string>{"(f.status = 1)"});
+}
+
+TEST(PredicateTransferTest, GroupedAugmenterGetsFilterAndEliminationsFire) {
+  // f LEFT OUTER JOIN (grouped view over fact) on the group key, with a
+  // filter on the preserved side: the filter crosses the join and the
+  // aggregate onto the view's scan.
+  PlanBuilder totals =
+      PlanBuilder::ScanSchema(Fact(), "g")
+          .Aggregate({{Col("g.dim_key"), "g.dim_key"}},
+                     {{Col("g.dim_key"), "dk"},
+                      {Agg(AggKind::kSum, Col("g.amount")), "total"}})
+          .ProjectColumns({"dk", "total"}, {"t.dk", "t.total"});
+  PlanRef used = PlanBuilder::ScanSchema(Fact(), "f")
+                     .Join(totals, JoinType::kLeftOuter,
+                           Eq(Col("f.dim_key"), Col("t.dk")))
+                     .Filter(Eq(Col("f.dim_key"), LitInt(7)))
+                     .ProjectColumns({"f.id", "t.total"}, {"id", "total"})
+                     .Build();
+  PlanRef optimized = Optimizer(Full()).Optimize(used);
+  EXPECT_EQ(FiltersOnScan(optimized, "g"),
+            std::vector<std::string>{"(g.dim_key = 7)"})
+      << PrintPlan(optimized);
+
+  // Unused, the same augmenter is still eliminated (UAJ), transferred
+  // filter and all.
+  PlanRef unused = PlanBuilder::ScanSchema(Fact(), "f")
+                       .Join(totals, JoinType::kLeftOuter,
+                             Eq(Col("f.dim_key"), Col("t.dk")))
+                       .Filter(Eq(Col("f.dim_key"), LitInt(7)))
+                       .ProjectColumns({"f.id"}, {"id"})
+                       .Build();
+  optimized = Optimizer(Full()).Optimize(unused);
+  EXPECT_EQ(ComputePlanStats(optimized).joins, 0u) << PrintPlan(optimized);
+}
+
+TEST(PredicateTransferTest, ForeignKeyJoinStillEliminatedUnderFilter) {
+  TableSchema fact = Fact();
+  fact.AddForeignKey({"dim_key"}, "dim", {"k"});
+  PlanRef plan = PlanBuilder::ScanSchema(fact, "f")
+                     .Join(PlanBuilder::ScanSchema(Dim(), "d"),
+                           JoinType::kInner, Eq(Col("f.dim_key"), Col("d.k")))
+                     .Filter(Eq(Col("f.dim_key"), LitInt(3)))
+                     .ProjectColumns({"f.id"}, {"id"})
+                     .Build();
+  PlanRef optimized = Optimizer(Full()).Optimize(plan);
+  EXPECT_EQ(ComputePlanStats(optimized).joins, 0u) << PrintPlan(optimized);
+}
 
 // --- join ordering -----------------------------------------------------------
 

@@ -259,9 +259,10 @@ TEST_F(PlanCacheDbTest, InvalidationOnDdlProfileAndConfig) {
   EXPECT_FALSE(timing.cache_hit);
 }
 
-TEST_F(PlanCacheDbTest, DmlOnOneTableKeepsOtherTablesPlansWarm) {
+TEST_F(PlanCacheDbTest, CommitKeepsPlansWarmStatsRefreshRecompilesItsTables) {
   const std::string orders_sql =
-      "select o_orderkey from orders where o_totalprice > 500.0";
+      "select o_orderkey, o_totalprice from orders "
+      "where o_totalprice > 500.0";
   const std::string lineitem_sql =
       "select l_orderkey from lineitem where l_quantity > 40.0";
   QueryTiming timing;
@@ -269,26 +270,44 @@ TEST_F(PlanCacheDbTest, DmlOnOneTableKeepsOtherTablesPlansWarm) {
   ASSERT_TRUE(db_->Query(lineitem_sql).ok());
   ASSERT_TRUE(db_->Query(orders_sql, nullptr, &timing).ok());
   EXPECT_TRUE(timing.cache_hit);
-  ASSERT_TRUE(db_->Query(lineitem_sql, nullptr, &timing).ok());
-  EXPECT_TRUE(timing.cache_hit);
 
-  // DML on orders bumps only its data version: the catalog schema version
-  // is untouched, lineitem plans stay warm, orders plans recompile.
+  // A commit that changes what orders_sql returns invalidates nothing:
+  // the next run is a hit, and its result is byte-identical to a run
+  // with the cache off.
   const uint64_t schema_before = db_->catalog().version();
   const uint64_t inval_before = db_->plan_cache_stats().invalidations;
   Result<Chunk> dml = db_->Execute(
-      "update orders set o_custkey = o_custkey where o_orderkey = 1");
+      "update orders set o_totalprice = o_totalprice + 100000.0 "
+      "where o_orderkey = 1");
   ASSERT_TRUE(dml.ok()) << dml.status().ToString();
   EXPECT_EQ(db_->catalog().version(), schema_before);
+  Result<Chunk> warm = db_->Query(orders_sql, nullptr, &timing);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(timing.cache_hit);
+  EXPECT_EQ(db_->plan_cache_stats().invalidations, inval_before);
+  db_->DisablePlanCache();
+  Result<Chunk> off = db_->Query(orders_sql);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(warm->ToString(), off->ToString());
+  db_->EnablePlanCache();
+  ASSERT_TRUE(db_->Query(orders_sql).ok());
+  ASSERT_TRUE(db_->Query(lineitem_sql).ok());
+
+  // Fresh statistics on orders (a merge refreshes them) recompile the
+  // orders plan only; lineitem plans stay warm.
+  ASSERT_TRUE(db_->MergeTableMvcc("orders").ok());
   ASSERT_TRUE(db_->Query(lineitem_sql, nullptr, &timing).ok());
   EXPECT_TRUE(timing.cache_hit);
-  ASSERT_TRUE(db_->Query(orders_sql, nullptr, &timing).ok());
+  Result<Chunk> recompiled = db_->Query(orders_sql, nullptr, &timing);
+  ASSERT_TRUE(recompiled.ok()) << recompiled.status().ToString();
   EXPECT_FALSE(timing.cache_hit);
-  EXPECT_GT(db_->plan_cache_stats().invalidations, inval_before);
-
-  // The recompiled orders plan is warm again afterwards.
+  EXPECT_EQ(db_->plan_cache_stats().invalidations, inval_before + 1);
   ASSERT_TRUE(db_->Query(orders_sql, nullptr, &timing).ok());
   EXPECT_TRUE(timing.cache_hit);
+
+  ASSERT_TRUE(db_->Execute("update orders set o_totalprice = "
+                           "o_totalprice - 100000.0 where o_orderkey = 1")
+                  .ok());
 }
 
 TEST_F(PlanCacheDbTest, EvictionAtDatabaseLevel) {

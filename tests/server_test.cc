@@ -1,9 +1,10 @@
 // vdmserve conformance suite (DESIGN.md §16): golden byte-level wire
 // codec checks, loopback protocol semantics (session isolation, prepared
-// rebind across DML invalidation, CANCEL mid-query, per-tenant admission,
-// death mid-transaction), a seeded frame fuzzer that must never crash the
-// server, and the Database teardown-ordering audit with live sessions and
-// queued merges. The ASan/TSan legs run through `tools/ci.sh server`.
+// rebind and cached plans across commits, CANCEL mid-query, per-tenant
+// admission, death mid-transaction), a seeded frame fuzzer that must never
+// crash the server, and the Database teardown-ordering audit with live
+// sessions and queued merges. The ASan/TSan legs run through
+// `tools/ci.sh server`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -366,7 +367,7 @@ TEST_F(ServerTest, SessionIsolationAcrossConnections) {
   EXPECT_EQ(ScalarInt(a.Query("select count(*) as n from t")), 4);
 }
 
-TEST_F(ServerTest, PreparedStatementsRebindAcrossDmlInvalidation) {
+TEST_F(ServerTest, PreparedStatementsStayWarmAcrossCommits) {
   MakeKV();
   db_.EnablePlanCache();
   StartServer();
@@ -391,14 +392,17 @@ TEST_F(ServerTest, PreparedStatementsRebindAcrossDmlInvalidation) {
   EXPECT_EQ(ScalarInt(client.Execute(prep->stmt_id, {Value::Int64(2)})), 2);
   EXPECT_TRUE(client.last_cache_hit());
 
-  // DML from another session bumps the table's data version, invalidating
-  // the cached plan. The handle must transparently recompile — not fail,
-  // not serve stale rows.
+  // A commit from another session keeps the cached plan: the next
+  // execution is still a hit and sees the new row.
   ASSERT_TRUE(writer.Query("insert into t values (4, 40)").ok());
-  Result<Chunk> after = client.Execute(prep->stmt_id, {Value::Int64(2)});
-  EXPECT_EQ(ScalarInt(after), 3);
+  EXPECT_EQ(ScalarInt(client.Execute(prep->stmt_id, {Value::Int64(2)})), 3);
+  EXPECT_TRUE(client.last_cache_hit());
+
+  // Fresh statistics retire the plan: the handle transparently recompiles
+  // (same result), and the new plan is warm again.
+  db_.AnalyzeTables();
+  EXPECT_EQ(ScalarInt(client.Execute(prep->stmt_id, {Value::Int64(2)})), 3);
   EXPECT_FALSE(client.last_cache_hit());
-  // And the recompiled plan re-enters the cache.
   EXPECT_EQ(ScalarInt(client.Execute(prep->stmt_id, {Value::Int64(2)})), 3);
   EXPECT_TRUE(client.last_cache_hit());
 
@@ -416,6 +420,39 @@ TEST_F(ServerTest, PreparedStatementsRebindAcrossDmlInvalidation) {
   Status never = client.CloseStmt(4040);
   ASSERT_FALSE(never.ok());
   EXPECT_EQ(never.code(), StatusCode::kNotFound);
+}
+
+TEST_F(ServerTest, CachedReportSeesCommitsAndKeepsTxnSnapshot) {
+  MakeKV();
+  db_.EnablePlanCache();
+  StartServer();
+  VdmClient a, b;
+  NewClient(&a);
+  NewClient(&b);
+  const std::string report =
+      "select count(*) as n, sum(v) as total from t where k >= 1";
+  auto run = [&]() -> int64_t {
+    Result<Chunk> r = a.Query(report);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r->NumRows() == 1 ? r->columns[0].ints()[0] : -1;
+  };
+
+  EXPECT_EQ(run(), 3);
+  EXPECT_EQ(run(), 3);
+  EXPECT_TRUE(a.last_cache_hit());
+
+  // A's transaction begins before B's commit: inside it the cached plan
+  // still serves A's snapshot.
+  ASSERT_TRUE(a.Begin().ok());
+  EXPECT_EQ(run(), 3);
+  ASSERT_TRUE(b.Query("insert into t values (4, 40)").ok());
+  EXPECT_EQ(run(), 3);
+  EXPECT_TRUE(a.last_cache_hit());
+  ASSERT_TRUE(a.Commit().ok());
+
+  // Outside it, the same cached plan sees B's row.
+  EXPECT_EQ(run(), 4);
+  EXPECT_TRUE(a.last_cache_hit());
 }
 
 TEST_F(ServerTest, CancelSurfacesMidQuery) {

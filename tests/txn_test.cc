@@ -275,17 +275,27 @@ TEST(TxnTest, MergePreservesOpenSnapshots) {
 // ---------------------------------------------------------------------------
 // Statistics stay fresh under DML
 
-TEST(TxnTest, DataVersionBumpsOnlyForWrittenTable) {
+TEST(TxnTest, StatsVersionMovesOnlyWithStatistics) {
   Database db;
   MakeKV(&db);
   ASSERT_TRUE(db.Execute("create table u (k int, v int)").ok());
-  const uint64_t t_before = db.catalog().data_version("t");
-  const uint64_t u_before = db.catalog().data_version("u");
+  const uint64_t t_before = db.catalog().stats_version("t");
+  const uint64_t u_before = db.catalog().stats_version("u");
   const uint64_t schema_before = db.catalog().version();
+  // A commit changes neither version: cached plans stay valid.
   ASSERT_TRUE(db.Execute("insert into t values (7, 70)").ok());
-  EXPECT_GT(db.catalog().data_version("t"), t_before);
-  EXPECT_EQ(db.catalog().data_version("u"), u_before);
-  // DML must never bump the schema version.
+  EXPECT_EQ(db.catalog().stats_version("t"), t_before);
+  EXPECT_EQ(db.catalog().stats_version("u"), u_before);
+  EXPECT_EQ(db.catalog().version(), schema_before);
+  // A merge refreshes the merged table's statistics, and only its.
+  ASSERT_TRUE(db.MergeTableMvcc("t").ok());
+  EXPECT_GT(db.catalog().stats_version("t"), t_before);
+  EXPECT_EQ(db.catalog().stats_version("u"), u_before);
+  // ANALYZE refreshes every table; still no schema change.
+  const uint64_t t_merged = db.catalog().stats_version("t");
+  db.AnalyzeTables();
+  EXPECT_GT(db.catalog().stats_version("t"), t_merged);
+  EXPECT_GT(db.catalog().stats_version("u"), u_before);
   EXPECT_EQ(db.catalog().version(), schema_before);
 }
 

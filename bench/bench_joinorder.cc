@@ -131,7 +131,8 @@ int main() {
       double on_ms = TimePlan(&db, *on_plan, &on_metrics, &on_rows);
 
       // Root-level estimation accuracy of the reordered plan.
-      CardinalityEstimator estimator(&db.catalog());
+      InferenceEngine engine;
+      CardinalityEstimator estimator(&db.catalog(), &engine);
       PlanEstimates estimates;
       PlanEstimate root = estimator.Annotate(*on_plan, &estimates);
       double actual = static_cast<double>(std::max<size_t>(on_rows, 1));

@@ -744,10 +744,11 @@ std::string InferredProps::ToString() const {
 InferenceEngine::InferenceEngine(InferOptions options) : options_(options) {}
 
 const InferredProps& InferenceEngine::Infer(const PlanRef& plan) {
-  auto it = cache_.find(plan->id());
-  if (it != cache_.end()) return it->second;
+  auto it = cache_.find(plan.get());
+  if (it != cache_.end()) return it->second.props;
   InferredProps props = Compute(plan);
-  return cache_.emplace(plan->id(), std::move(props)).first->second;
+  return cache_.emplace(plan.get(), Entry{plan, std::move(props)})
+      .first->second.props;
 }
 
 InferredProps InferenceEngine::Compute(const PlanRef& plan) {
@@ -765,8 +766,8 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
                           Infer(plan->child(0)), options_);
     case OpKind::kJoin: {
       const auto& join = static_cast<const JoinOp&>(*plan);
-      const InferredProps left = Infer(join.left());
-      const InferredProps right = Infer(join.right());
+      const InferredProps& left = Infer(join.left());
+      const InferredProps& right = Infer(join.right());
       bool left_outer = join.join_type() == JoinType::kLeftOuter;
       bool exact_one_declared =
           options_.trust_declared_cardinality &&

@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -116,20 +117,29 @@ struct InferredProps {
   std::string ToString() const;
 };
 
-/// Memoizing bottom-up derivation over one immutable plan tree. Results are
-/// cached by node id; use a fresh engine per plan version (rewrites keep
-/// node ids across WithChildren, so caches must not span rewrites).
+/// Memoizing bottom-up derivation over immutable plan nodes. Results are
+/// cached by node address, and each entry holds the node's PlanRef so the
+/// address cannot be reused while the engine lives. One engine may
+/// therefore span any number of plan versions: rewritten trees share their
+/// untouched subtrees' entries, and a node WithChildren rebuilt (same id,
+/// new subtree) is a new key. The optimizer keeps one per run (see
+/// PropertyCache in optimizer/properties.h). Not thread-safe.
 class InferenceEngine {
  public:
   explicit InferenceEngine(InferOptions options = {});
+  /// The reference stays valid for the engine's lifetime.
   const InferredProps& Infer(const PlanRef& plan);
   const InferOptions& options() const { return options_; }
 
  private:
+  struct Entry {
+    PlanRef node;  // pins the address key
+    InferredProps props;
+  };
   InferredProps Compute(const PlanRef& plan);
 
   InferOptions options_;
-  std::map<uint64_t, InferredProps> cache_;
+  std::unordered_map<const LogicalOp*, Entry> cache_;
 };
 
 // ---------------------------------------------------------------------------

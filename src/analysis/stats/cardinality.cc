@@ -64,14 +64,9 @@ double EstimateEquiJoinRows(double left_rows, double right_rows,
 }
 
 CardinalityEstimator::CardinalityEstimator(const Catalog* catalog,
+                                           InferenceEngine* engine,
                                            CardinalityOptions options)
-    : catalog_(catalog), options_(options) {
-  if (options_.use_inference) {
-    engine_ = std::make_unique<InferenceEngine>(options_.infer);
-  }
-}
-
-CardinalityEstimator::~CardinalityEstimator() = default;
+    : catalog_(catalog), engine_(engine), options_(options) {}
 
 double CardinalityEstimator::EstimateRows(const PlanRef& plan) {
   return Info(plan).rows;
@@ -98,8 +93,8 @@ double CardinalityEstimator::EstimateSelectivity(const ExprRef& predicate,
 
 const CardinalityEstimator::NodeInfo& CardinalityEstimator::Info(
     const PlanRef& plan) {
-  auto it = cache_.find(plan->id());
-  if (it != cache_.end()) return it->second;
+  auto it = cache_.find(plan.get());
+  if (it != cache_.end()) return it->second.info;
   NodeInfo info = Compute(plan);
   // Lattice facts that beat any local rule: statically empty relations
   // and single-row guarantees (constant-pinned full keys, global
@@ -112,7 +107,8 @@ const CardinalityEstimator::NodeInfo& CardinalityEstimator::Info(
       info.rows = std::min(info.rows, 1.0);
     }
   }
-  return cache_.emplace(plan->id(), std::move(info)).first->second;
+  return cache_.emplace(plan.get(), Entry{plan, std::move(info)})
+      .first->second.info;
 }
 
 CardinalityEstimator::NodeInfo CardinalityEstimator::Compute(

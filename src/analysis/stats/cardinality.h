@@ -12,16 +12,19 @@
 //      over the equi-key pairs, with per-column distinct counts resolved
 //      through projections/filters/joins back to base-table statistics.
 //
-// The estimator is deliberately stateless across plans except for a
-// per-node memo keyed by LogicalOp::id(); build one per catalog version.
+// The estimator's only state is a per-node memo keyed by node address;
+// each entry holds the node's PlanRef, so the address cannot be reused
+// while the estimator lives and one estimator may span plan versions (the
+// join reorderer keeps one per pass). Statistics are read when a node is
+// first estimated, so build one per catalog version.
 #ifndef VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 #define VDMQO_ANALYSIS_STATS_CARDINALITY_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/infer/inference.h"
@@ -32,12 +35,6 @@
 namespace vdm {
 
 struct CardinalityOptions {
-  /// Consult the static inference lattice for unique-key / at-most-one-row
-  /// facts. Costs one inference walk per plan; worth it for join ordering,
-  /// skippable for the per-query executor annotations.
-  bool use_inference = true;
-  /// Capability gates for the lattice walk (mirror the optimizer profile).
-  InferOptions infer;
   /// Trust §7.3 declared to-one cardinalities as exact priors.
   bool trust_declared_cardinality = true;
   /// Rows assumed for a table that was never analyzed.
@@ -75,11 +72,14 @@ double EstimateEquiJoinRows(double left_rows, double right_rows,
 
 class CardinalityEstimator {
  public:
-  explicit CardinalityEstimator(const Catalog* catalog,
-                                CardinalityOptions options = {});
-  ~CardinalityEstimator();
+  /// `engine` (not owned; may be null) supplies the static inference
+  /// lattice's unique-key / at-most-one-row facts: worth its walk for join
+  /// ordering, which shares the optimizer run's engine; the per-query
+  /// executor annotations pass null and go without.
+  CardinalityEstimator(const Catalog* catalog, InferenceEngine* engine,
+                       CardinalityOptions options = {});
 
-  /// Estimated output rows of `plan` (memoized by node id).
+  /// Estimated output rows of `plan` (memoized by node address).
   double EstimateRows(const PlanRef& plan);
 
   /// Fills per-node row/cost estimates for the whole tree and returns the
@@ -95,7 +95,7 @@ class CardinalityEstimator {
                                               const std::string& name);
 
   /// True when `columns` cover a unique key of `plan`'s output (inference
-  /// lattice). Always false when use_inference is off.
+  /// lattice). Always false without an engine.
   bool UniqueOn(const PlanRef& plan, const std::set<std::string>& columns);
 
   /// Estimated selectivity of `predicate` over `input`'s output, in [0,1].
@@ -110,6 +110,10 @@ class CardinalityEstimator {
     /// columns only; computed columns are absent).
     std::map<std::string, ColumnEstimate> cols;
   };
+  struct Entry {
+    PlanRef node;  // pins the address key
+    NodeInfo info;
+  };
 
   const NodeInfo& Info(const PlanRef& plan);
   NodeInfo Compute(const PlanRef& plan);
@@ -117,9 +121,9 @@ class CardinalityEstimator {
   double AnnotateNode(const PlanRef& plan, PlanEstimates* out);
 
   const Catalog* catalog_;
+  InferenceEngine* engine_;
   CardinalityOptions options_;
-  std::unique_ptr<InferenceEngine> engine_;
-  std::map<uint64_t, NodeInfo> cache_;
+  std::unordered_map<const LogicalOp*, Entry> cache_;
 };
 
 }  // namespace vdm

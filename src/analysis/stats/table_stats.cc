@@ -58,7 +58,8 @@ TableStats CollectRowCountOnly(const Table& table) {
   TableStats stats;
   const TableSnapshot ts = table.PinSnapshot();
   SelectionVector visible;
-  ts.VisibleRows(0, ts.NumRows(), &visible);
+  stats.physical_rows = ts.NumRows();
+  ts.VisibleRows(0, stats.physical_rows, &visible);
   stats.row_count = visible.size();
   return stats;
 }
@@ -74,6 +75,7 @@ TableStats CollectTableStats(const Table& table) {
   ts.VisibleRows(0, physical, &visible);
   const bool all_visible = visible.size() == physical;
   stats.row_count = visible.size();
+  stats.physical_rows = physical;
   const TableSchema& schema = table.schema();
   stats.columns.resize(schema.NumColumns());
   const size_t rows = stats.row_count;

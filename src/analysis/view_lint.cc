@@ -40,16 +40,13 @@ bool ContainsUnionAll(const PlanRef& plan) {
 void CollectFindings(const PlanRef& plan, std::vector<ViewLintFinding>* out) {
   // Full derivation capability: if even this cannot prove the augmenter
   // at-most-one, the metadata (key or declared cardinality) is missing.
-  DerivationConfig full;
+  PropertyCache props{DerivationConfig{}};
   VisitPlan(plan, [&](const PlanRef& node) {
     if (node->kind() != OpKind::kJoin) return;
     const auto& join = static_cast<const JoinOp&>(*node);
 
     if (join.join_type() == JoinType::kLeftOuter) {
-      RelProps left_props = DeriveProps(join.left(), full);
-      RelProps right_props = DeriveProps(join.right(), full);
-      JoinAnalysis analysis =
-          AnalyzeJoin(join, left_props, right_props, full);
+      JoinAnalysis analysis = props.Analyze(join);
       if (analysis.pure_equi && !analysis.right_at_most_one) {
         out->push_back(
             {"undeclared-cardinality",

@@ -99,8 +99,12 @@ struct ColumnStatsEntry {
 /// Database::AnalyzeTables(); `columns` is schema-parallel and may be
 /// empty when only row counts were gathered (VDM_STATS=0).
 struct TableStats {
+  /// Committed (visible) rows.
   uint64_t row_count = 0;
   std::vector<ColumnStatsEntry> columns;
+  /// Physical rows of the collected snapshot (both fragments, superseded
+  /// versions included): the baseline auto-analyze measures drift from.
+  uint64_t physical_rows = 0;
 
   const ColumnStatsEntry* Column(size_t idx) const {
     return idx < columns.size() ? &columns[idx] : nullptr;

@@ -769,12 +769,20 @@ void Database::AfterCommit(const std::vector<Table*>& written) {
     const std::string& name = t->schema().name();
     const size_t delta = t->NumDeltaRows();
     const size_t total = t->NumRows();
-    // Delta-heavy auto-analyze: once the delta outgrows a fifth of the
-    // table the collected statistics (and the optimizer decisions built
-    // on them) have drifted too far — recollect from the committed state.
-    if (delta > std::max<size_t>(64, total / 5)) {
-      RefreshTableStats(name);
-    }
+    // Auto-analyze: once the table has drifted from the state its
+    // statistics were collected at by more than a fifth (rows appended
+    // since, superseded versions included), those statistics and the
+    // optimizer decisions built on them are stale — recollect from the
+    // committed state. Measured from the last collection (never analyzed:
+    // from the merged main), so an unmerged delta does not re-collect,
+    // and recompile every cached plan over the table, on every commit.
+    const std::shared_ptr<const TableStats> stats =
+        catalog_.FindTableStats(name);
+    const size_t collected =
+        stats != nullptr ? stats->physical_rows : t->NumMainRows();
+    const size_t drift =
+        total > collected ? total - collected : collected - total;
+    if (drift > std::max<size_t>(64, total / 5)) RefreshTableStats(name);
     if (threshold > 0 && delta >= threshold) EnqueueMerge(name);
   }
 }
@@ -886,6 +894,8 @@ Result<PlanRef> Database::OptimizePlan(const PlanRef& plan,
     if (optimized.ok()) {
       timing->optimize_passes = optimized->passes;
       timing->optimize_converged = optimized->converged;
+      timing->props_computed = optimized->props_computed;
+      timing->props_reused = optimized->props_reused;
     }
   }
   if (!optimized.ok()) return optimized.status();
@@ -902,9 +912,7 @@ Result<Chunk> Database::ExecutePlan(const PlanRef& plan, ExecMetrics* metrics,
     // thread count automatic, small plans skip the pool — morsel fan-out
     // overhead exceeds the estimated work. Results are byte-identical
     // either way. An explicit num_threads setting is always honored.
-    CardinalityOptions copt;
-    copt.use_inference = false;
-    CardinalityEstimator estimator(&catalog_, copt);
+    CardinalityEstimator estimator(&catalog_, /*engine=*/nullptr);
     PlanEstimates estimates;
     if (estimator.Annotate(plan, &estimates).cost < kSerialCostThreshold) {
       threads = 1;
@@ -956,9 +964,7 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
   // timings below.
   PlanEstimates estimates;
   {
-    CardinalityOptions copt;
-    copt.use_inference = false;
-    CardinalityEstimator estimator(&catalog_, copt);
+    CardinalityEstimator estimator(&catalog_, /*engine=*/nullptr);
     estimator.Annotate(plan, &estimates);
   }
   std::string out = PrintPlan(plan, &estimates);
@@ -981,10 +987,11 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
     out += StrFormat("optimize: %.3f ms\n", ms(timing.optimize_ns));
   }
   if (timing.optimize_passes > 0) {
-    out += StrFormat("optimizer: %d pass%s, %s\n", timing.optimize_passes,
-                     timing.optimize_passes == 1 ? "" : "es",
-                     timing.optimize_converged ? "converged"
-                                               : "hit max_passes");
+    out += StrFormat(
+        "optimizer: %d pass%s, %s; properties: %zu derived, %zu reused\n",
+        timing.optimize_passes, timing.optimize_passes == 1 ? "" : "es",
+        timing.optimize_converged ? "converged" : "hit max_passes",
+        timing.props_computed, timing.props_reused);
   }
   if (timing.rebind_ns > 0) {
     out += StrFormat("rebind: %.3f ms\n", ms(timing.rebind_ns));

@@ -103,6 +103,10 @@ struct QueryTiming {
   /// OptimizerConfig::max_passes.
   int optimize_passes = 0;
   bool optimize_converged = false;
+  /// That run's property-cache counters: node derivations computed and
+  /// served from the run's memo (OptimizeResult::props_computed/reused).
+  size_t props_computed = 0;
+  size_t props_reused = 0;
   /// The plan-cache path was eligible for this statement.
   bool used_cache = false;
   bool cache_hit = false;

@@ -132,7 +132,8 @@ PlanRef Optimizer::Optimize(const PlanRef& plan) const {
 }
 
 Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
-  using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&, bool*);
+  using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
+                             PropertyCache&, bool*);
   struct PassDef {
     const char* name;
     bool enabled;
@@ -160,6 +161,9 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   };
   const bool verify =
       config_.verify_rewrites && config_.verification_hook != nullptr;
+  // The run's property state, shared by every pass below; it lives for
+  // this call only and is never stored with the plan.
+  PropertyCache props(config_.derivation);
   // Post-fixpoint finishing step: cost-based join ordering (once, audited
   // like any pass), then the limit-hint annotation.
   auto finish = [&](PlanRef done, bool converged,
@@ -167,7 +171,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
     if (config_.join_reordering) {
       bool fired = false;
       PlanRef before = done;
-      done = PassJoinOrder(done, config_, &fired);
+      done = PassJoinOrder(done, config_, props, &fired);
       if (fired) {
         if (config_.debug_corrupt_pass != nullptr &&
             std::string_view(config_.debug_corrupt_pass) == "join_order") {
@@ -184,7 +188,8 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
         }
       }
     }
-    return OptimizeResult{AnnotateJoinLimitHints(done), converged, ran};
+    return OptimizeResult{AnnotateJoinLimitHints(done), converged, ran,
+                          props.computed(), props.reused()};
   };
   PlanRef current = plan;
   for (int pass = 0; pass < config_.max_passes; ++pass) {
@@ -193,7 +198,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       if (!def.enabled) continue;
       bool fired = false;
       PlanRef before = current;
-      current = def.fn(current, config_, &fired);
+      current = def.fn(current, config_, props, &fired);
       if (!fired) continue;
       changed = true;
       if (config_.debug_corrupt_pass != nullptr &&

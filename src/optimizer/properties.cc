@@ -498,13 +498,40 @@ std::string RelProps::ToString() const {
   return out;
 }
 
+PropertyCache::PropertyCache(const DerivationConfig& config)
+    : config_(config), engine_(ToInferOptions(config)) {}
+
+const RelProps& PropertyCache::Get(const PlanRef& plan) {
+  auto it = memo_.find(plan.get());
+  if (it != memo_.end()) {
+    ++reused_;
+    return it->second.props;
+  }
+  ++computed_;
+  RelProps props = Compute(plan);
+  return memo_.emplace(plan.get(), Entry{plan, std::move(props)})
+      .first->second.props;
+}
+
+JoinAnalysis PropertyCache::Analyze(const JoinOp& join) {
+  const RelProps& left = Get(join.left());
+  const RelProps& right = Get(join.right());
+  return AnalyzeJoin(join, left, right, config_);
+}
+
 RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config) {
+  PropertyCache cache(config);
+  return cache.Get(plan);
+}
+
+RelProps PropertyCache::Compute(const PlanRef& plan) {
+  const DerivationConfig& config = config_;
   switch (plan->kind()) {
     case OpKind::kScan:
       return DeriveScan(static_cast<const ScanOp&>(*plan), config);
     case OpKind::kFilter: {
       const auto& filter = static_cast<const FilterOp&>(*plan);
-      RelProps child = DeriveProps(plan->child(0), config);
+      const RelProps& child = Get(plan->child(0));
       RelProps props = DeriveFilter(filter, child, config);
       // Record base-table constants for union-all disjointness analysis.
       for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
@@ -520,11 +547,11 @@ RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config) {
     }
     case OpKind::kProject:
       return DeriveProject(static_cast<const ProjectOp&>(*plan),
-                           DeriveProps(plan->child(0), config), config);
+                           Get(plan->child(0)), config);
     case OpKind::kJoin: {
       const auto& join = static_cast<const JoinOp&>(*plan);
-      RelProps left = DeriveProps(join.left(), config);
-      RelProps right = DeriveProps(join.right(), config);
+      const RelProps& left = Get(join.left());
+      const RelProps& right = Get(join.right());
       JoinAnalysis analysis = AnalyzeJoin(join, left, right, config);
       RelProps props;
       bool left_outer = join.join_type() == JoinType::kLeftOuter;
@@ -598,31 +625,31 @@ RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config) {
     }
     case OpKind::kAggregate:
       return DeriveAggregate(static_cast<const AggregateOp&>(*plan),
-                             DeriveProps(plan->child(0), config), config);
+                             Get(plan->child(0)), config);
     case OpKind::kUnionAll: {
       const auto& u = static_cast<const UnionAllOp&>(*plan);
       std::vector<RelProps> children;
       std::vector<std::vector<std::string>> names;
       for (const PlanRef& child : plan->children()) {
-        children.push_back(DeriveProps(child, config));
+        children.push_back(Get(child));
         names.push_back(child->OutputNames());
       }
       return DeriveUnionAll(u, children, names, config);
     }
     case OpKind::kSort: {
-      RelProps props = DeriveProps(plan->child(0), config);
+      RelProps props = Get(plan->child(0));
       if (!config.keys_through_order_limit) props.unique_keys.clear();
       return props;
     }
     case OpKind::kLimit: {
       const auto& limit = static_cast<const LimitOp&>(*plan);
-      RelProps props = DeriveProps(plan->child(0), config);
+      RelProps props = Get(plan->child(0));
       if (!config.keys_through_order_limit) props.unique_keys.clear();
       if (limit.limit() == 0) props.empty_relation = true;
       return props;
     }
     case OpKind::kDistinct: {
-      RelProps props = DeriveProps(plan->child(0), config);
+      RelProps props = Get(plan->child(0));
       props.AddKey(plan->OutputNames());
       return props;
     }

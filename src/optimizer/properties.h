@@ -9,9 +9,11 @@
 #ifndef VDMQO_OPTIMIZER_PROPERTIES_H_
 #define VDMQO_OPTIMIZER_PROPERTIES_H_
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/infer/inference.h"
@@ -79,8 +81,9 @@ struct RelProps {
   std::string ToString() const;
 };
 
-/// Derives properties bottom-up. Results are not cached across calls; plans
-/// here are small enough that recomputation is cheap and always consistent.
+/// One-shot derivation over a temporary PropertyCache (below). Callers
+/// that derive more than once per plan — every optimizer pass — share one
+/// PropertyCache instead.
 RelProps DeriveProps(const PlanRef& plan, const DerivationConfig& config);
 
 /// Join-cardinality analysis of a JoinOp (paper §4.2).
@@ -102,6 +105,48 @@ struct JoinAnalysis {
 JoinAnalysis AnalyzeJoin(const JoinOp& join, const RelProps& left_props,
                          const RelProps& right_props,
                          const DerivationConfig& config);
+
+/// The property state of one optimizer run: RelProps memoized bottom-up by
+/// node address, plus the run's single InferenceEngine (same capability
+/// gates). Plan nodes are immutable, so a node's properties never change
+/// while it lives; each entry holds the node's PlanRef, so no address is
+/// reused while the cache lives and entries stay valid across rewrites —
+/// a rewritten tree shares its untouched subtrees, and their properties,
+/// with the tree it came from. Node ids cannot key the memo: WithChildren
+/// keeps the id while changing the subtree.
+///
+/// Not thread-safe; the optimizer driver owns one per OptimizeChecked call
+/// and passes it to every pass, so concurrent compiles never share one.
+class PropertyCache {
+ public:
+  explicit PropertyCache(const DerivationConfig& config);
+
+  /// The node's derived properties, computed on first request. The
+  /// reference stays valid for the cache's lifetime.
+  const RelProps& Get(const PlanRef& plan);
+  /// AnalyzeJoin over the memoized properties of the join's inputs.
+  JoinAnalysis Analyze(const JoinOp& join);
+
+  InferenceEngine& engine() { return engine_; }
+
+  /// Get calls that derived a node / found it memoized (nested calls for
+  /// children included).
+  size_t computed() const { return computed_; }
+  size_t reused() const { return reused_; }
+
+ private:
+  struct Entry {
+    PlanRef node;  // pins the address key
+    RelProps props;
+  };
+  RelProps Compute(const PlanRef& plan);
+
+  DerivationConfig config_;
+  InferenceEngine engine_;
+  std::unordered_map<const LogicalOp*, Entry> memo_;
+  size_t computed_ = 0;
+  size_t reused_ = 0;
+};
 
 }  // namespace vdm
 

@@ -22,11 +22,10 @@ bool ContainsNode(const PlanRef& plan, uint64_t id) {
 }
 
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           const DerivationConfig& dcfg,
-                           std::vector<ExprRef>* out) {
+                           PropertyCache& props, std::vector<ExprRef>* out) {
   if (plan->kind() == OpKind::kFilter) {
     const auto& filter = static_cast<const FilterOp&>(*plan);
-    RelProps child_props = DeriveProps(plan->child(0), dcfg);
+    const RelProps& child_props = props.Get(plan->child(0));
     for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
       bool ok = true;
       ExprRef base_form =
@@ -44,7 +43,7 @@ void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
     }
   }
   for (const PlanRef& child : plan->children()) {
-    CollectScanPredicates(child, source_id, dcfg, out);
+    CollectScanPredicates(child, source_id, props, out);
   }
 }
 
@@ -74,12 +73,12 @@ std::optional<Exposure> ExposeAtScan(
 std::optional<Exposure> ExposeAtUnion(
     const std::shared_ptr<const UnionAllOp>& u,
     const std::vector<std::string>& base_cols,
-    const DerivationConfig& dcfg) {
+    PropertyCache& props) {
   // Each child must expose each base column; columns are appended in the
   // same order to every child so positions line up.
   std::vector<PlanRef> new_children;
   for (const PlanRef& child : u->children()) {
-    RelProps child_props = DeriveProps(child, dcfg);
+    const RelProps& child_props = props.Get(child);
     std::vector<std::string> child_names = child->OutputNames();
     // Which columns are already available, and which scan to widen for the
     // missing ones?
@@ -101,7 +100,7 @@ std::optional<Exposure> ExposeAtUnion(
     if (!missing.empty()) {
       if (branch_scan == 0) return std::nullopt;
       std::optional<Exposure> e =
-          ExposeColumns(child, branch_scan, missing, dcfg);
+          ExposeColumns(child, branch_scan, missing, props);
       if (!e.has_value()) return std::nullopt;
       widened = e->plan;
       exposed_names = e->base_to_name;
@@ -139,7 +138,7 @@ std::optional<Exposure> ExposeAtUnion(
 
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      const DerivationConfig& dcfg) {
+                                      PropertyCache& props) {
   if (plan->id() == source_id) {
     if (plan->kind() == OpKind::kScan) {
       return ExposeAtScan(std::static_pointer_cast<const ScanOp>(plan),
@@ -147,7 +146,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     }
     if (plan->kind() == OpKind::kUnionAll) {
       return ExposeAtUnion(std::static_pointer_cast<const UnionAllOp>(plan),
-                           base_cols, dcfg);
+                           base_cols, props);
     }
     return std::nullopt;
   }
@@ -156,7 +155,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     case OpKind::kSort:
     case OpKind::kLimit: {
       std::optional<Exposure> e =
-          ExposeColumns(plan->child(0), source_id, base_cols, dcfg);
+          ExposeColumns(plan->child(0), source_id, base_cols, props);
       if (!e.has_value()) return std::nullopt;
       e->plan = plan->WithChildren({e->plan});
       return e;
@@ -164,7 +163,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     case OpKind::kProject: {
       const auto& project = static_cast<const ProjectOp&>(*plan);
       std::optional<Exposure> e =
-          ExposeColumns(plan->child(0), source_id, base_cols, dcfg);
+          ExposeColumns(plan->child(0), source_id, base_cols, props);
       if (!e.has_value()) return std::nullopt;
       std::vector<ProjectOp::Item> items = project.items();
       std::set<std::string> out_names;
@@ -201,7 +200,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
       bool in_left = ContainsNode(join.left(), source_id);
       const PlanRef& side = in_left ? join.left() : join.right();
       std::optional<Exposure> e =
-          ExposeColumns(side, source_id, base_cols, dcfg);
+          ExposeColumns(side, source_id, base_cols, props);
       if (!e.has_value()) return std::nullopt;
       e->plan = std::make_shared<JoinOp>(
           in_left ? e->plan : join.left(), in_left ? join.right() : e->plan,

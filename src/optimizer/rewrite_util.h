@@ -22,8 +22,7 @@ bool ContainsNode(const PlanRef& plan, uint64_t id);
 /// through, un-null-extended, from the given source node, rewritten to
 /// bare base-column form (Fig. 10(c) subsumption input).
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           const DerivationConfig& dcfg,
-                           std::vector<ExprRef>* out);
+                           PropertyCache& props, std::vector<ExprRef>* out);
 
 struct Exposure {
   PlanRef plan;
@@ -35,7 +34,7 @@ struct Exposure {
 /// DISTINCT on the path block exposure.
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      const DerivationConfig& dcfg);
+                                      PropertyCache& props);
 
 }  // namespace vdm
 

@@ -291,7 +291,7 @@ PlanRef TryAggregateMerge(const std::shared_ptr<const AggregateOp>& outer,
 }
 
 PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
-                            const OptimizerConfig& config, bool* changed) {
+                            PropertyCache& props, bool* changed) {
   if (agg->child(0)->kind() != OpKind::kJoin) return nullptr;
   auto join = std::static_pointer_cast<const JoinOp>(agg->child(0));
 
@@ -301,11 +301,7 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
     if (name.rfind("__partial_", 0) == 0) return nullptr;
   }
 
-  RelProps left_props = DeriveProps(join->left(), config.derivation);
-  RelProps right_props = DeriveProps(join->right(), config.derivation);
-  JoinAnalysis analysis =
-      AnalyzeJoin(*join, left_props, right_props, config.derivation);
-  if (!analysis.purely_augmenting) return nullptr;
+  if (!props.Analyze(*join).purely_augmenting) return nullptr;
 
   std::vector<std::string> left_names = join->left()->OutputNames();
   std::vector<std::string> right_names = join->right()->OutputNames();
@@ -410,7 +406,8 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
 }  // namespace
 
 PlanRef PassAggregatePushdown(const PlanRef& plan,
-                              const OptimizerConfig& config, bool* changed) {
+                              const OptimizerConfig& config,
+                              PropertyCache& props, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kAggregate) return nullptr;
     auto agg = std::static_pointer_cast<const AggregateOp>(node);
@@ -432,7 +429,7 @@ PlanRef PassAggregatePushdown(const PlanRef& plan,
     if (config.agg_pushdown) {
       PlanRef merged = TryAggregateMerge(agg, config, changed);
       if (merged) return merged;
-      PlanRef eager = TryEagerAggregation(agg, config, changed);
+      PlanRef eager = TryEagerAggregation(agg, props, changed);
       if (eager) return eager;
     }
     return agg == node ? nullptr : PlanRef(agg);

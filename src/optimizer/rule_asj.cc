@@ -40,14 +40,12 @@ namespace {
 // The simple ASJ path (Fig. 10 / Fig. 13(a)).
 
 PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
-                     const OptimizerConfig& config) {
-  const DerivationConfig& dcfg = config.derivation;
+                     const OptimizerConfig& config, PropertyCache& props) {
   std::optional<SimpleRelation> aug = ExtractSimpleRelation(join->right());
   if (!aug.has_value()) return nullptr;
 
-  RelProps left_props = DeriveProps(join->left(), dcfg);
-  RelProps right_props = DeriveProps(join->right(), dcfg);
-  JoinAnalysis analysis = AnalyzeJoin(*join, left_props, right_props, dcfg);
+  const RelProps& left_props = props.Get(join->left());
+  JoinAnalysis analysis = props.Analyze(*join);
   if (!analysis.pure_equi || analysis.equi_pairs.empty()) return nullptr;
 
   const std::string aug_table = ToLower(aug->scan->table_name());
@@ -95,7 +93,7 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   // test is shared with the general self-join rule and the catalog audit
   // (analysis/infer), so the rules cannot disagree about provability.
   if (!TableKeyCovered(aug->scan->table_schema(), covered_base,
-                       ToInferOptions(dcfg))) {
+                       props.engine().options())) {
     return nullptr;
   }
 
@@ -115,12 +113,12 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   if (!aug->base_preds.empty()) {
     std::vector<ExprRef> anchor_preds;
     if (source->kind() == OpKind::kScan) {
-      CollectScanPredicates(join->left(), source_id, dcfg, &anchor_preds);
+      CollectScanPredicates(join->left(), source_id, props, &anchor_preds);
     } else {
       // Union anchor: each child must subsume on its branch scan.
       const auto& u = static_cast<const UnionAllOp&>(*source);
       for (const PlanRef& child : u.children()) {
-        RelProps cp = DeriveProps(child, dcfg);
+        const RelProps& cp = props.Get(child);
         uint64_t branch_scan = 0;
         for (const auto& [name, origin] : cp.origins) {
           if (!origin.null_extended) {
@@ -130,7 +128,7 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
         }
         if (branch_scan == 0) return nullptr;
         std::vector<ExprRef> branch_preds;
-        CollectScanPredicates(child, branch_scan, dcfg, &branch_preds);
+        CollectScanPredicates(child, branch_scan, props, &branch_preds);
         if (!ConjunctsSubsume(branch_preds, aug->base_preds)) return nullptr;
       }
       anchor_preds = aug->base_preds;  // per-branch check passed
@@ -177,7 +175,7 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   PlanRef new_left = join->left();
   if (!missing_base.empty()) {
     std::optional<Exposure> e =
-        ExposeColumns(join->left(), source_id, missing_base, dcfg);
+        ExposeColumns(join->left(), source_id, missing_base, props);
     if (!e.has_value()) return nullptr;
     new_left = e->plan;
     for (const auto& [rn, bc] : pending) {
@@ -247,8 +245,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
                          const std::shared_ptr<const UnionAllOp>& aug,
                          JoinType join_type, const ExprRef& condition,
                          const std::vector<std::string>& aug_names,
-                         const OptimizerConfig& config) {
-  const DerivationConfig& dcfg = config.derivation;
+                         const OptimizerConfig& config, PropertyCache& props) {
   if (anchor->NumChildren() != aug->NumChildren()) return nullptr;
 
   // Extract and index the augmenter branches by base table.
@@ -263,7 +260,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
   std::vector<PlanRef> branch_plans;
   for (size_t i = 0; i < anchor->NumChildren(); ++i) {
     const PlanRef& anchor_child = anchor->child(i);
-    RelProps anchor_cp = DeriveProps(anchor_child, dcfg);
+    const RelProps& anchor_cp = props.Get(anchor_child);
     std::string branch_table;
     for (const auto& [name, origin] : anchor_cp.origins) {
       if (!origin.null_extended) {
@@ -294,7 +291,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
 
     // Drop branch-id conjuncts: both sides pinned to the same constant
     // fold away; contradictory constants mean the table pairing is wrong.
-    RelProps aug_cp = DeriveProps(aug_child, dcfg);
+    const RelProps& aug_cp = props.Get(aug_child);
     auto find_const = [&](const std::string& name) -> const Value* {
       auto it1 = anchor_cp.constants.find(name);
       if (it1 != anchor_cp.constants.end()) return &it1->second;
@@ -318,7 +315,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
     auto branch_join = std::make_shared<JoinOp>(
         anchor_child, aug_child, join_type, AndAll(std::move(kept)),
         DeclaredCardinality::kNone, /*is_case_join=*/false);
-    PlanRef eliminated = TrySimpleAsj(branch_join, config);
+    PlanRef eliminated = TrySimpleAsj(branch_join, config, props);
     if (!eliminated) return nullptr;
     branch_plans.push_back(std::move(eliminated));
   }
@@ -339,11 +336,12 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
                      const std::shared_ptr<const UnionAllOp>& aug,
                      JoinType join_type, const ExprRef& condition,
                      const std::vector<std::string>& aug_names,
-                     int depth_budget, const OptimizerConfig& config) {
+                     int depth_budget, const OptimizerConfig& config,
+                     PropertyCache& props) {
   if (anchor->kind() == OpKind::kUnionAll) {
     return DecomposeAtUnion(
         std::static_pointer_cast<const UnionAllOp>(anchor), aug, join_type,
-        condition, aug_names, config);
+        condition, aug_names, config, props);
   }
   if (depth_budget <= 0) return nullptr;
 
@@ -352,7 +350,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
       // A filter on the anchor commutes with the augmentation join.
       PlanRef inner =
           PushCaseJoin(anchor->child(0), aug, join_type, condition,
-                       aug_names, depth_budget - 1, config);
+                       aug_names, depth_budget - 1, config, props);
       if (!inner) return nullptr;
       const auto& filter = static_cast<const FilterOp&>(*anchor);
       return std::make_shared<FilterOp>(std::move(inner),
@@ -371,7 +369,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
           });
       PlanRef inner =
           PushCaseJoin(anchor->child(0), aug, join_type, remapped, aug_names,
-                       depth_budget - 1, config);
+                       depth_budget - 1, config, props);
       if (!inner) return nullptr;
       std::vector<ProjectOp::Item> items = project.items();
       for (const std::string& an : aug_names) {
@@ -395,7 +393,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
       }
       PlanRef pushed =
           PushCaseJoin(inner_join.left(), aug, join_type, condition,
-                       aug_names, depth_budget - 1, config);
+                       aug_names, depth_budget - 1, config, props);
       if (!pushed) return nullptr;
       PlanRef rebuilt = std::make_shared<JoinOp>(
           std::move(pushed), inner_join.right(), inner_join.join_type(),
@@ -418,7 +416,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
 }
 
 PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
-                       const OptimizerConfig& config) {
+                       const OptimizerConfig& config, PropertyCache& props) {
   if (!config.case_join) return nullptr;
 
   // The augmenter must be a UNION ALL, possibly under a pass-through
@@ -460,7 +458,8 @@ PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
       });
 
   PlanRef core = PushCaseJoin(join->left(), renamed_aug, join->join_type(),
-                              condition, aug_names, depth_budget, config);
+                              condition, aug_names, depth_budget, config,
+                              props);
   if (!core) return nullptr;
 
   // Restore the join's exact output naming.
@@ -477,13 +476,13 @@ PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
 }  // namespace
 
 PlanRef PassAsjElimination(const PlanRef& plan, const OptimizerConfig& config,
-                           bool* changed) {
+                           PropertyCache& props, bool* changed) {
   if (!config.asj_elimination) return plan;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kJoin) return nullptr;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef result = TrySimpleAsj(join, config);
-    if (!result) result = TryCaseJoinAsj(join, config);
+    PlanRef result = TrySimpleAsj(join, config, props);
+    if (!result) result = TryCaseJoinAsj(join, config, props);
     if (result) {
       *changed = true;
       return result;

@@ -417,7 +417,7 @@ std::vector<size_t> DpOrder(const ChainCtx& ctx, bool* complete) {
   return order;
 }
 
-PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
+PlanRef Reorder(const PlanRef& plan, CardinalityEstimator& estimator,
                 bool under_limit, bool* changed);
 
 /// Cumulative estimated cost of running the chain in `order` (the same
@@ -520,7 +520,7 @@ std::string TreeSignature(const PlanRef& plan) {
 }
 
 PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
-                     const OptimizerConfig& config, bool under_limit,
+                     CardinalityEstimator& estimator, bool under_limit,
                      bool* changed) {
   Chain chain;
   Flatten(top, &chain);
@@ -531,18 +531,14 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
   // estimator should see the final unit plans.
   bool units_changed = false;
   for (Unit& unit : chain.units) {
-    PlanRef transformed = Reorder(unit.plan, config, false, &units_changed);
+    PlanRef transformed =
+        Reorder(unit.plan, estimator, false, &units_changed);
     if (transformed != unit.plan) unit.plan = std::move(transformed);
   }
 
-  CardinalityOptions card_options;
-  card_options.infer = ToInferOptions(config.derivation);
-  card_options.trust_declared_cardinality =
-      config.derivation.trust_declared_cardinality;
-  CardinalityEstimator estimator(config.stats_catalog, card_options);
   ChainCtx ctx;
   ctx.estimator = &estimator;
-  ctx.trust_declared = config.derivation.trust_declared_cardinality;
+  ctx.trust_declared = estimator.options().trust_declared_cardinality;
   ctx.chain = &chain;
   for (size_t i = 0; i < chain.units.size(); ++i) {
     chain.units[i].rows = estimator.EstimateRows(chain.units[i].plan);
@@ -597,11 +593,11 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
   return std::make_shared<ProjectOp>(std::move(body), std::move(items));
 }
 
-PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
+PlanRef Reorder(const PlanRef& plan, CardinalityEstimator& estimator,
                 bool under_limit, bool* changed) {
   if (IsChainRoot(plan)) {
     PlanRef reordered =
-        ReorderChain(std::static_pointer_cast<const JoinOp>(plan), config,
+        ReorderChain(std::static_pointer_cast<const JoinOp>(plan), estimator,
                      under_limit, changed);
     return reordered ? reordered : plan;
   }
@@ -613,7 +609,8 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
   std::vector<PlanRef> children;
   bool any = false;
   for (const PlanRef& child : plan->children()) {
-    PlanRef transformed = Reorder(child, config, child_under_limit, changed);
+    PlanRef transformed =
+        Reorder(child, estimator, child_under_limit, changed);
     any |= (transformed != child);
     children.push_back(std::move(transformed));
   }
@@ -623,9 +620,16 @@ PlanRef Reorder(const PlanRef& plan, const OptimizerConfig& config,
 }  // namespace
 
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      bool* changed) {
+                      PropertyCache& props, bool* changed) {
   if (!config.join_reordering) return plan;
-  return Reorder(plan, config, /*under_limit=*/false, changed);
+  // One estimator for the whole pass, on the run's inference engine:
+  // nested chains and the enclosing chain share every unit's estimate.
+  CardinalityOptions card_options;
+  card_options.trust_declared_cardinality =
+      config.derivation.trust_declared_cardinality;
+  CardinalityEstimator estimator(config.stats_catalog, &props.engine(),
+                                 card_options);
+  return Reorder(plan, estimator, /*under_limit=*/false, changed);
 }
 
 }  // namespace vdm

@@ -25,7 +25,7 @@ void AddRefs(const ExprRef& expr, NameSet* out) {
 
 PlanRef Prune(const PlanRef& plan, const NameSet& required,
               bool arity_flexible, const OptimizerConfig& config,
-              bool* changed);
+              PropertyCache& props, bool* changed);
 
 PlanRef PruneScan(const std::shared_ptr<const ScanOp>& scan,
                   const NameSet& required, bool arity_flexible,
@@ -58,7 +58,8 @@ PlanRef PruneScan(const std::shared_ptr<const ScanOp>& scan,
 
 PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
                      const NameSet& required, bool arity_flexible,
-                     const OptimizerConfig& config, bool* changed) {
+                     const OptimizerConfig& config, PropertyCache& props,
+                     bool* changed) {
   std::vector<ProjectOp::Item> kept;
   if (arity_flexible && config.projection_pruning) {
     for (const ProjectOp::Item& item : project->items()) {
@@ -72,7 +73,7 @@ PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
   for (const ProjectOp::Item& item : kept) AddRefs(item.expr, &child_required);
   PlanRef new_child =
       Prune(project->child(0), child_required, /*arity_flexible=*/true,
-            config, changed);
+            config, props, changed);
   if (kept.size() == project->items().size() &&
       new_child == project->child(0)) {
     return project;
@@ -83,7 +84,8 @@ PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
 
 PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
                   const NameSet& required, bool arity_flexible,
-                  const OptimizerConfig& config, bool* changed) {
+                  const OptimizerConfig& config, PropertyCache& props,
+                  bool* changed) {
   std::vector<std::string> left_names = join->left()->OutputNames();
   std::vector<std::string> right_names = join->right()->OutputNames();
   NameSet left_set(left_names.begin(), left_names.end());
@@ -96,13 +98,10 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
   }
 
   if (!right_used && arity_flexible && config.uaj_elimination) {
-    RelProps left_props = DeriveProps(join->left(), config.derivation);
-    RelProps right_props = DeriveProps(join->right(), config.derivation);
-    JoinAnalysis analysis =
-        AnalyzeJoin(*join, left_props, right_props, config.derivation);
-    if (analysis.purely_augmenting) {
+    if (props.Analyze(*join).purely_augmenting) {
       *changed = true;
-      return Prune(join->left(), required, arity_flexible, config, changed);
+      return Prune(join->left(), required, arity_flexible, config, props,
+                   changed);
     }
   }
   // Inner joins are symmetric: an unused *left* side that augments the
@@ -113,13 +112,10 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
     auto flipped = std::make_shared<JoinOp>(
         join->right(), join->left(), JoinType::kInner, join->condition(),
         DeclaredCardinality::kNone, join->is_case_join());
-    RelProps left_props = DeriveProps(flipped->left(), config.derivation);
-    RelProps right_props = DeriveProps(flipped->right(), config.derivation);
-    JoinAnalysis analysis =
-        AnalyzeJoin(*flipped, left_props, right_props, config.derivation);
-    if (analysis.purely_augmenting) {
+    if (props.Analyze(*flipped).purely_augmenting) {
       *changed = true;
-      return Prune(join->right(), required, arity_flexible, config, changed);
+      return Prune(join->right(), required, arity_flexible, config, props,
+                   changed);
     }
   }
 
@@ -135,16 +131,19 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
     if (right_set.count(name) > 0) right_required.insert(name);
   }
   PlanRef new_left =
-      Prune(join->left(), left_required, arity_flexible, config, changed);
+      Prune(join->left(), left_required, arity_flexible, config, props,
+            changed);
   PlanRef new_right =
-      Prune(join->right(), right_required, arity_flexible, config, changed);
+      Prune(join->right(), right_required, arity_flexible, config, props,
+            changed);
   if (new_left == join->left() && new_right == join->right()) return join;
   return join->WithChildren({std::move(new_left), std::move(new_right)});
 }
 
 PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
                       const NameSet& required, bool arity_flexible,
-                      const OptimizerConfig& config, bool* changed) {
+                      const OptimizerConfig& config, PropertyCache& props,
+                      bool* changed) {
   size_t arity = u->output_names().size();
   std::vector<size_t> kept_positions;
   if (arity_flexible && config.projection_pruning) {
@@ -168,7 +167,8 @@ PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
       kept_child_names.push_back(child_names[p]);
     }
     PlanRef new_child =
-        Prune(child, child_required, /*arity_flexible=*/true, config, changed);
+        Prune(child, child_required, /*arity_flexible=*/true, config, props,
+              changed);
     // Normalize the child to exactly the kept columns, in order.
     std::vector<std::string> actual = new_child->OutputNames();
     if (actual != kept_child_names) {
@@ -200,7 +200,7 @@ PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
 
 PlanRef Prune(const PlanRef& plan, const NameSet& required,
               bool arity_flexible, const OptimizerConfig& config,
-              bool* changed) {
+              PropertyCache& props, bool* changed) {
   switch (plan->kind()) {
     case OpKind::kScan:
       return PruneScan(std::static_pointer_cast<const ScanOp>(plan), required,
@@ -211,16 +211,16 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
       AddRefs(filter.predicate(), &child_required);
       PlanRef new_child =
           Prune(plan->child(0), child_required, arity_flexible, config,
-                changed);
+                props, changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
     case OpKind::kProject:
       return PruneProject(std::static_pointer_cast<const ProjectOp>(plan),
-                          required, arity_flexible, config, changed);
+                          required, arity_flexible, config, props, changed);
     case OpKind::kJoin:
       return PruneJoin(std::static_pointer_cast<const JoinOp>(plan), required,
-                       arity_flexible, config, changed);
+                       arity_flexible, config, props, changed);
     case OpKind::kAggregate: {
       const auto& agg = static_cast<const AggregateOp&>(*plan);
       // Unused aggregate items can be dropped (group items cannot — they
@@ -245,7 +245,8 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
         AddRefs(a.expr, &child_required);
       }
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                /*arity_flexible=*/true, config, changed);
+                                /*arity_flexible=*/true, config, props,
+                                changed);
       if (new_child == plan->child(0) &&
           kept_aggs.size() == agg.aggregates().size()) {
         return plan;
@@ -257,7 +258,7 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
     }
     case OpKind::kUnionAll:
       return PruneUnionAll(std::static_pointer_cast<const UnionAllOp>(plan),
-                           required, arity_flexible, config, changed);
+                           required, arity_flexible, config, props, changed);
     case OpKind::kSort: {
       const auto& sort = static_cast<const SortOp&>(*plan);
       NameSet child_required = required;
@@ -265,13 +266,14 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
         AddRefs(key.expr, &child_required);
       }
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                arity_flexible, config, changed);
+                                arity_flexible, config, props, changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
     case OpKind::kLimit: {
       PlanRef new_child =
-          Prune(plan->child(0), required, arity_flexible, config, changed);
+          Prune(plan->child(0), required, arity_flexible, config, props,
+                changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
@@ -281,7 +283,8 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
       std::vector<std::string> child_names = plan->child(0)->OutputNames();
       NameSet child_required(child_names.begin(), child_names.end());
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                /*arity_flexible=*/false, config, changed);
+                                /*arity_flexible=*/false, config, props,
+                                changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
@@ -292,11 +295,13 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
 }  // namespace
 
 PlanRef PassPruneAndEliminate(const PlanRef& plan,
-                              const OptimizerConfig& config, bool* changed) {
+                              const OptimizerConfig& config,
+                              PropertyCache& props, bool* changed) {
   std::vector<std::string> outputs = plan->OutputNames();
   NameSet required(outputs.begin(), outputs.end());
   // The root's output columns are the query result and must be preserved.
-  return Prune(plan, required, /*arity_flexible=*/false, config, changed);
+  return Prune(plan, required, /*arity_flexible=*/false, config, props,
+               changed);
 }
 
 }  // namespace vdm

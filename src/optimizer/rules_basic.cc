@@ -61,9 +61,9 @@ PlanRef TryMergeProjects(const PlanRef& node, bool* changed) {
 
 }  // namespace
 
-PlanRef PassConstantFolding(const PlanRef& plan, const OptimizerConfig& config,
-                            bool* changed) {
-  (void)config;
+PlanRef PassConstantFolding(const PlanRef& plan,
+                            const OptimizerConfig& /*config*/,
+                            PropertyCache& /*props*/, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (PlanRef merged = TryMergeProjects(node, changed)) return merged;
     // FoldConstants is clone-avoiding (TransformExpr returns the input
@@ -390,9 +390,9 @@ PlanRef PushFilter(const FilterOp& filter, bool* changed) {
 
 }  // namespace
 
-PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
-                           bool* changed) {
-  (void)config;
+PlanRef PassFilterPushdown(const PlanRef& plan,
+                           const OptimizerConfig& /*config*/,
+                           PropertyCache& /*props*/, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kFilter) return nullptr;
     return PushFilter(static_cast<const FilterOp&>(*node), changed);
@@ -400,11 +400,11 @@ PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
 }
 
 PlanRef PassDistinctElimination(const PlanRef& plan,
-                                const OptimizerConfig& config, bool* changed) {
+                                const OptimizerConfig& /*config*/,
+                                PropertyCache& props, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kDistinct) return nullptr;
-    RelProps props = DeriveProps(node->child(0), config.derivation);
-    if (props.HasKey(node->child(0)->OutputNames())) {
+    if (props.Get(node->child(0)).HasKey(node->child(0)->OutputNames())) {
       *changed = true;
       return node->child(0);
     }

@@ -122,7 +122,8 @@ TEST(CardinalityEstimatorTest, ScanUsesStatsOrDefault) {
   ASSERT_TRUE(catalog.RegisterTable(Fact()).ok());
   ASSERT_TRUE(catalog.RegisterTable(Dim()).ok());
   catalog.SetTableStats("fact", StatsWith(12345));
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, &engine);
   EXPECT_DOUBLE_EQ(
       est.EstimateRows(PlanBuilder::ScanSchema(Fact(), "f").Build()), 12345.0);
   // Never analyzed: the configured default.
@@ -137,7 +138,8 @@ TEST(CardinalityEstimatorTest, FilterEqualityUsesDistinctCount) {
   // Schema-parallel entries: id, dim_key, amount.
   catalog.SetTableStats(
       "fact", StatsWith(1000, {Entry(1000), Entry(10), Entry(100)}));
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, &engine);
   PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f")
                      .Filter(Eq(Col("f.dim_key"), LitInt(3)))
                      .Build();
@@ -159,7 +161,8 @@ TEST(CardinalityEstimatorTest, LiteralPinnedJoinKeyIsNotChargedTwice) {
                              JoinType::kInner,
                              Eq(Col("a.dim_key"), Col("b.dim_key")))
                        .Build();
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, &engine);
   ASSERT_TRUE(est.ResolveColumn(pinned->child(0), "a.dim_key").has_value());
   EXPECT_DOUBLE_EQ(
       est.ResolveColumn(pinned->child(0), "a.dim_key")->distinct, 1.0);
@@ -189,7 +192,8 @@ TEST(CardinalityEstimatorTest, JoinPriorityDeclaredThenUniqueThenDistinct) {
                                DeclaredCardinality::kExactOne)
                          .Build();
   {
-    CardinalityEstimator est(&catalog);
+    InferenceEngine engine;
+    CardinalityEstimator est(&catalog, &engine);
     EXPECT_DOUBLE_EQ(est.EstimateRows(declared), 1000.0);
   }
 
@@ -204,14 +208,13 @@ TEST(CardinalityEstimatorTest, JoinPriorityDeclaredThenUniqueThenDistinct) {
                                  Eq(Col("f.dim_key"), Col("d.k")))
                            .Build();
   {
-    CardinalityEstimator est(&catalog);
+    InferenceEngine engine;
+    CardinalityEstimator est(&catalog, &engine);
     // Distinct rule alone: 1000·50/max(10,2) = 5000; unique cap: 1000.
     EXPECT_DOUBLE_EQ(est.EstimateRows(undeclared), 1000.0);
   }
   {
-    CardinalityOptions opts;
-    opts.use_inference = false;
-    CardinalityEstimator est(&catalog, opts);
+    CardinalityEstimator est(&catalog, /*engine=*/nullptr);
     EXPECT_DOUBLE_EQ(est.EstimateRows(undeclared), 5000.0);
   }
 }
@@ -227,7 +230,8 @@ TEST(CardinalityEstimatorTest, AnnotateCoversEveryNodeAndPrints) {
                            JoinType::kInner, Eq(Col("f.dim_key"), Col("d.k")))
                      .Filter(Eq(Col("f.amount"), LitInt(7)))
                      .Build();
-  CardinalityEstimator est(&catalog);
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, &engine);
   PlanEstimates estimates;
   PlanEstimate root = est.Annotate(plan, &estimates);
   EXPECT_GT(root.rows, 0.0);
@@ -247,6 +251,32 @@ TEST(CardinalityEstimatorTest, AnnotateCoversEveryNodeAndPrints) {
   }
   std::string printed = PrintPlan(plan, &estimates);
   EXPECT_NE(printed.find("[est rows="), std::string::npos);
+}
+
+TEST(CardinalityEstimatorTest, MemoKeysNodesNotIds) {
+  // WithChildren keeps the filter's id while doubling its input; one
+  // estimator (and its shared engine) must estimate both versions.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable(Fact()).ok());
+  catalog.SetTableStats("fact", StatsWith(1000));
+  PlanRef scan = PlanBuilder::ScanSchema(Fact(), "f").Build();
+  PlanRef filter = std::make_shared<FilterOp>(
+      scan, Eq(Col("f.amount"), LitInt(7)));
+  PlanRef doubled = filter->WithChildren({std::make_shared<UnionAllOp>(
+      std::vector<PlanRef>{scan, scan}, scan->OutputNames())});
+  ASSERT_EQ(doubled->id(), filter->id());
+
+  InferenceEngine engine;
+  CardinalityEstimator est(&catalog, &engine);
+  const double single = est.EstimateRows(filter);
+  const double twice = est.EstimateRows(doubled);
+  EXPECT_DOUBLE_EQ(twice, 2.0 * single);
+  InferenceEngine fresh_engine;
+  CardinalityEstimator fresh(&catalog, &fresh_engine);
+  EXPECT_DOUBLE_EQ(fresh.EstimateRows(doubled), twice);
+  // The scan's key holds on the filter, not on the doubled input.
+  EXPECT_TRUE(est.UniqueOn(filter, {"f.id"}));
+  EXPECT_FALSE(est.UniqueOn(doubled, {"f.id"}));
 }
 
 // --- collection + end-to-end q-error ---------------------------------------
@@ -277,7 +307,8 @@ class StatsDatabaseTest : public ::testing::Test {
   double QError(const std::string& sql) {
     Result<PlanRef> plan = db_.PlanQuery(sql);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    CardinalityEstimator est(&db_.catalog());
+    InferenceEngine engine;
+    CardinalityEstimator est(&db_.catalog(), &engine);
     const double predicted = est.EstimateRows(*plan);
     Result<Chunk> result = db_.Query(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();

@@ -182,6 +182,29 @@ TEST_F(InferTest, ValueSourcesThroughEqualities) {
   EXPECT_TRUE(derived->via_equality);
 }
 
+TEST_F(InferTest, MemoKeysNodesNotIds) {
+  // WithChildren keeps a node's id while changing its subtree: over a
+  // UNION ALL of the scan with itself, k is no longer unique. One engine
+  // must tell the two versions apart.
+  PlanRef plan = Bind("select k, a from t");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->kind(), OpKind::kProject);
+  const PlanRef& scan = plan->child(0);
+  ASSERT_EQ(scan->kind(), OpKind::kScan);
+  PlanRef doubled = std::make_shared<UnionAllOp>(
+      std::vector<PlanRef>{scan, scan}, scan->OutputNames());
+  PlanRef rewritten = plan->WithChildren({doubled});
+  ASSERT_EQ(rewritten->id(), plan->id());
+
+  InferenceEngine engine;
+  EXPECT_TRUE(engine.Infer(plan).UniqueOn({"k"}));
+  EXPECT_FALSE(engine.Infer(rewritten).UniqueOn({"k"}));
+  EXPECT_EQ(engine.Infer(rewritten).ToString(),
+            InferenceEngine().Infer(rewritten).ToString());
+  EXPECT_EQ(engine.Infer(plan).ToString(),
+            InferenceEngine().Infer(plan).ToString());
+}
+
 TEST_F(InferTest, ExtractSimpleRelationAndKeyCoverage) {
   PlanRef plan = Bind("select k as kk, a from t where a > 1");
   ASSERT_NE(plan, nullptr);

@@ -5,6 +5,8 @@
 // merging/eager aggregation.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "expr/fold.h"
 #include "optimizer/optimizer.h"
 #include "plan/plan_builder.h"
@@ -34,6 +36,16 @@ TableSchema Dim() {
 
 OptimizerConfig Full() { return ConfigForProfile(SystemProfile::kHana); }
 
+using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
+                           PropertyCache&, bool*);
+
+/// Runs one pass over a fresh property cache, as a one-pass compile would.
+PlanRef RunPass(PassFn pass, const PlanRef& plan,
+                const OptimizerConfig& config, bool* changed) {
+  PropertyCache props(config.derivation);
+  return pass(plan, config, props, changed);
+}
+
 // --- filter pushdown --------------------------------------------------------
 
 TEST(FilterPushdownTest, SplitsAcrossInnerJoin) {
@@ -45,7 +57,7 @@ TEST(FilterPushdownTest, SplitsAcrossInnerJoin) {
                       Eq(Col("d.name"), LitStr("x"))))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Both conjuncts moved below the join; no filter remains on top.
   EXPECT_EQ(result->kind(), OpKind::kJoin);
@@ -61,7 +73,7 @@ TEST(FilterPushdownTest, RightConjunctStaysAboveLeftOuterJoin) {
           .Filter(Eq(Col("d.name"), LitStr("x")))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   // Pushing it into the right child would turn filtered matches into
   // null-extended rows — must not happen.
   EXPECT_EQ(result->kind(), OpKind::kFilter);
@@ -77,7 +89,7 @@ TEST(FilterPushdownTest, ThroughProjectSubstitutes) {
           .Filter(Eq(Col("s1"), LitInt(2)))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(result->kind(), OpKind::kProject);
   ASSERT_EQ(result->child(0)->kind(), OpKind::kFilter);
@@ -95,7 +107,7 @@ TEST(FilterPushdownTest, ThroughUnionAllRenames) {
                      .Filter(Eq(Col("st"), LitInt(1)))
                      .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // The filter is renamed per branch and sinks on through each branch's
   // projection, so every branch filters on its own base column.
@@ -127,7 +139,7 @@ TEST(FilterPushdownTest, SinksThroughChainDeeperThanMaxPassesInOneCall) {
   }
   PlanRef plan = chain.Filter(Eq(Col("f.status"), LitInt(1))).Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   PlanRef node = result;
   for (int i = 0; i < depth; ++i) {
@@ -139,7 +151,7 @@ TEST(FilterPushdownTest, SinksThroughChainDeeperThanMaxPassesInOneCall) {
   EXPECT_EQ(node->child(0)->kind(), OpKind::kScan);
   // Nothing is left to push: a second call is a no-op.
   changed = false;
-  EXPECT_EQ(PassFilterPushdown(result, Full(), &changed), result);
+  EXPECT_EQ(RunPass(PassFilterPushdown, result, Full(), &changed), result);
   EXPECT_FALSE(changed);
 }
 
@@ -150,7 +162,7 @@ TEST(ConstantFoldingTest, RemovesAlwaysTrueFilter) {
                      .Filter(Eq(LitInt(1), LitInt(1)))
                      .Build();
   bool changed = false;
-  PlanRef result = PassConstantFolding(plan, Full(), &changed);
+  PlanRef result = RunPass(PassConstantFolding, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(result->kind(), OpKind::kScan);
 }
@@ -162,7 +174,7 @@ TEST(ConstantFoldingTest, MergesProjectStacks) {
                      .ProjectColumns({"y"}, {"z"})
                      .Build();
   bool changed = false;
-  PlanRef result = PassConstantFolding(plan, Full(), &changed);
+  PlanRef result = RunPass(PassConstantFolding, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kProject);
   EXPECT_EQ(result->child(0)->kind(), OpKind::kScan);
@@ -178,7 +190,7 @@ TEST(ConstantFoldingTest, DoesNotDuplicateExpensiveExpressions) {
           .Project({{Bin(BinaryOpKind::kAdd, Col("sq"), Col("sq")), "dbl"}})
           .Build();
   bool changed = false;
-  PlanRef result = PassConstantFolding(plan, Full(), &changed);
+  PlanRef result = RunPass(PassConstantFolding, plan, Full(), &changed);
   ASSERT_EQ(result->kind(), OpKind::kProject);
   EXPECT_EQ(result->child(0)->kind(), OpKind::kProject);
 }
@@ -190,7 +202,7 @@ TEST(PruneTest, ScansNarrowedToRequiredColumns) {
                      .ProjectColumns({"f.id"}, {"id"})
                      .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(PassPruneAndEliminate, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   const auto& scan = static_cast<const ScanOp&>(*result->child(0));
   EXPECT_EQ(scan.column_indexes().size(), 1u);
@@ -199,7 +211,7 @@ TEST(PruneTest, ScansNarrowedToRequiredColumns) {
 TEST(PruneTest, RootOutputsPreserved) {
   PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f").Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(PassPruneAndEliminate, plan, Full(), &changed);
   // Root arity is not flexible: nothing may be pruned.
   EXPECT_EQ(result->OutputNames().size(), 4u);
 }
@@ -213,7 +225,7 @@ TEST(PruneTest, UajEliminationRequiresPurelyAugmenting) {
           .ProjectColumns({"f.id"}, {"id"})
           .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(removable, Full(), &changed);
+  PlanRef result = RunPass(PassPruneAndEliminate, removable, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u);
   // Same join as INNER (no FK): kept even though unused.
   PlanRef kept =
@@ -223,7 +235,7 @@ TEST(PruneTest, UajEliminationRequiresPurelyAugmenting) {
           .ProjectColumns({"f.id"}, {"id"})
           .Build();
   changed = false;
-  result = PassPruneAndEliminate(kept, Full(), &changed);
+  result = RunPass(PassPruneAndEliminate, kept, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 1u);
 }
 
@@ -237,7 +249,7 @@ TEST(PruneTest, StackedUajsAllRemoved) {
   }
   PlanRef built = plan.ProjectColumns({"f.id"}, {"id"}).Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(built, Full(), &changed);
+  PlanRef result = RunPass(PassPruneAndEliminate, built, Full(), &changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
 }
 
@@ -250,7 +262,7 @@ TEST(PruneTest, UnusedAggregateItemsDropped) {
           .ProjectColumns({"st", "n"}, {"st", "n"})
           .Build();
   bool changed = false;
-  PlanRef result = PassPruneAndEliminate(plan, Full(), &changed);
+  PlanRef result = RunPass(PassPruneAndEliminate, plan, Full(), &changed);
   const auto& agg = static_cast<const AggregateOp&>(*result->child(0));
   ASSERT_EQ(agg.aggregates().size(), 1u);
   EXPECT_EQ(agg.aggregates()[0].name, "n");
@@ -267,7 +279,7 @@ TEST(LimitPushdownTest, SinksThroughProjectAndAugmentingJoins) {
           .Limit(10, 5)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassLimitPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Limit lands directly above the fact scan.
   ASSERT_EQ(result->kind(), OpKind::kProject);
@@ -287,7 +299,7 @@ TEST(LimitPushdownTest, DoesNotSinkPastNonAugmentingJoin) {
           .Limit(10)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassLimitPushdown, plan, Full(), &changed);
   EXPECT_EQ(result->kind(), OpKind::kLimit);
 }
 
@@ -299,7 +311,7 @@ TEST(LimitPushdownTest, DistributesOverUnionAll) {
   PlanRef plan =
       PlanBuilder::UnionAll({c1, c2}, {"id"}).Limit(10, 3).Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassLimitPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kLimit);  // outer limit remains
   ASSERT_EQ(result->child(0)->kind(), OpKind::kUnionAll);
@@ -317,7 +329,7 @@ TEST(LimitPushdownTest, DistributesOverUnionAll) {
   }
   // Idempotent: a second application changes nothing.
   bool changed_again = false;
-  PassLimitPushdown(result, Full(), &changed_again);
+  RunPass(PassLimitPushdown, result, Full(), &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -329,8 +341,9 @@ TEST(LimitPushdownTest, GatedByProfile) {
           .Limit(10)
           .Build();
   bool changed = false;
-  PlanRef result = PassLimitPushdown(
-      plan, ConfigForProfile(SystemProfile::kPostgres), &changed);
+  PlanRef result =
+      RunPass(PassLimitPushdown, plan,
+              ConfigForProfile(SystemProfile::kPostgres), &changed);
   EXPECT_FALSE(changed);
   EXPECT_EQ(result, plan);
 }
@@ -343,7 +356,7 @@ TEST(DistinctEliminationTest, DropsWhenInputUnique) {
                        .Distinct()
                        .Build();
   bool changed = false;
-  PlanRef result = PassDistinctElimination(unique, Full(), &changed);
+  PlanRef result = RunPass(PassDistinctElimination, unique, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).distincts, 0u);
 
@@ -352,7 +365,7 @@ TEST(DistinctEliminationTest, DropsWhenInputUnique) {
                            .Distinct()
                            .Build();
   changed = false;
-  result = PassDistinctElimination(not_unique, Full(), &changed);
+  result = RunPass(PassDistinctElimination, not_unique, Full(), &changed);
   EXPECT_FALSE(changed);
   EXPECT_EQ(ComputePlanStats(result).distincts, 1u);
 }
@@ -369,7 +382,7 @@ TEST(AsjTest, SelfJoinOnKeyRewired) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(plan, Full(), &changed);
+  PlanRef result = RunPass(PassAsjElimination, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
   EXPECT_EQ(ComputePlanStats(result).table_instances, 1u);
@@ -390,7 +403,7 @@ TEST(AsjTest, SubsumptionRequired) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PassAsjElimination(plan, Full(), &changed);
+  RunPass(PassAsjElimination, plan, Full(), &changed);
   EXPECT_FALSE(changed);
 
   // Matching restriction: removable.
@@ -404,7 +417,7 @@ TEST(AsjTest, SubsumptionRequired) {
                             Eq(Col("id"), Col("e.id")))
                       .Build();
   changed = false;
-  PlanRef result = PassAsjElimination(plan2, Full(), &changed);
+  PlanRef result = RunPass(PassAsjElimination, plan2, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(plan2);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u);
 }
@@ -420,7 +433,7 @@ TEST(AsjTest, AggregateInAnchorBlocksExposure) {
                            Eq(Col("dk"), Col("e.k")))
                      .Build();
   bool changed = false;
-  PassAsjElimination(plan, Full(), &changed);
+  RunPass(PassAsjElimination, plan, Full(), &changed);
   // Not a self join at all (different tables) — must stay.
   EXPECT_FALSE(changed);
 }
@@ -440,7 +453,7 @@ TEST(AsjTest, UnionAnchorFig13a) {
                            Eq(Col("id"), Col("e.id")))
                      .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(plan, Full(), &changed);
+  PlanRef result = RunPass(PassAsjElimination, plan, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(plan);
   EXPECT_EQ(ComputePlanStats(result).joins, 0u) << PrintPlan(result);
   // Both branch scans remain; the augmenter scan is gone.
@@ -462,7 +475,7 @@ TEST(AsjTest, UnionAnchorGatedByConfig) {
   OptimizerConfig config = Full();
   config.asj_union_all_anchor = false;
   bool changed = false;
-  PassAsjElimination(plan, config, &changed);
+  RunPass(PassAsjElimination, plan, config, &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -509,7 +522,7 @@ TEST(AsjTest, CaseJoinFig13bCanonical) {
                 DeclaredCardinality::kNone, /*case_join=*/true)
           .Build();
   bool changed = false;
-  PlanRef result = PassAsjElimination(with_intent, Full(), &changed);
+  PlanRef result = RunPass(PassAsjElimination, with_intent, Full(), &changed);
   EXPECT_TRUE(changed) << PrintPlan(with_intent);
   PlanStats stats = ComputePlanStats(result);
   EXPECT_EQ(stats.joins, 0u) << PrintPlan(result);
@@ -525,7 +538,7 @@ TEST(AsjTest, CaseJoinFig13bCanonical) {
                 DeclaredCardinality::kNone, /*case_join=*/false)
           .Build();
   changed = false;
-  PassAsjElimination(without_intent, Full(), &changed);
+  RunPass(PassAsjElimination, without_intent, Full(), &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -540,7 +553,7 @@ TEST(AggMergeTest, SumOverSumMergesUnconditionally) {
                      {{Agg(AggKind::kSum, Col("subtotal")), "total"}})
           .Build();
   bool changed = false;
-  PlanRef result = PassAggregatePushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(result).aggregates, 1u) << PrintPlan(result);
 }
@@ -558,10 +571,12 @@ TEST(AggMergeTest, RoundBetweenLevelsNeedsOptIn) {
         .Build();
   };
   bool changed = false;
-  PlanRef strict = PassAggregatePushdown(build(false), Full(), &changed);
+  PlanRef strict =
+      RunPass(PassAggregatePushdown, build(false), Full(), &changed);
   EXPECT_EQ(ComputePlanStats(strict).aggregates, 2u);
   changed = false;
-  PlanRef relaxed = PassAggregatePushdown(build(true), Full(), &changed);
+  PlanRef relaxed =
+      RunPass(PassAggregatePushdown, build(true), Full(), &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ComputePlanStats(relaxed).aggregates, 1u) << PrintPlan(relaxed);
 }
@@ -575,14 +590,14 @@ TEST(EagerAggregationTest, SplitsBelowAugmentingJoin) {
                      {{Agg(AggKind::kSum, Col("f.amount")), "total"}})
           .Build();
   bool changed = false;
-  PlanRef result = PassAggregatePushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Two aggregates now: a partial below the join, the final above.
   PlanStats stats = ComputePlanStats(result);
   EXPECT_EQ(stats.aggregates, 2u) << PrintPlan(result);
   // Reapplication is guarded.
   bool changed_again = false;
-  PassAggregatePushdown(result, Full(), &changed_again);
+  RunPass(PassAggregatePushdown, result, Full(), &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -595,7 +610,7 @@ TEST(EagerAggregationTest, NotAppliedWhenArgsUseAugmenter) {
                      {{Agg(AggKind::kCount, Col("d.attr")), "n"}})
           .Build();
   bool changed = false;
-  PassAggregatePushdown(plan, Full(), &changed);
+  RunPass(PassAggregatePushdown, plan, Full(), &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -611,7 +626,7 @@ TEST(FilterPushdownTest, GroupKeyConjunctsSinkBelowAggregate) {
                       Bin(BinaryOpKind::kGreater, Col("total"), LitInt(5))))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   // Shape: Filter(total>5) over Aggregate over Filter(status=1) over scan.
   ASSERT_EQ(result->kind(), OpKind::kFilter);
@@ -629,7 +644,7 @@ TEST(FilterPushdownTest, AggregateOnlyConjunctsStayAbove) {
           .Filter(Bin(BinaryOpKind::kGreater, Col("n"), LitInt(1)))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_FALSE(changed);
   EXPECT_EQ(result->kind(), OpKind::kFilter);
 }
@@ -661,7 +676,7 @@ PlanRef PushedFilter(JoinType join_type, const ExprRef& condition,
                      .Filter(predicate)
                      .Build();
   bool changed = false;
-  return PassFilterPushdown(plan, Full(), &changed);
+  return RunPass(PassFilterPushdown, plan, Full(), &changed);
 }
 
 TEST(PredicateTransferTest, InnerJoinTransfersBothWays) {
@@ -744,7 +759,7 @@ TEST(PredicateTransferTest, AggregateOutputRepeatingGroupKeySinks) {
           .Filter(Eq(Col("st"), LitInt(1)))
           .Build();
   bool changed = false;
-  PlanRef result = PassFilterPushdown(plan, Full(), &changed);
+  PlanRef result = RunPass(PassFilterPushdown, plan, Full(), &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kAggregate) << PrintPlan(result);
   EXPECT_EQ(FiltersOnScan(result, "f"),
@@ -822,7 +837,7 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PlanRef result = PassJoinOrder(plan, config, &changed);
+  PlanRef result = RunPass(PassJoinOrder, plan, config, &changed);
   EXPECT_TRUE(changed);
   ASSERT_EQ(result->kind(), OpKind::kProject);
   const auto& join = static_cast<const JoinOp&>(*result->child(0));
@@ -832,7 +847,7 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
   EXPECT_EQ(result->OutputNames(), plan->OutputNames());
   // Idempotent.
   bool changed_again = false;
-  PassJoinOrder(result, config, &changed_again);
+  RunPass(PassJoinOrder, result, config, &changed_again);
   EXPECT_FALSE(changed_again);
 }
 
@@ -848,7 +863,7 @@ TEST(JoinOrderTest, LeftOuterAndDeclaredJoinsUntouched) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PassJoinOrder(loj, config, &changed);
+  RunPass(PassJoinOrder, loj, config, &changed);
   EXPECT_FALSE(changed);
   PlanRef declared = PlanBuilder::ScanSchema(Fact(), "f")
                          .Join(PlanBuilder::ScanSchema(Dim(), "d"),
@@ -857,7 +872,7 @@ TEST(JoinOrderTest, LeftOuterAndDeclaredJoinsUntouched) {
                                DeclaredCardinality::kExactOne)
                          .Build();
   changed = false;
-  PassJoinOrder(declared, config, &changed);
+  RunPass(PassJoinOrder, declared, config, &changed);
   EXPECT_FALSE(changed);
 }
 
@@ -881,7 +896,7 @@ TEST(JoinOrderTest, ChainPrefersConnectedRelations) {
   OptimizerConfig config = Full();
   config.stats_catalog = &catalog;
   bool changed = false;
-  PlanRef result = PassJoinOrder(plan, config, &changed);
+  PlanRef result = RunPass(PassJoinOrder, plan, config, &changed);
   EXPECT_TRUE(changed);
   // Greedy starts from tc (smallest); the only connected relation is tb;
   // ta joins last: ((c ⋈ b) ⋈ a). No cross joins appear.
@@ -941,6 +956,96 @@ TEST(ConvergenceTest, FlagBelongsToEachCall) {
   EXPECT_FALSE(busy_run->converged);
   EXPECT_TRUE(trivial_run->converged);
   EXPECT_EQ(trivial_run->passes, 1);
+}
+
+// --- the run's property cache -----------------------------------------------
+
+/// RelProps::ToString leaves out origins and base constants; compare all.
+std::string FullProps(const RelProps& props) {
+  std::string out = props.ToString();
+  for (const auto& [name, origin] : props.origins) {
+    out += " " + name + "<-" + std::to_string(origin.source_id) + ":" +
+           origin.table + "." + origin.column +
+           (origin.null_extended ? "?" : "");
+  }
+  for (const auto& [key, value] : props.base_constants) {
+    out += " " + key + "=" + value.ToString();
+  }
+  return out;
+}
+
+void CollectNodes(const PlanRef& plan, std::set<const LogicalOp*>* out) {
+  out->insert(plan.get());
+  for (const PlanRef& child : plan->children()) CollectNodes(child, out);
+}
+
+TEST(PropertyCacheTest, MemoKeysNodesNotIds) {
+  // WithChildren keeps the filter's id while doubling its input: f.id is
+  // unique over the scan, not over a UNION ALL of the scan with itself.
+  PlanRef scan = PlanBuilder::ScanSchema(Fact(), "f").Build();
+  PlanRef filter =
+      std::make_shared<FilterOp>(scan, Eq(Col("f.status"), LitInt(1)));
+  PlanRef doubled = filter->WithChildren({std::make_shared<UnionAllOp>(
+      std::vector<PlanRef>{scan, scan}, scan->OutputNames())});
+  ASSERT_EQ(doubled->id(), filter->id());
+
+  PropertyCache props(Full().derivation);
+  EXPECT_TRUE(props.Get(filter).HasKey({"f.id"}));
+  EXPECT_FALSE(props.Get(doubled).HasKey({"f.id"}));
+  EXPECT_EQ(FullProps(props.Get(doubled)),
+            FullProps(DeriveProps(doubled, Full().derivation)));
+  EXPECT_FALSE(props.engine().Infer(doubled).UniqueOn({"f.id"}));
+  EXPECT_TRUE(props.engine().Infer(filter).UniqueOn({"f.id"}));
+}
+
+TEST(PropertyCacheTest, SharedAcrossRewritesMatchesFreshDerivation) {
+  // One cache through a sequence of passes, as OptimizeChecked runs them:
+  // every node of every intermediate plan gets the properties a fresh
+  // derivation gives, and no node is derived twice.
+  const OptimizerConfig config = Full();
+  PlanRef plan =
+      PlanBuilder::ScanSchema(Fact(), "f")
+          .Join(PlanBuilder::ScanSchema(Dim(), "d"), JoinType::kLeftOuter,
+                Eq(Col("f.dim_key"), Col("d.k")))
+          .Join(PlanBuilder::ScanSchema(Fact(), "g"), JoinType::kLeftOuter,
+                Eq(Col("f.id"), Col("g.id")))
+          .Filter(Eq(Col("f.status"), LitInt(1)))
+          .Project({{Col("f.id"), "id"}, {Col("g.amount"), "amount"}})
+          .Limit(5)
+          .Build();
+  PropertyCache props(config.derivation);
+  std::set<const LogicalOp*> seen;
+  CollectNodes(plan, &seen);
+  props.Get(plan);
+  EXPECT_EQ(props.computed(), seen.size());
+  EXPECT_EQ(props.reused(), 0u);
+  props.Get(plan);
+  EXPECT_EQ(props.computed(), seen.size());
+  EXPECT_EQ(props.reused(), 1u);
+
+  const PassFn passes[] = {&PassFilterPushdown, &PassAsjElimination,
+                           &PassSelfJoinGeneral, &PassPruneAndEliminate,
+                           &PassLimitPushdown, &PassJoinOrder};
+  // Keeps every version's nodes alive, so the addresses in `seen` stay
+  // distinct nodes.
+  std::vector<PlanRef> versions = {plan};
+  for (PassFn pass : passes) {
+    bool changed = false;
+    plan = pass(plan, config, props, &changed);
+    versions.push_back(plan);
+    std::set<const LogicalOp*> nodes;
+    CollectNodes(plan, &nodes);
+    seen.insert(nodes.begin(), nodes.end());
+    VisitPlan(plan, [&](const PlanRef& node) {
+      EXPECT_EQ(FullProps(props.Get(node)),
+                FullProps(DeriveProps(node, config.derivation)))
+          << node->Describe();
+    });
+  }
+  // The self-join on g and the unused dim augmentation are gone.
+  EXPECT_EQ(ComputePlanStats(plan).joins, 0u) << PrintPlan(plan);
+  EXPECT_LE(props.computed(), seen.size());
+  EXPECT_GT(props.reused(), 0u);
 }
 
 }  // namespace

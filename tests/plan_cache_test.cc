@@ -3,9 +3,12 @@
 // limit rebinding, and result equivalence against the uncached pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "sql/parameterize.h"
 #include "workload/tpch.h"
@@ -310,6 +313,45 @@ TEST_F(PlanCacheDbTest, CommitKeepsPlansWarmStatsRefreshRecompilesItsTables) {
                   .ok());
 }
 
+TEST(PlanCacheAutoAnalyzeTest, UnmergedDeltaDoesNotRecompileEveryCommit) {
+  // Nothing merges (threshold 0): the delta only grows. Auto-analyze fires
+  // once the table drifts by more than max(64, rows/5) from its last
+  // statistics: at row 65 of a fresh table, then not again before 130.
+  Database db;
+  db.SetMergeThreshold(0);
+  db.EnablePlanCache();
+  ASSERT_TRUE(db.Execute("create table t (k int primary key, v int)").ok());
+  int rows = 0;
+  auto insert_one = [&] {
+    ++rows;
+    ASSERT_TRUE(db.Execute(StrFormat("insert into t values (%d, %d)", rows,
+                                     rows))
+                    .ok());
+  };
+  for (int i = 0; i < 80; ++i) insert_one();
+  const std::string sql = "select count(*) as n from t where v > 0";
+  QueryTiming timing;
+  ASSERT_TRUE(db.Query(sql, nullptr, &timing).ok());
+  EXPECT_FALSE(timing.cache_hit);
+
+  const uint64_t version = db.catalog().stats_version("t");
+  while (rows < 129) {
+    insert_one();
+    Result<Chunk> r = db.Query(sql, nullptr, &timing);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(timing.cache_hit) << "after row " << rows;
+    EXPECT_EQ(r->columns[0].GetValue(0), Value::Int64(rows));
+  }
+  EXPECT_EQ(db.catalog().stats_version("t"), version);
+  insert_one();  // row 130: 65 rows past the row-65 statistics
+  ASSERT_TRUE(db.Query(sql, nullptr, &timing).ok());
+  EXPECT_FALSE(timing.cache_hit);
+  EXPECT_EQ(db.catalog().stats_version("t"), version + 1);
+  insert_one();
+  ASSERT_TRUE(db.Query(sql, nullptr, &timing).ok());
+  EXPECT_TRUE(timing.cache_hit);
+}
+
 TEST_F(PlanCacheDbTest, EvictionAtDatabaseLevel) {
   db_->EnablePlanCache(/*capacity=*/2);
   for (const char* sql :
@@ -373,18 +415,39 @@ TEST_F(PlanCacheDbTest, ParallelExecutionWithCache) {
   db_->SetExecOptions(ExecOptions{});
 }
 
+/// (derived, reused) from an EXPLAIN ANALYZE "optimizer:" line.
+std::pair<size_t, size_t> PropertyCounts(const std::string& explain) {
+  unsigned long derived = 0, reused = 0;
+  const size_t at = explain.find("properties: ");
+  if (at == std::string::npos ||
+      std::sscanf(explain.c_str() + at, "properties: %lu derived, %lu reused",
+                  &derived, &reused) != 2) {
+    ADD_FAILURE() << "no property counters in:\n" << explain;
+  }
+  return {derived, reused};
+}
+
 TEST_F(PlanCacheDbTest, ExplainAnalyzeReportsCacheOutcome) {
+  // The customer join is an unused augmentation: UAJ elimination asks
+  // for its properties.
   const std::string sql =
-      "select o_orderkey from orders where o_totalprice > 800.0 limit 4";
+      "select o.o_orderkey from orders o left outer join customer c "
+      "on o.o_custkey = c.c_custkey where o.o_totalprice > 800.0 limit 4";
   Result<std::string> cold = db_->ExplainAnalyze(sql);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_NE(cold->find("plan cache: miss"), std::string::npos) << *cold;
-  EXPECT_NE(cold->find(", converged\n"), std::string::npos) << *cold;
+  EXPECT_NE(cold->find(", converged; "), std::string::npos) << *cold;
+  // The run's property cache: each node derived once, then reused by the
+  // later passes that ask about it again.
+  const std::pair<size_t, size_t> counts = PropertyCounts(*cold);
+  EXPECT_GT(counts.first, 0u) << *cold;
+  EXPECT_GT(counts.second, 0u) << *cold;
   Result<std::string> warm = db_->ExplainAnalyze(sql);
   ASSERT_TRUE(warm.ok());
   EXPECT_NE(warm->find("plan cache: hit"), std::string::npos) << *warm;
   EXPECT_NE(warm->find("rebind"), std::string::npos) << *warm;
   EXPECT_EQ(warm->find("optimizer:"), std::string::npos) << *warm;
+  EXPECT_EQ(warm->find("properties:"), std::string::npos) << *warm;
 
   // A compile cut off by max_passes says so.
   OptimizerConfig truncated = db_->optimizer_config();
@@ -393,9 +456,22 @@ TEST_F(PlanCacheDbTest, ExplainAnalyzeReportsCacheOutcome) {
   Result<std::string> cut = db_->ExplainAnalyze(sql);
   db_->SetProfile(SystemProfile::kHana);
   ASSERT_TRUE(cut.ok()) << cut.status().ToString();
-  EXPECT_NE(cut->find("optimizer: 1 pass, hit max_passes"),
+  EXPECT_NE(cut->find("optimizer: 1 pass, hit max_passes; "),
             std::string::npos)
       << *cut;
+
+  // The counters are the compile's own: with the cache off, the same as a
+  // direct optimize of the bound statement.
+  db_->DisablePlanCache();
+  Result<std::string> off = db_->ExplainAnalyze(sql);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  Result<PlanRef> bound = db_->BindQuery(sql);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  QueryTiming direct;
+  ASSERT_TRUE(db_->OptimizePlan(*bound, &direct).ok());
+  EXPECT_EQ(PropertyCounts(*off),
+            std::make_pair(direct.props_computed, direct.props_reused))
+      << *off;
 }
 
 }  // namespace

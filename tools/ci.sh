@@ -10,7 +10,8 @@
 #   tools/ci.sh fuzz         # ASan differential fuzz: vdmfuzz, 10k queries
 #   tools/ci.sh server       # wire server: ASan+TSan conformance, fuzz leg,
 #                            # loopback vdmload smoke
-#   tools/ci.sh lint         # vdmlint catalog audit (baseline-gated) + tidy
+#   tools/ci.sh lint         # no hidden compiler state, vdmlint catalog
+#                            # audit (baseline-gated), tidy, format
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -171,6 +172,19 @@ run_lint() {
   # warning or above, so intentional additions regenerate the baseline with
   #   build-lint/tools/vdmlint --catalog-audit --jeib --fixture \
   #       --write-baseline tools/vdmlint.baseline
+  # The compiler keeps no hidden state: per-compile caches (the property
+  # cache, its inference engine, the join reorderer's estimator) are
+  # objects the optimizer driver owns and passes down (DESIGN.md §4.1), so
+  # concurrent compiles through one Database share nothing writable.
+  echo "== no thread_local / mutable state in the compiler =="
+  local hidden
+  if hidden="$(git grep -nE 'thread_local|\bmutable\b' -- src/optimizer \
+      src/analysis/infer src/analysis/stats src/plan)"; then
+    echo "${hidden}"
+    echo "error: thread_local or mutable state in compiler code" >&2
+    return 1
+  fi
+
   local dir="build-lint"
   echo "== vdmlint: whole-catalog audit =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -54,8 +54,8 @@ struct ViewAudit {
   const CatalogAuditOptions* options = nullptr;
   std::string view;
   PlanRef plan;
-  /// The view's property state; its engine backs every inference check.
-  PropertyCache* props = nullptr;
+  /// The view's inference engine; it backs every check.
+  InferenceEngine* engine = nullptr;
   std::vector<AuditFinding>* findings = nullptr;
   std::set<std::string> seen;  // fingerprints emitted for this view
 
@@ -103,7 +103,7 @@ void CheckRemovableJoins(ViewAudit& a) {
   WalkPlan(a.plan, [&](const PlanRef& node) {
     if (node->kind() != OpKind::kJoin) return;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef replacement = TryEliminateGeneralSelfJoin(join, *a.props);
+    PlanRef replacement = TryEliminateGeneralSelfJoin(join, *a.engine);
     if (!replacement) return;
     std::optional<SimpleRelation> rel = ExtractSimpleRelation(join->right());
     std::string table = rel.has_value() ? ToLower(rel->scan->table_name())
@@ -135,7 +135,7 @@ void CheckDeclaredCardinalities(ViewAudit& a) {
     const char* card_name =
         card == DeclaredCardinality::kExactOne ? "exact-one" : "at-most-one";
     std::string cond = join.condition() ? join.condition()->ToString() : "";
-    const InferredProps& right = a.props->engine().Infer(join.right());
+    const InferredProps& right = a.engine->Infer(join.right());
 
     if (right.empty_relation) {
       if (card == DeclaredCardinality::kExactOne) {
@@ -183,7 +183,7 @@ void CheckDeclaredCardinalities(ViewAudit& a) {
     }
 
     if (card == DeclaredCardinality::kExactOne) {
-      const InferredProps& left = a.props->engine().Infer(join.left());
+      const InferredProps& left = a.engine->Infer(join.left());
       for (const std::string& l : left_join_cols) {
         if (left.IsNotNull(l)) continue;
         a.Emit(kRuleContradictedCardinality, AuditSeverity::kWarning,
@@ -318,20 +318,20 @@ void CheckDecimalNarrowing(ViewAudit& a) {
     switch (node->kind()) {
       case OpKind::kFilter:
         exprs.push_back(static_cast<const FilterOp&>(*node).predicate());
-        scopes.push_back(&a.props->engine().Infer(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       case OpKind::kProject:
         for (const ProjectOp::Item& item :
              static_cast<const ProjectOp&>(*node).items()) {
           exprs.push_back(item.expr);
         }
-        scopes.push_back(&a.props->engine().Infer(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       case OpKind::kJoin: {
         const auto& join = static_cast<const JoinOp&>(*node);
         exprs.push_back(join.condition());
-        scopes.push_back(&a.props->engine().Infer(join.left()));
-        scopes.push_back(&a.props->engine().Infer(join.right()));
+        scopes.push_back(&a.engine->Infer(join.left()));
+        scopes.push_back(&a.engine->Infer(join.right()));
         break;
       }
       case OpKind::kAggregate: {
@@ -342,7 +342,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
         for (const AggregateOp::AggItem& item : agg.aggregates()) {
           exprs.push_back(item.expr);
         }
-        scopes.push_back(&a.props->engine().Infer(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       }
       case OpKind::kSort:
@@ -350,7 +350,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
              static_cast<const SortOp&>(*node).keys()) {
           exprs.push_back(key.expr);
         }
-        scopes.push_back(&a.props->engine().Infer(node->child(0)));
+        scopes.push_back(&a.engine->Infer(node->child(0)));
         break;
       default:
         return;
@@ -362,7 +362,7 @@ void CheckDecimalNarrowing(ViewAudit& a) {
 // --- dead-view --------------------------------------------------------------
 
 void CheckDeadView(ViewAudit& a) {
-  if (!a.props->engine().Infer(a.plan).empty_relation) return;
+  if (!a.engine->Infer(a.plan).empty_relation) return;
   a.Emit(kRuleDeadView, AuditSeverity::kWarning,
          "view is statically empty (contradictory or always-false "
          "predicates): every query against it returns zero rows",
@@ -472,17 +472,6 @@ std::string CatalogAuditReport::ToString() const {
 Result<CatalogAuditReport> AuditCatalog(const Catalog& catalog,
                                         const CatalogAuditOptions& options) {
   CatalogAuditReport report;
-  // Full derivation capability under the audit's inference gates, so the
-  // self-join probe sees exactly what the audit's own checks infer.
-  DerivationConfig derivation;
-  derivation.base_table_keys = options.infer.base_table_keys;
-  derivation.groupby_keys = options.infer.groupby_keys;
-  derivation.const_pinning = options.infer.const_pinning;
-  derivation.keys_through_joins = options.infer.keys_through_joins;
-  derivation.keys_through_order_limit = options.infer.keys_through_order_limit;
-  derivation.keys_through_union_all = options.infer.keys_through_union_all;
-  derivation.trust_declared_cardinality =
-      options.infer.trust_declared_cardinality;
   for (const std::string& name : catalog.ViewNames()) {
     const ViewDef* view = catalog.FindView(name);
     if (view == nullptr) continue;
@@ -492,13 +481,15 @@ Result<CatalogAuditReport> AuditCatalog(const Catalog& catalog,
       continue;
     }
     report.views_audited++;
-    PropertyCache props(derivation);
+    // One engine per view, under the audit's inference gates, so the
+    // self-join probe sees exactly what the audit's own checks infer.
+    InferenceEngine engine(options.infer);
     ViewAudit audit;
     audit.catalog = &catalog;
     audit.options = &options;
     audit.view = name;
     audit.plan = *bound;
-    audit.props = &props;
+    audit.engine = &engine;
     audit.findings = &report.findings;
     CheckRemovableJoins(audit);
     CheckDeclaredCardinalities(audit);

@@ -271,38 +271,40 @@ InferredProps InferAggregate(const AggregateOp& agg,
       if (!v.is_null()) props.not_null.insert(g.name);
     }
   }
-  // COUNT never returns NULL. A select-list pass-through of a group column
-  // appears as an AggItem whose expression is a bare ColumnRef to the group
-  // name (the binder's ReplaceGroupRefs): its output is value-identical to
-  // the group column, so it inherits that column's properties and an FD in
-  // both directions.
-  std::map<std::string, std::string> group_alias;  // group name -> agg alias
+  // COUNT never returns NULL. An aggregate item that merely re-projects a
+  // group expression is an alias of that group column: the binder's
+  // ReplaceGroupRefs leaves a select-list pass-through as a bare ColumnRef
+  // to the group name, and an item may also restate a computed group
+  // expression. Its output is value-identical to the group column, so it
+  // inherits that column's properties and an FD in both directions.
+  std::map<std::string, std::vector<std::string>> aliases;  // group -> items
   for (const AggregateOp::AggItem& item : agg.aggregates()) {
     if (item.expr->kind() == ExprKind::kAggregate &&
         static_cast<const AggregateExpr&>(*item.expr).agg() ==
             AggKind::kCount) {
       props.not_null.insert(item.name);
     }
-    if (item.expr->kind() != ExprKind::kColumnRef) continue;
-    const std::string& ref =
-        static_cast<const ColumnRefExpr&>(*item.expr).name();
-    if (std::find(group_names.begin(), group_names.end(), ref) ==
-        group_names.end()) {
-      continue;
+    for (const AggregateOp::GroupItem& g : agg.group_by()) {
+      if (!item.expr->Equals(*g.expr) &&
+          !(item.expr->kind() == ExprKind::kColumnRef &&
+            static_cast<const ColumnRefExpr&>(*item.expr).name() ==
+                g.name)) {
+        continue;
+      }
+      aliases[g.name].push_back(item.name);
+      auto src_it = props.sources.find(g.name);
+      if (src_it != props.sources.end()) {
+        std::vector<ValueSource> copies = src_it->second;
+        for (const ValueSource& src : copies) props.AddSource(item.name, src);
+      }
+      auto const_it = props.constants.find(g.name);
+      if (const_it != props.constants.end()) {
+        props.constants.emplace(item.name, const_it->second);
+      }
+      if (props.not_null.count(g.name) > 0) props.not_null.insert(item.name);
+      props.AddFd({g.name}, {item.name});
+      props.AddFd({item.name}, {g.name});
     }
-    if (group_alias.count(ref) == 0) group_alias[ref] = item.name;
-    auto src_it = props.sources.find(ref);
-    if (src_it != props.sources.end()) {
-      std::vector<ValueSource> copies = src_it->second;
-      for (const ValueSource& src : copies) props.AddSource(item.name, src);
-    }
-    auto const_it = props.constants.find(ref);
-    if (const_it != props.constants.end()) {
-      props.constants.emplace(item.name, const_it->second);
-    }
-    if (props.not_null.count(ref) > 0) props.not_null.insert(item.name);
-    props.AddFd({ref}, {item.name});
-    props.AddFd({item.name}, {ref});
   }
   if (agg.group_by().empty()) {
     props.at_most_one_row = true;
@@ -334,16 +336,29 @@ InferredProps InferAggregate(const AggregateOp& agg,
   }
   if (!options.groupby_keys) return props;
   props.AddUniqueSet(group_names);
-  // Also state the key under the select-list aliases, so a final projection
-  // that keeps only the aliases still sees it.
-  std::vector<std::string> aliased;
-  bool any_alias = false;
-  for (const std::string& g : group_names) {
-    auto it = group_alias.find(g);
-    if (it != group_alias.end()) any_alias = true;
-    aliased.push_back(it != group_alias.end() ? it->second : g);
+  // Also state the key under the select-list aliases, so a projection that
+  // keeps only aliases still sees it (e.g. "select l_orderkey, sum(q) ...
+  // group by l_orderkey" projected to the bare alias). Two variants cover
+  // the common shapes without a combinatorial blow-up: one alias
+  // substituted at a time, and every group column replaced by its first
+  // alias at once.
+  for (const auto& [group_name, names] : aliases) {
+    for (const std::string& alias : names) {
+      std::vector<std::string> key;
+      for (const std::string& g : group_names) {
+        key.push_back(g == group_name ? alias : g);
+      }
+      props.AddUniqueSet(std::move(key));
+    }
   }
-  if (any_alias) props.AddUniqueSet(std::move(aliased));
+  if (!aliases.empty()) {
+    std::vector<std::string> aliased;
+    for (const std::string& g : group_names) {
+      auto it = aliases.find(g);
+      aliased.push_back(it != aliases.end() ? it->second[0] : g);
+    }
+    props.AddUniqueSet(std::move(aliased));
+  }
   if (options.const_pinning) ReduceSetsByConstants(&props);
   return props;
 }
@@ -671,6 +686,16 @@ const Value* InferredProps::PinOf(uint64_t source_id,
   return pit == it->second.end() ? nullptr : &pit->second;
 }
 
+const ValueSource* InferredProps::DirectSource(
+    const std::string& column) const {
+  auto it = sources.find(column);
+  if (it == sources.end()) return nullptr;
+  for (const ValueSource& src : it->second) {
+    if (!src.via_equality) return &src;
+  }
+  return nullptr;
+}
+
 void InferredProps::AddUniqueSet(std::vector<std::string> columns) {
   columns = Sorted(std::move(columns));
   for (const std::vector<std::string>& existing : unique_sets) {
@@ -745,10 +770,20 @@ InferenceEngine::InferenceEngine(InferOptions options) : options_(options) {}
 
 const InferredProps& InferenceEngine::Infer(const PlanRef& plan) {
   auto it = cache_.find(plan.get());
-  if (it != cache_.end()) return it->second.props;
+  if (it != cache_.end()) {
+    ++reused_;
+    return it->second.props;
+  }
+  ++computed_;
   InferredProps props = Compute(plan);
   return cache_.emplace(plan.get(), Entry{plan, std::move(props)})
       .first->second.props;
+}
+
+JoinAnalysis InferenceEngine::Analyze(const JoinOp& join) {
+  const InferredProps& left = Infer(join.left());
+  const InferredProps& right = Infer(join.right());
+  return AnalyzeJoin(join, left, right, options_);
 }
 
 InferredProps InferenceEngine::Compute(const PlanRef& plan) {
@@ -834,51 +869,7 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
         props.AddFd(fd.determinants, fd.dependents);
       }
 
-      // Join-condition analysis (equi pairs + cardinality).
-      std::vector<std::string> left_names = join.left()->OutputNames();
-      std::vector<std::string> right_names = join.right()->OutputNames();
-      std::set<std::string> left_set(left_names.begin(), left_names.end());
-      std::set<std::string> right_set(right_names.begin(), right_names.end());
-      std::vector<std::pair<std::string, std::string>> equi_pairs;
-      std::set<std::string> equated_right;
-      std::set<std::string> pinned_right;
-      bool pure_equi = true;
-      for (const auto& [col, val] : right.constants) pinned_right.insert(col);
-      for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
-        if (IsAlwaysTrue(conjunct)) continue;
-        std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-        if (pair.has_value()) {
-          if (left_set.count(pair->left) && right_set.count(pair->right)) {
-            equi_pairs.emplace_back(pair->left, pair->right);
-            equated_right.insert(pair->right);
-            continue;
-          }
-          if (left_set.count(pair->right) && right_set.count(pair->left)) {
-            equi_pairs.emplace_back(pair->right, pair->left);
-            equated_right.insert(pair->left);
-            continue;
-          }
-          pure_equi = false;
-          continue;
-        }
-        std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
-        if (cc.has_value() && right_set.count(cc->column) &&
-            options_.const_pinning) {
-          pinned_right.insert(cc->column);
-          continue;
-        }
-        pure_equi = false;
-      }
-      bool right_at_most_one =
-          right.empty_relation ||
-          (options_.trust_declared_cardinality &&
-           (join.declared_cardinality() == DeclaredCardinality::kAtMostOne ||
-            join.declared_cardinality() == DeclaredCardinality::kExactOne));
-      if (!right_at_most_one) {
-        std::set<std::string> covered = equated_right;
-        covered.insert(pinned_right.begin(), pinned_right.end());
-        right_at_most_one = right.UniqueOn(covered);
-      }
+      const JoinAnalysis analysis = AnalyzeJoin(join, left, right, options_);
 
       // An inner (or trusted exact-one) condition filters the output like
       // a WHERE: pins, NULL rejection, and equality provenance apply.
@@ -891,18 +882,21 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
       // determine every right output (matched rows share the single
       // right row; on a null-extending join, agreeing NULL join columns
       // mean both rows are unmatched, i.e. all-NULL right side).
-      if (right_at_most_one && pure_equi && !equi_pairs.empty()) {
+      if (analysis.right_at_most_one && analysis.pure_equi &&
+          !analysis.equi_pairs.empty()) {
         std::vector<std::string> dets;
-        for (const auto& [l, r] : equi_pairs) dets.push_back(l);
-        props.AddFd(std::move(dets), right_names);
+        for (const auto& [l, r] : analysis.equi_pairs) dets.push_back(l);
+        props.AddFd(std::move(dets), join.right()->OutputNames());
       }
 
-      props.at_most_one_row = left.at_most_one_row &&
-                              (right.at_most_one_row || right_at_most_one);
+      // A single row is a key fact: it crosses the join only where keys do.
+      props.at_most_one_row = options_.keys_through_joins &&
+                              left.at_most_one_row &&
+                              analysis.right_at_most_one;
 
       // Unique sets.
       if (options_.keys_through_joins) {
-        if (right_at_most_one) {
+        if (analysis.right_at_most_one) {
           for (const std::vector<std::string>& key : left.unique_sets) {
             props.AddUniqueSet(key);
           }
@@ -911,7 +905,9 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
           // Flipped: the left side matches at most once against right
           // unique sets covered by equated/pinned left columns.
           std::set<std::string> equated_left;
-          for (const auto& [l, r] : equi_pairs) equated_left.insert(l);
+          for (const auto& [l, r] : analysis.equi_pairs) {
+            equated_left.insert(l);
+          }
           for (const auto& [col, val] : left.constants) {
             equated_left.insert(col);
           }
@@ -949,17 +945,21 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
       }
       return InferUnionAll(u, children, names, options_);
     }
-    case OpKind::kSort: {
-      InferredProps props = Infer(plan->child(0));
-      if (!options_.keys_through_order_limit) props.unique_sets.clear();
-      return props;
-    }
+    case OpKind::kSort:
     case OpKind::kLimit: {
-      const auto& limit = static_cast<const LimitOp&>(*plan);
       InferredProps props = Infer(plan->child(0));
-      if (!options_.keys_through_order_limit) props.unique_sets.clear();
-      if (limit.limit() == 0) props.empty_relation = true;
-      if (limit.limit() <= 1) props.at_most_one_row = true;
+      // Key facts (unique sets, a single row) cross ORDER BY / LIMIT only
+      // with keys_through_order_limit (UAJ 1b).
+      const bool keys = options_.keys_through_order_limit;
+      if (!keys) {
+        props.unique_sets.clear();
+        props.at_most_one_row = false;
+      }
+      if (plan->kind() == OpKind::kLimit) {
+        const auto& limit = static_cast<const LimitOp&>(*plan);
+        if (limit.limit() == 0) props.empty_relation = true;
+        if (limit.limit() <= 1 && keys) props.at_most_one_row = true;
+      }
       return props;
     }
     case OpKind::kDistinct: {
@@ -969,6 +969,164 @@ InferredProps InferenceEngine::Compute(const PlanRef& plan) {
     }
   }
   return InferredProps{};
+}
+
+namespace {
+
+/// The right side of a candidate AJ 1a join as the referenced table's
+/// scan: the scan itself, or the scan under a filter the left side already
+/// implies — each conjunct pins an equated right column to the literal its
+/// left partner is pinned to (what predicate transfer leaves behind), so
+/// the filter keeps every row a surviving left row can match. nullptr
+/// otherwise.
+const ScanOp* ReferencedScan(
+    const PlanRef& right,
+    const std::vector<std::pair<std::string, std::string>>& equi_pairs,
+    const InferredProps& left) {
+  if (right->kind() == OpKind::kScan) {
+    return static_cast<const ScanOp*>(right.get());
+  }
+  if (right->kind() != OpKind::kFilter ||
+      right->child(0)->kind() != OpKind::kScan) {
+    return nullptr;
+  }
+  for (const ExprRef& conjunct : SplitConjuncts(
+           static_cast<const FilterOp&>(*right).predicate())) {
+    std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+    if (!cc.has_value()) return nullptr;
+    bool implied = false;
+    for (const auto& [l, r] : equi_pairs) {
+      auto pinned = left.constants.find(l);
+      implied |= r == cc->column && pinned != left.constants.end() &&
+                 pinned->second == cc->value;
+    }
+    if (!implied) return nullptr;
+  }
+  return static_cast<const ScanOp*>(right->child(0).get());
+}
+
+/// AJ 1a: every equi pair runs from an un-null-extended column of one left
+/// scan to the referenced scan, along a declared foreign key whose columns
+/// are all NOT NULL — so every left row finds its referenced row.
+bool ForeignKeyMatch(const JoinOp& join, const ScanOp& right_scan,
+                     const std::vector<std::pair<std::string, std::string>>&
+                         equi_pairs,
+                     const InferredProps& left, const InferredProps& right) {
+  uint64_t left_source = 0;
+  std::vector<std::string> fk_cols, ref_cols;
+  for (const auto& [l, r] : equi_pairs) {
+    const ValueSource* ls = left.DirectSource(l);
+    const ValueSource* rs = right.DirectSource(r);
+    if (ls == nullptr || rs == nullptr || ls->null_extended) return false;
+    if (left_source == 0) {
+      left_source = ls->source_id;
+    } else if (left_source != ls->source_id) {
+      return false;
+    }
+    fk_cols.push_back(ls->column);
+    ref_cols.push_back(rs->column);
+  }
+  if (left_source == 0) return false;
+  std::shared_ptr<const ScanOp> left_scan =
+      FindScanById(join.left(), left_source);
+  if (!left_scan) return false;
+  const TableSchema& schema = left_scan->table_schema();
+  for (const ForeignKeyDef& fk : schema.foreign_keys()) {
+    if (!EqualsIgnoreCase(fk.referenced_table, right_scan.table_name()) ||
+        fk.columns.size() != fk_cols.size()) {
+      continue;
+    }
+    // Match columns as unordered pairs.
+    bool all_match = true;
+    for (size_t i = 0; i < fk_cols.size() && all_match; ++i) {
+      bool found = false;
+      for (size_t j = 0; j < fk.columns.size(); ++j) {
+        if (EqualsIgnoreCase(fk.columns[j], fk_cols[i]) &&
+            EqualsIgnoreCase(fk.referenced_columns[j], ref_cols[i])) {
+          found = true;
+          break;
+        }
+      }
+      all_match = found;
+    }
+    // FK columns must be NOT NULL for a guaranteed match.
+    for (size_t i = 0; i < fk.columns.size() && all_match; ++i) {
+      int idx = schema.FindColumn(fk.columns[i]);
+      all_match = idx >= 0 && !schema.column(static_cast<size_t>(idx)).nullable;
+    }
+    if (all_match) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+JoinAnalysis AnalyzeJoin(const JoinOp& join, const InferredProps& left,
+                         const InferredProps& right,
+                         const InferOptions& options) {
+  JoinAnalysis analysis;
+  std::vector<std::string> left_names = join.left()->OutputNames();
+  std::vector<std::string> right_names = join.right()->OutputNames();
+  std::set<std::string> left_set(left_names.begin(), left_names.end());
+  std::set<std::string> right_set(right_names.begin(), right_names.end());
+
+  std::set<std::string> covered;  // equated or pinned right columns
+  for (const auto& [col, val] : right.constants) covered.insert(col);
+  for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
+    if (IsAlwaysTrue(conjunct)) continue;
+    std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
+    if (pair.has_value()) {
+      if (left_set.count(pair->left) && right_set.count(pair->right)) {
+        analysis.equi_pairs.emplace_back(pair->left, pair->right);
+        covered.insert(pair->right);
+        continue;
+      }
+      if (left_set.count(pair->right) && right_set.count(pair->left)) {
+        analysis.equi_pairs.emplace_back(pair->right, pair->left);
+        covered.insert(pair->left);
+        continue;
+      }
+      analysis.pure_equi = false;
+      continue;
+    }
+    std::optional<ColumnConstant> cc = MatchColumnEqConstant(conjunct);
+    if (cc.has_value() && right_set.count(cc->column) &&
+        options.const_pinning) {
+      covered.insert(cc->column);
+      continue;
+    }
+    analysis.pure_equi = false;
+  }
+
+  // Declared cardinality (§7.3) — trusted, not enforced.
+  if (options.trust_declared_cardinality &&
+      join.declared_cardinality() != DeclaredCardinality::kNone) {
+    analysis.right_at_most_one = true;
+    analysis.right_exactly_one =
+        join.declared_cardinality() == DeclaredCardinality::kExactOne;
+  }
+  // AJ 2b (an empty augmenter: zero matches is "at most one") and AJ 2a
+  // (equated/pinned right columns cover a unique set).
+  if (!analysis.right_at_most_one) {
+    analysis.right_at_most_one = right.UniqueOn(covered);
+  }
+
+  // AJ 1a: an inner equi-join over a foreign key matches exactly once.
+  if (!analysis.right_exactly_one && analysis.pure_equi &&
+      !analysis.equi_pairs.empty() &&
+      join.join_type() == JoinType::kInner && analysis.right_at_most_one) {
+    const ScanOp* right_scan =
+        ReferencedScan(join.right(), analysis.equi_pairs, left);
+    analysis.right_exactly_one =
+        right_scan != nullptr &&
+        ForeignKeyMatch(join, *right_scan, analysis.equi_pairs, left, right);
+  }
+
+  bool left_outer = join.join_type() == JoinType::kLeftOuter;
+  analysis.purely_augmenting =
+      (left_outer && analysis.right_at_most_one) ||
+      (!left_outer && analysis.right_exactly_one);
+  return analysis;
 }
 
 std::optional<SimpleRelation> ExtractSimpleRelation(const PlanRef& plan) {

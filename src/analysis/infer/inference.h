@@ -1,4 +1,5 @@
-// Catalog-wide semantic static inference (DESIGN.md §12).
+// Static property inference over bound plans (DESIGN.md §4.1, §12): the
+// optimizer's only property derivation.
 //
 // A dataflow engine that derives, per plan node and without executing
 // anything, a lattice of relational properties:
@@ -13,22 +14,30 @@
 //    value comes from, including equality-derived provenance ("a.k = d.ref
 //    and d.ref = b.k" links b's join column back to a's scan).
 //
-// The optimizer's general self-join elimination (rule_selfjoin_general.cc),
-// the ASJ rule's key-coverage check, and the vdmlint catalog audit
-// (analysis/catalog_audit.h) all consult this one engine, so the rewrite
-// rules and the static findings can never disagree about what is provable.
+// This is the engineering core the paper calls out in §4.3 — "UAJ
+// optimization doesn't demand novel algorithms but does require strong
+// engineering to accurately derive join cardinality". Every optimizer pass
+// (UAJ, ASJ and general self-join elimination, limit and aggregate
+// pushdown, DISTINCT elimination), the cardinality estimator, the rewrite
+// auditor and the vdmlint catalog audit consult this one engine, and
+// AnalyzeJoin below is the one definition of "the right side matches at
+// most one row", so no two of them can disagree about what is provable.
+// Derivation is capability-gated by InferOptions: switching individual
+// features off reproduces the weaker optimizers of the paper's Tables 1–4.
 //
 // Layering: depends only on plan/expr/catalog/types/common, so the
 // optimizer can link against it (vdm_infer sits *below* vdm_optimizer).
 #ifndef VDMQO_ANALYSIS_INFER_INFERENCE_H_
 #define VDMQO_ANALYSIS_INFER_INFERENCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -37,16 +46,26 @@
 
 namespace vdm {
 
-/// Capability gates, mirroring optimizer DerivationConfig field for field
-/// (convert with ToInferOptions in optimizer/properties.h). Switching a
-/// flag off reproduces the corresponding weaker system of Tables 1–4.
+/// Capability gates; OptimizerConfig::derivation holds the run's. Each
+/// flag corresponds to a capability the paper probes with one of its
+/// micro-queries; switching it off reproduces the corresponding weaker
+/// system of Tables 1–4 (see optimizer.h SystemProfile).
 struct InferOptions {
+  /// Derive keys from base-table unique constraints (UAJ 1). All evaluated
+  /// systems except "System X" do this.
   bool base_table_keys = true;
+  /// Derive a key from GROUP BY columns (UAJ 2 / AJ 2a-2).
   bool groupby_keys = true;
+  /// Reduce composite keys by filter-pinned constants (UAJ 3 / AJ 2a-3).
   bool const_pinning = true;
+  /// Propagate keys through join operators (UAJ 1a / 3a).
   bool keys_through_joins = true;
+  /// Propagate keys through ORDER BY / LIMIT (UAJ 1b).
   bool keys_through_order_limit = true;
+  /// Derive keys through UNION ALL via disjoint branches or branch ids
+  /// (Fig. 12). Only SAP HANA does this.
   bool keys_through_union_all = true;
+  /// Honor declared (unenforced) join cardinalities and unique keys (§7.3).
   bool trust_declared_cardinality = true;
 };
 
@@ -108,6 +127,10 @@ struct InferredProps {
                                 const std::string& table,
                                 const std::string& base_column) const;
   const Value* PinOf(uint64_t source_id, const std::string& base_column) const;
+  /// The pass-through provenance of `column`: its first source not
+  /// established through an equality (via_equality false); nullptr if the
+  /// column is computed. Drives ASJ rewiring and the AJ 1a FK test.
+  const ValueSource* DirectSource(const std::string& column) const;
 
   void AddUniqueSet(std::vector<std::string> columns);
   void AddFd(std::vector<std::string> determinants,
@@ -117,19 +140,52 @@ struct InferredProps {
   std::string ToString() const;
 };
 
+/// Join-cardinality analysis of a JoinOp (paper §4.2).
+struct JoinAnalysis {
+  /// Every left row matches at most one right row.
+  bool right_at_most_one = false;
+  /// Every left row matches exactly one right row (FK or declared).
+  bool right_exactly_one = false;
+  /// Purely augmenting: LEFT OUTER + at-most-one (AJ 2), or INNER +
+  /// exactly-one (AJ 1). Such a join neither filters nor duplicates.
+  bool purely_augmenting = false;
+  /// Equi-join pairs (left output name, right output name).
+  std::vector<std::pair<std::string, std::string>> equi_pairs;
+  /// True if the condition consists solely of column=column equalities
+  /// (plus literal TRUE conjuncts and, with const_pinning, right-side
+  /// column=literal pins).
+  bool pure_equi = true;
+};
+
+/// The one join-cardinality test, over the inputs' inferred properties:
+/// declared cardinality (§7.3, when trusted), an empty augmenter (AJ 2b),
+/// equated or pinned right columns covering a unique set (AJ 2a), and an
+/// inner equi-join over a NOT NULL foreign key (AJ 1a).
+JoinAnalysis AnalyzeJoin(const JoinOp& join, const InferredProps& left,
+                         const InferredProps& right,
+                         const InferOptions& options);
+
 /// Memoizing bottom-up derivation over immutable plan nodes. Results are
 /// cached by node address, and each entry holds the node's PlanRef so the
 /// address cannot be reused while the engine lives. One engine may
 /// therefore span any number of plan versions: rewritten trees share their
 /// untouched subtrees' entries, and a node WithChildren rebuilt (same id,
-/// new subtree) is a new key. The optimizer keeps one per run (see
-/// PropertyCache in optimizer/properties.h). Not thread-safe.
+/// new subtree) is a new key — node ids cannot key the memo. The optimizer
+/// keeps one per OptimizeChecked run and passes it to every pass, so
+/// concurrent compiles never share one. Not thread-safe.
 class InferenceEngine {
  public:
   explicit InferenceEngine(InferOptions options = {});
   /// The reference stays valid for the engine's lifetime.
   const InferredProps& Infer(const PlanRef& plan);
+  /// AnalyzeJoin over the memoized properties of the join's inputs.
+  JoinAnalysis Analyze(const JoinOp& join);
   const InferOptions& options() const { return options_; }
+
+  /// Infer calls that derived a node / found it memoized (nested calls for
+  /// children included).
+  size_t computed() const { return computed_; }
+  size_t reused() const { return reused_; }
 
  private:
   struct Entry {
@@ -140,6 +196,8 @@ class InferenceEngine {
 
   InferOptions options_;
   std::unordered_map<const LogicalOp*, Entry> cache_;
+  size_t computed_ = 0;
+  size_t reused_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ NameSet ToSet(const std::vector<std::string>& names) {
 }
 
 bool Confirm(const PlanRef& plan, const NameSet& key,
-             const DerivationConfig& d);
+             const InferOptions& d);
 
 /// At-most-one-match proof for one side of a join: the other side's row
 /// determines (via equi pairs) or the condition pins (via col = const)
 /// enough columns to cover a unique key of `side`.
 bool SideAtMostOne(const PlanRef& side, const NameSet& side_names,
                    const std::vector<ExprRef>& conjuncts, bool side_is_right,
-                   const NameSet& other_names, const DerivationConfig& d) {
+                   const NameSet& other_names, const InferOptions& d) {
   NameSet determined;
   for (const ExprRef& conjunct : conjuncts) {
     if (std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct)) {
@@ -49,7 +49,7 @@ bool SideAtMostOne(const PlanRef& side, const NameSet& side_names,
 }
 
 bool ConfirmScan(const ScanOp& scan, const NameSet& key,
-                 const DerivationConfig& d) {
+                 const InferOptions& d) {
   if (!d.base_table_keys) return false;
   for (const UniqueKeyDef& uk : scan.table_schema().unique_keys()) {
     if (!uk.enforced && !d.trust_declared_cardinality) continue;
@@ -66,7 +66,7 @@ bool ConfirmScan(const ScanOp& scan, const NameSet& key,
 }
 
 bool ConfirmJoin(const JoinOp& join, const NameSet& key,
-                 const DerivationConfig& d) {
+                 const InferOptions& d) {
   const NameSet left_names = ToSet(join.left()->OutputNames());
   const NameSet right_names = ToSet(join.right()->OutputNames());
   const std::vector<ExprRef> conjuncts = SplitConjuncts(join.condition());
@@ -110,7 +110,7 @@ bool ConfirmJoin(const JoinOp& join, const NameSet& key,
 }
 
 bool ConfirmUnion(const UnionAllOp& u, const NameSet& key,
-                  const DerivationConfig& d) {
+                  const InferOptions& d) {
   const std::vector<std::string>& names = u.output_names();
   // Map the key positionally into each child's namespace.
   auto mapped_key = [&](const PlanRef& child) {
@@ -138,7 +138,7 @@ bool ConfirmUnion(const UnionAllOp& u, const NameSet& key,
 }
 
 bool Confirm(const PlanRef& plan, const NameSet& key,
-             const DerivationConfig& d) {
+             const InferOptions& d) {
   switch (plan->kind()) {
     case OpKind::kScan:
       if (key.empty()) return false;
@@ -287,7 +287,7 @@ int RewriteAuditor::total_fired() const {
 
 bool ConfirmUniqueKey(const PlanRef& plan,
                       const std::vector<std::string>& key,
-                      const DerivationConfig& derivation) {
+                      const InferOptions& derivation) {
   return Confirm(plan, ToSet(key), derivation);
 }
 
@@ -301,9 +301,10 @@ Status RewriteAuditor::AfterPass(const std::string& pass_name,
 
     // Cross-check the derived uniqueness properties with the independent
     // prover; unconfirmed claims are validated on data when available.
-    RelProps props = DeriveProps(after, options_.derivation);
+    InferenceEngine engine(options_.derivation);
+    const InferredProps& props = engine.Infer(after);
     std::vector<std::vector<std::string>> unconfirmed;
-    for (const std::vector<std::string>& key : props.unique_keys) {
+    for (const std::vector<std::string>& key : props.unique_sets) {
       if (!ConfirmUniqueKey(after, key, options_.derivation)) {
         unconfirmed.push_back(key);
       }

@@ -4,11 +4,12 @@
 //
 //  1. PlanVerifier invariants on the rewritten plan, plus root-schema
 //     identity against the pre-pass plan.
-//  2. Key cross-check: every unique key DeriveProps claims for the root is
-//     re-derived by an independent, deliberately conservative prover
-//     (ConfirmUniqueKey). An unconfirmed key is not necessarily unsound —
-//     the prover is incomplete by design — so without data it is accepted;
-//     with data (Options::storage) the claim is validated by execution.
+//  2. Key cross-check: every unique set the inference engine
+//     (analysis/infer) claims for the root is re-derived by an independent,
+//     deliberately conservative prover (ConfirmUniqueKey). An unconfirmed
+//     key is not necessarily unsound — the prover is incomplete by design —
+//     so without data it is accepted; with data (Options::storage) the
+//     claim is validated by execution.
 //  3. Execution diffing (Options::storage): before/after plans are run and
 //     their results compared (row counts when a LIMIT makes row identity
 //     nondeterministic in principle, full row multisets otherwise).
@@ -32,8 +33,8 @@ class RewriteAuditor : public PlanVerificationHook {
  public:
   struct Options {
     /// Derivation capabilities to cross-check (use the optimizer's own
-    /// DerivationConfig so declared-cardinality trust matches).
-    DerivationConfig derivation;
+    /// OptimizerConfig::derivation so declared-cardinality trust matches).
+    InferOptions derivation;
     /// When set, plans are additionally executed against this storage and
     /// key claims / result equivalence are validated on real data. Slow;
     /// intended for small test data sets.
@@ -61,7 +62,7 @@ class RewriteAuditor : public PlanVerificationHook {
 /// exists; false means "could not confirm", not "unsound".
 bool ConfirmUniqueKey(const PlanRef& plan,
                       const std::vector<std::string>& key,
-                      const DerivationConfig& derivation);
+                      const InferOptions& derivation);
 
 }  // namespace vdm
 

@@ -6,7 +6,7 @@
 
 #include "analysis/rewrite_auditor.h"
 #include "common/string_util.h"
-#include "optimizer/properties.h"
+#include "analysis/infer/inference.h"
 #include "plan/plan_builder.h"
 #include "sql/binder.h"
 
@@ -40,13 +40,13 @@ bool ContainsUnionAll(const PlanRef& plan) {
 void CollectFindings(const PlanRef& plan, std::vector<ViewLintFinding>* out) {
   // Full derivation capability: if even this cannot prove the augmenter
   // at-most-one, the metadata (key or declared cardinality) is missing.
-  PropertyCache props{DerivationConfig{}};
+  InferenceEngine engine;
   VisitPlan(plan, [&](const PlanRef& node) {
     if (node->kind() != OpKind::kJoin) return;
     const auto& join = static_cast<const JoinOp&>(*node);
 
     if (join.join_type() == JoinType::kLeftOuter) {
-      JoinAnalysis analysis = props.Analyze(join);
+      JoinAnalysis analysis = engine.Analyze(join);
       if (analysis.pure_equi && !analysis.right_at_most_one) {
         out->push_back(
             {"undeclared-cardinality",

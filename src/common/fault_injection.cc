@@ -28,19 +28,6 @@ Registry& GetRegistry() {
   return *registry;
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t NameHash(const std::string& name) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : name) h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
-  return h;
-}
-
 /// Parses "name=p:0.01;name2=n:3" (also accepts ',' as separator).
 void ParseEnvLocked(Registry& registry) {
   registry.env_parsed = true;
@@ -75,6 +62,22 @@ void ParseEnvLocked(Registry& registry) {
   }
 }
 
+// The firing logic exists only in fault-injection builds; elsewhere
+// FaultInjection::Check is an inline no-op (fault_injection.h).
+#ifdef VDMQO_FAULT_INJECTION
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+uint64_t NameHash(const std::string& name) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : name) h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+  return h;
+}
+
 Status MakeFault(const char* point, const FaultSpec& spec) {
   StatusCode code = spec.code;
   if (code == StatusCode::kOk) {
@@ -101,6 +104,7 @@ bool ShouldFire(Registry& registry, const std::string& name,
   }
   return false;
 }
+#endif  // VDMQO_FAULT_INJECTION
 
 }  // namespace
 

@@ -103,7 +103,7 @@ struct QueryTiming {
   /// OptimizerConfig::max_passes.
   int optimize_passes = 0;
   bool optimize_converged = false;
-  /// That run's property-cache counters: node derivations computed and
+  /// That run's inference-engine counters: node derivations computed and
   /// served from the run's memo (OptimizeResult::props_computed/reused).
   size_t props_computed = 0;
   size_t props_reused = 0;

@@ -133,7 +133,7 @@ PlanRef Optimizer::Optimize(const PlanRef& plan) const {
 
 Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
   using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
-                             PropertyCache&, bool*);
+                             InferenceEngine&, bool*);
   struct PassDef {
     const char* name;
     bool enabled;
@@ -163,7 +163,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       config_.verify_rewrites && config_.verification_hook != nullptr;
   // The run's property state, shared by every pass below; it lives for
   // this call only and is never stored with the plan.
-  PropertyCache props(config_.derivation);
+  InferenceEngine engine(config_.derivation);
   // Post-fixpoint finishing step: cost-based join ordering (once, audited
   // like any pass), then the limit-hint annotation.
   auto finish = [&](PlanRef done, bool converged,
@@ -171,7 +171,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
     if (config_.join_reordering) {
       bool fired = false;
       PlanRef before = done;
-      done = PassJoinOrder(done, config_, props, &fired);
+      done = PassJoinOrder(done, config_, engine, &fired);
       if (fired) {
         if (config_.debug_corrupt_pass != nullptr &&
             std::string_view(config_.debug_corrupt_pass) == "join_order") {
@@ -189,7 +189,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       }
     }
     return OptimizeResult{AnnotateJoinLimitHints(done), converged, ran,
-                          props.computed(), props.reused()};
+                          engine.computed(), engine.reused()};
   };
   PlanRef current = plan;
   for (int pass = 0; pass < config_.max_passes; ++pass) {
@@ -198,7 +198,7 @@ Result<OptimizeResult> Optimizer::OptimizeChecked(const PlanRef& plan) const {
       if (!def.enabled) continue;
       bool fired = false;
       PlanRef before = current;
-      current = def.fn(current, config_, props, &fired);
+      current = def.fn(current, config_, engine, &fired);
       if (!fired) continue;
       changed = true;
       if (config_.debug_corrupt_pass != nullptr &&

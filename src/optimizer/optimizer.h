@@ -10,9 +10,9 @@
 
 #include <string>
 
+#include "analysis/infer/inference.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "optimizer/properties.h"
 #include "plan/logical_plan.h"
 
 namespace vdm {
@@ -39,7 +39,8 @@ struct OptimizerConfig {
 
   // --- UAJ elimination (§4, Table 1) ---
   bool uaj_elimination = true;
-  DerivationConfig derivation;
+  /// Property-derivation capabilities of the run's InferenceEngine.
+  InferOptions derivation;
 
   // --- Limit pushdown across augmentation joins (§4.4, Table 2) ---
   bool limit_pushdown_over_aj = true;
@@ -110,7 +111,7 @@ struct OptimizeResult {
   PlanRef plan;
   bool converged = false;
   int passes = 0;
-  /// The run's property-cache counters (PropertyCache::computed/reused).
+  /// The run's inference counters (InferenceEngine::computed/reused).
   size_t props_computed = 0;
   size_t props_reused = 0;
 };
@@ -140,65 +141,64 @@ class Optimizer {
 
 // ---------------------------------------------------------------------------
 // Individual passes, exposed for unit testing. Each returns the rewritten
-// plan and sets *changed when a rewrite fired. `props` is the run's
-// property cache (built from config.derivation): OptimizeChecked passes
+// plan and sets *changed when a rewrite fired. `engine` is the run's
+// inference engine (built from config.derivation): OptimizeChecked passes
 // the same one to every pass, so each node's properties are derived once
 // per compile.
 
 /// Folds literal expressions in filters/projections; removes always-true
 /// filters; marks/propagates always-false filters.
 PlanRef PassConstantFolding(const PlanRef& plan, const OptimizerConfig& config,
-                            PropertyCache& props, bool* changed);
+                            InferenceEngine& engine, bool* changed);
 
 /// Pushes filters through projects, into join sides, through union all,
 /// sort and group keys. Each filter sinks as far as it can in one call.
 PlanRef PassFilterPushdown(const PlanRef& plan, const OptimizerConfig& config,
-                           PropertyCache& props, bool* changed);
+                           InferenceEngine& engine, bool* changed);
 
 /// Combined projection pruning and unused-augmentation-join elimination:
 /// a single top-down pass carrying the required-column set (§4.3).
 PlanRef PassPruneAndEliminate(const PlanRef& plan,
                               const OptimizerConfig& config,
-                              PropertyCache& props, bool* changed);
+                              InferenceEngine& engine, bool* changed);
 
 /// Augmentation self-join elimination (§5.3, §6.3).
 PlanRef PassAsjElimination(const PlanRef& plan, const OptimizerConfig& config,
-                           PropertyCache& props, bool* changed);
+                           InferenceEngine& engine, bool* changed);
 
-/// General self-join elimination driven by the inference engine (the run's,
-/// props.engine()).
+/// General self-join elimination driven by the run's inference engine.
 PlanRef PassSelfJoinGeneral(const PlanRef& plan, const OptimizerConfig& config,
-                            PropertyCache& props, bool* changed);
+                            InferenceEngine& engine, bool* changed);
 
 /// The single-join core of PassSelfJoinGeneral, exposed so the vdmlint
 /// catalog audit can probe exactly what the optimizer would remove (with
-/// its own PropertyCache, whose engine it shares).
+/// its own engine, which its other checks share).
 /// Returns the replacement subtree, or nullptr if the join is not a
 /// provably removable self-join.
 PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
-                                    PropertyCache& props);
+                                    InferenceEngine& engine);
 
 /// Limit pushdown across augmentation joins and projections (§4.4).
 PlanRef PassLimitPushdown(const PlanRef& plan, const OptimizerConfig& config,
-                          PropertyCache& props, bool* changed);
+                          InferenceEngine& engine, bool* changed);
 
 /// allow_precision_loss rewrites + eager aggregation below augmentation
 /// joins (§7.1).
 PlanRef PassAggregatePushdown(const PlanRef& plan,
                               const OptimizerConfig& config,
-                              PropertyCache& props, bool* changed);
+                              InferenceEngine& engine, bool* changed);
 
 /// Cost-based join reordering (DESIGN.md §14): exhaustive DP over small
 /// flattened chains, greedy over large ones, driven by the stats-backed
-/// cardinality estimator (one per call, on props.engine()). Chooses build
+/// cardinality estimator (one per call, on the run's engine). Chooses build
 /// sides too. Runs once after the fixpoint loop, not inside it.
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      PropertyCache& props, bool* changed);
+                      InferenceEngine& engine, bool* changed);
 
 /// Removes DISTINCT over inputs that are already duplicate-free.
 PlanRef PassDistinctElimination(const PlanRef& plan,
                                 const OptimizerConfig& config,
-                                PropertyCache& props, bool* changed);
+                                InferenceEngine& engine, bool* changed);
 
 /// Final annotation step (not a rewrite pass): records each remaining
 /// LIMIT's row budget on the joins below it (JoinOp::limit_hint), so the

@@ -22,28 +22,27 @@ bool ContainsNode(const PlanRef& plan, uint64_t id) {
 }
 
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           PropertyCache& props, std::vector<ExprRef>* out) {
+                           InferenceEngine& engine, std::vector<ExprRef>* out) {
   if (plan->kind() == OpKind::kFilter) {
     const auto& filter = static_cast<const FilterOp&>(*plan);
-    const RelProps& child_props = props.Get(plan->child(0));
+    const InferredProps& child_props = engine.Infer(plan->child(0));
     for (const ExprRef& conjunct : SplitConjuncts(filter.predicate())) {
       bool ok = true;
       ExprRef base_form =
           RemapColumns(conjunct, [&](const std::string& name) -> ExprRef {
-            auto it = child_props.origins.find(name);
-            if (it == child_props.origins.end() ||
-                it->second.source_id != source_id ||
-                it->second.null_extended) {
+            const ValueSource* origin = child_props.DirectSource(name);
+            if (origin == nullptr || origin->source_id != source_id ||
+                origin->null_extended) {
               ok = false;
               return nullptr;
             }
-            return Col(it->second.column);
+            return Col(origin->column);
           });
       if (ok) out->push_back(std::move(base_form));
     }
   }
   for (const PlanRef& child : plan->children()) {
-    CollectScanPredicates(child, source_id, props, out);
+    CollectScanPredicates(child, source_id, engine, out);
   }
 }
 
@@ -73,23 +72,24 @@ std::optional<Exposure> ExposeAtScan(
 std::optional<Exposure> ExposeAtUnion(
     const std::shared_ptr<const UnionAllOp>& u,
     const std::vector<std::string>& base_cols,
-    PropertyCache& props) {
+    InferenceEngine& engine) {
   // Each child must expose each base column; columns are appended in the
   // same order to every child so positions line up.
   std::vector<PlanRef> new_children;
   for (const PlanRef& child : u->children()) {
-    const RelProps& child_props = props.Get(child);
+    const InferredProps& child_props = engine.Infer(child);
     std::vector<std::string> child_names = child->OutputNames();
     // Which columns are already available, and which scan to widen for the
     // missing ones?
     std::map<std::string, std::string> available;  // base col -> child name
     uint64_t branch_scan = 0;
-    for (const auto& [name, origin] : child_props.origins) {
-      if (origin.null_extended) continue;
-      if (available.count(origin.column) == 0) {
-        available[origin.column] = name;
+    for (const auto& [name, sources] : child_props.sources) {
+      const ValueSource* origin = child_props.DirectSource(name);
+      if (origin == nullptr || origin->null_extended) continue;
+      if (available.count(origin->column) == 0) {
+        available[origin->column] = name;
       }
-      if (branch_scan == 0) branch_scan = origin.source_id;
+      if (branch_scan == 0) branch_scan = origin->source_id;
     }
     std::vector<std::string> missing;
     for (const std::string& bc : base_cols) {
@@ -100,7 +100,7 @@ std::optional<Exposure> ExposeAtUnion(
     if (!missing.empty()) {
       if (branch_scan == 0) return std::nullopt;
       std::optional<Exposure> e =
-          ExposeColumns(child, branch_scan, missing, props);
+          ExposeColumns(child, branch_scan, missing, engine);
       if (!e.has_value()) return std::nullopt;
       widened = e->plan;
       exposed_names = e->base_to_name;
@@ -138,7 +138,7 @@ std::optional<Exposure> ExposeAtUnion(
 
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      PropertyCache& props) {
+                                      InferenceEngine& engine) {
   if (plan->id() == source_id) {
     if (plan->kind() == OpKind::kScan) {
       return ExposeAtScan(std::static_pointer_cast<const ScanOp>(plan),
@@ -146,7 +146,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     }
     if (plan->kind() == OpKind::kUnionAll) {
       return ExposeAtUnion(std::static_pointer_cast<const UnionAllOp>(plan),
-                           base_cols, props);
+                           base_cols, engine);
     }
     return std::nullopt;
   }
@@ -155,7 +155,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     case OpKind::kSort:
     case OpKind::kLimit: {
       std::optional<Exposure> e =
-          ExposeColumns(plan->child(0), source_id, base_cols, props);
+          ExposeColumns(plan->child(0), source_id, base_cols, engine);
       if (!e.has_value()) return std::nullopt;
       e->plan = plan->WithChildren({e->plan});
       return e;
@@ -163,7 +163,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
     case OpKind::kProject: {
       const auto& project = static_cast<const ProjectOp&>(*plan);
       std::optional<Exposure> e =
-          ExposeColumns(plan->child(0), source_id, base_cols, props);
+          ExposeColumns(plan->child(0), source_id, base_cols, engine);
       if (!e.has_value()) return std::nullopt;
       std::vector<ProjectOp::Item> items = project.items();
       std::set<std::string> out_names;
@@ -200,7 +200,7 @@ std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
       bool in_left = ContainsNode(join.left(), source_id);
       const PlanRef& side = in_left ? join.left() : join.right();
       std::optional<Exposure> e =
-          ExposeColumns(side, source_id, base_cols, props);
+          ExposeColumns(side, source_id, base_cols, engine);
       if (!e.has_value()) return std::nullopt;
       e->plan = std::make_shared<JoinOp>(
           in_left ? e->plan : join.left(), in_left ? join.right() : e->plan,

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "optimizer/properties.h"
+#include "analysis/infer/inference.h"
 #include "plan/logical_plan.h"
 
 namespace vdm {
@@ -22,7 +22,7 @@ bool ContainsNode(const PlanRef& plan, uint64_t id);
 /// through, un-null-extended, from the given source node, rewritten to
 /// bare base-column form (Fig. 10(c) subsumption input).
 void CollectScanPredicates(const PlanRef& plan, uint64_t source_id,
-                           PropertyCache& props, std::vector<ExprRef>* out);
+                           InferenceEngine& engine, std::vector<ExprRef>* out);
 
 struct Exposure {
   PlanRef plan;
@@ -34,7 +34,7 @@ struct Exposure {
 /// DISTINCT on the path block exposure.
 std::optional<Exposure> ExposeColumns(const PlanRef& plan, uint64_t source_id,
                                       const std::vector<std::string>& base_cols,
-                                      PropertyCache& props);
+                                      InferenceEngine& engine);
 
 }  // namespace vdm
 

@@ -291,7 +291,7 @@ PlanRef TryAggregateMerge(const std::shared_ptr<const AggregateOp>& outer,
 }
 
 PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
-                            PropertyCache& props, bool* changed) {
+                            InferenceEngine& engine, bool* changed) {
   if (agg->child(0)->kind() != OpKind::kJoin) return nullptr;
   auto join = std::static_pointer_cast<const JoinOp>(agg->child(0));
 
@@ -301,7 +301,7 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
     if (name.rfind("__partial_", 0) == 0) return nullptr;
   }
 
-  if (!props.Analyze(*join).purely_augmenting) return nullptr;
+  if (!engine.Analyze(*join).purely_augmenting) return nullptr;
 
   std::vector<std::string> left_names = join->left()->OutputNames();
   std::vector<std::string> right_names = join->right()->OutputNames();
@@ -407,7 +407,7 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
 
 PlanRef PassAggregatePushdown(const PlanRef& plan,
                               const OptimizerConfig& config,
-                              PropertyCache& props, bool* changed) {
+                              InferenceEngine& engine, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kAggregate) return nullptr;
     auto agg = std::static_pointer_cast<const AggregateOp>(node);
@@ -429,7 +429,7 @@ PlanRef PassAggregatePushdown(const PlanRef& plan,
     if (config.agg_pushdown) {
       PlanRef merged = TryAggregateMerge(agg, config, changed);
       if (merged) return merged;
-      PlanRef eager = TryEagerAggregation(agg, props, changed);
+      PlanRef eager = TryEagerAggregation(agg, engine, changed);
       if (eager) return eager;
     }
     return agg == node ? nullptr : PlanRef(agg);

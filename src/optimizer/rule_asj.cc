@@ -36,16 +36,29 @@ namespace vdm {
 
 namespace {
 
+/// The (scan id, base table) of the first output column, in name order,
+/// that passes through un-null-extended from a source; {0, ""} if none.
+/// Identifies the base-table scan a UNION ALL branch reads.
+std::pair<uint64_t, std::string> FirstDirectSource(const InferredProps& props) {
+  for (const auto& [name, sources] : props.sources) {
+    const ValueSource* origin = props.DirectSource(name);
+    if (origin != nullptr && !origin->null_extended) {
+      return {origin->source_id, origin->table};
+    }
+  }
+  return {0, ""};
+}
+
 // ---------------------------------------------------------------------------
 // The simple ASJ path (Fig. 10 / Fig. 13(a)).
 
 PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
-                     const OptimizerConfig& config, PropertyCache& props) {
+                     const OptimizerConfig& config, InferenceEngine& engine) {
   std::optional<SimpleRelation> aug = ExtractSimpleRelation(join->right());
   if (!aug.has_value()) return nullptr;
 
-  const RelProps& left_props = props.Get(join->left());
-  JoinAnalysis analysis = props.Analyze(*join);
+  const InferredProps& left_props = engine.Infer(join->left());
+  JoinAnalysis analysis = engine.Analyze(*join);
   if (!analysis.pure_equi || analysis.equi_pairs.empty()) return nullptr;
 
   const std::string aug_table = ToLower(aug->scan->table_name());
@@ -68,14 +81,14 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
     auto bit = aug->out_to_base.find(r);
     if (bit == aug->out_to_base.end()) return nullptr;
     const std::string& bc = bit->second;
-    auto oit = left_props.origins.find(l);
-    if (oit == left_props.origins.end() || oit->second.null_extended ||
-        oit->second.table != aug_table || oit->second.column != bc) {
+    const ValueSource* origin = left_props.DirectSource(l);
+    if (origin == nullptr || origin->null_extended ||
+        origin->table != aug_table || origin->column != bc) {
       return nullptr;
     }
     if (source_id == 0) {
-      source_id = oit->second.source_id;
-    } else if (source_id != oit->second.source_id) {
+      source_id = origin->source_id;
+    } else if (source_id != origin->source_id) {
       return nullptr;
     }
     covered_base.insert(bc);
@@ -93,7 +106,7 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   // test is shared with the general self-join rule and the catalog audit
   // (analysis/infer), so the rules cannot disagree about provability.
   if (!TableKeyCovered(aug->scan->table_schema(), covered_base,
-                       props.engine().options())) {
+                       engine.options())) {
     return nullptr;
   }
 
@@ -113,22 +126,15 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   if (!aug->base_preds.empty()) {
     std::vector<ExprRef> anchor_preds;
     if (source->kind() == OpKind::kScan) {
-      CollectScanPredicates(join->left(), source_id, props, &anchor_preds);
+      CollectScanPredicates(join->left(), source_id, engine, &anchor_preds);
     } else {
       // Union anchor: each child must subsume on its branch scan.
       const auto& u = static_cast<const UnionAllOp&>(*source);
       for (const PlanRef& child : u.children()) {
-        const RelProps& cp = props.Get(child);
-        uint64_t branch_scan = 0;
-        for (const auto& [name, origin] : cp.origins) {
-          if (!origin.null_extended) {
-            branch_scan = origin.source_id;
-            break;
-          }
-        }
+        uint64_t branch_scan = FirstDirectSource(engine.Infer(child)).first;
         if (branch_scan == 0) return nullptr;
         std::vector<ExprRef> branch_preds;
-        CollectScanPredicates(child, branch_scan, props, &branch_preds);
+        CollectScanPredicates(child, branch_scan, engine, &branch_preds);
         if (!ConjunctsSubsume(branch_preds, aug->base_preds)) return nullptr;
       }
       anchor_preds = aug->base_preds;  // per-branch check passed
@@ -154,9 +160,10 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
     if (bit == aug->out_to_base.end()) return nullptr;
     const std::string& bc = bit->second;
     std::string found;
-    for (const auto& [name, origin] : left_props.origins) {
-      if (origin.source_id == source_id && origin.column == bc &&
-          !origin.null_extended) {
+    for (const auto& [name, sources] : left_props.sources) {
+      const ValueSource* origin = left_props.DirectSource(name);
+      if (origin != nullptr && origin->source_id == source_id &&
+          origin->column == bc && !origin->null_extended) {
         found = name;
         break;
       }
@@ -175,7 +182,7 @@ PlanRef TrySimpleAsj(const std::shared_ptr<const JoinOp>& join,
   PlanRef new_left = join->left();
   if (!missing_base.empty()) {
     std::optional<Exposure> e =
-        ExposeColumns(join->left(), source_id, missing_base, props);
+        ExposeColumns(join->left(), source_id, missing_base, engine);
     if (!e.has_value()) return nullptr;
     new_left = e->plan;
     for (const auto& [rn, bc] : pending) {
@@ -245,7 +252,8 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
                          const std::shared_ptr<const UnionAllOp>& aug,
                          JoinType join_type, const ExprRef& condition,
                          const std::vector<std::string>& aug_names,
-                         const OptimizerConfig& config, PropertyCache& props) {
+                         const OptimizerConfig& config,
+                         InferenceEngine& engine) {
   if (anchor->NumChildren() != aug->NumChildren()) return nullptr;
 
   // Extract and index the augmenter branches by base table.
@@ -260,15 +268,8 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
   std::vector<PlanRef> branch_plans;
   for (size_t i = 0; i < anchor->NumChildren(); ++i) {
     const PlanRef& anchor_child = anchor->child(i);
-    const RelProps& anchor_cp = props.Get(anchor_child);
-    std::string branch_table;
-    for (const auto& [name, origin] : anchor_cp.origins) {
-      if (!origin.null_extended) {
-        branch_table = origin.table;
-        break;
-      }
-    }
-    auto match = aug_by_table.find(branch_table);
+    const InferredProps& anchor_cp = engine.Infer(anchor_child);
+    auto match = aug_by_table.find(FirstDirectSource(anchor_cp).second);
     if (match == aug_by_table.end()) return nullptr;
     const PlanRef& aug_child = aug->child(match->second);
 
@@ -291,7 +292,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
 
     // Drop branch-id conjuncts: both sides pinned to the same constant
     // fold away; contradictory constants mean the table pairing is wrong.
-    const RelProps& aug_cp = props.Get(aug_child);
+    const InferredProps& aug_cp = engine.Infer(aug_child);
     auto find_const = [&](const std::string& name) -> const Value* {
       auto it1 = anchor_cp.constants.find(name);
       if (it1 != anchor_cp.constants.end()) return &it1->second;
@@ -315,7 +316,7 @@ PlanRef DecomposeAtUnion(const std::shared_ptr<const UnionAllOp>& anchor,
     auto branch_join = std::make_shared<JoinOp>(
         anchor_child, aug_child, join_type, AndAll(std::move(kept)),
         DeclaredCardinality::kNone, /*is_case_join=*/false);
-    PlanRef eliminated = TrySimpleAsj(branch_join, config, props);
+    PlanRef eliminated = TrySimpleAsj(branch_join, config, engine);
     if (!eliminated) return nullptr;
     branch_plans.push_back(std::move(eliminated));
   }
@@ -337,11 +338,11 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
                      JoinType join_type, const ExprRef& condition,
                      const std::vector<std::string>& aug_names,
                      int depth_budget, const OptimizerConfig& config,
-                     PropertyCache& props) {
+                     InferenceEngine& engine) {
   if (anchor->kind() == OpKind::kUnionAll) {
     return DecomposeAtUnion(
         std::static_pointer_cast<const UnionAllOp>(anchor), aug, join_type,
-        condition, aug_names, config, props);
+        condition, aug_names, config, engine);
   }
   if (depth_budget <= 0) return nullptr;
 
@@ -350,7 +351,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
       // A filter on the anchor commutes with the augmentation join.
       PlanRef inner =
           PushCaseJoin(anchor->child(0), aug, join_type, condition,
-                       aug_names, depth_budget - 1, config, props);
+                       aug_names, depth_budget - 1, config, engine);
       if (!inner) return nullptr;
       const auto& filter = static_cast<const FilterOp&>(*anchor);
       return std::make_shared<FilterOp>(std::move(inner),
@@ -369,7 +370,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
           });
       PlanRef inner =
           PushCaseJoin(anchor->child(0), aug, join_type, remapped, aug_names,
-                       depth_budget - 1, config, props);
+                       depth_budget - 1, config, engine);
       if (!inner) return nullptr;
       std::vector<ProjectOp::Item> items = project.items();
       for (const std::string& an : aug_names) {
@@ -393,7 +394,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
       }
       PlanRef pushed =
           PushCaseJoin(inner_join.left(), aug, join_type, condition,
-                       aug_names, depth_budget - 1, config, props);
+                       aug_names, depth_budget - 1, config, engine);
       if (!pushed) return nullptr;
       PlanRef rebuilt = std::make_shared<JoinOp>(
           std::move(pushed), inner_join.right(), inner_join.join_type(),
@@ -416,7 +417,7 @@ PlanRef PushCaseJoin(const PlanRef& anchor,
 }
 
 PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
-                       const OptimizerConfig& config, PropertyCache& props) {
+                       const OptimizerConfig& config, InferenceEngine& engine) {
   if (!config.case_join) return nullptr;
 
   // The augmenter must be a UNION ALL, possibly under a pass-through
@@ -459,7 +460,7 @@ PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
 
   PlanRef core = PushCaseJoin(join->left(), renamed_aug, join->join_type(),
                               condition, aug_names, depth_budget, config,
-                              props);
+                              engine);
   if (!core) return nullptr;
 
   // Restore the join's exact output naming.
@@ -476,13 +477,13 @@ PlanRef TryCaseJoinAsj(const std::shared_ptr<const JoinOp>& join,
 }  // namespace
 
 PlanRef PassAsjElimination(const PlanRef& plan, const OptimizerConfig& config,
-                           PropertyCache& props, bool* changed) {
+                           InferenceEngine& engine, bool* changed) {
   if (!config.asj_elimination) return plan;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kJoin) return nullptr;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef result = TrySimpleAsj(join, config, props);
-    if (!result) result = TryCaseJoinAsj(join, config, props);
+    PlanRef result = TrySimpleAsj(join, config, engine);
+    if (!result) result = TryCaseJoinAsj(join, config, engine);
     if (result) {
       *changed = true;
       return result;

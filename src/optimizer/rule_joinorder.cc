@@ -42,7 +42,6 @@
 #include "expr/expr.h"
 #include "expr/fold.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/properties.h"
 
 namespace vdm {
 
@@ -441,8 +440,7 @@ double OrderCost(const ChainCtx& ctx, const std::vector<size_t>& order) {
 /// attach at the first step where all their references are available — as
 /// the inner join condition, or as a FILTER above an attachment (its ON
 /// condition must stay exactly as declared).
-PlanRef Rebuild(const ChainCtx& ctx, const std::vector<size_t>& order,
-                const std::shared_ptr<const JoinOp>& top) {
+PlanRef Rebuild(const ChainCtx& ctx, const std::vector<size_t>& order) {
   const Chain& chain = *ctx.chain;
   std::vector<bool> conjunct_used(chain.pool.size(), false);
   auto take_covered = [&](const std::set<std::string>& have) {
@@ -572,7 +570,7 @@ PlanRef ReorderChain(const std::shared_ptr<const JoinOp>& top,
     }
   }
 
-  PlanRef body = Rebuild(ctx, order, top);
+  PlanRef body = Rebuild(ctx, order);
   // Identity check: a rebuild that reproduces the original tree (same
   // steps, same sides, same conjunct grouping) is discarded so the
   // original nodes — and their ids — survive. Nested-unit changes always
@@ -620,15 +618,14 @@ PlanRef Reorder(const PlanRef& plan, CardinalityEstimator& estimator,
 }  // namespace
 
 PlanRef PassJoinOrder(const PlanRef& plan, const OptimizerConfig& config,
-                      PropertyCache& props, bool* changed) {
+                      InferenceEngine& engine, bool* changed) {
   if (!config.join_reordering) return plan;
   // One estimator for the whole pass, on the run's inference engine:
   // nested chains and the enclosing chain share every unit's estimate.
   CardinalityOptions card_options;
   card_options.trust_declared_cardinality =
-      config.derivation.trust_declared_cardinality;
-  CardinalityEstimator estimator(config.stats_catalog, &props.engine(),
-                                 card_options);
+      engine.options().trust_declared_cardinality;
+  CardinalityEstimator estimator(config.stats_catalog, &engine, card_options);
   return Reorder(plan, estimator, /*under_limit=*/false, changed);
 }
 

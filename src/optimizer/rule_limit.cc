@@ -36,13 +36,13 @@ bool SpineHasLimit(const PlanRef& plan, int64_t limit) {
 /// Sinks a LIMIT as deep as projections and augmentation joins allow.
 /// Returns the new subtree; sets *descended when it moved at least once.
 PlanRef SinkLimit(int64_t limit, int64_t offset, const PlanRef& child,
-                  PropertyCache& props, bool* descended) {
+                  InferenceEngine& engine, bool* descended) {
   if (child->kind() == OpKind::kProject) {
     const auto& project = static_cast<const ProjectOp&>(*child);
     *descended = true;
     bool ignored = false;
     return std::make_shared<ProjectOp>(
-        SinkLimit(limit, offset, child->child(0), props, &ignored),
+        SinkLimit(limit, offset, child->child(0), engine, &ignored),
         project.items());
   }
   if (child->kind() == OpKind::kUnionAll) {
@@ -63,7 +63,7 @@ PlanRef SinkLimit(int64_t limit, int64_t offset, const PlanRef& child,
       for (const PlanRef& uc : child->children()) {
         bool ignored = false;
         new_children.push_back(
-            SinkLimit(branch_limit, 0, uc, props, &ignored));
+            SinkLimit(branch_limit, 0, uc, engine, &ignored));
       }
       PlanRef new_union = std::make_shared<UnionAllOp>(
           std::move(new_children), u.output_names(), u.branch_id_column(),
@@ -73,11 +73,11 @@ PlanRef SinkLimit(int64_t limit, int64_t offset, const PlanRef& child,
   }
   if (child->kind() == OpKind::kJoin) {
     const auto& join = static_cast<const JoinOp&>(*child);
-    if (props.Analyze(join).purely_augmenting) {
+    if (engine.Analyze(join).purely_augmenting) {
       *descended = true;
       bool ignored = false;
       return std::make_shared<JoinOp>(
-          SinkLimit(limit, offset, join.left(), props, &ignored),
+          SinkLimit(limit, offset, join.left(), engine, &ignored),
           join.right(), join.join_type(), join.condition(),
           join.declared_cardinality(), join.is_case_join());
     }
@@ -132,14 +132,14 @@ PlanRef AnnotateJoinLimitHints(const PlanRef& plan) {
 }
 
 PlanRef PassLimitPushdown(const PlanRef& plan, const OptimizerConfig& config,
-                          PropertyCache& props, bool* changed) {
+                          InferenceEngine& engine, bool* changed) {
   if (!config.limit_pushdown_over_aj) return plan;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kLimit) return nullptr;
     const auto& limit = static_cast<const LimitOp&>(*node);
     bool descended = false;
     PlanRef sunk = SinkLimit(limit.limit(), limit.offset(), node->child(0),
-                             props, &descended);
+                             engine, &descended);
     if (!descended) return nullptr;
     *changed = true;
     return sunk;

@@ -25,7 +25,7 @@ void AddRefs(const ExprRef& expr, NameSet* out) {
 
 PlanRef Prune(const PlanRef& plan, const NameSet& required,
               bool arity_flexible, const OptimizerConfig& config,
-              PropertyCache& props, bool* changed);
+              InferenceEngine& engine, bool* changed);
 
 PlanRef PruneScan(const std::shared_ptr<const ScanOp>& scan,
                   const NameSet& required, bool arity_flexible,
@@ -58,7 +58,7 @@ PlanRef PruneScan(const std::shared_ptr<const ScanOp>& scan,
 
 PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
                      const NameSet& required, bool arity_flexible,
-                     const OptimizerConfig& config, PropertyCache& props,
+                     const OptimizerConfig& config, InferenceEngine& engine,
                      bool* changed) {
   std::vector<ProjectOp::Item> kept;
   if (arity_flexible && config.projection_pruning) {
@@ -73,7 +73,7 @@ PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
   for (const ProjectOp::Item& item : kept) AddRefs(item.expr, &child_required);
   PlanRef new_child =
       Prune(project->child(0), child_required, /*arity_flexible=*/true,
-            config, props, changed);
+            config, engine, changed);
   if (kept.size() == project->items().size() &&
       new_child == project->child(0)) {
     return project;
@@ -84,7 +84,7 @@ PlanRef PruneProject(const std::shared_ptr<const ProjectOp>& project,
 
 PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
                   const NameSet& required, bool arity_flexible,
-                  const OptimizerConfig& config, PropertyCache& props,
+                  const OptimizerConfig& config, InferenceEngine& engine,
                   bool* changed) {
   std::vector<std::string> left_names = join->left()->OutputNames();
   std::vector<std::string> right_names = join->right()->OutputNames();
@@ -98,9 +98,9 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
   }
 
   if (!right_used && arity_flexible && config.uaj_elimination) {
-    if (props.Analyze(*join).purely_augmenting) {
+    if (engine.Analyze(*join).purely_augmenting) {
       *changed = true;
-      return Prune(join->left(), required, arity_flexible, config, props,
+      return Prune(join->left(), required, arity_flexible, config, engine,
                    changed);
     }
   }
@@ -112,9 +112,9 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
     auto flipped = std::make_shared<JoinOp>(
         join->right(), join->left(), JoinType::kInner, join->condition(),
         DeclaredCardinality::kNone, join->is_case_join());
-    if (props.Analyze(*flipped).purely_augmenting) {
+    if (engine.Analyze(*flipped).purely_augmenting) {
       *changed = true;
-      return Prune(join->right(), required, arity_flexible, config, props,
+      return Prune(join->right(), required, arity_flexible, config, engine,
                    changed);
     }
   }
@@ -131,10 +131,10 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
     if (right_set.count(name) > 0) right_required.insert(name);
   }
   PlanRef new_left =
-      Prune(join->left(), left_required, arity_flexible, config, props,
+      Prune(join->left(), left_required, arity_flexible, config, engine,
             changed);
   PlanRef new_right =
-      Prune(join->right(), right_required, arity_flexible, config, props,
+      Prune(join->right(), right_required, arity_flexible, config, engine,
             changed);
   if (new_left == join->left() && new_right == join->right()) return join;
   return join->WithChildren({std::move(new_left), std::move(new_right)});
@@ -142,7 +142,7 @@ PlanRef PruneJoin(const std::shared_ptr<const JoinOp>& join,
 
 PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
                       const NameSet& required, bool arity_flexible,
-                      const OptimizerConfig& config, PropertyCache& props,
+                      const OptimizerConfig& config, InferenceEngine& engine,
                       bool* changed) {
   size_t arity = u->output_names().size();
   std::vector<size_t> kept_positions;
@@ -167,7 +167,7 @@ PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
       kept_child_names.push_back(child_names[p]);
     }
     PlanRef new_child =
-        Prune(child, child_required, /*arity_flexible=*/true, config, props,
+        Prune(child, child_required, /*arity_flexible=*/true, config, engine,
               changed);
     // Normalize the child to exactly the kept columns, in order.
     std::vector<std::string> actual = new_child->OutputNames();
@@ -200,7 +200,7 @@ PlanRef PruneUnionAll(const std::shared_ptr<const UnionAllOp>& u,
 
 PlanRef Prune(const PlanRef& plan, const NameSet& required,
               bool arity_flexible, const OptimizerConfig& config,
-              PropertyCache& props, bool* changed) {
+              InferenceEngine& engine, bool* changed) {
   switch (plan->kind()) {
     case OpKind::kScan:
       return PruneScan(std::static_pointer_cast<const ScanOp>(plan), required,
@@ -211,16 +211,16 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
       AddRefs(filter.predicate(), &child_required);
       PlanRef new_child =
           Prune(plan->child(0), child_required, arity_flexible, config,
-                props, changed);
+                engine, changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
     case OpKind::kProject:
       return PruneProject(std::static_pointer_cast<const ProjectOp>(plan),
-                          required, arity_flexible, config, props, changed);
+                          required, arity_flexible, config, engine, changed);
     case OpKind::kJoin:
       return PruneJoin(std::static_pointer_cast<const JoinOp>(plan), required,
-                       arity_flexible, config, props, changed);
+                       arity_flexible, config, engine, changed);
     case OpKind::kAggregate: {
       const auto& agg = static_cast<const AggregateOp&>(*plan);
       // Unused aggregate items can be dropped (group items cannot — they
@@ -245,7 +245,7 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
         AddRefs(a.expr, &child_required);
       }
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                /*arity_flexible=*/true, config, props,
+                                /*arity_flexible=*/true, config, engine,
                                 changed);
       if (new_child == plan->child(0) &&
           kept_aggs.size() == agg.aggregates().size()) {
@@ -258,7 +258,7 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
     }
     case OpKind::kUnionAll:
       return PruneUnionAll(std::static_pointer_cast<const UnionAllOp>(plan),
-                           required, arity_flexible, config, props, changed);
+                           required, arity_flexible, config, engine, changed);
     case OpKind::kSort: {
       const auto& sort = static_cast<const SortOp&>(*plan);
       NameSet child_required = required;
@@ -266,13 +266,13 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
         AddRefs(key.expr, &child_required);
       }
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                arity_flexible, config, props, changed);
+                                arity_flexible, config, engine, changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
     }
     case OpKind::kLimit: {
       PlanRef new_child =
-          Prune(plan->child(0), required, arity_flexible, config, props,
+          Prune(plan->child(0), required, arity_flexible, config, engine,
                 changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
@@ -283,7 +283,7 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
       std::vector<std::string> child_names = plan->child(0)->OutputNames();
       NameSet child_required(child_names.begin(), child_names.end());
       PlanRef new_child = Prune(plan->child(0), child_required,
-                                /*arity_flexible=*/false, config, props,
+                                /*arity_flexible=*/false, config, engine,
                                 changed);
       if (new_child == plan->child(0)) return plan;
       return plan->WithChildren({std::move(new_child)});
@@ -296,11 +296,11 @@ PlanRef Prune(const PlanRef& plan, const NameSet& required,
 
 PlanRef PassPruneAndEliminate(const PlanRef& plan,
                               const OptimizerConfig& config,
-                              PropertyCache& props, bool* changed) {
+                              InferenceEngine& engine, bool* changed) {
   std::vector<std::string> outputs = plan->OutputNames();
   NameSet required(outputs.begin(), outputs.end());
   // The root's output columns are the query result and must be preserved.
-  return Prune(plan, required, /*arity_flexible=*/false, config, props,
+  return Prune(plan, required, /*arity_flexible=*/false, config, engine,
                changed);
 }
 

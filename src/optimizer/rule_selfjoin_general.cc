@@ -154,7 +154,7 @@ std::optional<Classified> ClassifyCondition(
 }  // namespace
 
 PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
-                                    PropertyCache& props) {
+                                    InferenceEngine& engine) {
   // Case joins carry UNION ALL intent; they belong to the ASJ machinery.
   if (join->is_case_join()) return nullptr;
   bool left_outer = join->join_type() == JoinType::kLeftOuter;
@@ -163,8 +163,8 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
   std::optional<SimpleRelation> rel = ExtractSimpleRelation(join->right());
   if (!rel.has_value()) return nullptr;
   const std::string table = ToLower(rel->scan->table_name());
-  const InferOptions& iopts = props.engine().options();
-  const InferredProps& lp = props.engine().Infer(join->left());
+  const InferOptions& iopts = engine.options();
+  const InferredProps& lp = engine.Infer(join->left());
 
   std::optional<Classified> cls = ClassifyCondition(*join, *rel, lp);
   if (!cls.has_value()) return nullptr;
@@ -221,7 +221,7 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
     // Residual right predicates: those the anchor's own predicate stack
     // does not already imply must be re-applied (predicate union).
     std::vector<ExprRef> anchor_preds;
-    CollectScanPredicates(join->left(), anchor, props, &anchor_preds);
+    CollectScanPredicates(join->left(), anchor, engine, &anchor_preds);
     std::vector<ExprRef> residual;
     for (const ExprRef& pred : cls->right_preds) {
       if (!ConjunctsSubsume(anchor_preds, {pred})) residual.push_back(pred);
@@ -278,7 +278,7 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
     PlanRef new_left = join->left();
     if (!missing.empty()) {
       std::optional<Exposure> e =
-          ExposeColumns(join->left(), anchor, missing, props);
+          ExposeColumns(join->left(), anchor, missing, engine);
       if (!e.has_value()) continue;
       new_left = e->plan;
       for (const auto& [bc, name] : e->base_to_name) base_to_left[bc] = name;
@@ -363,12 +363,12 @@ PlanRef TryEliminateGeneralSelfJoin(const std::shared_ptr<const JoinOp>& join,
 }
 
 PlanRef PassSelfJoinGeneral(const PlanRef& plan, const OptimizerConfig& config,
-                            PropertyCache& props, bool* changed) {
+                            InferenceEngine& engine, bool* changed) {
   if (!config.selfjoin_general) return plan;
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kJoin) return nullptr;
     auto join = std::static_pointer_cast<const JoinOp>(node);
-    PlanRef result = TryEliminateGeneralSelfJoin(join, props);
+    PlanRef result = TryEliminateGeneralSelfJoin(join, engine);
     if (result) {
       *changed = true;
       return result;

@@ -63,7 +63,7 @@ PlanRef TryMergeProjects(const PlanRef& node, bool* changed) {
 
 PlanRef PassConstantFolding(const PlanRef& plan,
                             const OptimizerConfig& /*config*/,
-                            PropertyCache& /*props*/, bool* changed) {
+                            InferenceEngine& /*engine*/, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (PlanRef merged = TryMergeProjects(node, changed)) return merged;
     // FoldConstants is clone-avoiding (TransformExpr returns the input
@@ -392,7 +392,7 @@ PlanRef PushFilter(const FilterOp& filter, bool* changed) {
 
 PlanRef PassFilterPushdown(const PlanRef& plan,
                            const OptimizerConfig& /*config*/,
-                           PropertyCache& /*props*/, bool* changed) {
+                           InferenceEngine& /*engine*/, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kFilter) return nullptr;
     return PushFilter(static_cast<const FilterOp&>(*node), changed);
@@ -401,10 +401,12 @@ PlanRef PassFilterPushdown(const PlanRef& plan,
 
 PlanRef PassDistinctElimination(const PlanRef& plan,
                                 const OptimizerConfig& /*config*/,
-                                PropertyCache& props, bool* changed) {
+                                InferenceEngine& engine, bool* changed) {
   return TransformPlan(plan, [&](const PlanRef& node) -> PlanRef {
     if (node->kind() != OpKind::kDistinct) return nullptr;
-    if (props.Get(node->child(0)).HasKey(node->child(0)->OutputNames())) {
+    std::vector<std::string> names = node->child(0)->OutputNames();
+    if (engine.Infer(node->child(0))
+            .UniqueOn(std::set<std::string>(names.begin(), names.end()))) {
       *changed = true;
       return node->child(0);
     }

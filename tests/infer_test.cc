@@ -13,6 +13,7 @@
 #include "analysis/infer/inference.h"
 #include "engine/database.h"
 #include "expr/expr.h"
+#include "plan/plan_builder.h"
 
 namespace vdm {
 namespace {
@@ -88,6 +89,38 @@ TEST_F(InferTest, UniquenessFromSelectiveEquality) {
   InferredProps weak = InferSql(sql, no_pinning);
   EXPECT_FALSE(weak.UniqueOn({"b"}));
   EXPECT_TRUE(weak.UniqueOn({"a", "b"}));
+}
+
+TEST_F(InferTest, AggregateItemsRestatingGroupExpressionsAreAliases) {
+  // Items that restate a computed group expression (not a ColumnRef to the
+  // group name) alias that group column: they inherit its properties, and
+  // the group key is restated with one alias substituted at a time, so a
+  // projection keeping one alias and the other group column keeps the key.
+  TableSchema schema("s");
+  schema.AddColumn("a", DataType::Int64(), false)
+      .AddColumn("b", DataType::Int64(), false)
+      .AddColumn("c", DataType::Int64());
+  ExprRef a1 = Bin(BinaryOpKind::kAdd, Col("s.a"), LitInt(1));
+  ExprRef b1 = Bin(BinaryOpKind::kAdd, Col("s.b"), LitInt(1));
+  PlanBuilder agg = PlanBuilder::ScanSchema(schema, "s")
+                        .Aggregate({{a1, "ga"}, {b1, "gb"}, {Col("s.b"), "g"}},
+                                   {{a1, "xa"},
+                                    {b1, "xb"},
+                                    {Agg(AggKind::kSum, Col("s.c")), "t"}});
+  InferenceEngine engine;
+  const InferredProps& props = engine.Infer(agg.Build());
+  EXPECT_TRUE(props.FdHolds({"ga"}, "xa"));
+  EXPECT_TRUE(props.FdHolds({"xb"}, "gb"));
+  PlanRef one_alias = PlanBuilder(agg.Build())
+                          .ProjectColumns({"xa", "gb", "g", "t"})
+                          .Build();
+  EXPECT_TRUE(engine.Infer(one_alias).UniqueOn({"xa", "gb", "g"}));
+  PlanRef both = PlanBuilder(agg.Build())
+                     .ProjectColumns({"xa", "xb", "g", "t"})
+                     .Build();
+  EXPECT_TRUE(engine.Infer(both).UniqueOn({"xa", "xb", "g"}));
+  PlanRef none = PlanBuilder(agg.Build()).ProjectColumns({"xa", "t"}).Build();
+  EXPECT_FALSE(engine.Infer(none).UniqueOn({"xa", "t"}));
 }
 
 TEST_F(InferTest, GlobalAggregateIsSingleRow) {

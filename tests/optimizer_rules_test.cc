@@ -37,13 +37,14 @@ TableSchema Dim() {
 OptimizerConfig Full() { return ConfigForProfile(SystemProfile::kHana); }
 
 using PassFn = PlanRef (*)(const PlanRef&, const OptimizerConfig&,
-                           PropertyCache&, bool*);
+                           InferenceEngine&, bool*);
 
-/// Runs one pass over a fresh property cache, as a one-pass compile would.
+/// Runs one pass over a fresh inference engine, as a one-pass compile
+/// would.
 PlanRef RunPass(PassFn pass, const PlanRef& plan,
                 const OptimizerConfig& config, bool* changed) {
-  PropertyCache props(config.derivation);
-  return pass(plan, config, props, changed);
+  InferenceEngine engine(config.derivation);
+  return pass(plan, config, engine, changed);
 }
 
 // --- filter pushdown --------------------------------------------------------
@@ -814,6 +815,12 @@ TEST(PredicateTransferTest, ForeignKeyJoinStillEliminatedUnderFilter) {
 
 // --- join ordering -----------------------------------------------------------
 
+/// Statistics carrying only a row count. Every member is named: GCC 12
+/// warns about designated initializers that leave one out.
+TableStats Rows(uint64_t n) {
+  return TableStats{.row_count = n, .columns = {}, .physical_rows = 0};
+}
+
 TEST(JoinOrderTest, ReordersByEstimatedSize) {
   // Catalog stats: big has 100k rows, small has 10.
   Catalog catalog;
@@ -825,8 +832,8 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
       .AddColumn("tag", DataType::String());
   ASSERT_TRUE(catalog.RegisterTable(big).ok());
   ASSERT_TRUE(catalog.RegisterTable(small).ok());
-  catalog.SetTableStats("big", TableStats{100000});
-  catalog.SetTableStats("small", TableStats{10});
+  catalog.SetTableStats("big", Rows(100000));
+  catalog.SetTableStats("small", Rows(10));
 
   // small ⋈ big builds the hash table on `big` (the executor builds the
   // right input) — the costed pass must flip the sides.
@@ -853,8 +860,8 @@ TEST(JoinOrderTest, ReordersByEstimatedSize) {
 
 TEST(JoinOrderTest, LeftOuterAndDeclaredJoinsUntouched) {
   Catalog catalog;
-  catalog.SetTableStats("fact", TableStats{100000});
-  catalog.SetTableStats("dim", TableStats{10});
+  catalog.SetTableStats("fact", Rows(100000));
+  catalog.SetTableStats("dim", Rows(10));
   PlanRef loj = PlanBuilder::ScanSchema(Fact(), "f")
                     .Join(PlanBuilder::ScanSchema(Dim(), "d"),
                           JoinType::kLeftOuter,
@@ -883,9 +890,9 @@ TEST(JoinOrderTest, ChainPrefersConnectedRelations) {
   b.AddColumn("x", DataType::Int64(), false)
       .AddColumn("y", DataType::Int64(), false);
   c.AddColumn("y", DataType::Int64(), false);
-  catalog.SetTableStats("ta", TableStats{1000});
-  catalog.SetTableStats("tb", TableStats{100000});
-  catalog.SetTableStats("tc", TableStats{10});
+  catalog.SetTableStats("ta", Rows(1000));
+  catalog.SetTableStats("tb", Rows(100000));
+  catalog.SetTableStats("tc", Rows(10));
   PlanRef plan =
       PlanBuilder::ScanSchema(a, "a")
           .Join(PlanBuilder::ScanSchema(b, "b"), JoinType::kInner,
@@ -958,20 +965,34 @@ TEST(ConvergenceTest, FlagBelongsToEachCall) {
   EXPECT_EQ(trivial_run->passes, 1);
 }
 
-// --- the run's property cache -----------------------------------------------
+// --- the run's inference engine ----------------------------------------------
 
-/// RelProps::ToString leaves out origins and base constants; compare all.
-std::string FullProps(const RelProps& props) {
+/// InferredProps::ToString leaves out provenance and base constants;
+/// compare all.
+std::string FullProps(const InferredProps& props) {
   std::string out = props.ToString();
-  for (const auto& [name, origin] : props.origins) {
-    out += " " + name + "<-" + std::to_string(origin.source_id) + ":" +
-           origin.table + "." + origin.column +
-           (origin.null_extended ? "?" : "");
+  for (const auto& [name, sources] : props.sources) {
+    for (const ValueSource& src : sources) {
+      out += " " + name + "<-" + std::to_string(src.source_id) + ":" +
+             src.table + "." + src.column + (src.null_extended ? "?" : "") +
+             (src.via_equality ? "=" : "");
+    }
   }
   for (const auto& [key, value] : props.base_constants) {
     out += " " + key + "=" + value.ToString();
   }
+  for (const auto& [id, pins] : props.source_pins) {
+    for (const auto& [column, value] : pins) {
+      out += " #" + std::to_string(id) + "." + column + "=" + value.ToString();
+    }
+  }
   return out;
+}
+
+/// The properties a fresh engine derives for `plan`.
+std::string FreshProps(const PlanRef& plan, const InferOptions& options) {
+  InferenceEngine engine(options);
+  return FullProps(engine.Infer(plan));
 }
 
 void CollectNodes(const PlanRef& plan, std::set<const LogicalOp*>* out) {
@@ -979,7 +1000,7 @@ void CollectNodes(const PlanRef& plan, std::set<const LogicalOp*>* out) {
   for (const PlanRef& child : plan->children()) CollectNodes(child, out);
 }
 
-TEST(PropertyCacheTest, MemoKeysNodesNotIds) {
+TEST(RunEngineTest, MemoKeysNodesNotIds) {
   // WithChildren keeps the filter's id while doubling its input: f.id is
   // unique over the scan, not over a UNION ALL of the scan with itself.
   PlanRef scan = PlanBuilder::ScanSchema(Fact(), "f").Build();
@@ -989,17 +1010,15 @@ TEST(PropertyCacheTest, MemoKeysNodesNotIds) {
       std::vector<PlanRef>{scan, scan}, scan->OutputNames())});
   ASSERT_EQ(doubled->id(), filter->id());
 
-  PropertyCache props(Full().derivation);
-  EXPECT_TRUE(props.Get(filter).HasKey({"f.id"}));
-  EXPECT_FALSE(props.Get(doubled).HasKey({"f.id"}));
-  EXPECT_EQ(FullProps(props.Get(doubled)),
-            FullProps(DeriveProps(doubled, Full().derivation)));
-  EXPECT_FALSE(props.engine().Infer(doubled).UniqueOn({"f.id"}));
-  EXPECT_TRUE(props.engine().Infer(filter).UniqueOn({"f.id"}));
+  InferenceEngine engine(Full().derivation);
+  EXPECT_TRUE(engine.Infer(filter).UniqueOn({"f.id"}));
+  EXPECT_FALSE(engine.Infer(doubled).UniqueOn({"f.id"}));
+  EXPECT_EQ(FullProps(engine.Infer(doubled)),
+            FreshProps(doubled, Full().derivation));
 }
 
-TEST(PropertyCacheTest, SharedAcrossRewritesMatchesFreshDerivation) {
-  // One cache through a sequence of passes, as OptimizeChecked runs them:
+TEST(RunEngineTest, SharedAcrossRewritesMatchesFreshDerivation) {
+  // One engine through a sequence of passes, as OptimizeChecked runs them:
   // every node of every intermediate plan gets the properties a fresh
   // derivation gives, and no node is derived twice.
   const OptimizerConfig config = Full();
@@ -1013,15 +1032,15 @@ TEST(PropertyCacheTest, SharedAcrossRewritesMatchesFreshDerivation) {
           .Project({{Col("f.id"), "id"}, {Col("g.amount"), "amount"}})
           .Limit(5)
           .Build();
-  PropertyCache props(config.derivation);
+  InferenceEngine engine(config.derivation);
   std::set<const LogicalOp*> seen;
   CollectNodes(plan, &seen);
-  props.Get(plan);
-  EXPECT_EQ(props.computed(), seen.size());
-  EXPECT_EQ(props.reused(), 0u);
-  props.Get(plan);
-  EXPECT_EQ(props.computed(), seen.size());
-  EXPECT_EQ(props.reused(), 1u);
+  engine.Infer(plan);
+  EXPECT_EQ(engine.computed(), seen.size());
+  EXPECT_EQ(engine.reused(), 0u);
+  engine.Infer(plan);
+  EXPECT_EQ(engine.computed(), seen.size());
+  EXPECT_EQ(engine.reused(), 1u);
 
   const PassFn passes[] = {&PassFilterPushdown, &PassAsjElimination,
                            &PassSelfJoinGeneral, &PassPruneAndEliminate,
@@ -1031,21 +1050,21 @@ TEST(PropertyCacheTest, SharedAcrossRewritesMatchesFreshDerivation) {
   std::vector<PlanRef> versions = {plan};
   for (PassFn pass : passes) {
     bool changed = false;
-    plan = pass(plan, config, props, &changed);
+    plan = pass(plan, config, engine, &changed);
     versions.push_back(plan);
     std::set<const LogicalOp*> nodes;
     CollectNodes(plan, &nodes);
     seen.insert(nodes.begin(), nodes.end());
     VisitPlan(plan, [&](const PlanRef& node) {
-      EXPECT_EQ(FullProps(props.Get(node)),
-                FullProps(DeriveProps(node, config.derivation)))
+      EXPECT_EQ(FullProps(engine.Infer(node)),
+                FreshProps(node, config.derivation))
           << node->Describe();
     });
   }
   // The self-join on g and the unused dim augmentation are gone.
   EXPECT_EQ(ComputePlanStats(plan).joins, 0u) << PrintPlan(plan);
-  EXPECT_LE(props.computed(), seen.size());
-  EXPECT_GT(props.reused(), 0u);
+  EXPECT_LE(engine.computed(), seen.size());
+  EXPECT_GT(engine.reused(), 0u);
 }
 
 }  // namespace

@@ -90,7 +90,8 @@ TEST(CatalogTest, RegistryBehaviour) {
 TEST(CatalogTest, StatsRoundTrip) {
   Catalog catalog;
   EXPECT_EQ(catalog.FindTableStats("t"), nullptr);
-  catalog.SetTableStats("T", TableStats{123});
+  catalog.SetTableStats(
+      "T", TableStats{.row_count = 123, .columns = {}, .physical_rows = 0});
   ASSERT_NE(catalog.FindTableStats("t"), nullptr);
   EXPECT_EQ(catalog.FindTableStats("t")->row_count, 123u);
 }

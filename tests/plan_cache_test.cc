@@ -437,7 +437,7 @@ TEST_F(PlanCacheDbTest, ExplainAnalyzeReportsCacheOutcome) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_NE(cold->find("plan cache: miss"), std::string::npos) << *cold;
   EXPECT_NE(cold->find(", converged; "), std::string::npos) << *cold;
-  // The run's property cache: each node derived once, then reused by the
+  // The run's inference engine: each node derived once, then reused by the
   // later passes that ask about it again.
   const std::pair<size_t, size_t> counts = PropertyCounts(*cold);
   EXPECT_GT(counts.first, 0u) << *cold;

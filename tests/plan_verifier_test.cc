@@ -258,16 +258,16 @@ TEST(PlanVerifierTest, DetectsRootSchemaDrift) {
 
 TEST(ConfirmUniqueKeyTest, BaseTableKeyGatedByAxiom) {
   PlanRef plan = PlanBuilder::ScanSchema(Fact(), "f").Build();
-  DerivationConfig full;
+  InferOptions full;
   EXPECT_TRUE(ConfirmUniqueKey(plan, {"f.id"}, full));
   EXPECT_FALSE(ConfirmUniqueKey(plan, {"f.status"}, full));
-  DerivationConfig no_keys;
+  InferOptions no_keys;
   no_keys.base_table_keys = false;
   EXPECT_FALSE(ConfirmUniqueKey(plan, {"f.id"}, no_keys));
 }
 
 TEST(ConfirmUniqueKeyTest, KeySurvivesManyToOneJoin) {
-  DerivationConfig full;
+  InferOptions full;
   PlanRef plan =
       PlanBuilder::ScanSchema(Fact(), "f")
           .Join(PlanBuilder::ScanSchema(Dim(), "d"), JoinType::kLeftOuter,
@@ -285,7 +285,7 @@ TEST(ConfirmUniqueKeyTest, KeySurvivesManyToOneJoin) {
 }
 
 TEST(ConfirmUniqueKeyTest, GroupByOutputsFormKey) {
-  DerivationConfig full;
+  InferOptions full;
   PlanRef plan =
       PlanBuilder::ScanSchema(Fact(), "f")
           .Aggregate({{Col("f.status"), "st"}},

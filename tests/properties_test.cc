@@ -1,9 +1,13 @@
-// Unit tests for the optimizer's property derivation: unique keys,
-// constant pinning, provenance, join-cardinality analysis — including the
-// capability gates that model the paper's weaker optimizers.
+// Unit tests for the optimizer's property derivation (the inference engine
+// of analysis/infer): unique keys, constant pinning, provenance,
+// join-cardinality analysis — including the capability gates that model
+// the paper's weaker optimizers.
 #include <gtest/gtest.h>
 
-#include "optimizer/properties.h"
+#include <algorithm>
+#include <set>
+
+#include "analysis/infer/inference.h"
 #include "plan/plan_builder.h"
 
 namespace vdm {
@@ -36,30 +40,47 @@ TableSchema Lineitem() {
   return schema;
 }
 
-bool HasKey(const RelProps& props, std::vector<std::string> key) {
+/// The properties of `plan` under `options`, from a fresh engine.
+InferredProps Derive(const PlanRef& plan, InferOptions options = {}) {
+  InferenceEngine engine(options);
+  return engine.Infer(plan);
+}
+
+/// `key` is provably duplicate-free.
+bool HasKey(const InferredProps& props, std::vector<std::string> key) {
+  return props.UniqueOn(std::set<std::string>(key.begin(), key.end()));
+}
+
+/// `key` is materialized as one of the derived unique sets.
+bool HasSet(const InferredProps& props, std::vector<std::string> key) {
   std::sort(key.begin(), key.end());
-  for (const auto& existing : props.unique_keys) {
+  for (const auto& existing : props.unique_sets) {
     if (existing == key) return true;
   }
   return false;
 }
 
+JoinAnalysis Analyze(const JoinOp& join, InferOptions options = {}) {
+  InferenceEngine engine(options);
+  return engine.Analyze(join);
+}
+
 TEST(PropertiesTest, ScanDerivesBaseKeys) {
   PlanRef plan = PlanBuilder::ScanSchema(Customer(), "c").Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
+  InferredProps props = Derive(plan);
   EXPECT_TRUE(HasKey(props, {"c.c_custkey"}));
-  ASSERT_TRUE(props.origins.count("c.c_name"));
-  EXPECT_EQ(props.origins.at("c.c_name").table, "customer");
-  EXPECT_EQ(props.origins.at("c.c_name").column, "c_name");
-  EXPECT_FALSE(props.origins.at("c.c_name").null_extended);
+  const ValueSource* origin = props.DirectSource("c.c_name");
+  ASSERT_NE(origin, nullptr);
+  EXPECT_EQ(origin->table, "customer");
+  EXPECT_EQ(origin->column, "c_name");
+  EXPECT_FALSE(origin->null_extended);
 }
 
 TEST(PropertiesTest, BaseKeysGatedByConfig) {
   PlanRef plan = PlanBuilder::ScanSchema(Customer(), "c").Build();
-  DerivationConfig config;
+  InferOptions config;
   config.base_table_keys = false;  // "System X"
-  RelProps props = DeriveProps(plan, config);
-  EXPECT_TRUE(props.unique_keys.empty());
+  EXPECT_TRUE(Derive(plan, config).unique_sets.empty());
 }
 
 TEST(PropertiesTest, DeclaredKeysGatedByTrust) {
@@ -67,22 +88,20 @@ TEST(PropertiesTest, DeclaredKeysGatedByTrust) {
   schema.AddColumn("k", DataType::Int64());
   schema.AddDeclaredUniqueKey({"k"});
   PlanRef plan = PlanBuilder::ScanSchema(schema, "d").Build();
-  RelProps trusted = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(HasKey(trusted, {"d.k"}));
-  DerivationConfig untrusting;
+  EXPECT_TRUE(HasKey(Derive(plan), {"d.k"}));
+  InferOptions untrusting;
   untrusting.trust_declared_cardinality = false;
-  RelProps skeptical = DeriveProps(plan, untrusting);
-  EXPECT_FALSE(HasKey(skeptical, {"d.k"}));
+  EXPECT_FALSE(HasKey(Derive(plan, untrusting), {"d.k"}));
 }
 
 TEST(PropertiesTest, FilterPinsConstantsAndReducesKeys) {
   PlanRef plan = PlanBuilder::ScanSchema(Lineitem(), "l")
                      .Filter(Eq(Col("l.l_linenumber"), LitInt(1)))
                      .Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(HasKey(props, {"l.l_orderkey", "l.l_linenumber"}));
+  InferredProps props = Derive(plan);
+  EXPECT_TRUE(HasSet(props, {"l.l_orderkey", "l.l_linenumber"}));
   // AJ 2a-3: the pinned component drops out of the composite key.
-  EXPECT_TRUE(HasKey(props, {"l.l_orderkey"}));
+  EXPECT_TRUE(HasSet(props, {"l.l_orderkey"}));
   ASSERT_TRUE(props.constants.count("l.l_linenumber"));
   EXPECT_EQ(props.constants.at("l.l_linenumber"), Value::Int64(1));
 }
@@ -91,18 +110,18 @@ TEST(PropertiesTest, ConstPinningGate) {
   PlanRef plan = PlanBuilder::ScanSchema(Lineitem(), "l")
                      .Filter(Eq(Col("l.l_linenumber"), LitInt(1)))
                      .Build();
-  DerivationConfig config;
+  InferOptions config;
   config.const_pinning = false;
-  RelProps props = DeriveProps(plan, config);
+  InferredProps props = Derive(plan, config);
   EXPECT_FALSE(HasKey(props, {"l.l_orderkey"}));
+  EXPECT_TRUE(props.constants.empty());
 }
 
 TEST(PropertiesTest, AlwaysFalseFilterMarksEmpty) {
   PlanRef plan = PlanBuilder::ScanSchema(Customer(), "c")
                      .Filter(Eq(LitInt(1), LitInt(0)))
                      .Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(props.empty_relation);
+  EXPECT_TRUE(Derive(plan).empty_relation);
 }
 
 TEST(PropertiesTest, ProjectRenamesKeysAndOrigins) {
@@ -110,18 +129,19 @@ TEST(PropertiesTest, ProjectRenamesKeysAndOrigins) {
       PlanBuilder::ScanSchema(Customer(), "c")
           .ProjectColumns({"c.c_custkey", "c.c_name"}, {"id", "name"})
           .Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
+  InferredProps props = Derive(plan);
   EXPECT_TRUE(HasKey(props, {"id"}));
-  EXPECT_EQ(props.origins.at("name").column, "c_name");
+  ASSERT_NE(props.DirectSource("name"), nullptr);
+  EXPECT_EQ(props.DirectSource("name")->column, "c_name");
   // Computed expressions have no origin.
   PlanRef computed =
       PlanBuilder::ScanSchema(Customer(), "c")
           .Project({{Bin(BinaryOpKind::kAdd, Col("c.c_custkey"), LitInt(1)),
                      "k1"}})
           .Build();
-  RelProps computed_props = DeriveProps(computed, DerivationConfig{});
-  EXPECT_EQ(computed_props.origins.count("k1"), 0u);
-  EXPECT_TRUE(computed_props.unique_keys.empty());
+  InferredProps computed_props = Derive(computed);
+  EXPECT_EQ(computed_props.DirectSource("k1"), nullptr);
+  EXPECT_TRUE(computed_props.unique_sets.empty());
 }
 
 TEST(PropertiesTest, AggregateGroupKeysGated) {
@@ -130,20 +150,19 @@ TEST(PropertiesTest, AggregateGroupKeysGated) {
           .Aggregate({{Col("l.l_orderkey"), "l.l_orderkey"}},
                      {{Agg(AggKind::kSum, Col("l.l_qty")), "qty"}})
           .Build();
-  RelProps with = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(HasKey(with, {"l.l_orderkey"}));
-  DerivationConfig config;
+  EXPECT_TRUE(HasKey(Derive(plan), {"l.l_orderkey"}));
+  InferOptions config;
   config.groupby_keys = false;  // "System Y"
-  RelProps without = DeriveProps(plan, config);
-  EXPECT_FALSE(HasKey(without, {"l.l_orderkey"}));
+  EXPECT_FALSE(HasKey(Derive(plan, config), {"l.l_orderkey"}));
 }
 
 TEST(PropertiesTest, GlobalAggregateIsSingleRow) {
   PlanRef plan = PlanBuilder::ScanSchema(Lineitem(), "l")
                      .Aggregate({}, {{CountStar(), "n"}})
                      .Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(HasKey(props, {"n"}));
+  InferredProps props = Derive(plan);
+  EXPECT_TRUE(HasSet(props, {"n"}));
+  EXPECT_TRUE(props.at_most_one_row);
 }
 
 TEST(PropertiesTest, KeysThroughSortAndLimitGated) {
@@ -151,12 +170,10 @@ TEST(PropertiesTest, KeysThroughSortAndLimitGated) {
                      .Sort({{Col("c.c_name"), true}})
                      .Limit(100)
                      .Build();
-  RelProps with = DeriveProps(plan, DerivationConfig{});
-  EXPECT_TRUE(HasKey(with, {"c.c_custkey"}));
-  DerivationConfig config;
+  EXPECT_TRUE(HasKey(Derive(plan), {"c.c_custkey"}));
+  InferOptions config;
   config.keys_through_order_limit = false;  // everyone but HANA (UAJ 1b)
-  RelProps without = DeriveProps(plan, config);
-  EXPECT_TRUE(without.unique_keys.empty());
+  EXPECT_TRUE(Derive(plan, config).unique_sets.empty());
 }
 
 TEST(PropertiesTest, JoinPreservesAnchorKeysThroughAugmentation) {
@@ -166,16 +183,17 @@ TEST(PropertiesTest, JoinPreservesAnchorKeysThroughAugmentation) {
                      .Join(customer, JoinType::kLeftOuter,
                            Eq(Col("o.o_custkey"), Col("c.c_custkey")))
                      .Build();
-  RelProps with = DeriveProps(plan, DerivationConfig{});
+  InferredProps with = Derive(plan);
   EXPECT_TRUE(HasKey(with, {"o.o_orderkey"}));
   // Right-side origins become null-extended under LOJ.
-  EXPECT_TRUE(with.origins.at("c.c_name").null_extended);
-  EXPECT_FALSE(with.origins.at("o.o_custkey").null_extended);
+  ASSERT_NE(with.DirectSource("c.c_name"), nullptr);
+  EXPECT_TRUE(with.DirectSource("c.c_name")->null_extended);
+  ASSERT_NE(with.DirectSource("o.o_custkey"), nullptr);
+  EXPECT_FALSE(with.DirectSource("o.o_custkey")->null_extended);
 
-  DerivationConfig config;
+  InferOptions config;
   config.keys_through_joins = false;  // "Postgres" / "System Y"
-  RelProps without = DeriveProps(plan, config);
-  EXPECT_FALSE(HasKey(without, {"o.o_orderkey"}));
+  EXPECT_FALSE(HasKey(Derive(plan, config), {"o.o_orderkey"}));
 }
 
 TEST(PropertiesTest, JoinOnNonKeyGivesCombinedKeyOnly) {
@@ -185,7 +203,7 @@ TEST(PropertiesTest, JoinOnNonKeyGivesCombinedKeyOnly) {
                      .Join(customer, JoinType::kLeftOuter,
                            Eq(Col("o.o_custkey"), Col("c.c_nation")))
                      .Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
+  InferredProps props = Derive(plan);
   // Matching may duplicate anchor rows: o_orderkey alone is not a key.
   EXPECT_FALSE(HasKey(props, {"o.o_orderkey"}));
   EXPECT_TRUE(HasKey(props, {"o.o_orderkey", "c.c_custkey"}));
@@ -197,10 +215,7 @@ TEST(JoinAnalysisTest, AtMostOneViaKeyCoverage) {
   auto join = std::make_shared<JoinOp>(
       orders.Build(), customer.Build(), JoinType::kLeftOuter,
       Eq(Col("o.o_custkey"), Col("c.c_custkey")));
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  JoinAnalysis analysis = AnalyzeJoin(*join, left, right, config);
+  JoinAnalysis analysis = Analyze(*join);
   EXPECT_TRUE(analysis.right_at_most_one);
   EXPECT_FALSE(analysis.right_exactly_one);  // no FK
   EXPECT_TRUE(analysis.purely_augmenting);   // LOJ + at-most-one
@@ -215,10 +230,7 @@ TEST(JoinAnalysisTest, InnerJoinWithoutFkIsNotAugmenting) {
   auto join = std::make_shared<JoinOp>(
       orders.Build(), customer.Build(), JoinType::kInner,
       Eq(Col("o.o_custkey"), Col("c.c_custkey")));
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  JoinAnalysis analysis = AnalyzeJoin(*join, left, right, config);
+  JoinAnalysis analysis = Analyze(*join);
   EXPECT_TRUE(analysis.right_at_most_one);
   // An inner join may filter: not purely augmenting without exactly-one.
   EXPECT_FALSE(analysis.purely_augmenting);
@@ -231,10 +243,7 @@ TEST(JoinAnalysisTest, ForeignKeyGivesExactlyOne) {
       PlanBuilder::ScanSchema(orders, "o").Build(),
       PlanBuilder::ScanSchema(Customer(), "c").Build(), JoinType::kInner,
       Eq(Col("o.o_custkey"), Col("c.c_custkey")));
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  JoinAnalysis analysis = AnalyzeJoin(*join, left, right, config);
+  JoinAnalysis analysis = Analyze(*join);
   EXPECT_TRUE(analysis.right_exactly_one);
   EXPECT_TRUE(analysis.purely_augmenting);
 }
@@ -249,10 +258,7 @@ TEST(JoinAnalysisTest, NullableFkColumnBlocksExactlyOne) {
       PlanBuilder::ScanSchema(orders, "o").Build(),
       PlanBuilder::ScanSchema(Customer(), "c").Build(), JoinType::kInner,
       Eq(Col("o.o_custkey"), Col("c.c_custkey")));
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  JoinAnalysis analysis = AnalyzeJoin(*join, left, right, config);
+  JoinAnalysis analysis = Analyze(*join);
   // A NULL o_custkey row would be filtered by the inner join.
   EXPECT_FALSE(analysis.right_exactly_one);
 }
@@ -264,12 +270,10 @@ TEST(JoinAnalysisTest, DeclaredCardinalityRespected) {
       PlanBuilder::ScanSchema(Orders(), "o").Build(),
       PlanBuilder::ScanSchema(plain, "p").Build(), JoinType::kLeftOuter,
       Eq(Col("o.o_custkey"), Col("p.x")), DeclaredCardinality::kAtMostOne);
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  EXPECT_TRUE(AnalyzeJoin(*join, left, right, config).purely_augmenting);
+  EXPECT_TRUE(Analyze(*join).purely_augmenting);
+  InferOptions config;
   config.trust_declared_cardinality = false;
-  EXPECT_FALSE(AnalyzeJoin(*join, left, right, config).purely_augmenting);
+  EXPECT_FALSE(Analyze(*join, config).purely_augmenting);
 }
 
 TEST(JoinAnalysisTest, EmptyAugmenterIsAtMostOne) {
@@ -279,11 +283,8 @@ TEST(JoinAnalysisTest, EmptyAugmenterIsAtMostOne) {
           .Filter(LitBool(false))
           .Build(),
       JoinType::kLeftOuter, Eq(Col("o.o_custkey"), Col("c.c_nation")));
-  DerivationConfig config;
-  RelProps left = DeriveProps(join->left(), config);
-  RelProps right = DeriveProps(join->right(), config);
-  EXPECT_TRUE(right.empty_relation);
-  EXPECT_TRUE(AnalyzeJoin(*join, left, right, config).purely_augmenting);
+  EXPECT_TRUE(Derive(join->right()).empty_relation);
+  EXPECT_TRUE(Analyze(*join).purely_augmenting);
 }
 
 // --- UNION ALL key derivation (Fig. 12) ------------------------------------
@@ -303,23 +304,16 @@ PlanRef BranchIdUnion() {
 }
 
 TEST(UnionPropertiesTest, BranchIdKeyDerived) {
-  RelProps props = DeriveProps(BranchIdUnion(), DerivationConfig{});
-  bool found = false;
-  for (const auto& key : props.unique_keys) {
-    if (key == std::vector<std::string>{"bid", "k"}) found = true;
-  }
-  EXPECT_TRUE(found);
+  InferredProps props = Derive(BranchIdUnion());
+  EXPECT_TRUE(HasSet(props, {"bid", "k"}));
   // Plain k alone is NOT unique across branches.
-  for (const auto& key : props.unique_keys) {
-    EXPECT_NE(key, std::vector<std::string>{"k"});
-  }
+  EXPECT_FALSE(HasKey(props, {"k"}));
 }
 
 TEST(UnionPropertiesTest, UnionKeysGated) {
-  DerivationConfig config;
+  InferOptions config;
   config.keys_through_union_all = false;
-  RelProps props = DeriveProps(BranchIdUnion(), config);
-  EXPECT_TRUE(props.unique_keys.empty());
+  EXPECT_TRUE(Derive(BranchIdUnion(), config).unique_sets.empty());
 }
 
 TEST(UnionPropertiesTest, DisjointSubsetsPreserveKey) {
@@ -334,12 +328,7 @@ TEST(UnionPropertiesTest, DisjointSubsetsPreserveKey) {
                        .Filter(Eq(Col("y.status"), LitInt(2)))
                        .ProjectColumns({"y.k"}, {"k"});
   PlanRef plan = PlanBuilder::UnionAll({c1, c2}, {"k"}).Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  bool found = false;
-  for (const auto& key : props.unique_keys) {
-    if (key == std::vector<std::string>{"k"}) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(HasSet(Derive(plan), {"k"}));
 }
 
 TEST(UnionPropertiesTest, OverlappingSubsetsDoNotPreserveKey) {
@@ -355,10 +344,7 @@ TEST(UnionPropertiesTest, OverlappingSubsetsDoNotPreserveKey) {
                        .Filter(Eq(Col("y.status"), LitInt(1)))
                        .ProjectColumns({"y.k"}, {"k"});
   PlanRef plan = PlanBuilder::UnionAll({c1, c2}, {"k"}).Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  for (const auto& key : props.unique_keys) {
-    EXPECT_NE(key, std::vector<std::string>{"k"});
-  }
+  EXPECT_FALSE(HasKey(Derive(plan), {"k"}));
 }
 
 TEST(UnionPropertiesTest, LogicalTableOriginAgreement) {
@@ -374,11 +360,12 @@ TEST(UnionPropertiesTest, LogicalTableOriginAgreement) {
       {"d.k"}, {"k"});
   PlanRef plan =
       PlanBuilder::UnionAll({a, d}, {"k"}, -1, "document").Build();
-  RelProps props = DeriveProps(plan, DerivationConfig{});
-  ASSERT_TRUE(props.origins.count("k"));
-  EXPECT_EQ(props.origins.at("k").table, "document");
-  EXPECT_EQ(props.origins.at("k").column, "k");
-  EXPECT_EQ(props.origins.at("k").source_id, plan->id());
+  InferredProps props = Derive(plan);
+  const ValueSource* origin = props.DirectSource("k");
+  ASSERT_NE(origin, nullptr);
+  EXPECT_EQ(origin->table, "document");
+  EXPECT_EQ(origin->column, "k");
+  EXPECT_EQ(origin->source_id, plan->id());
 }
 
 }  // namespace

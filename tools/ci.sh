@@ -10,8 +10,9 @@
 #   tools/ci.sh fuzz         # ASan differential fuzz: vdmfuzz, 10k queries
 #   tools/ci.sh server       # wire server: ASan+TSan conformance, fuzz leg,
 #                            # loopback vdmload smoke
-#   tools/ci.sh lint         # no hidden compiler state, vdmlint catalog
-#                            # audit (baseline-gated), tidy, format
+#   tools/ci.sh lint         # no hidden compiler state, warning-clean
+#                            # build, vdmlint catalog audit
+#                            # (baseline-gated), tidy, format
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -172,10 +173,10 @@ run_lint() {
   # warning or above, so intentional additions regenerate the baseline with
   #   build-lint/tools/vdmlint --catalog-audit --jeib --fixture \
   #       --write-baseline tools/vdmlint.baseline
-  # The compiler keeps no hidden state: per-compile caches (the property
-  # cache, its inference engine, the join reorderer's estimator) are
-  # objects the optimizer driver owns and passes down (DESIGN.md §4.1), so
-  # concurrent compiles through one Database share nothing writable.
+  # The compiler keeps no hidden state: per-compile caches (the run's
+  # inference engine, the join reorderer's estimator) are objects the
+  # optimizer driver owns and passes down (DESIGN.md §4.1), so concurrent
+  # compiles through one Database share nothing writable.
   echo "== no thread_local / mutable state in the compiler =="
   local hidden
   if hidden="$(git grep -nE 'thread_local|\bmutable\b' -- src/optimizer \
@@ -185,10 +186,17 @@ run_lint() {
     return 1
   fi
 
+  # Every target builds with our own code's warnings as errors. GCC 12's
+  # libstdc++ -Wrestrict / -Wmaybe-uninitialized false positives stay
+  # plain warnings.
   local dir="build-lint"
+  local werror="-Werror=unused-parameter -Werror=unused-function"
+  werror+=" -Werror=unused-variable -Werror=missing-field-initializers"
+  echo "== warning-clean build of every target =="
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="${werror}" >/dev/null
+  cmake --build "${dir}" -j "${JOBS}"
   echo "== vdmlint: whole-catalog audit =="
-  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "${dir}" -j "${JOBS}" --target vdmlint
   "${dir}/tools/vdmlint" --catalog-audit --jeib --fixture \
       --baseline tools/vdmlint.baseline --fail-on warning
   echo "== vdmlint: no new findings at warning+ =="

@@ -375,14 +375,13 @@ Result<Chunk> Database::GovernedExecute(const PlanRef& plan,
       !qc->degraded() && !qc->cancel_requested()) {
     // Degradation ladder rung 2: retry serially with tight hash-table
     // reservations and the per-query budget unenforced (the process-wide
-    // limit still applies). num_threads = 1 is the legacy serial path, so
-    // a successful retry is byte-identical to the parallel result.
+    // limit still applies). Without a pool every operator runs the same
+    // code inline, one morsel after another, so a successful retry is
+    // byte-identical to the parallel result.
     qc->set_degraded(true);
     qc->memory().set_enforced(false);
     if (metrics != nullptr) ++metrics->degraded_serial_retries;
-    ExecOptions serial = exec_options_;
-    serial.num_threads = 1;
-    Executor executor(&storage_, serial, nullptr);
+    Executor executor(&storage_, exec_options_, /*pool=*/nullptr);
     result = executor.Execute(plan, metrics, qc);
   }
   return result;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -62,6 +63,26 @@ Chunk GatherChunk(const Chunk& input, const std::vector<size_t>& rows) {
     out.columns.push_back(col.Gather(rows));
   }
   return out;
+}
+
+/// Evaluates `predicate` on `chunk` and returns the rows where it is true,
+/// ascending (NULL counts as false).
+Result<SelectionVector> SelectWhere(const ExprRef& predicate,
+                                    const Chunk& chunk) {
+  VDM_ASSIGN_OR_RETURN(ColumnData mask, EvalExpr(predicate, chunk));
+  SelectionVector sel;
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (!mask.IsNull(r) && mask.ints()[r] != 0) {
+      sel.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return sel;
+}
+
+/// Keeps the selected rows of *chunk; selecting every row is free.
+void KeepRows(const SelectionVector& sel, Chunk* chunk) {
+  if (sel.size() == chunk->NumRows()) return;
+  for (ColumnData& col : chunk->columns) col = col.GatherSelection(sel);
 }
 
 /// Collects a leaf pipeline: a stack of Filter/Project nodes over a Scan.
@@ -1003,31 +1024,18 @@ class ExecutorImpl {
     }
 
     if (cf.residual != nullptr) {
-      VDM_ASSIGN_OR_RETURN(ColumnData mask, EvalExpr(cf.residual, chunk));
-      SelectionVector rsel;
-      for (size_t r = 0; r < mask.size(); ++r) {
-        if (!mask.IsNull(r) && mask.ints()[r] != 0) {
-          rsel.push_back(static_cast<uint32_t>(r));
-        }
-      }
-      if (rsel.size() != chunk.NumRows()) {
-        Chunk filtered;
-        filtered.names = chunk.names;
-        filtered.columns.reserve(chunk.columns.size());
-        for (const ColumnData& col : chunk.columns) {
-          filtered.columns.push_back(col.GatherSelection(rsel));
-        }
-        chunk = std::move(filtered);
-      }
+      VDM_ASSIGN_OR_RETURN(SelectionVector rsel,
+                           SelectWhere(cf.residual, chunk));
+      KeepRows(rsel, &chunk);
     }
     *out_chunk = std::move(chunk);
     return Status::OK();
   }
 
   /// One leaf pipeline, prepared once and evaluated morsel by morsel.
-  /// RunPipeline drives it for standalone pipelines; the streamed join
-  /// probe path drives the same morsels through build-table probing
-  /// without materializing the pipeline output first.
+  /// RunPipeline drives it for standalone pipelines; RunJoin drives the
+  /// same morsels straight into its probe without materializing the
+  /// pipeline output first.
   struct PipelinePrep {
     const std::vector<const LogicalOp*>* chain = nullptr;
     const ScanOp* scan = nullptr;
@@ -1097,13 +1105,7 @@ class ExecutorImpl {
         // cannot see before any predicate runs.
         SelectionVector vis;
         prep.snap.VisibleRows(begin, end, &vis);
-        Chunk filtered;
-        filtered.names = chunk.names;
-        filtered.columns.reserve(chunk.columns.size());
-        for (const ColumnData& col : chunk.columns) {
-          filtered.columns.push_back(col.GatherSelection(vis));
-        }
-        chunk = std::move(filtered);
+        KeepRows(vis, &chunk);
       }
     }
     // Apply the remaining Filter/Project stack bottom-up (chain is
@@ -1112,23 +1114,9 @@ class ExecutorImpl {
       const LogicalOp* op = chain[i];
       if (op->kind() == OpKind::kFilter) {
         const auto& filter = static_cast<const FilterOp&>(*op);
-        VDM_ASSIGN_OR_RETURN(ColumnData mask,
-                             EvalExpr(filter.predicate(), chunk));
-        SelectionVector sel;
-        for (size_t r = 0; r < mask.size(); ++r) {
-          if (!mask.IsNull(r) && mask.ints()[r] != 0) {
-            sel.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        if (sel.size() != chunk.NumRows()) {
-          Chunk filtered;
-          filtered.names = chunk.names;
-          filtered.columns.reserve(chunk.columns.size());
-          for (const ColumnData& col : chunk.columns) {
-            filtered.columns.push_back(col.GatherSelection(sel));
-          }
-          chunk = std::move(filtered);
-        }
+        VDM_ASSIGN_OR_RETURN(SelectionVector sel,
+                             SelectWhere(filter.predicate(), chunk));
+        KeepRows(sel, &chunk);
       } else {
         const auto& project = static_cast<const ProjectOp&>(*op);
         Chunk projected;
@@ -1144,59 +1132,82 @@ class ExecutorImpl {
     return Status::OK();
   }
 
-  Result<Chunk> RunPipeline(const std::vector<const LogicalOp*>& chain,
-                            int64_t budget) {
-    VDM_ASSIGN_OR_RETURN(PipelinePrep prep, PreparePipeline(chain));
-    const size_t n = prep.n;
-    const size_t num_morsels = prep.num_morsels;
-
-    VDM_FAULT_POINT("exec.pipeline.morsel");
-    std::vector<Chunk> pieces(num_morsels);
+  /// Runs morsel(m, &(*pieces)[m]) for every morsel, in waves, and returns
+  /// how many morsels ran (always a prefix). Without a budget one wave
+  /// holds every morsel. With one, each wave holds two pool-widths of
+  /// morsels, and the waves stop once the pieces hold `budget` rows; the
+  /// caller's output is a prefix in morsel order, so a downstream LIMIT
+  /// keeps the same rows. Every morsel polls the governor first; the first
+  /// failure in morsel order is returned. `charge`, when given, is charged
+  /// two row indexes per output row, wave by wave.
+  Result<size_t> RunWaves(size_t num_morsels, int64_t budget,
+                          const std::function<Status(size_t, Chunk*)>& morsel,
+                          std::vector<Chunk>* pieces,
+                          ScopedMemoryCharge* charge = nullptr) {
+    pieces->resize(num_morsels);
     std::vector<Status> errors(num_morsels);
     auto process = [&](size_t m) {
-      Status alive = ctx_->CheckAlive();
-      if (!alive.ok()) {
-        errors[m] = std::move(alive);
-        return;
-      }
-      errors[m] = PipelineMorsel(prep, m, &pieces[m]);
+      errors[m] = ctx_->CheckAlive();
+      if (errors[m].ok()) errors[m] = morsel(m, &(*pieces)[m]);
     };
-
-    // Waves: with a LIMIT budget, schedule a couple of pool-widths of
-    // morsels at a time and stop as soon as enough output rows exist.
-    bool limit_aware = budget >= 0 && options_.enable_limit_early_exit;
     size_t processed = 0;
     uint64_t out_rows = 0;
-    bool early = false;
     while (processed < num_morsels) {
       size_t wave = num_morsels - processed;
-      if (limit_aware) {
+      if (budget >= 0) {
         wave = std::min(wave, std::max<size_t>(PoolThreads() * 2, 1));
       }
       VDM_RETURN_NOT_OK(RunTasks(processed, wave, process));
-      for (size_t i = 0; i < wave; ++i) {
-        if (!errors[processed + i].ok()) return errors[processed + i];
-        out_rows += pieces[processed + i].NumRows();
+      uint64_t wave_rows = 0;
+      for (size_t m = processed; m < processed + wave; ++m) {
+        VDM_RETURN_NOT_OK(errors[m]);
+        wave_rows += (*pieces)[m].NumRows();
       }
+      if (charge != nullptr) {
+        VDM_RETURN_NOT_OK(charge->Charge(static_cast<int64_t>(wave_rows) * 2 *
+                                         sizeof(size_t)));
+      }
+      out_rows += wave_rows;
       processed += wave;
-      if (limit_aware && out_rows >= static_cast<uint64_t>(budget) &&
+      if (budget >= 0 && out_rows >= static_cast<uint64_t>(budget) &&
           processed < num_morsels) {
-        early = true;
+        if (metrics_ != nullptr) ++metrics_->limit_early_exits;
         break;
       }
     }
-    if (metrics_ != nullptr) {
-      metrics_->rows_scanned += std::min(n, processed * morsel_size_);
-      metrics_->morsels_scanned += processed;
-      if (early) ++metrics_->limit_early_exits;
-    }
-    Chunk out = std::move(pieces[0]);
-    for (size_t m = 1; m < processed; ++m) {
+    return processed;
+  }
+
+  /// Concatenates pieces[0, count) in morsel order. pieces[0] always
+  /// exists and carries the names and column types, even when empty.
+  static Chunk ConcatPieces(std::vector<Chunk>* pieces, size_t count) {
+    Chunk out = std::move((*pieces)[0]);
+    for (size_t m = 1; m < count; ++m) {
       for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].AppendColumn(std::move(pieces[m].columns[c]));
+        out.columns[c].AppendColumn(std::move((*pieces)[m].columns[c]));
       }
     }
     return out;
+  }
+
+  Result<Chunk> RunPipeline(const std::vector<const LogicalOp*>& chain,
+                            int64_t budget) {
+    VDM_ASSIGN_OR_RETURN(PipelinePrep prep, PreparePipeline(chain));
+    VDM_FAULT_POINT("exec.pipeline.morsel");
+    std::vector<Chunk> pieces;
+    VDM_ASSIGN_OR_RETURN(
+        size_t processed,
+        RunWaves(prep.num_morsels,
+                 options_.enable_limit_early_exit ? budget : kNoBudget,
+                 [&](size_t m, Chunk* piece) {
+                   return PipelineMorsel(prep, m, piece);
+                 },
+                 &pieces));
+    if (metrics_ != nullptr) {
+      metrics_->rows_scanned += std::min(prep.n, processed * morsel_size_);
+      metrics_->morsels_scanned += processed;
+    }
+    return ConcatPieces(&pieces, processed);
   }
 
   // -----------------------------------------------------------------------
@@ -1204,13 +1215,8 @@ class ExecutorImpl {
 
   Result<Chunk> RunFilter(const FilterOp& filter) {
     VDM_ASSIGN_OR_RETURN(Chunk input, Run(filter.child(0), kNoBudget));
-    VDM_ASSIGN_OR_RETURN(ColumnData mask, EvalExpr(filter.predicate(), input));
-    SelectionVector sel;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (!mask.IsNull(i) && mask.ints()[i] != 0) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    VDM_ASSIGN_OR_RETURN(SelectionVector sel,
+                         SelectWhere(filter.predicate(), input));
     if (sel.size() == input.NumRows()) return input;  // all rows pass
     Chunk out;
     out.names = input.names;
@@ -1235,200 +1241,238 @@ class ExecutorImpl {
   }
 
   // -----------------------------------------------------------------------
-  // Hash join: typed build table, morsel-parallel probe, limit-aware waves.
+  // Hash join: build on the right (augmenter) side, probe the left side
+  // morsel by morsel in anchor order.
 
-  /// True when every conjunct of the join condition is an equi pair
-  /// resolvable against the children's declared output columns — the
-  /// name-level mirror of the chunk split in RunJoin below.
-  static bool AllEquiConjuncts(const JoinOp& join) {
+  /// The join condition resolved against the children's output names
+  /// (chunk names equal OutputNames): column-equals-column conjuncts with
+  /// one side on each input become hash keys, the rest is the residual.
+  struct JoinKeys {
+    std::vector<std::pair<size_t, size_t>> cols;  // (left idx, right idx)
+    ExprRef residual;  // null when the keys are the whole condition
+  };
+
+  static JoinKeys ResolveJoinKeys(const JoinOp& join) {
     std::vector<std::string> ln = join.left()->OutputNames();
     std::vector<std::string> rn = join.right()->OutputNames();
-    auto has = [](const std::vector<std::string>& v, const std::string& s) {
-      return std::find(v.begin(), v.end(), s) != v.end();
-    };
-    for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
-      if (IsAlwaysTrue(conjunct)) continue;
-      std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-      if (!pair.has_value()) return false;
-      bool l = has(ln, pair->left);
-      bool r = has(rn, pair->right);
-      if (!l && !r) {
-        l = has(ln, pair->right);
-        r = has(rn, pair->left);
-      }
-      if (!l || !r) return false;
-    }
-    return true;
-  }
-
-  /// Resolves the join's equi conjuncts to (probe column, build column)
-  /// index pairs at the name level — the plan-side mirror of RunJoin's
-  /// chunk split (chunk names equal the children's OutputNames). Returns
-  /// false when any conjunct fails to resolve or no equi key exists.
-  static bool ResolveStreamedKeys(const JoinOp& join,
-                                  std::vector<std::pair<int, int>>* key_cols) {
-    std::vector<std::string> ln = join.left()->OutputNames();
-    std::vector<std::string> rn = join.right()->OutputNames();
-    auto idx = [](const std::vector<std::string>& v, const std::string& s) {
+    auto find = [](const std::vector<std::string>& v, const std::string& s) {
       auto it = std::find(v.begin(), v.end(), s);
       return it == v.end() ? -1 : static_cast<int>(it - v.begin());
     };
+    JoinKeys keys;
+    std::vector<ExprRef> residual;
     for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
       if (IsAlwaysTrue(conjunct)) continue;
       std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-      if (!pair.has_value()) return false;
-      int l = idx(ln, pair->left);
-      int r = idx(rn, pair->right);
-      if (l < 0 || r < 0) {
-        l = idx(ln, pair->right);
-        r = idx(rn, pair->left);
+      if (pair.has_value()) {
+        int l = find(ln, pair->left);
+        int r = find(rn, pair->right);
+        if (l < 0 && r < 0) {
+          l = find(ln, pair->right);
+          r = find(rn, pair->left);
+        }
+        if (l >= 0 && r >= 0) {
+          keys.cols.emplace_back(l, r);
+          continue;
+        }
       }
-      if (l < 0 || r < 0) return false;
-      key_cols->emplace_back(l, r);
+      residual.push_back(conjunct);
     }
-    return !key_cols->empty();
+    if (!residual.empty()) keys.residual = AndAll(std::move(residual));
+    return keys;
   }
 
-  /// Hash join with a streamed probe side: the probe child is a leaf scan
-  /// pipeline and the condition is pure equi, so each pipeline morsel is
-  /// probed against the build table as soon as it is produced — the probe
-  /// input is never materialized as one chunk. Output is byte-identical
-  /// to the materialized path: per-morsel match pairs are emitted in
-  /// (probe row, ascending build row) order and pieces are concatenated
-  /// in morsel order. With a LIMIT budget the wave loop stops *scanning*
-  /// once enough output rows exist — the materialized path could only
-  /// stop probing.
-  Result<Chunk> RunStreamedJoin(const JoinOp& join,
-                                const std::vector<const LogicalOp*>& chain,
-                                const std::vector<std::pair<int, int>>& key_cols,
-                                int64_t budget) {
-    bool left_outer = join.join_type() == JoinType::kLeftOuter;
-    VDM_ASSIGN_OR_RETURN(Chunk right, Run(join.right(), kNoBudget));
-    VDM_ASSIGN_OR_RETURN(PipelinePrep prep, PreparePipeline(chain));
-    if (metrics_ != nullptr) {
-      metrics_->operators_executed += chain.size();
-      metrics_->rows_build_input += right.NumRows();
+  /// Left columns gathered at `lrows`, then right columns at `rrows`
+  /// (kInvalidIndex gathers NULL).
+  static Chunk GatherJoined(const Chunk& left, const std::vector<size_t>& lrows,
+                            const Chunk& right,
+                            const std::vector<size_t>& rrows) {
+    Chunk out;
+    out.names = left.names;
+    out.names.insert(out.names.end(), right.names.begin(), right.names.end());
+    out.columns.reserve(left.columns.size() + right.columns.size());
+    for (const ColumnData& col : left.columns) {
+      out.columns.push_back(col.Gather(lrows));
     }
-
-    std::vector<const ColumnData*> build_ptrs;
-    build_ptrs.reserve(key_cols.size());
-    for (const auto& [lc, rc] : key_cols) {
-      build_ptrs.push_back(&right.columns[static_cast<size_t>(rc)]);
+    for (const ColumnData& col : right.columns) {
+      out.columns.push_back(col.Gather(rrows));
     }
-    JoinHashTable ht(std::move(build_ptrs), {});
-    VDM_RETURN_NOT_OK(ht.Build(BuildPool(right.NumRows()), ctx_));
-    if (metrics_ != nullptr) {
-      metrics_->peak_hash_table_entries = std::max<uint64_t>(
-          metrics_->peak_hash_table_entries, ht.num_entries());
+    return out;
+  }
+
+  /// Joins probe rows [begin, end) of `probe` with `right` into *out, in
+  /// (probe row, ascending build row) order. Without a hash table (no equi
+  /// key) every build row matches. The residual then drops matches, and a
+  /// LEFT OUTER probe row left without one is null-extended. At most
+  /// `budget` rows are gathered: the caller keeps only a prefix.
+  Status ProbeRows(const Chunk& probe, size_t begin, size_t end,
+                   const Chunk& right, const JoinKeys& keys,
+                   const JoinHashTable* table, bool left_outer,
+                   int64_t budget, Chunk* out) {
+    std::vector<size_t> lrows, rrows, matches;
+    lrows.reserve(end - begin);
+    rrows.reserve(end - begin);
+    std::vector<const ColumnData*> key_cols;
+    std::optional<JoinHashTable::Prober> prober;
+    if (table != nullptr) {
+      for (const auto& [lc, rc] : keys.cols) {
+        key_cols.push_back(&probe.columns[lc]);
+      }
+      prober.emplace(*table);
+      prober->Bind(&key_cols);
     }
-
-    // No residual by construction, so the LIMIT budget applies directly.
-    int64_t out_budget = budget;
-    int64_t hint = join.limit_hint();
-    if (hint >= 0 && (out_budget < 0 || hint < out_budget)) out_budget = hint;
-    if (!options_.enable_limit_early_exit) out_budget = kNoBudget;
-
-    size_t num_morsels = prep.num_morsels;
-    size_t left_ncols = join.left()->OutputNames().size();
-    std::vector<Chunk> pieces(num_morsels);
-    std::vector<size_t> probed(num_morsels, 0);
-    std::vector<Status> errors(num_morsels);
-    VDM_FAULT_POINT("exec.join.probe");
-    auto process = [&](size_t m) {
-      Status alive = ctx_->CheckAlive();
-      if (!alive.ok()) {
-        errors[m] = std::move(alive);
-        return;
-      }
-      Chunk in;
-      Status s = PipelineMorsel(prep, m, &in);
-      if (!s.ok()) {
-        errors[m] = std::move(s);
-        return;
-      }
-      probed[m] = in.NumRows();
-      std::vector<const ColumnData*> key_ptrs;
-      key_ptrs.reserve(key_cols.size());
-      for (const auto& [lc, rc] : key_cols) {
-        key_ptrs.push_back(&in.columns[static_cast<size_t>(lc)]);
-      }
-      JoinHashTable::StreamProber prober(ht);
-      prober.Bind(&key_ptrs);
-      std::vector<size_t> lrows, rrows, matches;
-      for (size_t l = 0; l < in.NumRows(); ++l) {
+    for (size_t l = begin; l < end; ++l) {
+      size_t count = right.NumRows();
+      if (prober.has_value()) {
         matches.clear();
-        size_t count = prober.ProbeRow(l, &matches);
-        for (size_t b : matches) {
+        count = prober->ProbeRow(l, &matches);
+        for (size_t r : matches) {
           lrows.push_back(l);
-          rrows.push_back(b);
+          rrows.push_back(r);
         }
-        if (count == 0 && left_outer) {
+      } else {
+        for (size_t r = 0; r < count; ++r) {
           lrows.push_back(l);
-          rrows.push_back(ColumnData::kInvalidIndex);
+          rrows.push_back(r);
         }
       }
-      Chunk piece;
-      piece.names = in.names;
-      piece.names.insert(piece.names.end(), right.names.begin(),
-                         right.names.end());
-      piece.columns.reserve(left_ncols + right.columns.size());
-      for (const ColumnData& col : in.columns) {
-        piece.columns.push_back(col.Gather(lrows));
-      }
-      for (const ColumnData& col : right.columns) {
-        piece.columns.push_back(col.Gather(rrows));
-      }
-      pieces[m] = std::move(piece);
-    };
-
-    // Waves: like the materialized probe loop, but the early exit now
-    // stops the scan itself. Match output is charged wave by wave.
-    ScopedMemoryCharge probe_mem(&ctx_->memory());
-    size_t processed = 0;
-    uint64_t match_rows = 0;
-    bool early = false;
-    while (processed < num_morsels) {
-      size_t wave = num_morsels - processed;
-      if (out_budget >= 0) {
-        wave = std::min(wave, std::max<size_t>(PoolThreads() * 2, 1));
-      }
-      VDM_RETURN_NOT_OK(RunTasks(processed, wave, process));
-      VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-      uint64_t wave_rows = 0;
-      for (size_t i = 0; i < wave; ++i) {
-        if (!errors[processed + i].ok()) return errors[processed + i];
-        wave_rows += pieces[processed + i].NumRows();
-      }
-      match_rows += wave_rows;
-      VDM_RETURN_NOT_OK(probe_mem.Charge(
-          static_cast<int64_t>(wave_rows) * 2 * sizeof(size_t)));
-      processed += wave;
-      if (out_budget >= 0 &&
-          match_rows >= static_cast<uint64_t>(out_budget) &&
-          processed < num_morsels) {
-        early = true;
-        break;
+      if (count == 0 && left_outer) {
+        lrows.push_back(l);
+        rrows.push_back(ColumnData::kInvalidIndex);
       }
     }
+    if (keys.residual != nullptr) {
+      // The residual is part of the join condition: it runs on every
+      // candidate (even none, so type errors surface), and a LEFT OUTER
+      // probe row whose matches all fail reverts to null extension.
+      VDM_ASSIGN_OR_RETURN(
+          SelectionVector pass,
+          SelectWhere(keys.residual, GatherJoined(probe, lrows, right, rrows)));
+      std::vector<size_t> kept_l, kept_r;
+      size_t p = 0;
+      for (size_t i = 0; i < lrows.size();) {
+        const size_t l = lrows[i];
+        bool any = false;
+        for (; i < lrows.size() && lrows[i] == l; ++i) {
+          const bool passed = p < pass.size() && pass[p] == i;
+          if (passed) ++p;
+          if (passed && rrows[i] != ColumnData::kInvalidIndex) {
+            kept_l.push_back(l);
+            kept_r.push_back(rrows[i]);
+            any = true;
+          }
+        }
+        if (!any && left_outer) {
+          kept_l.push_back(l);
+          kept_r.push_back(ColumnData::kInvalidIndex);
+        }
+      }
+      lrows = std::move(kept_l);
+      rrows = std::move(kept_r);
+    }
+    if (budget >= 0 && lrows.size() > static_cast<size_t>(budget)) {
+      lrows.resize(static_cast<size_t>(budget));
+      rrows.resize(static_cast<size_t>(budget));
+    }
+    *out = GatherJoined(probe, lrows, right, rrows);
+    return Status::OK();
+  }
+
+  /// One hash join for every input shape. The probe side arrives either as
+  /// a leaf pipeline, morsel by morsel (its output is never materialized
+  /// whole, and a LIMIT stops the scan itself), or as a materialized chunk
+  /// probed in row ranges. Pieces are concatenated in morsel order, so the
+  /// output is independent of the thread count.
+  Result<Chunk> RunJoin(const JoinOp& join, int64_t budget) {
+    const bool left_outer = join.join_type() == JoinType::kLeftOuter;
+    const JoinKeys keys = ResolveJoinKeys(join);
+    // The output is a prefix (anchor order) of the full result, so the
+    // probe may stop once `out_budget` rows exist; the ancestor LimitOp
+    // truncates. The optimizer's limit hint covers plans where the LimitOp
+    // itself could not sink.
+    int64_t out_budget = kNoBudget;
+    if (options_.enable_limit_early_exit) {
+      out_budget = budget;
+      const int64_t hint = join.limit_hint();
+      if (hint >= 0 && (out_budget < 0 || hint < out_budget)) out_budget = hint;
+    }
+
+    std::vector<const LogicalOp*> chain;
+    const bool streamed = CollectPipeline(join.left().get(), &chain);
+    Chunk left;
+    if (!streamed) {
+      // A LEFT OUTER join emits at least one row per probe row, so its
+      // probe child only needs to produce `out_budget` rows.
+      VDM_ASSIGN_OR_RETURN(
+          left, Run(join.left(), left_outer ? out_budget : kNoBudget));
+    }
+    VDM_ASSIGN_OR_RETURN(Chunk right, Run(join.right(), kNoBudget));
+    PipelinePrep prep;
+    if (streamed) {
+      VDM_ASSIGN_OR_RETURN(prep, PreparePipeline(chain));
+      if (metrics_ != nullptr) metrics_->operators_executed += chain.size();
+    }
+    if (metrics_ != nullptr) metrics_->rows_build_input += right.NumRows();
+
+    std::optional<JoinHashTable> table;
+    if (!keys.cols.empty()) {
+      std::vector<const ColumnData*> build_cols;
+      build_cols.reserve(keys.cols.size());
+      for (const auto& [lc, rc] : keys.cols) {
+        build_cols.push_back(&right.columns[rc]);
+      }
+      table.emplace(std::move(build_cols));
+      VDM_RETURN_NOT_OK(table->Build(BuildPool(right.NumRows()), ctx_));
+      if (metrics_ != nullptr) {
+        metrics_->peak_hash_table_entries = std::max<uint64_t>(
+            metrics_->peak_hash_table_entries, table->num_entries());
+      }
+    }
+
+    const size_t ln = left.NumRows();
+    const size_t num_morsels =
+        streamed ? prep.num_morsels
+                 : std::max<size_t>(1, (ln + morsel_size_ - 1) / morsel_size_);
+    std::vector<size_t> probed(num_morsels, 0);
+    VDM_FAULT_POINT("exec.join.probe");
+    auto probe_morsel = [&](size_t m, Chunk* piece) -> Status {
+      Chunk morsel;
+      const Chunk* probe = &left;
+      size_t begin = std::min(ln, m * morsel_size_);
+      size_t end = std::min(ln, begin + morsel_size_);
+      if (streamed) {
+        VDM_RETURN_NOT_OK(PipelineMorsel(prep, m, &morsel));
+        probe = &morsel;
+        begin = 0;
+        end = morsel.NumRows();
+      }
+      probed[m] = end - begin;
+      return ProbeRows(*probe, begin, end, right, keys,
+                       table.has_value() ? &*table : nullptr, left_outer,
+                       out_budget, piece);
+    };
+    // The probe output is the join's largest intermediate besides the
+    // build table; RunWaves charges it wave by wave so a budget violation
+    // surfaces before the allocation runs away.
+    ScopedMemoryCharge probe_mem(&ctx_->memory());
+    std::vector<Chunk> pieces;
+    VDM_ASSIGN_OR_RETURN(
+        size_t processed,
+        RunWaves(num_morsels, out_budget, probe_morsel, &pieces, &probe_mem));
     if (metrics_ != nullptr) {
-      metrics_->rows_scanned += std::min(prep.n, processed * morsel_size_);
-      metrics_->morsels_scanned += processed;
+      if (streamed) {
+        metrics_->rows_scanned += std::min(prep.n, processed * morsel_size_);
+        metrics_->morsels_scanned += processed;
+      }
       metrics_->morsels_probed += processed;
       for (size_t m = 0; m < processed; ++m) {
         metrics_->rows_probe_input += probed[m];
       }
-      if (early) ++metrics_->limit_early_exits;
     }
 
-    Chunk out = std::move(pieces[0]);
-    for (size_t m = 1; m < processed; ++m) {
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].AppendColumn(std::move(pieces[m].columns[c]));
-      }
-    }
-    // Trim wave overshoot past the budget (the LimitOp would anyway).
-    if (out_budget >= 0 &&
-        out.NumRows() > static_cast<size_t>(out_budget)) {
+    Chunk out = ConcatPieces(&pieces, processed);
+    // Trim the last wave's overshoot past the budget (the LimitOp would).
+    if (out_budget >= 0 && out.NumRows() > static_cast<size_t>(out_budget)) {
       std::vector<size_t> keep(static_cast<size_t>(out_budget));
       for (size_t i = 0; i < keep.size(); ++i) keep[i] = i;
       out = GatherChunk(out, keep);
@@ -1436,301 +1480,45 @@ class ExecutorImpl {
     return out;
   }
 
-  Result<Chunk> RunJoin(const JoinOp& join, int64_t budget) {
-    // Streamed probe: a pure equi join over a leaf scan pipeline probes
-    // morsel by morsel instead of materializing the probe input first.
-    if (AllEquiConjuncts(join)) {
-      std::vector<const LogicalOp*> probe_chain;
-      std::vector<std::pair<int, int>> key_cols;
-      if (CollectPipeline(join.left().get(), &probe_chain) &&
-          ResolveStreamedKeys(join, &key_cols)) {
-        return RunStreamedJoin(join, probe_chain, key_cols, budget);
-      }
-    }
-    // A residual-free LEFT OUTER join emits at least one output row per
-    // probe row (null-padded on miss), so when a LIMIT budget reaches the
-    // join, the probe child itself only needs to produce that many rows:
-    // its scan pipeline stops early exactly like the probe waves below,
-    // and the emitted prefix is identical.
-    int64_t probe_budget = kNoBudget;
-    if (options_.enable_limit_early_exit &&
-        join.join_type() == JoinType::kLeftOuter) {
-      int64_t b = budget;
-      int64_t h = join.limit_hint();
-      if (h >= 0 && (b < 0 || h < b)) b = h;
-      if (b >= 0 && AllEquiConjuncts(join)) probe_budget = b;
-    }
-    VDM_ASSIGN_OR_RETURN(Chunk left, Run(join.left(), probe_budget));
-    VDM_ASSIGN_OR_RETURN(Chunk right, Run(join.right(), kNoBudget));
-    bool left_outer = join.join_type() == JoinType::kLeftOuter;
-
-    // Split the condition into equi pairs and residual conjuncts.
-    std::vector<std::pair<int, int>> key_cols;  // (left idx, right idx)
-    std::vector<ExprRef> residual;
-    for (const ExprRef& conjunct : SplitConjuncts(join.condition())) {
-      if (IsAlwaysTrue(conjunct)) continue;
-      std::optional<ColumnPair> pair = MatchColumnEqColumn(conjunct);
-      if (pair.has_value()) {
-        int l = left.FindColumn(pair->left);
-        int r = right.FindColumn(pair->right);
-        if (l < 0 && r < 0) {
-          l = left.FindColumn(pair->right);
-          r = right.FindColumn(pair->left);
-        }
-        if (l >= 0 && r >= 0) {
-          key_cols.emplace_back(l, r);
-          continue;
-        }
-      }
-      residual.push_back(conjunct);
-    }
-    if (probe_budget >= 0 && !residual.empty()) {
-      // The name-level pre-check promised an equi-only condition but the
-      // chunk split disagrees (planner contract violation): a truncated
-      // probe input is no longer provably sufficient, so rerun it whole.
-      VDM_ASSIGN_OR_RETURN(left, Run(join.left(), kNoBudget));
-    }
-
-    // The probe loop may stop once the join has emitted `budget` rows:
-    // its output is a prefix (anchor order) of the full result, and the
-    // ancestor LimitOp truncates. The optimizer's limit hint covers plans
-    // where the LimitOp itself could not sink. Residual conjuncts filter
-    // *after* match emission, so they disable the early exit.
-    int64_t out_budget = budget;
-    int64_t hint = join.limit_hint();
-    if (hint >= 0 && (out_budget < 0 || hint < out_budget)) out_budget = hint;
-    if (!options_.enable_limit_early_exit || !residual.empty()) {
-      out_budget = kNoBudget;
-    }
-
-    if (metrics_ != nullptr) metrics_->rows_build_input += right.NumRows();
-
-    std::vector<size_t> left_rows, right_rows;
-    bool early = false;
-    size_t rows_probed = left.NumRows();
-    if (!key_cols.empty()) {
-      // Typed hash join: build on the right (augmenter) side.
-      std::vector<const ColumnData*> build_ptrs, probe_ptrs;
-      build_ptrs.reserve(key_cols.size());
-      probe_ptrs.reserve(key_cols.size());
-      for (const auto& [lc, rc] : key_cols) {
-        probe_ptrs.push_back(&left.columns[static_cast<size_t>(lc)]);
-        build_ptrs.push_back(&right.columns[static_cast<size_t>(rc)]);
-      }
-      JoinHashTable ht(std::move(build_ptrs), std::move(probe_ptrs));
-      VDM_RETURN_NOT_OK(ht.Build(BuildPool(right.NumRows()), ctx_));
-      if (metrics_ != nullptr) {
-        metrics_->peak_hash_table_entries =
-            std::max<uint64_t>(metrics_->peak_hash_table_entries,
-                               ht.num_entries());
-      }
-
-      size_t ln = left.NumRows();
-      size_t num_morsels = (ln + morsel_size_ - 1) / morsel_size_;
-      struct ProbeOut {
-        std::vector<size_t> lrows, rrows;
-      };
-      std::vector<ProbeOut> outs(num_morsels);
-      VDM_FAULT_POINT("exec.join.probe");
-      auto probe_morsel = [&](size_t m) {
-        // Per-morsel governor check: a cancelled query stops emitting
-        // matches within one morsel on every worker; the wave loop below
-        // surfaces the typed status.
-        if (!ctx_->CheckAlive().ok()) return;
-        size_t begin = m * morsel_size_;
-        size_t end = std::min(ln, begin + morsel_size_);
-        JoinHashTable::Prober prober(ht);
-        ProbeOut& o = outs[m];
-        o.lrows.reserve(end - begin);
-        o.rrows.reserve(end - begin);
-        std::vector<size_t> matches;
-        for (size_t l = begin; l < end; ++l) {
-          matches.clear();
-          size_t count = prober.ProbeRow(l, &matches);
-          for (size_t r : matches) {
-            o.lrows.push_back(l);
-            o.rrows.push_back(r);
-          }
-          if (count == 0 && left_outer) {
-            o.lrows.push_back(l);
-            o.rrows.push_back(ColumnData::kInvalidIndex);
-          }
-        }
-      };
-      // Probe outputs (match-row index pairs) are the join's largest
-      // intermediate besides the build table; charge them wave by wave so
-      // a budget violation surfaces before the allocation runs away.
-      ScopedMemoryCharge probe_mem(&ctx_->memory());
-      size_t processed = 0;
-      uint64_t match_rows = 0;
-      while (processed < num_morsels) {
-        size_t wave = num_morsels - processed;
-        if (out_budget >= 0) {
-          wave = std::min(wave, std::max<size_t>(PoolThreads() * 2, 1));
-        }
-        VDM_RETURN_NOT_OK(RunTasks(processed, wave, probe_morsel));
-        VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-        uint64_t wave_rows = 0;
-        for (size_t i = 0; i < wave; ++i) {
-          wave_rows += outs[processed + i].lrows.size();
-        }
-        match_rows += wave_rows;
-        VDM_RETURN_NOT_OK(probe_mem.Charge(
-            static_cast<int64_t>(wave_rows) * 2 * sizeof(size_t)));
-        processed += wave;
-        if (out_budget >= 0 &&
-            match_rows >= static_cast<uint64_t>(out_budget) &&
-            processed < num_morsels) {
-          early = true;
-          break;
-        }
-      }
-      rows_probed = std::min(ln, processed * morsel_size_);
-      if (metrics_ != nullptr) metrics_->morsels_probed += processed;
-
-      VDM_RETURN_NOT_OK(probe_mem.Charge(
-          static_cast<int64_t>(match_rows) * 2 * sizeof(size_t)));
-      left_rows.reserve(match_rows);
-      right_rows.reserve(match_rows);
-      for (size_t m = 0; m < processed; ++m) {
-        left_rows.insert(left_rows.end(), outs[m].lrows.begin(),
-                         outs[m].lrows.end());
-        right_rows.insert(right_rows.end(), outs[m].rrows.begin(),
-                          outs[m].rrows.end());
-      }
-    } else {
-      // Nested-loop join (no equi keys).
-      for (size_t l = 0; l < left.NumRows(); ++l) {
-        if ((l & 1023) == 0) VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-        bool matched = false;
-        for (size_t r = 0; r < right.NumRows(); ++r) {
-          left_rows.push_back(l);
-          right_rows.push_back(r);
-          matched = true;
-        }
-        if (!matched && left_outer) {
-          left_rows.push_back(l);
-          right_rows.push_back(ColumnData::kInvalidIndex);
-        }
-        if (out_budget >= 0 &&
-            left_rows.size() >= static_cast<size_t>(out_budget) &&
-            l + 1 < left.NumRows()) {
-          early = true;
-          rows_probed = l + 1;
-          break;
-        }
-      }
-    }
-    if (metrics_ != nullptr) {
-      metrics_->rows_probe_input += rows_probed;
-      if (early) ++metrics_->limit_early_exits;
-    }
-
-    // The ancestor LIMIT keeps only `out_budget` rows; gathering beyond
-    // that materializes columns that are immediately discarded. The probe
-    // waves stop near the budget, this trims the overshoot exactly.
-    if (out_budget >= 0 &&
-        left_rows.size() > static_cast<size_t>(out_budget)) {
-      left_rows.resize(static_cast<size_t>(out_budget));
-      right_rows.resize(static_cast<size_t>(out_budget));
-    }
-
-    Chunk combined;
-    combined.names = left.names;
-    combined.names.insert(combined.names.end(), right.names.begin(),
-                          right.names.end());
-    size_t left_ncols = left.columns.size();
-    size_t ncols = left_ncols + right.columns.size();
-    combined.columns.reserve(ncols);
-    for (const ColumnData& col : left.columns) {
-      combined.columns.emplace_back(col.type());
-    }
-    for (const ColumnData& col : right.columns) {
-      combined.columns.emplace_back(col.type());
-    }
-    // Gather output columns in parallel — each task owns one column slot.
-    VDM_RETURN_NOT_OK(RunTasks(0, ncols, [&](size_t c) {
-      combined.columns[c] = c < left_ncols
-                                ? left.columns[c].Gather(left_rows)
-                                : right.columns[c - left_ncols].Gather(
-                                      right_rows);
-    }));
-
-    if (residual.empty()) return combined;
-
-    // Apply residual conjuncts; for LEFT OUTER the residual is part of the
-    // join condition, so failing inner matches revert to null extension.
-    VDM_ASSIGN_OR_RETURN(ColumnData mask,
-                         EvalExpr(AndAll(residual), combined));
-    if (!left_outer) {
-      std::vector<size_t> keep;
-      for (size_t i = 0; i < mask.size(); ++i) {
-        if (!mask.IsNull(i) && mask.ints()[i] != 0) keep.push_back(i);
-      }
-      return GatherChunk(combined, keep);
-    }
-    // LEFT OUTER with residual: group rows by left row id; if no surviving
-    // match for a left row, emit one null-extended row.
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      bool inner = right_rows[i] != ColumnData::kInvalidIndex;
-      bool pass = !mask.IsNull(i) && mask.ints()[i] != 0;
-      if (inner && pass) keep.push_back(i);
-    }
-    // Emit null-extended rows for left rows with no surviving match, in
-    // left order.
-    std::vector<size_t> final_left, final_right;
-    size_t keep_pos = 0;
-    for (size_t l = 0; l < left.NumRows(); ++l) {
-      bool any = false;
-      while (keep_pos < keep.size() && left_rows[keep[keep_pos]] == l) {
-        final_left.push_back(left_rows[keep[keep_pos]]);
-        final_right.push_back(right_rows[keep[keep_pos]]);
-        ++keep_pos;
-        any = true;
-      }
-      if (!any) {
-        final_left.push_back(l);
-        final_right.push_back(ColumnData::kInvalidIndex);
-      }
-    }
-    Chunk out;
-    out.names = combined.names;
-    for (size_t c = 0; c < left.columns.size(); ++c) {
-      out.columns.push_back(left.columns[c].Gather(final_left));
-    }
-    for (size_t c = 0; c < right.columns.size(); ++c) {
-      out.columns.push_back(right.columns[c].Gather(final_right));
-    }
-    return out;
-  }
-
   // -----------------------------------------------------------------------
-  // Aggregation: typed group table; parallel per-morsel partials when the
-  // aggregate set is order-insensitive.
+  // Aggregation: each partition accumulates one row range into its own
+  // group table and partials, and the partitions merge in row order.
+  // Serial execution is one partition covering every row.
 
-  /// Partial accumulator for one (aggregate, group) pair.
+  /// Running state of one aggregate over one group.
   struct AggPartial {
-    int64_t count = 0;
-    int64_t sum = 0;
-    bool any = false;
-    Value best;
+    int64_t count = 0;  // COUNT(*), COUNT(x), AVG's divisor
+    int64_t sum = 0;    // SUM of integer-backed payloads
+    double dsum = 0.0;  // SUM with a double result, AVG's dividend
+    bool any = false;   // SUM/MIN/MAX saw a non-NULL input
+    Value best;         // MIN/MAX
+    std::unique_ptr<std::unordered_set<std::string>> seen;  // COUNT(DISTINCT)
   };
 
-  /// True when per-morsel partial aggregation merged in morsel order is
-  /// byte-for-byte identical to the serial loop: no DISTINCT, and no
-  /// accumulation whose result depends on addition order (double sums,
-  /// averages).
-  static bool ParallelAggEligible(
-      const std::vector<const AggregateExpr*>& aggs,
-      const std::vector<DataType>& result_types) {
+  /// One partition: its group table (null for a global aggregate), the
+  /// first row of each group in first-occurrence order, and the partials.
+  struct AggPartition {
+    std::unique_ptr<GroupKeyTable> table;
+    std::vector<size_t> first_rows;
+    std::vector<std::vector<AggPartial>> states;  // [agg][group]
+    Status status;
+  };
+
+  /// True when partials merged in row order equal one partition's result
+  /// bit for bit: integer sums and counts add exactly, and MIN/MAX ties
+  /// keep the earlier partition's value. Double sums and averages depend
+  /// on the order of additions, and COUNT(DISTINCT) would merge whole
+  /// seen-sets, so those aggregate sets run as one partition.
+  static bool OrderInsensitive(const std::vector<const AggregateExpr*>& aggs,
+                               const std::vector<DataType>& result_types) {
     for (size_t k = 0; k < aggs.size(); ++k) {
-      if (aggs[k]->distinct()) return false;
       switch (aggs[k]->agg()) {
         case AggKind::kCountStar:
-        case AggKind::kCount:
         case AggKind::kMin:
         case AggKind::kMax:
+          break;
+        case AggKind::kCount:
+          if (aggs[k]->distinct()) return false;
           break;
         case AggKind::kSum:
           if (result_types[k].id == TypeId::kDouble) return false;
@@ -1740,6 +1528,124 @@ class ExecutorImpl {
       }
     }
     return true;
+  }
+
+  /// MIN/MAX step: only a strictly better value replaces the kept one, so
+  /// ties keep the first occurrence.
+  static void KeepBest(AggKind kind, const Value& v, AggPartial* p) {
+    if (!p->any) {
+      p->best = v;
+      p->any = true;
+      return;
+    }
+    const int cmp = v.Compare(p->best);
+    if ((kind == AggKind::kMin && cmp < 0) ||
+        (kind == AggKind::kMax && cmp > 0)) {
+      p->best = v;
+    }
+  }
+
+  /// Adds row `r` of `arg` to *p. `key` is scratch for COUNT(DISTINCT).
+  static void Accumulate(const AggregateExpr& a, const ColumnData& arg,
+                         const DataType& result_type, size_t r,
+                         std::string* key, AggPartial* p) {
+    if (a.agg() == AggKind::kCountStar) {
+      ++p->count;
+      return;
+    }
+    if (arg.IsNull(r)) return;
+    switch (a.agg()) {
+      case AggKind::kCountStar:
+        break;
+      case AggKind::kCount:
+        if (!a.distinct()) {
+          ++p->count;
+          break;
+        }
+        key->clear();
+        AppendKeyBytes(arg, r, key);
+        if (p->seen == nullptr) {
+          p->seen = std::make_unique<std::unordered_set<std::string>>();
+        }
+        p->seen->insert(*key);
+        break;
+      case AggKind::kSum:
+        p->any = true;
+        if (result_type.id != TypeId::kDouble) {
+          p->sum += arg.ints()[r];
+        } else if (arg.type().id == TypeId::kDouble) {
+          p->dsum += arg.doubles()[r];
+        } else {
+          p->dsum += arg.GetValue(r).ToDouble();
+        }
+        break;
+      case AggKind::kAvg:
+        p->dsum += arg.GetValue(r).ToDouble();
+        ++p->count;
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        KeepBest(a.agg(), arg.GetValue(r), p);
+        break;
+    }
+  }
+
+  /// Folds a later partition's partial for the same group into *dst.
+  static void Merge(AggKind kind, AggPartial&& src, AggPartial* dst) {
+    if (kind == AggKind::kMin || kind == AggKind::kMax) {
+      if (src.any) KeepBest(kind, src.best, dst);
+      return;
+    }
+    dst->count += src.count;
+    dst->sum += src.sum;
+    dst->dsum += src.dsum;
+    dst->any = dst->any || src.any;
+    if (src.seen != nullptr) {
+      if (dst->seen == nullptr) {
+        dst->seen = std::move(src.seen);
+      } else {
+        dst->seen->merge(*src.seen);
+      }
+    }
+  }
+
+  /// Appends the aggregate's value for a finished group to *out.
+  static void Finalize(AggKind kind, const DataType& result_type,
+                       const AggPartial& p, ColumnData* out) {
+    switch (kind) {
+      case AggKind::kCountStar:
+        out->AppendInt(p.count);
+        return;
+      case AggKind::kCount:
+        out->AppendInt(p.seen != nullptr
+                           ? static_cast<int64_t>(p.seen->size())
+                           : p.count);
+        return;
+      case AggKind::kSum:
+        if (!p.any) {
+          out->AppendNull();
+        } else if (result_type.id == TypeId::kDouble) {
+          out->AppendDouble(p.dsum);
+        } else {
+          out->AppendInt(p.sum);
+        }
+        return;
+      case AggKind::kAvg:
+        if (p.count == 0) {
+          out->AppendNull();
+        } else {
+          out->AppendDouble(p.dsum / static_cast<double>(p.count));
+        }
+        return;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        if (p.any) {
+          out->AppendValue(p.best);
+        } else {
+          out->AppendNull();
+        }
+        return;
+    }
   }
 
   Result<Chunk> RunAggregate(const AggregateOp& agg) {
@@ -1798,18 +1704,8 @@ class ExecutorImpl {
 
     std::vector<size_t> first_row;          // per group, in output order
     std::vector<ColumnData> agg_results;    // one column per aggregate node
-
-    bool use_parallel = pool_ != nullptr && n >= 2 * morsel_size_ &&
-                        ParallelAggEligible(agg_exprs, result_types);
-    if (use_parallel) {
-      VDM_RETURN_NOT_OK(RunParallelAggregate(n, global, key_ptrs, agg_exprs,
-                                             arg_cols, result_types,
-                                             &first_row, &agg_results));
-    } else {
-      VDM_RETURN_NOT_OK(RunSerialAggregate(n, global, key_ptrs, agg_exprs,
-                                           arg_cols, result_types, &first_row,
-                                           &agg_results));
-    }
+    VDM_RETURN_NOT_OK(AggregateRows(n, global, key_ptrs, agg_exprs, arg_cols,
+                                    result_types, &first_row, &agg_results));
     size_t n_groups = first_row.size();
     if (metrics_ != nullptr && !global) {
       metrics_->peak_hash_table_entries = std::max<uint64_t>(
@@ -1857,353 +1753,102 @@ class ExecutorImpl {
     return out;
   }
 
-  /// Serial grouping + per-group aggregation (handles every aggregate
-  /// kind, including DISTINCT and order-sensitive double sums).
-  Status RunSerialAggregate(size_t n, bool global,
-                            const std::vector<const ColumnData*>& key_ptrs,
-                            const std::vector<const AggregateExpr*>& aggs,
-                            const std::vector<ColumnData>& arg_cols,
-                            const std::vector<DataType>& result_types,
-                            std::vector<size_t>* first_row,
-                            std::vector<ColumnData>* agg_results) {
-    // Row lists per group, flattened: rows_flat[starts[g] .. starts[g]+
-    // counts[g]) holds group g's rows in ascending order (one allocation
-    // instead of one vector per group).
-    std::vector<size_t> rows_flat(n);
-    std::vector<size_t> starts, counts;
-    if (global) {
-      for (size_t i = 0; i < n; ++i) rows_flat[i] = i;
-      starts.push_back(0);
-      counts.push_back(n);
-      first_row->push_back(0);
-    } else {
-      GroupKeyTable table(key_ptrs);
-      table.set_tracker(&ctx_->memory());
-      std::vector<uint32_t> row_group(n);
-      for (size_t i = 0; i < n; ++i) {
-        if ((i & 4095) == 0) {
-          VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-          VDM_RETURN_NOT_OK(table.status());
-        }
-        size_t g = table.GetOrAdd(i);
-        if (g == counts.size()) {
-          counts.push_back(0);
-          first_row->push_back(i);
-        }
-        row_group[i] = static_cast<uint32_t>(g);
-        ++counts[g];
+  /// Groups rows [0, n) and computes every aggregate per group: group ids
+  /// in first-occurrence order, a global aggregate one group even over no
+  /// rows. The partition count is the morsel count when a pool is present,
+  /// there are at least two morsels of rows and the aggregate set is
+  /// order-insensitive; otherwise one partition covers every row.
+  Status AggregateRows(size_t n, bool global,
+                       const std::vector<const ColumnData*>& key_ptrs,
+                       const std::vector<const AggregateExpr*>& aggs,
+                       const std::vector<ColumnData>& arg_cols,
+                       const std::vector<DataType>& result_types,
+                       std::vector<size_t>* first_row,
+                       std::vector<ColumnData>* agg_results) {
+    for (const AggregateExpr* a : aggs) {
+      if (a->distinct() && a->agg() != AggKind::kCount &&
+          a->agg() != AggKind::kMin && a->agg() != AggKind::kMax) {
+        return Status::ExecutionError("DISTINCT unsupported in " +
+                                      a->ToString());
       }
-      VDM_RETURN_NOT_OK(table.status());
-      starts.resize(counts.size());
-      size_t offset = 0;
-      for (size_t g = 0; g < counts.size(); ++g) {
-        starts[g] = offset;
-        offset += counts[g];
-      }
-      std::vector<size_t> cursor = starts;
-      for (size_t i = 0; i < n; ++i) rows_flat[cursor[row_group[i]]++] = i;
     }
-    size_t n_groups = counts.size();
-
-    for (size_t k = 0; k < aggs.size(); ++k) {
-      const AggregateExpr& a = *aggs[k];
-      const DataType& result_type = result_types[k];
-      ColumnData out(result_type);
-      out.Reserve(n_groups);
-      for (size_t g = 0; g < n_groups; ++g) {
-        if ((g & 4095) == 0) VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-        struct RowSpan {
-          const size_t* b;
-          const size_t* e;
-          const size_t* begin() const { return b; }
-          const size_t* end() const { return e; }
-          size_t size() const { return static_cast<size_t>(e - b); }
-        };
-        RowSpan rows{rows_flat.data() + starts[g],
-                     rows_flat.data() + starts[g] + counts[g]};
-        switch (a.agg()) {
-          case AggKind::kCountStar: {
-            if (a.distinct()) {
-              return Status::ExecutionError("count(distinct *) unsupported");
-            }
-            out.AppendInt(static_cast<int64_t>(rows.size()));
-            break;
-          }
-          case AggKind::kCount: {
-            const ColumnData& arg = arg_cols[k];
-            if (a.distinct()) {
-              std::unordered_set<std::string> seen;
-              std::string key;
-              for (size_t r : rows) {
-                if (arg.IsNull(r)) continue;
-                key.clear();
-                AppendKeyBytes(arg, r, &key);
-                seen.insert(key);
-              }
-              out.AppendInt(static_cast<int64_t>(seen.size()));
-            } else {
-              int64_t count = 0;
-              for (size_t r : rows) {
-                if (!arg.IsNull(r)) ++count;
-              }
-              out.AppendInt(count);
-            }
-            break;
-          }
-          case AggKind::kSum: {
-            const ColumnData& arg = arg_cols[k];
-            bool any = false;
-            if (result_type.id == TypeId::kDouble) {
-              double sum = 0.0;
-              for (size_t r : rows) {
-                if (arg.IsNull(r)) continue;
-                any = true;
-                sum += arg.type().id == TypeId::kDouble
-                           ? arg.doubles()[r]
-                           : arg.GetValue(r).ToDouble();
-              }
-              if (any) {
-                out.AppendDouble(sum);
-              } else {
-                out.AppendNull();
-              }
-            } else {
-              int64_t sum = 0;
-              for (size_t r : rows) {
-                if (arg.IsNull(r)) continue;
-                any = true;
-                sum += arg.ints()[r];
-              }
-              if (any) {
-                out.AppendInt(sum);
-              } else {
-                out.AppendNull();
-              }
-            }
-            break;
-          }
-          case AggKind::kAvg: {
-            const ColumnData& arg = arg_cols[k];
-            double sum = 0.0;
-            int64_t count = 0;
-            for (size_t r : rows) {
-              if (arg.IsNull(r)) continue;
-              sum += arg.GetValue(r).ToDouble();
-              ++count;
-            }
-            if (count == 0) {
-              out.AppendNull();
-            } else {
-              out.AppendDouble(sum / static_cast<double>(count));
-            }
-            break;
-          }
-          case AggKind::kMin:
-          case AggKind::kMax: {
-            const ColumnData& arg = arg_cols[k];
-            bool any = false;
-            Value best;
-            for (size_t r : rows) {
-              if (arg.IsNull(r)) continue;
-              Value v = arg.GetValue(r);
-              if (!any) {
-                best = v;
-                any = true;
-              } else {
-                int cmp = v.Compare(best);
-                if ((a.agg() == AggKind::kMin && cmp < 0) ||
-                    (a.agg() == AggKind::kMax && cmp > 0)) {
-                  best = v;
-                }
-              }
-            }
-            if (any) {
-              out.AppendValue(best);
-            } else {
-              out.AppendNull();
-            }
-            break;
-          }
-        }
-      }
-      agg_results->push_back(std::move(out));
-    }
-    return Status::OK();
-  }
-
-  /// Per-morsel partial aggregation merged in morsel order. Only called
-  /// for eligible aggregate sets (ParallelAggEligible), where the merged
-  /// result — including group output order and min/max representative
-  /// selection — is identical to the serial loop.
-  Status RunParallelAggregate(size_t n, bool global,
-                              const std::vector<const ColumnData*>& key_ptrs,
-                              const std::vector<const AggregateExpr*>& aggs,
-                              const std::vector<ColumnData>& arg_cols,
-                              const std::vector<DataType>& result_types,
-                              std::vector<size_t>* first_row,
-                              std::vector<ColumnData>* agg_results) {
-    size_t num_aggs = aggs.size();
-    size_t num_morsels = (n + morsel_size_ - 1) / morsel_size_;
-    struct LocalAgg {
-      std::unique_ptr<GroupKeyTable> table;  // null for global aggregation
-      std::vector<size_t> first_rows;
-      std::vector<std::vector<AggPartial>> states;  // [agg][local group]
-      size_t num_groups = 0;
+    const size_t num_aggs = aggs.size();
+    const bool split = pool_ != nullptr && n >= 2 * morsel_size_ &&
+                       OrderInsensitive(aggs, result_types);
+    const size_t part_rows = split ? morsel_size_ : std::max<size_t>(n, 1);
+    std::vector<AggPartition> parts(split ? (n + part_rows - 1) / part_rows
+                                          : 1);
+    auto add_group = [&](AggPartition* part, size_t row) {
+      part->first_rows.push_back(row);
+      for (size_t k = 0; k < num_aggs; ++k) part->states[k].emplace_back();
     };
-    std::vector<LocalAgg> locals(num_morsels);
     auto accumulate = [&](size_t m) {
-      if (!ctx_->CheckAlive().ok()) return;  // surfaced after the batch
-      size_t begin = m * morsel_size_;
-      size_t end = std::min(n, begin + morsel_size_);
-      LocalAgg& la = locals[m];
-      if (!global) {
-        la.table = std::make_unique<GroupKeyTable>(key_ptrs);
-        la.table->set_tracker(&ctx_->memory());
+      AggPartition& part = parts[m];
+      const size_t begin = m * part_rows;
+      const size_t end = std::min(n, begin + part_rows);
+      part.states.resize(num_aggs);
+      if (global) {
+        add_group(&part, begin);
+      } else {
+        part.table = std::make_unique<GroupKeyTable>(key_ptrs);
+        part.table->set_tracker(&ctx_->memory());
       }
-      la.states.resize(num_aggs);
+      std::string key;
       for (size_t r = begin; r < end; ++r) {
-        size_t g = global ? 0 : la.table->GetOrAdd(r);
-        if (g == la.num_groups) {
-          ++la.num_groups;
-          la.first_rows.push_back(r);
-          for (size_t k = 0; k < num_aggs; ++k) la.states[k].emplace_back();
+        if (((r - begin) & 4095) == 0) {
+          part.status = ctx_->CheckAlive();
+          if (part.status.ok() && !global) part.status = part.table->status();
+          if (!part.status.ok()) return;
+        }
+        size_t g = 0;
+        if (!global) {
+          g = part.table->GetOrAdd(r);
+          if (g == part.first_rows.size()) add_group(&part, r);
         }
         for (size_t k = 0; k < num_aggs; ++k) {
-          AggPartial& p = la.states[k][g];
-          const ColumnData& arg = arg_cols[k];
-          switch (aggs[k]->agg()) {
-            case AggKind::kCountStar:
-              ++p.count;
-              break;
-            case AggKind::kCount:
-              if (!arg.IsNull(r)) ++p.count;
-              break;
-            case AggKind::kSum:
-              if (!arg.IsNull(r)) {
-                p.sum += arg.ints()[r];
-                p.any = true;
-              }
-              break;
-            case AggKind::kMin:
-            case AggKind::kMax: {
-              if (arg.IsNull(r)) break;
-              Value v = arg.GetValue(r);
-              if (!p.any) {
-                p.best = v;
-                p.any = true;
-              } else {
-                int cmp = v.Compare(p.best);
-                if ((aggs[k]->agg() == AggKind::kMin && cmp < 0) ||
-                    (aggs[k]->agg() == AggKind::kMax && cmp > 0)) {
-                  p.best = v;
-                }
-              }
-              break;
-            }
-            case AggKind::kAvg:
-              break;  // excluded by ParallelAggEligible
-          }
+          Accumulate(*aggs[k], arg_cols[k], result_types[k], r, &key,
+                     &part.states[k][g]);
         }
       }
+      if (!global) part.status = part.table->status();
     };
-    VDM_RETURN_NOT_OK(RunTasks(0, num_morsels, accumulate));
-    VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-    for (const LocalAgg& la : locals) {
-      if (la.table != nullptr) VDM_RETURN_NOT_OK(la.table->status());
-    }
+    VDM_RETURN_NOT_OK(RunTasks(0, parts.size(), accumulate));
+    for (const AggPartition& part : parts) VDM_RETURN_NOT_OK(part.status);
 
-    // Merge in morsel order; within a morsel, in local first-occurrence
-    // order. Both orders follow row order, so global group ids come out in
-    // serial first-occurrence order.
-    std::unique_ptr<GroupKeyTable> merge_table;
-    if (!global) {
-      merge_table = std::make_unique<GroupKeyTable>(key_ptrs);
-      merge_table->set_tracker(&ctx_->memory());
-    }
-    std::vector<std::vector<AggPartial>> merged(num_aggs);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      LocalAgg& la = locals[m];
-      for (size_t lg = 0; lg < la.num_groups; ++lg) {
-        size_t fr = la.first_rows[lg];
-        size_t g = global ? 0 : merge_table->GetOrAdd(fr);
-        if (g == first_row->size()) {
-          first_row->push_back(fr);
-          for (size_t k = 0; k < num_aggs; ++k) merged[k].emplace_back();
-        }
-        for (size_t k = 0; k < num_aggs; ++k) {
-          AggPartial& dst = merged[k][g];
-          const AggPartial& src = la.states[k][lg];
-          switch (aggs[k]->agg()) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              dst.count += src.count;
-              break;
-            case AggKind::kSum:
-              if (src.any) {
-                dst.sum += src.sum;
-                dst.any = true;
-              }
-              break;
-            case AggKind::kMin:
-            case AggKind::kMax: {
-              if (!src.any) break;
-              if (!dst.any) {
-                dst.best = src.best;
-                dst.any = true;
-              } else {
-                // Strict comparison keeps the earlier morsel's value on
-                // ties — the serial first-occurrence representative.
-                int cmp = src.best.Compare(dst.best);
-                if ((aggs[k]->agg() == AggKind::kMin && cmp < 0) ||
-                    (aggs[k]->agg() == AggKind::kMax && cmp > 0)) {
-                  dst.best = src.best;
-                }
-              }
-              break;
-            }
-            case AggKind::kAvg:
-              break;
+    // Merge into partition 0 in partition order; within a partition, in
+    // local first-occurrence order. Both follow row order, so group ids
+    // come out in first-occurrence order over all rows.
+    AggPartition& merged = parts[0];
+    for (size_t m = 1; m < parts.size(); ++m) {
+      AggPartition& part = parts[m];
+      for (size_t lg = 0; lg < part.first_rows.size(); ++lg) {
+        const size_t row = part.first_rows[lg];
+        const size_t g = global ? 0 : merged.table->GetOrAdd(row);
+        if (g == merged.first_rows.size()) {
+          merged.first_rows.push_back(row);
+          for (size_t k = 0; k < num_aggs; ++k) {
+            merged.states[k].push_back(std::move(part.states[k][lg]));
+          }
+        } else {
+          for (size_t k = 0; k < num_aggs; ++k) {
+            Merge(aggs[k]->agg(), std::move(part.states[k][lg]),
+                  &merged.states[k][g]);
           }
         }
       }
     }
-    // The legacy global aggregate emits one group even over empty input;
-    // callers never reach this path with n == 0, but keep the invariant.
-    if (global && first_row->empty() && n == 0) first_row->push_back(0);
+    if (!global) VDM_RETURN_NOT_OK(merged.table->status());
 
-    size_t n_groups = first_row->size();
+    const size_t n_groups = merged.first_rows.size();
     for (size_t k = 0; k < num_aggs; ++k) {
       ColumnData out(result_types[k]);
       out.Reserve(n_groups);
-      for (size_t g = 0; g < n_groups; ++g) {
-        const AggPartial& p = merged[k][g];
-        switch (aggs[k]->agg()) {
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            out.AppendInt(p.count);
-            break;
-          case AggKind::kSum:
-            if (p.any) {
-              out.AppendInt(p.sum);
-            } else {
-              out.AppendNull();
-            }
-            break;
-          case AggKind::kMin:
-          case AggKind::kMax:
-            if (p.any) {
-              out.AppendValue(p.best);
-            } else {
-              out.AppendNull();
-            }
-            break;
-          case AggKind::kAvg:
-            break;
-        }
+      for (const AggPartial& p : merged.states[k]) {
+        Finalize(aggs[k]->agg(), result_types[k], p, &out);
       }
       agg_results->push_back(std::move(out));
     }
-    if (merge_table != nullptr) VDM_RETURN_NOT_OK(merge_table->status());
+    *first_row = std::move(merged.first_rows);
     return Status::OK();
   }
 
@@ -2351,7 +1996,7 @@ class ExecutorImpl {
   const StorageManager* storage_;
   ExecMetrics* metrics_;
   const ExecOptions& options_;
-  ThreadPool* pool_;  // null = serial execution
+  ThreadPool* pool_;  // null = every morsel runs inline
   QueryContext* ctx_;
   size_t morsel_size_;
   // Accumulates nested Run() wall time for exclusive-time accounting.
@@ -2362,20 +2007,12 @@ class ExecutorImpl {
 
 Result<Chunk> Executor::Execute(const PlanRef& plan, ExecMetrics* metrics,
                                 QueryContext* ctx) const {
-  size_t threads = options_.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                             : options_.num_threads;
-  ThreadPool* pool = external_pool_;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr && threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(threads);
-    pool = local_pool.get();
-  }
-  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
+  ThreadPool* pool = pool_ != nullptr && pool_->size() > 1 ? pool_ : nullptr;
   QueryContext default_ctx;
   if (ctx == nullptr) ctx = &default_ctx;
   ExecutorImpl impl(storage_, metrics, options_, pool, ctx);
   Result<Chunk> result = [&]() -> Result<Chunk> {
-    // Exceptions thrown on the calling thread (serial paths — pool tasks
+    // Exceptions thrown on the calling thread (inline morsels — pool tasks
     // are converted inside ParallelFor) become typed Status here.
     try {
       return impl.Run(plan, /*budget=*/-1);

@@ -1,25 +1,26 @@
 // Morsel-driven parallel columnar executor.
 //
 // Each logical operator is evaluated into a fully materialized Chunk, but
-// leaf pipelines (Scan with any stack of Filter/Project above it) and the
-// join build/probe/gather phases run morsel-at-a-time across a worker
-// pool. Results are byte-for-byte independent of the thread count:
-// morsels are fixed row ranges, every parallel phase writes disjoint
-// slots, and concatenation happens in morsel order. num_threads = 1 runs
-// everything inline on the calling thread (the legacy serial executor).
+// leaf pipelines (Scan with any stack of Filter/Project above it), join
+// probes and aggregation run morsel-at-a-time. Every operator has one
+// implementation, and the worker pool is only a parameter of it: without
+// a pool every morsel runs inline on the calling thread. Results are
+// byte-for-byte independent of the thread count and the morsel size:
+// morsels are fixed row ranges, every morsel writes its own slot, and
+// pieces are concatenated (or aggregate partials merged) in morsel order.
 //
 // Joins are hash joins that always build on the augmenter (right) side
 // and probe in anchor order — which is what makes limit pushdown across
 // augmentation joins (§4.4) behave the way the paper describes. Build
 // tables are typed (exec/hash_table.h): integer keys hash the raw 64-bit
-// value, string keys join on dictionary codes when both sides carry the
-// same fragment dictionary, and only irregular keys fall back to byte
+// value, string keys join on dictionary codes when the build side carries
+// a fragment dictionary, and only irregular keys fall back to byte
 // serialization.
 //
 // A LIMIT's row budget (offset + limit) is threaded down through
-// order-preserving operators; probe loops run in waves and stop once the
-// budget is satisfied, so `LIMIT k` over a large augmentation join probes
-// ~k anchor rows instead of all of them.
+// order-preserving operators; scan and probe loops run in waves and stop
+// once the budget is satisfied, so `LIMIT k` over a large augmentation
+// join probes ~k anchor rows instead of all of them.
 #ifndef VDMQO_EXEC_EXECUTOR_H_
 #define VDMQO_EXEC_EXECUTOR_H_
 
@@ -37,10 +38,11 @@ namespace vdm {
 
 class ThreadPool;
 
-/// Execution knobs. The defaults parallelize across all hardware threads;
-/// num_threads = 1 reproduces the serial executor exactly.
+/// Execution knobs. Results are identical under every setting.
 struct ExecOptions {
   /// Worker count including the calling thread; 0 = hardware concurrency.
+  /// Read by Database only, which sizes the worker pool it hands to the
+  /// Executor; the Executor itself never creates threads.
   size_t num_threads = 0;
   /// Rows per morsel (scan / probe / aggregation granule).
   size_t morsel_size = 4096;
@@ -82,13 +84,11 @@ struct ExecMetrics {
 
 class Executor {
  public:
-  /// `pool` optionally supplies a shared worker pool (it must have been
-  /// created with the same thread count the options resolve to); when
-  /// null, Execute spins up a private pool per call if options ask for
-  /// more than one thread.
+  /// `pool`, when given, runs morsels on its workers; when null (or a
+  /// one-thread pool) every morsel runs inline on the calling thread.
   explicit Executor(const StorageManager* storage, ExecOptions options = {},
                     ThreadPool* pool = nullptr)
-      : storage_(storage), options_(options), external_pool_(pool) {}
+      : storage_(storage), options_(options), pool_(pool) {}
 
   const ExecOptions& options() const { return options_; }
 
@@ -103,7 +103,7 @@ class Executor {
  private:
   const StorageManager* storage_;
   ExecOptions options_;
-  ThreadPool* external_pool_;
+  ThreadPool* pool_;
 };
 
 }  // namespace vdm

@@ -84,44 +84,15 @@ size_t NextPow2(size_t n) {
 
 }  // namespace
 
-KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& build_cols,
-                          const std::vector<const ColumnData*>& probe_cols) {
-  VDM_CHECK(!build_cols.empty());
-  VDM_CHECK(probe_cols.empty() || probe_cols.size() == build_cols.size());
-  auto all_fixed = [](const std::vector<const ColumnData*>& cols) {
-    for (const ColumnData* col : cols) {
-      if (!IsFixed64(*col)) return false;
-    }
-    return true;
-  };
-  if (build_cols.size() == 1) {
-    if (IsFixed64(*build_cols[0]) &&
-        (probe_cols.empty() || IsFixed64(*probe_cols[0]))) {
-      return KeyLayout::kInt64;
-    }
-    // One string column: dictionary codes when both sides carry a
-    // fragment dictionary (group tables only need their own side). Equal
-    // dict() pointers join on codes directly; different dictionaries go
-    // through a one-time code translation map (JoinHashTable builds it),
-    // which requires both to be sorted — main-fragment dictionaries
-    // always are, and std::is_sorted guards ad-hoc annotations.
-    if (build_cols[0]->has_dict()) {
-      if (probe_cols.empty() ||
-          probe_cols[0]->dict() == build_cols[0]->dict()) {
-        return KeyLayout::kDict32;
-      }
-      if (probe_cols[0]->has_dict() &&
-          std::is_sorted(build_cols[0]->dict()->begin(),
-                         build_cols[0]->dict()->end()) &&
-          std::is_sorted(probe_cols[0]->dict()->begin(),
-                         probe_cols[0]->dict()->end())) {
-        return KeyLayout::kDict32;
-      }
-    }
-    return KeyLayout::kSerialized;
+KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& key_cols) {
+  VDM_CHECK(!key_cols.empty());
+  if (key_cols.size() == 1) {
+    if (IsFixed64(*key_cols[0])) return KeyLayout::kInt64;
+    return key_cols[0]->has_dict() ? KeyLayout::kDict32
+                                   : KeyLayout::kSerialized;
   }
-  if (build_cols.size() == 2 && all_fixed(build_cols) &&
-      (probe_cols.empty() || all_fixed(probe_cols))) {
+  if (key_cols.size() == 2 && IsFixed64(*key_cols[0]) &&
+      IsFixed64(*key_cols[1])) {
     return KeyLayout::kPacked16;
   }
   return KeyLayout::kSerialized;
@@ -130,31 +101,10 @@ KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& build_cols,
 // ---------------------------------------------------------------------------
 // JoinHashTable
 
-JoinHashTable::JoinHashTable(std::vector<const ColumnData*> build_cols,
-                             std::vector<const ColumnData*> probe_cols)
-    : layout_(ChooseKeyLayout(build_cols, probe_cols)),
-      build_cols_(std::move(build_cols)),
-      probe_cols_(std::move(probe_cols)) {
+JoinHashTable::JoinHashTable(std::vector<const ColumnData*> build_cols)
+    : layout_(ChooseKeyLayout(build_cols)), build_cols_(std::move(build_cols)) {
   build_rows_ = build_cols_[0]->size();
   VDM_CHECK(build_rows_ < kEnd);
-  // Different sorted dictionaries on the two sides: translate probe codes
-  // to build codes once (two-pointer merge), so the join still runs on
-  // 32-bit codes end-to-end. A probe string absent from the build
-  // dictionary maps to -1 and can never match — same as a NULL key.
-  if (layout_ == KeyLayout::kDict32 && !probe_cols_.empty() &&
-      probe_cols_[0]->dict() != build_cols_[0]->dict()) {
-    const std::vector<std::string>& bd = *build_cols_[0]->dict();
-    const std::vector<std::string>& pd = *probe_cols_[0]->dict();
-    probe_code_map_.assign(pd.size(), -1);
-    size_t b = 0;
-    for (size_t p = 0; p < pd.size(); ++p) {
-      while (b < bd.size() && bd[b] < pd[p]) ++b;
-      if (b < bd.size() && bd[b] == pd[p]) {
-        probe_code_map_[p] = static_cast<int32_t>(b);
-      }
-    }
-    translate_codes_ = true;
-  }
 }
 
 JoinHashTable::~JoinHashTable() {
@@ -167,10 +117,6 @@ bool JoinHashTable::Key64(const std::vector<const ColumnData*>& cols,
   if (layout_ == KeyLayout::kDict32) {
     int32_t code = col.dict_codes()[row];
     if (code < 0) return false;
-    if (translate_codes_ && &cols == &probe_cols_) {
-      code = probe_code_map_[static_cast<size_t>(code)];
-      if (code < 0) return false;
-    }
     *key = code;
     return true;
   }
@@ -458,27 +404,6 @@ size_t JoinHashTable::ProbeSerialized(const std::string& key,
   return count;
 }
 
-size_t JoinHashTable::Prober::ProbeRow(size_t row, std::vector<size_t>* out) {
-  switch (t_.layout_) {
-    case KeyLayout::kInt64:
-    case KeyLayout::kDict32: {
-      int64_t key;
-      if (!t_.Key64(t_.probe_cols_, row, &key)) return 0;
-      return t_.ProbeKey64(key, out);
-    }
-    case KeyLayout::kPacked16: {
-      uint64_t lo, hi;
-      if (!t_.Key128(t_.probe_cols_, row, &lo, &hi)) return 0;
-      return t_.ProbeKey128(lo, hi, out);
-    }
-    case KeyLayout::kSerialized: {
-      if (!t_.KeyBytes(t_.probe_cols_, row, &scratch_)) return 0;
-      return t_.ProbeSerialized(scratch_, out);
-    }
-  }
-  return 0;
-}
-
 const std::vector<int32_t>* JoinHashTable::TranslationFor(
     const std::vector<std::string>* probe_dict) const {
   if (probe_dict == build_cols_[0]->dict().get()) return nullptr;
@@ -509,7 +434,7 @@ int32_t JoinHashTable::BuildCodeOf(const std::string& s) const {
   return it != build_code_index_.end() ? it->second : -1;
 }
 
-void JoinHashTable::StreamProber::Bind(
+void JoinHashTable::Prober::Bind(
     const std::vector<const ColumnData*>* cols) {
   cols_ = cols;
   code_map_ = nullptr;
@@ -528,7 +453,7 @@ void JoinHashTable::StreamProber::Bind(
   if (probe.has_dict()) {
     code_map_ = t_.TranslationFor(probe.dict().get());
   } else {
-    // Materialized strings (delta-overlapping morsels): resolve each row
+    // Plain strings (e.g. delta-overlapping morsels): resolve each row
     // against the build dictionary. Warm the index once under the lock so
     // concurrent probes only read it.
     lookup_strings_ = true;
@@ -537,7 +462,7 @@ void JoinHashTable::StreamProber::Bind(
   }
 }
 
-size_t JoinHashTable::StreamProber::ProbeRow(size_t row,
+size_t JoinHashTable::Prober::ProbeRow(size_t row,
                                              std::vector<size_t>* out) {
   if (never_match_) return 0;
   const std::vector<const ColumnData*>& cols = *cols_;
@@ -579,7 +504,7 @@ size_t JoinHashTable::StreamProber::ProbeRow(size_t row,
 // GroupKeyTable
 
 GroupKeyTable::GroupKeyTable(std::vector<const ColumnData*> key_cols)
-    : layout_(ChooseKeyLayout(key_cols, {})), key_cols_(std::move(key_cols)) {
+    : layout_(ChooseKeyLayout(key_cols)), key_cols_(std::move(key_cols)) {
   // The packed layout cannot represent NULL group keys in-band; fall back
   // to the serialized encoding (which NULL-marks every component).
   if (layout_ == KeyLayout::kPacked16) layout_ = KeyLayout::kSerialized;

@@ -8,10 +8,12 @@
 //   kInt64      one integer-backed or double column; the raw 64-bit value
 //               is the key (doubles are bit-cast, matching the byte
 //               equality of the legacy serialized encoding).
-//   kDict32     one string column where build and probe side share the
-//               same fragment dictionary (ColumnData::dict()); the join
-//               runs on 32-bit dictionary codes. Augmentation self-joins
-//               — the paper's UAJ/ASJ patterns — always hit this path.
+//   kDict32     one string column that carries a fragment dictionary
+//               (ColumnData::dict()); the table runs on 32-bit dictionary
+//               codes, and probe morsels with another dictionary or plain
+//               strings are translated to build codes. Augmentation
+//               self-joins — the paper's UAJ/ASJ patterns — share one
+//               dictionary and probe codes directly.
 //   kPacked16   two integer-backed/double columns packed into a 16-byte
 //               key.
 //   kSerialized anything else: the legacy byte-string encoding.
@@ -60,12 +62,10 @@ inline uint64_t HashInt64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Chooses the cheapest layout supported by the key columns. `probe_cols`
-/// may be empty (group tables); when present it must be column-wise
-/// parallel to `build_cols`, and the dictionary layout additionally
-/// requires both sides to share one dictionary.
-KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& build_cols,
-                          const std::vector<const ColumnData*>& probe_cols);
+/// Chooses the cheapest layout supported by the key columns of a join's
+/// build side or a group table. The layout depends on this side alone:
+/// join probes adapt to it (JoinHashTable::Prober).
+KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& key_cols);
 
 // ---------------------------------------------------------------------------
 
@@ -79,8 +79,7 @@ class JoinHashTable {
  public:
   static constexpr uint32_t kEnd = 0xFFFFFFFFu;
 
-  JoinHashTable(std::vector<const ColumnData*> build_cols,
-                std::vector<const ColumnData*> probe_cols);
+  explicit JoinHashTable(std::vector<const ColumnData*> build_cols);
   ~JoinHashTable();
 
   KeyLayout layout() const { return layout_; }
@@ -99,30 +98,16 @@ class JoinHashTable {
   size_t num_entries() const { return entries_; }
   size_t num_build_rows() const { return build_rows_; }
 
-  /// Per-thread probe cursor (owns the serialization scratch buffer).
+  /// Per-thread probe cursor over caller-supplied key columns, bound one
+  /// probe morsel (or materialized chunk) at a time. Bind() never fails:
+  /// fixed-width layouts read the keys directly, and the dictionary layout
+  /// accepts code-carrying columns (codes of another dictionary go through
+  /// a translation map, cached on the table per dictionary) as well as
+  /// plain strings (each resolves to a build code). Matches equal those of
+  /// comparing the key values themselves.
   class Prober {
    public:
     explicit Prober(const JoinHashTable& table) : t_(table) {}
-    /// Appends build rows matching probe row `row` to *out in ascending
-    /// order; returns the number appended (0 for NULL keys).
-    size_t ProbeRow(size_t row, std::vector<size_t>* out);
-
-   private:
-    const JoinHashTable& t_;
-    std::string scratch_;
-  };
-
-  /// Probe cursor over caller-supplied key columns — one streamed probe
-  /// morsel at a time — for tables built with empty `probe_cols`. Bind()
-  /// never fails: fixed-width layouts read the morsel directly, and the
-  /// dictionary layout accepts both code-carrying morsels (codes go
-  /// through a per-dictionary translation map, cached on the table) and
-  /// materialized string morsels (each string resolves to a build code).
-  /// Matches are identical to probing the same rows through Prober on a
-  /// fully materialized chunk.
-  class StreamProber {
-   public:
-    explicit StreamProber(const JoinHashTable& table) : t_(table) {}
     /// Binds one morsel's key columns (column-wise parallel to the build
     /// columns; not owned, must outlive the probes).
     void Bind(const std::vector<const ColumnData*>* cols);
@@ -133,10 +118,9 @@ class JoinHashTable {
    private:
     const JoinHashTable& t_;
     const std::vector<const ColumnData*>* cols_ = nullptr;
-    // String/non-string mismatch against the build columns: the
-    // fixed-width layouts cannot read such a morsel, and the serialized
-    // encoding those keys would use can never match across types — so
-    // every probe misses (0 matches, like NULL keys).
+    // String/non-string mismatch against the build columns: a string
+    // never equals a number, so every probe misses (0 matches, like NULL
+    // keys) instead of reading the keys in the wrong layout.
     bool never_match_ = false;
     // kDict32 binding state: exactly one of these is used per morsel.
     const std::vector<int32_t>* code_map_ = nullptr;  // probe -> build code
@@ -145,7 +129,7 @@ class JoinHashTable {
   };
 
  private:
-  friend class StreamProber;
+  friend class Prober;
 
   // Shared probe tail: walks the chain for an extracted key.
   size_t ProbeKey64(int64_t key, std::vector<size_t>* out) const;
@@ -154,12 +138,12 @@ class JoinHashTable {
   size_t ProbeSerialized(const std::string& key,
                          std::vector<size_t>* out) const;
 
-  /// kDict32 streamed probing: code translation map for `probe_dict`
-  /// (cached per dictionary; nullptr = same dictionary, no translation).
+  /// kDict32 probing: code translation map for `probe_dict` (cached per
+  /// dictionary; nullptr = same dictionary, no translation).
   const std::vector<int32_t>* TranslationFor(
       const std::vector<std::string>* probe_dict) const;
-  /// kDict32 streamed probing from materialized strings: the build code
-  /// of `s`, or -1 when absent (never matches, like a NULL key).
+  /// kDict32 probing from plain strings: the build code of `s`, or -1
+  /// when absent (never matches, like a NULL key).
   int32_t BuildCodeOf(const std::string& s) const;
   struct Slot64 {
     int64_t key;
@@ -192,13 +176,8 @@ class JoinHashTable {
 
   KeyLayout layout_;
   std::vector<const ColumnData*> build_cols_;
-  std::vector<const ColumnData*> probe_cols_;
-  // kDict32 with different (sorted) dictionaries per side: probe codes are
-  // remapped to build codes through this table; -1 = absent (no match).
-  bool translate_codes_ = false;
-  std::vector<int32_t> probe_code_map_;
-  // Streamed probing caches (kDict32 only), built lazily under a lock —
-  // StreamProbers bind morsels concurrently across workers.
+  // kDict32 probing caches, built lazily under a lock — Probers bind
+  // morsels concurrently across workers.
   mutable std::mutex stream_mu_;
   mutable std::map<const std::vector<std::string>*, std::vector<int32_t>>
       stream_maps_;

@@ -214,7 +214,8 @@ class Interp {
   // Serial grouping in first-occurrence order; a global aggregate is one
   // group even over zero input rows. Per-group aggregation follows the
   // engine's contract: sums accumulate int64 unscaled payloads exactly
-  // (doubles in row order), DISTINCT applies to count only, min/max keep
+  // (doubles in row order), DISTINCT reaches count/min/max only (the
+  // parser rejects sum/avg DISTINCT; on min/max it is vacuous), min/max keep
   // the first occurrence among Compare-equal values, and sum/min/max of
   // zero non-null inputs is NULL.
   Result<Chunk> RunAggregate(const AggregateOp& agg) {

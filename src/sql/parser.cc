@@ -859,6 +859,11 @@ class Parser {
           return CountStar();
         }
         bool distinct = ConsumeKeyword("distinct");
+        if (distinct && (lower == "sum" || lower == "avg")) {
+          // DISTINCT is supported on count (and vacuous on min/max).
+          return Status::InvalidArgument(lower +
+                                         "(distinct ...) is not supported");
+        }
         VDM_ASSIGN_OR_RETURN(ExprRef arg, ParseExpr());
         VDM_RETURN_NOT_OK(ExpectSymbol(")"));
         AggKind kind = lower == "count"  ? AggKind::kCount

@@ -80,6 +80,9 @@ struct WorkerDbs {
       if (!corpus.ok()) return corpus.status();
       ExecOptions exec;
       exec.num_threads = e.threads;
+      // Tiny morsels make the N-thread legs run multi-partition aggregate
+      // merges and probe/LIMIT waves.
+      if (e.threads > 1) exec.morsel_size = kParallelLegMorselSize;
       // Leg 0 (1 thread, cache off) runs the generic interpreter path so
       // every query also diffs compressed-kernel execution against the
       // uncompressed engine, not just against the reference oracle.

@@ -31,6 +31,11 @@
 
 namespace vdm {
 
+/// Rows per morsel in the N-thread legs of the query and DML matrices.
+/// Fuzz tables hold a few hundred rows, so the default 4096-row morsel
+/// would leave those legs single-morsel.
+constexpr size_t kParallelLegMorselSize = 16;
+
 struct DiffOptions {
   uint64_t seed = 42;
   int num_queries = 200;

@@ -346,6 +346,7 @@ class DmlWorker {
     db.SetOptimizerConfig(ConfigForProfile(leg.profile));
     ExecOptions exec;
     exec.num_threads = leg.parallel ? options_.exec_threads : 1;
+    if (leg.parallel) exec.morsel_size = kParallelLegMorselSize;
     db.SetExecOptions(exec);
     if (leg.cache) {
       db.EnablePlanCache();

@@ -1,9 +1,9 @@
 // Parallel-determinism battery for the morsel-driven executor: every
 // query must produce byte-for-byte identical results with num_threads=1
-// (the exact legacy serial path) and num_threads=8, across joins,
-// aggregates, distinct, sorts, and unions. LIMIT without ORDER BY is
-// compared as a row set (any prefix is a valid answer), plus metrics
-// checks for limit early exit.
+// (every morsel inline) and num_threads=8, across joins, aggregates,
+// distinct, sorts, and unions. LIMIT without ORDER BY is compared as a
+// row set (any prefix is a valid answer), plus metrics checks for limit
+// early exit.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -70,20 +70,23 @@ class ExecParallelTest : public ::testing::Test {
                             "k int,"
                             "grp int,"
                             "val int,"
-                            "name varchar)")
+                            "name varchar,"
+                            "amt double)")
                     .ok());
     ASSERT_TRUE(db_.Execute("create table dim ("
                             "k int primary key,"
                             "label varchar)")
                     .ok());
     // 3000 fact rows over 60 join keys (20 of them dangling), 7 groups,
-    // 12 names, with periodic NULL keys and NULL values.
+    // 12 names, with periodic NULL keys and NULL values. `amt` is a double
+    // whose sums round differently in different addition orders.
     std::vector<std::vector<Value>> fact_rows;
     for (int64_t i = 0; i < 3000; ++i) {
       Value key = (i % 97 == 0) ? Value::Null() : Value::Int64(i % 60);
       Value val = (i % 53 == 0) ? Value::Null() : Value::Int64(i * 7 % 1000);
       fact_rows.push_back({Value::Int64(i), key, Value::Int64(i % 7), val,
-                           Value::String("n" + std::to_string(i % 12))});
+                           Value::String("n" + std::to_string(i % 12)),
+                           Value::Double(0.1 * static_cast<double>(i % 91))});
     }
     ASSERT_TRUE(db_.Insert("fact", fact_rows).ok());
     std::vector<std::vector<Value>> dim_rows;
@@ -153,12 +156,94 @@ TEST_F(ExecParallelTest, GroupByIdentical) {
       "max(name) as hi from fact group by grp");
 }
 
-TEST_F(ExecParallelTest, SerialOnlyAggregatesIdentical) {
-  // avg and count(distinct) are order-sensitive and route to the serial
-  // aggregation path regardless of thread count.
+TEST_F(ExecParallelTest, OrderSensitiveAggregatesIdentical) {
+  // avg and count(distinct) are order-sensitive and run as one partition
+  // regardless of thread count.
   ExpectDeterministic(
       "select grp, avg(val) as mean, count(distinct name) as dn "
       "from fact group by grp");
+}
+
+TEST_F(ExecParallelTest, GlobalAggregateOverEmptyInput) {
+  // A global aggregate is one group even over no rows.
+  const std::string sql =
+      "select count(*) as n, sum(val) as s, min(name) as lo, "
+      "avg(amt) as a from fact where id < 0";
+  ExpectDeterministic(sql);
+  Chunk result = Run(sql, ExecOptions{.num_threads = 8, .morsel_size = 256});
+  ASSERT_EQ(result.NumRows(), 1u);
+  EXPECT_EQ(result.columns[0].GetValue(0).AsInt64(), 0);
+  EXPECT_TRUE(result.columns[1].IsNull(0));
+  EXPECT_TRUE(result.columns[2].IsNull(0));
+  EXPECT_TRUE(result.columns[3].IsNull(0));
+}
+
+TEST_F(ExecParallelTest, MixedOrderSensitivityAggregatesIdentical) {
+  // Order-insensitive kinds next to a double sum, avg and count(distinct):
+  // the whole set runs as one partition, grouped and global.
+  ExpectDeterministic(
+      "select grp, count(*) as n, sum(val) as s, min(name) as lo, "
+      "max(amt) as hi, sum(amt) as ds, avg(val) as mean, "
+      "count(distinct name) as dn from fact group by grp");
+  ExpectDeterministic(
+      "select count(val) as n, sum(val) as s, sum(amt) as ds, "
+      "avg(amt) as mean, count(distinct k) as dk from fact");
+}
+
+TEST_F(ExecParallelTest, LeftOuterResidualOverMaterializedProbe) {
+  // The probe side is an aggregate (materialized, probed in row ranges):
+  // every group matches one dim row, and the residual rejects the matches
+  // labelled 'd1', which revert to null extension.
+  const std::string sql =
+      "select g.val, g.grp, g.n, d.label from "
+      "(select val, grp, count(*) as n from fact group by val, grp) g "
+      "left join dim d on g.grp = d.k and d.label <> 'd1'";
+  ExpectDeterministic(sql);
+  Chunk result = Run(sql, ExecOptions{.num_threads = 8, .morsel_size = 256});
+  EXPECT_GT(result.NumRows(), 2u * 256u);
+  size_t extended = 0;
+  for (size_t r = 0; r < result.NumRows(); ++r) {
+    if (result.columns[3].IsNull(r)) ++extended;
+  }
+  EXPECT_GT(extended, 0u);
+  EXPECT_LT(extended, result.NumRows());
+}
+
+TEST_F(ExecParallelTest, JoinWithoutEquiKeyUnderLimit) {
+  // No equi key: every build row matches, and the residual filters. The
+  // LIMIT still cuts the probe short.
+  const std::string sql =
+      "select f.id, d.k from fact f join dim d on f.val > d.k limit 7";
+  ExpectDeterministic(sql);
+  ExecMetrics metrics;
+  Chunk early =
+      Run(sql, ExecOptions{.num_threads = 1, .morsel_size = 256}, &metrics);
+  EXPECT_EQ(early.NumRows(), 7u);
+  EXPECT_GT(metrics.limit_early_exits, 0u);
+  EXPECT_LT(metrics.rows_probe_input, 3000u);
+  Chunk full = Run(sql, ExecOptions{.num_threads = 1,
+                                    .morsel_size = 256,
+                                    .enable_limit_early_exit = false});
+  ExpectChunksIdentical(early, full);
+}
+
+TEST_F(ExecParallelTest, PagingShapedLimitExitsEarly) {
+  // The paper's §4.4 paging shape: a LIMIT/OFFSET page over a LEFT OUTER
+  // augmentation join, serially.
+  const std::string sql =
+      "select f.id, f.val, d.label from fact f "
+      "left join dim d on f.k = d.k limit 10 offset 20";
+  ExpectDeterministic(sql);
+  ExecMetrics metrics;
+  Chunk page =
+      Run(sql, ExecOptions{.num_threads = 1, .morsel_size = 256}, &metrics);
+  EXPECT_EQ(page.NumRows(), 10u);
+  EXPECT_GT(metrics.limit_early_exits, 0u);
+  EXPECT_LT(metrics.rows_probe_input, 3000u);
+  Chunk full = Run(sql, ExecOptions{.num_threads = 1,
+                                    .morsel_size = 256,
+                                    .enable_limit_early_exit = false});
+  ExpectChunksIdentical(page, full);
 }
 
 TEST_F(ExecParallelTest, GroupByStringKeyIdentical) {

@@ -3,6 +3,7 @@
 // over aggregates), sort stability, union coercion, limit/offset, metrics.
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "plan/plan_builder.h"
 
@@ -39,8 +40,16 @@ class ExecTest : public ::testing::Test {
     right_schema_ = right;
   }
 
+  /// One worker pool for the whole suite: the Executor never creates
+  /// threads, and the cases should still run their morsels in parallel
+  /// (tools/ci.sh runs this suite under TSan).
+  static ThreadPool* Pool() {
+    static ThreadPool pool(4);
+    return &pool;
+  }
+
   Chunk Run(const PlanRef& plan, ExecMetrics* metrics = nullptr) {
-    Executor executor(&storage_);
+    Executor executor(&storage_, ExecOptions{}, Pool());
     Result<Chunk> result = executor.Execute(plan, metrics);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();

@@ -1,6 +1,7 @@
-// Unit tests for the typed executor hash tables: key-layout selection
-// (including shared-dictionary detection), match order, NULL handling,
-// serialized fallback, group-id assignment, and parallel builds.
+// Unit tests for the typed executor hash tables: key-layout selection,
+// probes adapting to the build layout (other dictionaries, plain
+// strings), match order, NULL handling, serialized fallback, group-id
+// assignment, and parallel builds.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -40,79 +41,79 @@ ColumnData DictCol(std::shared_ptr<const std::vector<std::string>> dict,
 
 TEST(ChooseKeyLayoutTest, SingleIntIsInt64) {
   ColumnData build = IntCol({1, 2});
-  ColumnData probe = IntCol({2, 3});
-  EXPECT_EQ(ChooseKeyLayout({&build}, {&probe}), KeyLayout::kInt64);
-  EXPECT_EQ(ChooseKeyLayout({&build}, {}), KeyLayout::kInt64);
+  EXPECT_EQ(ChooseKeyLayout({&build}), KeyLayout::kInt64);
 }
 
 TEST(ChooseKeyLayoutTest, TwoFixedColumnsPack) {
   ColumnData a = IntCol({1});
   ColumnData b = IntCol({2});
-  EXPECT_EQ(ChooseKeyLayout({&a, &b}, {}), KeyLayout::kPacked16);
+  EXPECT_EQ(ChooseKeyLayout({&a, &b}), KeyLayout::kPacked16);
 }
 
-TEST(ChooseKeyLayoutTest, SharedDictionaryUsesCodes) {
+TEST(ChooseKeyLayoutTest, DictionaryUsesCodes) {
+  // The layout depends on the build (or group) side alone; probes adapt.
   auto dict = std::make_shared<const std::vector<std::string>>(
-      std::vector<std::string>{"x", "y"});
+      std::vector<std::string>{"y", "x"});  // unsorted is fine too
   ColumnData build = DictCol(dict, {0, 1});
-  ColumnData probe = DictCol(dict, {1, 0});
-  EXPECT_EQ(ChooseKeyLayout({&build}, {&probe}), KeyLayout::kDict32);
-  // Group tables only need their own side's dictionary.
-  EXPECT_EQ(ChooseKeyLayout({&build}, {}), KeyLayout::kDict32);
-}
-
-TEST(ChooseKeyLayoutTest, DifferentSortedDictionariesTranslate) {
-  // Distinct but sorted dictionaries still run on codes: the join table
-  // builds a one-time probe-code -> build-code map.
-  auto d1 = std::make_shared<const std::vector<std::string>>(
-      std::vector<std::string>{"x"});
-  auto d2 = std::make_shared<const std::vector<std::string>>(
-      std::vector<std::string>{"x"});
-  ColumnData build = DictCol(d1, {0});
-  ColumnData probe = DictCol(d2, {0});
-  EXPECT_EQ(ChooseKeyLayout({&build}, {&probe}), KeyLayout::kDict32);
-}
-
-TEST(ChooseKeyLayoutTest, UnsortedDictionariesFallBack) {
-  // Code translation needs both dictionaries sorted; ad-hoc annotations
-  // that are not keep the serialized layout.
-  auto d1 = std::make_shared<const std::vector<std::string>>(
-      std::vector<std::string>{"y", "x"});
-  auto d2 = std::make_shared<const std::vector<std::string>>(
-      std::vector<std::string>{"x"});
-  ColumnData build = DictCol(d1, {0, 1});
-  ColumnData probe = DictCol(d2, {0});
-  EXPECT_EQ(ChooseKeyLayout({&build}, {&probe}), KeyLayout::kSerialized);
+  EXPECT_EQ(ChooseKeyLayout({&build}), KeyLayout::kDict32);
 }
 
 TEST(ChooseKeyLayoutTest, PlainStringsSerialize) {
   ColumnData build = StringCol({"a"});
-  ColumnData probe = StringCol({"a"});
-  EXPECT_EQ(ChooseKeyLayout({&build}, {&probe}), KeyLayout::kSerialized);
+  EXPECT_EQ(ChooseKeyLayout({&build}), KeyLayout::kSerialized);
 }
 
 TEST(ChooseKeyLayoutTest, ThreeColumnsSerialize) {
   ColumnData a = IntCol({1}), b = IntCol({2}), c = IntCol({3});
-  EXPECT_EQ(ChooseKeyLayout({&a, &b, &c}, {}), KeyLayout::kSerialized);
+  EXPECT_EQ(ChooseKeyLayout({&a, &b, &c}), KeyLayout::kSerialized);
 }
 
-std::vector<size_t> ProbeAll(const JoinHashTable& table, size_t row) {
+/// Matches of probe row `row` through the table's prober.
+std::vector<size_t> ProbeAll(const JoinHashTable& table,
+                             const std::vector<const ColumnData*>& probe,
+                             size_t row) {
   JoinHashTable::Prober prober(table);
+  prober.Bind(&probe);
   std::vector<size_t> out;
   prober.ProbeRow(row, &out);
   return out;
 }
 
+/// Reference matches for one string key column: build rows whose value
+/// equals the probe row's, ascending; NULLs never match.
+std::vector<size_t> MatchByValue(const ColumnData& build,
+                                 const ColumnData& probe, size_t row) {
+  std::vector<size_t> out;
+  if (probe.IsNull(row)) return out;
+  for (size_t b = 0; b < build.size(); ++b) {
+    if (!build.IsNull(b) && build.StringAt(b) == probe.StringAt(row)) {
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+/// Probes every row of `probe` against a table built on `build` and
+/// asserts the matches equal the value-level reference.
+void ExpectValueMatches(const ColumnData& build, const ColumnData& probe) {
+  JoinHashTable table({&build});
+  ASSERT_TRUE(table.Build(nullptr).ok());
+  for (size_t r = 0; r < probe.size(); ++r) {
+    EXPECT_EQ(ProbeAll(table, {&probe}, r), MatchByValue(build, probe, r))
+        << "probe row " << r;
+  }
+}
+
 TEST(JoinHashTableTest, Int64MatchesAscendInBuildOrder) {
   ColumnData build = IntCol({7, 2, 7, 7, 5});
   ColumnData probe = IntCol({7, 5, 9});
-  JoinHashTable table({&build}, {&probe});
+  JoinHashTable table({&build});
   table.Build(nullptr);
   EXPECT_EQ(table.layout(), KeyLayout::kInt64);
   EXPECT_EQ(table.num_entries(), 5u);
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(ProbeAll(table, 1), (std::vector<size_t>{4}));
-  EXPECT_TRUE(ProbeAll(table, 2).empty());
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0, 2, 3}));
+  EXPECT_EQ(ProbeAll(table, {&probe}, 1), (std::vector<size_t>{4}));
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 2).empty());
 }
 
 TEST(JoinHashTableTest, NullKeysNeverJoin) {
@@ -120,11 +121,11 @@ TEST(JoinHashTableTest, NullKeysNeverJoin) {
   build.AppendNull();
   ColumnData probe = IntCol({1});
   probe.AppendNull();
-  JoinHashTable table({&build}, {&probe});
+  JoinHashTable table({&build});
   table.Build(nullptr);
-  EXPECT_EQ(table.num_entries(), 1u);       // the NULL build row is skipped
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{0}));
-  EXPECT_TRUE(ProbeAll(table, 1).empty());  // NULL probe matches nothing
+  EXPECT_EQ(table.num_entries(), 1u);  // the NULL build row is skipped
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0}));
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 1).empty());  // NULL matches nothing
 }
 
 TEST(JoinHashTableTest, DictCodesJoin) {
@@ -132,32 +133,73 @@ TEST(JoinHashTableTest, DictCodesJoin) {
       std::vector<std::string>{"a", "b", "c"});
   ColumnData build = DictCol(dict, {1, 0, 1, -1});
   ColumnData probe = DictCol(dict, {1, 2, -1});
-  JoinHashTable table({&build}, {&probe});
+  JoinHashTable table({&build});
   table.Build(nullptr);
   EXPECT_EQ(table.layout(), KeyLayout::kDict32);
   EXPECT_EQ(table.num_entries(), 3u);
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{0, 2}));
-  EXPECT_TRUE(ProbeAll(table, 1).empty());
-  EXPECT_TRUE(ProbeAll(table, 2).empty());  // NULL code
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0, 2}));
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 1).empty());
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 2).empty());  // NULL code
 }
 
 TEST(JoinHashTableTest, TranslatedDictCodesJoin) {
   // Build and probe sides carry different sorted dictionaries: probe
   // codes go through the translation map. "d" exists only on the probe
-  // side (maps to -1, never matches); "a" only on the build side.
+  // side (never matches); "a" only on the build side.
   auto bd = std::make_shared<const std::vector<std::string>>(
       std::vector<std::string>{"a", "b", "c"});
   auto pd = std::make_shared<const std::vector<std::string>>(
       std::vector<std::string>{"b", "c", "d"});
   ColumnData build = DictCol(bd, {1, 0, 1, 2, -1});  // b a b c NULL
   ColumnData probe = DictCol(pd, {0, 1, 2, -1});     // b c d NULL
-  JoinHashTable table({&build}, {&probe});
+  JoinHashTable table({&build});
   table.Build(nullptr);
   EXPECT_EQ(table.layout(), KeyLayout::kDict32);
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{0, 2}));  // "b"
-  EXPECT_EQ(ProbeAll(table, 1), (std::vector<size_t>{3}));     // "c"
-  EXPECT_TRUE(ProbeAll(table, 2).empty());  // "d": absent from build dict
-  EXPECT_TRUE(ProbeAll(table, 3).empty());  // NULL
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0, 2}));  // b
+  EXPECT_EQ(ProbeAll(table, {&probe}, 1), (std::vector<size_t>{3}));     // c
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 2).empty());  // "d": not in build
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 3).empty());  // NULL
+  ExpectValueMatches(build, probe);
+}
+
+TEST(JoinHashTableTest, UnsortedDictionariesMatchByValue) {
+  // Dictionaries that are not sorted translate through the build side's
+  // string index: matches are those of comparing the strings.
+  auto bd = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"y", "x", "z"});
+  auto pd = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"x", "w", "y"});
+  ColumnData build = DictCol(bd, {0, 1, 2, 1, -1, 0});  // y x z x NULL y
+  ColumnData probe = DictCol(pd, {0, 1, 2, -1, 2});     // x w y NULL y
+  ExpectValueMatches(build, probe);
+  JoinHashTable table({&build});
+  table.Build(nullptr);
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(ProbeAll(table, {&probe}, 2), (std::vector<size_t>{0, 5}));
+}
+
+TEST(JoinHashTableTest, PlainStringsProbeDictionaryBuild) {
+  // A probe morsel of plain strings (e.g. one overlapping the delta)
+  // resolves each string to a build code.
+  auto bd = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"a", "b", "c"});
+  ColumnData build = DictCol(bd, {2, 0, 2, -1, 1});  // c a c NULL b
+  ColumnData probe = StringCol({"c", "q", "a", ""});
+  probe.AppendNull();
+  ExpectValueMatches(build, probe);
+  JoinHashTable table({&build});
+  table.Build(nullptr);
+  EXPECT_EQ(table.layout(), KeyLayout::kDict32);
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0, 2}));
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 4).empty());  // NULL
+}
+
+TEST(JoinHashTableTest, TypeMismatchNeverMatches) {
+  ColumnData build = IntCol({1, 2});
+  ColumnData probe = StringCol({"1"});
+  JoinHashTable table({&build});
+  table.Build(nullptr);
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 0).empty());
 }
 
 TEST(JoinHashTableTest, PackedTwoColumnKey) {
@@ -165,21 +207,21 @@ TEST(JoinHashTableTest, PackedTwoColumnKey) {
   ColumnData b2 = IntCol({10, 11, 10});
   ColumnData p1 = IntCol({1, 2});
   ColumnData p2 = IntCol({11, 99});
-  JoinHashTable table({&b1, &b2}, {&p1, &p2});
+  JoinHashTable table({&b1, &b2});
   table.Build(nullptr);
   EXPECT_EQ(table.layout(), KeyLayout::kPacked16);
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{1}));
-  EXPECT_TRUE(ProbeAll(table, 1).empty());
+  EXPECT_EQ(ProbeAll(table, {&p1, &p2}, 0), (std::vector<size_t>{1}));
+  EXPECT_TRUE(ProbeAll(table, {&p1, &p2}, 1).empty());
 }
 
 TEST(JoinHashTableTest, SerializedFallbackMatches) {
   ColumnData build = StringCol({"x", "y", "x"});
   ColumnData probe = StringCol({"x", "z"});
-  JoinHashTable table({&build}, {&probe});
+  JoinHashTable table({&build});
   table.Build(nullptr);
   EXPECT_EQ(table.layout(), KeyLayout::kSerialized);
-  EXPECT_EQ(ProbeAll(table, 0), (std::vector<size_t>{0, 2}));
-  EXPECT_TRUE(ProbeAll(table, 1).empty());
+  EXPECT_EQ(ProbeAll(table, {&probe}, 0), (std::vector<size_t>{0, 2}));
+  EXPECT_TRUE(ProbeAll(table, {&probe}, 1).empty());
 }
 
 TEST(JoinHashTableTest, ParallelBuildMatchesSerial) {
@@ -190,15 +232,16 @@ TEST(JoinHashTableTest, ParallelBuildMatchesSerial) {
   ColumnData build = IntCol(build_keys);
   ColumnData probe = IntCol(probe_keys);
 
-  JoinHashTable serial({&build}, {&probe});
+  JoinHashTable serial({&build});
   serial.Build(nullptr);
   ThreadPool pool(4);
-  JoinHashTable parallel({&build}, {&probe});
+  JoinHashTable parallel({&build});
   parallel.Build(&pool);
 
   EXPECT_EQ(serial.num_entries(), parallel.num_entries());
   for (size_t r = 0; r < probe_keys.size(); ++r) {
-    EXPECT_EQ(ProbeAll(serial, r), ProbeAll(parallel, r)) << "probe row " << r;
+    EXPECT_EQ(ProbeAll(serial, {&probe}, r), ProbeAll(parallel, {&probe}, r))
+        << "probe row " << r;
   }
 }
 

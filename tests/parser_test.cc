@@ -275,6 +275,20 @@ TEST(ParserTest, RejectsTrailingGarbage) {
 }
 
 
+TEST(ParserTest, SumAndAvgDistinctAreRejected) {
+  // They used to parse and then silently ignore DISTINCT.
+  for (const char* sql : {"select sum(distinct b) from t",
+                          "select avg(distinct b) from t",
+                          "select a, SUM(DISTINCT b) from t group by a"}) {
+    Result<Statement> stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_TRUE(ParseStatement("select count(distinct b) from t").ok());
+  EXPECT_TRUE(ParseStatement("select min(distinct b) from t").ok());
+  EXPECT_TRUE(ParseStatement("select max(distinct b) from t").ok());
+}
+
 TEST(ParserTest, DateLiteral) {
   Statement stmt = Parse("select * from t where d >= date '2024-02-29'");
   std::string rendered = stmt.select->cores[0].where->ToString();

@@ -239,5 +239,29 @@ TEST_F(SqlEndToEndTest, EmptyResults) {
   EXPECT_EQ(global.columns[0].ints()[0], 0);
 }
 
+TEST(SqlDistinctAggregateTest, OnlyCountMinMaxAcceptDistinct) {
+  // sum(distinct b) over (1,5),(1,5),(2,7) would be 12, but it used to
+  // return 17 (DISTINCT ignored); sum/avg DISTINCT are now rejected.
+  Database db;
+  ASSERT_TRUE(db.Execute("create table t (a int, b int)").ok());
+  ASSERT_TRUE(db.Insert("t", {{Value::Int64(1), Value::Int64(5)},
+                              {Value::Int64(1), Value::Int64(5)},
+                              {Value::Int64(2), Value::Int64(7)}})
+                  .ok());
+  for (const char* sql : {"select sum(distinct b) from t",
+                          "select avg(distinct b) from t"}) {
+    Result<Chunk> r = db.Query(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  Result<Chunk> r = db.Query(
+      "select count(distinct b) as n, min(distinct b) as lo, "
+      "max(distinct b) as hi from t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->columns[0].GetValue(0).AsInt64(), 2);
+  EXPECT_EQ(r->columns[1].GetValue(0).AsInt64(), 5);
+  EXPECT_EQ(r->columns[2].GetValue(0).AsInt64(), 7);
+}
+
 }  // namespace
 }  // namespace vdm

@@ -5,7 +5,7 @@
 #
 #   tools/ci.sh              # ASan + UBSan + TSan test runs, tidy, format
 #   tools/ci.sh address      # one sanitizer only
-#   tools/ci.sh thread       # TSan over executor, governor, compile tests
+#   tools/ci.sh thread       # TSan over executor, oracle, governor, compile tests
 #   tools/ci.sh fault        # ASan + fault injection compiled in + soak
 #   tools/ci.sh fuzz         # ASan differential fuzz: vdmfuzz, 10k queries
 #   tools/ci.sh server       # wire server: ASan+TSan conformance, fuzz leg,
@@ -50,20 +50,23 @@ run_sanitizer() {
 
 run_thread_sanitizer() {
   # ThreadSanitizer over the tests that exercise concurrency: the parallel
-  # executor suites, the plan cache (shared LRU hit from many sessions) and
-  # concurrent compiles through the shared, lock-free optimizer.
+  # executor suites, the differential oracle (its N-thread legs run tiny
+  # morsels, so aggregate merges and probe waves run concurrently), the
+  # plan cache (shared LRU hit from many sessions) and concurrent compiles
+  # through the shared, lock-free optimizer.
   # Only these run: the rest of the test battery is single-threaded and
   # TSan slows it ~10x for no signal.
   local dir="build-thread"
-  echo "== thread sanitizer build (executor + cache + txn + compile tests) =="
+  echo "== thread sanitizer build (executor + oracle + cache + txn + compile tests) =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DVDMQO_SANITIZE=thread >/dev/null
   cmake --build "${dir}" -j "${JOBS}" \
         --target exec_test exec_parallel_test hash_table_test kernel_test \
-                 plan_cache_test governor_test txn_test jeib_compile_test
+                 plan_cache_test governor_test txn_test jeib_compile_test \
+                 differential_test
   VDM_PLAN_CACHE=1 ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -R 'exec_test|exec_parallel_test|hash_table_test|kernel_test|plan_cache_test|governor_test|txn_test|jeib_compile_test'
-  echo "== thread: executor + plan cache + governor + txn + compile tests passed =="
+      -R 'exec_test|exec_parallel_test|hash_table_test|kernel_test|plan_cache_test|governor_test|txn_test|jeib_compile_test|differential_test'
+  echo "== thread: executor + oracle + plan cache + governor + txn + compile tests passed =="
 }
 
 run_fault() {

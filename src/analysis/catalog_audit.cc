@@ -43,7 +43,6 @@ void WalkPlan(const PlanRef& plan,
 }
 
 Result<PlanRef> BindViewPlan(const Catalog& catalog, const ViewDef& view) {
-  if (view.bound_plan) return PlanRef(view.bound_plan);
   Binder binder(&catalog);
   return binder.BindSql(view.sql);
 }

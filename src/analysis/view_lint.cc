@@ -139,13 +139,8 @@ Result<ViewLintReport> LintView(const Catalog& catalog,
   if (view == nullptr) {
     return Status::NotFound("view not found: " + view_name);
   }
-  PlanRef plan;
-  if (view->bound_plan) {
-    plan = view->bound_plan;
-  } else {
-    Binder binder(&catalog);
-    VDM_ASSIGN_OR_RETURN(plan, binder.BindSql(view->sql));
-  }
+  Binder binder(&catalog);
+  VDM_ASSIGN_OR_RETURN(PlanRef plan, binder.BindSql(view->sql));
 
   ViewLintReport report;
   report.view = view->name;

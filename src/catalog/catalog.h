@@ -20,8 +20,6 @@
 
 namespace vdm {
 
-class LogicalOp;  // defined in plan/logical_plan.h
-
 /// VDM layering (paper Fig. 2). kPlain marks non-VDM views.
 enum class VdmLayer {
   kPlain = 0,
@@ -60,9 +58,6 @@ struct ViewDef {
   /// Optional record-wise data access control filter (SQL boolean
   /// expression over the view's output columns). Injected per query.
   std::string dac_filter_sql;
-  /// Pre-bound plan for programmatically constructed views (bypasses the
-  /// parser). If set, takes precedence over `sql`.
-  std::shared_ptr<const LogicalOp> bound_plan;
   /// Cached views (§3): when materialized_table is non-empty, queries
   /// against this view read the named snapshot table instead of inlining
   /// the definition. kStatic snapshots are refreshed explicitly (SCV);
@@ -138,7 +133,7 @@ class Catalog {
   /// Publishes fresh statistics for a table and bumps its stats_version():
   /// new statistics can change the plan shape, so cached plans scanning
   /// this table must recompile — but only those.
-  /// Thread-safe: callable from the background merge worker while queries
+  /// Thread-safe: callable from a background merge task while queries
   /// plan concurrently.
   void SetTableStats(const std::string& name, TableStats stats) {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <new>
 #include <string>
 
@@ -23,12 +24,8 @@ size_t ThreadPool::DefaultThreads() {
   return n == 0 ? 1 : n;
 }
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : num_threads_(num_threads == 0 ? 1 : num_threads) {
-  workers_.reserve(num_threads_ - 1);
-  for (size_t i = 0; i + 1 < num_threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+ThreadPool::ThreadPool(size_t num_workers) {
+  EnsureWorkers(std::max<size_t>(num_workers, 1));
 }
 
 ThreadPool::~ThreadPool() {
@@ -40,98 +37,98 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+void ThreadPool::EnsureWorkers(size_t num_workers) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (workers_.size() < num_workers) {
+    workers_.emplace_back([this] { Serve(); });
+  }
+  num_workers_.store(workers_.size(), std::memory_order_release);
+}
+
+void ThreadPool::Submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+  }
+  work_cv_.notify_one();
+}
+
+ThreadPool::Batch* ThreadPool::ClaimableBatch() const {
+  for (Batch* batch : batches_) {
+    if (batch->next.load(std::memory_order_relaxed) < batch->total) {
+      return batch;
+    }
+  }
+  return nullptr;
+}
+
 void ThreadPool::RunTasks(Batch* batch) {
   while (true) {
     size_t index = batch->next.fetch_add(1, std::memory_order_relaxed);
     if (index >= batch->total) break;
     // Once a task failed, skip the remaining work but keep draining the
-    // counter so the caller's completion wait still closes.
-    if (!batch->failed.load(std::memory_order_acquire)) {
-      try {
-        (*batch->fn)(index);
-      } catch (...) {
-        Status status = StatusFromCurrentException();
-        {
-          std::lock_guard<std::mutex> lock(batch->error_mu);
-          if (batch->error.ok()) batch->error = std::move(status);
-        }
-        batch->failed.store(true, std::memory_order_release);
+    // counter so every participant leaves the batch.
+    if (batch->failed.load(std::memory_order_acquire)) continue;
+    try {
+      (*batch->fn)(index);
+    } catch (...) {
+      Status status = StatusFromCurrentException();
+      {
+        std::lock_guard<std::mutex> lock(batch->error_mu);
+        if (batch->error.ok()) batch->error = std::move(status);
       }
+      batch->failed.store(true, std::memory_order_release);
     }
-    batch->done.fetch_add(1, std::memory_order_release);
   }
 }
 
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
+void ThreadPool::Serve() {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    Batch* batch = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ ||
-               (current_ != nullptr && generation_ != seen_generation);
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      batch = current_;
-      ++batch->active;  // adopted under mu_: the caller cannot retire the
-                        // batch until we drop back to zero
+    work_cv_.wait(lock, [&] {
+      return shutdown_ || !queue_.empty() || ClaimableBatch() != nullptr;
+    });
+    if (Batch* batch = ClaimableBatch()) {
+      // Joined under mu_: the batch's caller unpublishes it and then waits
+      // for active to drop back to zero before the batch goes away.
+      ++batch->active;
+      lock.unlock();
+      RunTasks(batch);
+      lock.lock();
+      if (--batch->active == 0) done_cv_.notify_all();
+      continue;
     }
-    RunTasks(batch);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --batch->active;
-    }
-    done_cv_.notify_one();
+    if (queue_.empty()) return;  // shut down, and nothing left to run
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // release its captures before retaking the lock
+    lock.lock();
   }
 }
 
 Status ThreadPool::ParallelFor(size_t num_tasks,
                                const std::function<void(size_t)>& fn) {
   if (num_tasks == 0) return Status::OK();
-  // Inline fast paths: single-threaded pool or a single task.
-  if (num_threads_ == 1 || num_tasks == 1) {
-    for (size_t i = 0; i < num_tasks; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        return StatusFromCurrentException();
-      }
-    }
-    return Status::OK();
-  }
-
   Batch batch;
   batch.fn = &fn;
   batch.total = num_tasks;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (current_ != nullptr) {
-      // Nested ParallelFor (issued from inside a task): run inline rather
-      // than deadlocking on the single in-flight batch slot.
-      lock.unlock();
-      for (size_t i = 0; i < num_tasks; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          return StatusFromCurrentException();
-        }
-      }
-      return Status::OK();
+  const bool publish = num_tasks > 1;
+  if (publish) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      batches_.push_back(&batch);
     }
-    current_ = &batch;
-    ++generation_;
+    work_cv_.notify_all();
   }
-  work_cv_.notify_all();
-  RunTasks(&batch);  // the caller participates
-  {
+  RunTasks(&batch);  // the caller always takes part
+  if (publish) {
+    // Every index is claimed now; unpublish, then wait for the workers
+    // still running the ones they claimed.
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return batch.done.load(std::memory_order_acquire) == batch.total &&
-             batch.active == 0;
-    });
-    current_ = nullptr;
+    batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
+    done_cv_.wait(lock, [&] { return batch.active == 0; });
   }
   if (batch.failed.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(batch.error_mu);

@@ -80,8 +80,10 @@ Database::~Database() {
     std::lock_guard<std::mutex> lock(merge_mu_);
     merge_stop_ = true;
   }
-  merge_cv_.notify_all();
-  if (merge_thread_.joinable()) merge_thread_.join();
+  // Drain the pool while the state its tasks use is still alive: queued
+  // merges see merge_stop_ and return, a running one is cancelled at its
+  // next check_alive.
+  pool_.reset();
   // Roll back any transaction the caller abandoned (handle destructors
   // use the fault-free primitive).
   std::lock_guard<std::mutex> lock(txns_mu_);
@@ -98,6 +100,11 @@ void Database::ApplyEnvOverrides() {
       optimizer_config_.join_reordering = std::string(env) != "0";
     }
   }
+}
+
+void Database::SetExecOptions(ExecOptions options) {
+  exec_options_ = options;
+  pool_->EnsureWorkers(options.num_threads);
 }
 
 void Database::SetProfile(SystemProfile profile) {
@@ -703,9 +710,12 @@ Status Database::RollbackTxn(Transaction* txn) {
 }
 
 void Database::FinishRollback(Transaction* txn) {
+  std::vector<Table*> written = txn->written_tables();
   txn_mgr_.Rollback(txn);
   rollbacks_.fetch_add(1, std::memory_order_relaxed);
   ReleaseTxnHandle(txn);
+  // A merge this writer blocked can run now.
+  OfferMerges(written);
 }
 
 void Database::ReleaseTxnHandle(Transaction* txn) {
@@ -759,14 +769,8 @@ Result<Chunk> Database::ExecuteDmlAutoCommit(const Statement& stmt) {
 }
 
 void Database::AfterCommit(const std::vector<Table*>& written) {
-  size_t threshold;
-  {
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    threshold = merge_threshold_;
-  }
   for (Table* t : written) {
     const std::string& name = t->schema().name();
-    const size_t delta = t->NumDeltaRows();
     const size_t total = t->NumRows();
     // Auto-analyze: once the table has drifted from the state its
     // statistics were collected at by more than a fifth (rows appended
@@ -782,8 +786,8 @@ void Database::AfterCommit(const std::vector<Table*>& written) {
     const size_t drift =
         total > collected ? total - collected : collected - total;
     if (drift > std::max<size_t>(64, total / 5)) RefreshTableStats(name);
-    if (threshold > 0 && delta >= threshold) EnqueueMerge(name);
   }
+  OfferMerges(written);
 }
 
 void Database::RefreshTableStats(const std::string& name) {
@@ -798,46 +802,38 @@ void Database::RefreshTableStats(const std::string& name) {
 void Database::SetMergeThreshold(size_t rows) {
   std::lock_guard<std::mutex> lock(merge_mu_);
   merge_threshold_ = rows;
-  if (rows > 0 && !merge_thread_.joinable()) {
-    merge_thread_ = std::thread([this] { MergeWorkerLoop(); });
-  }
 }
 
-void Database::EnqueueMerge(const std::string& table) {
-  {
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    if (merge_stop_) return;
-    for (const std::string& queued : merge_queue_) {
-      if (queued == table) return;
+void Database::OfferMerges(const std::vector<Table*>& tables) {
+  std::lock_guard<std::mutex> lock(merge_mu_);
+  if (merge_stop_ || merge_threshold_ == 0) return;
+  for (Table* t : tables) {
+    if (t->NumDeltaRows() < merge_threshold_) continue;
+    auto [it, fresh] = merge_tasks_.try_emplace(t->schema().name(), false);
+    if (!fresh) {
+      it->second = true;  // its queued or running task tries once more
+      continue;
     }
-    merge_queue_.push_back(table);
+    pool_->Submit([this, table = it->first] { RunMerges(table); });
   }
-  merge_cv_.notify_one();
 }
 
-void Database::MergeWorkerLoop() {
+void Database::RunMerges(const std::string& table) {
+  const Table* t = storage_.FindTable(table);
   std::unique_lock<std::mutex> lock(merge_mu_);
-  while (true) {
-    merge_cv_.wait(lock, [&] { return merge_stop_ || !merge_queue_.empty(); });
-    if (merge_stop_) return;
-    std::string table = std::move(merge_queue_.front());
-    merge_queue_.pop_front();
+  auto it = merge_tasks_.find(table);
+  while (!merge_stop_ && t != nullptr && merge_threshold_ > 0 &&
+         t->NumDeltaRows() >= merge_threshold_) {
+    it->second = false;
     lock.unlock();
-    Status st = MergeTableMvcc(table);
+    // A failed merge (active writers, an injected fault) leaves the table
+    // untouched. The writer that blocked it offers the table again when it
+    // commits or rolls back, so nothing waits on a timer.
+    (void)MergeTableMvcc(table);
     lock.lock();
-    if (!st.ok() && st.code() == StatusCode::kResourceExhausted &&
-        !merge_stop_) {
-      // Active writers or a racing version publish: requeue and back off
-      // so the writer can finish (commit/rollback wakes nothing — the
-      // timeout is the retry tick).
-      merge_queue_.push_back(std::move(table));
-      merge_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                         [&] { return merge_stop_; });
-    }
-    // Any other failure (injected merge fault, cancelled) drops the
-    // request: the next threshold-crossing commit re-enqueues it, and the
-    // aborted merge left the table untouched.
+    if (!it->second) break;
   }
+  merge_tasks_.erase(it);
 }
 
 Status Database::MergeTableMvcc(const std::string& table) {
@@ -917,18 +913,8 @@ Result<Chunk> Database::ExecutePlan(const PlanRef& plan, ExecMetrics* metrics,
       threads = 1;
     }
   }
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    // Guarded lazy creation: concurrent sessions reach the first parallel
-    // query together. The built pool is used without the lock
-    // (ParallelFor serializes internally; extra callers run inline).
-    std::lock_guard<std::mutex> lock(exec_pool_mu_);
-    if (exec_pool_ == nullptr) {
-      exec_pool_ = std::make_unique<ThreadPool>(threads);
-    }
-    pool = exec_pool_.get();
-  }
-  Executor executor(&storage_, exec_options_, pool);
+  Executor executor(&storage_, exec_options_,
+                    threads > 1 ? pool_.get() : nullptr);
   return executor.Execute(plan, metrics, ctx);
 }
 
@@ -1026,17 +1012,6 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
   return out;
 }
 
-Status Database::RegisterViewPlan(const std::string& name, PlanRef plan,
-                                  VdmLayer layer,
-                                  const std::string& dac_filter_sql) {
-  ViewDef view;
-  view.name = name;
-  view.layer = layer;
-  view.dac_filter_sql = dac_filter_sql;
-  view.bound_plan = std::move(plan);
-  return catalog_.ReplaceView(std::move(view));
-}
-
 namespace {
 
 /// Schema for a materialized snapshot, derived from a result chunk.
@@ -1096,9 +1071,7 @@ Status Database::BuildSnapshot(ViewDef view, bool replace_existing) {
   transparent.materialized_table.clear();
   VDM_RETURN_NOT_OK(catalog_.ReplaceView(transparent));
   Binder binder(&catalog_);
-  Result<PlanRef> bound =
-      transparent.bound_plan ? Result<PlanRef>(transparent.bound_plan)
-                             : binder.BindSql(transparent.sql);
+  Result<PlanRef> bound = binder.BindSql(transparent.sql);
   if (!bound.ok()) return bound.status();
   Result<PlanRef> optimized = OptimizePlan(*bound);
   if (!optimized.ok()) return optimized.status();

@@ -16,12 +16,10 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -123,7 +121,8 @@ class Database {
 
   /// Honors VDM_PLAN_CACHE / VDM_PLAN_CACHE_CAPACITY environment knobs.
   Database();
-  /// Stops the background merge worker and rolls back open transactions.
+  /// Drains the worker pool (queued merges are cancelled) and rolls back
+  /// open transactions.
   ~Database();
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -142,14 +141,16 @@ class Database {
   }
 
   /// Sets executor options (thread count, morsel size, limit early-exit)
-  /// for subsequent queries. The worker pool is recreated lazily on the
-  /// next query.
-  void SetExecOptions(ExecOptions options) {
-    std::lock_guard<std::mutex> lock(exec_pool_mu_);
-    exec_options_ = options;
-    exec_pool_.reset();
-  }
+  /// for subsequent queries, growing the worker pool to
+  /// `options.num_threads` workers when that is larger. Must not race with
+  /// queries.
+  void SetExecOptions(ExecOptions options);
   const ExecOptions& exec_options() const { return exec_options_; }
+
+  /// The one worker pool: server statements, query morsels and background
+  /// merges all run on it. It starts with ThreadPool::DefaultThreads()
+  /// workers, grows on demand and lives as long as the Database.
+  ThreadPool& thread_pool() { return *pool_; }
 
   /// Executes a DDL, DML, or query statement. For SELECT, returns the
   /// result chunk; for DML, a one-row `rows_affected` chunk; for DDL, an
@@ -212,9 +213,9 @@ class Database {
   TxnManager& txn_manager() { return txn_mgr_; }
   TxnStats txn_stats() const;
 
-  /// Sets the delta-rows threshold at which a commit enqueues the written
-  /// table for a background MVCC merge (0 disables; also settable via
-  /// VDM_MERGE_THRESHOLD at construction). Starts the worker on demand.
+  /// Sets the delta-rows threshold at which a commit or rollback submits a
+  /// background MVCC merge of the written table to the worker pool (0
+  /// disables; also settable via VDM_MERGE_THRESHOLD at construction).
   void SetMergeThreshold(size_t rows);
   /// Runs one MVCC delta-to-main merge of `table` synchronously at the
   /// current transaction watermark, then refreshes its statistics and data
@@ -287,11 +288,6 @@ class Database {
   /// Rendered raw (bound, unoptimized) plan.
   Result<std::string> ExplainRaw(const std::string& sql) const;
 
-  /// Registers a programmatically built view plan (VDM generator path).
-  Status RegisterViewPlan(const std::string& name, PlanRef plan,
-                          VdmLayer layer = VdmLayer::kPlain,
-                          const std::string& dac_filter_sql = "");
-
   /// Cached views (paper §3): materializes the view's current result into
   /// a hidden table; subsequent queries read the snapshot. kStatic (SCV)
   /// snapshots are stale until RefreshMaterializedView; kDynamic (DCV)
@@ -342,14 +338,20 @@ class Database {
   Result<Chunk> ExecuteDmlAutoCommit(const Statement& stmt);
 
   /// Fault-free rollback primitive (internal cleanup paths; the
-  /// fault-checked RollbackTxn wraps it).
+  /// fault-checked RollbackTxn wraps it). Offers the written tables for
+  /// merging, like a commit.
   void FinishRollback(Transaction* txn);
   /// Post-commit bookkeeping for every written table: auto-analyze
-  /// delta-heavy tables, enqueue background merges. A commit itself
+  /// delta-heavy tables, offer background merges. A commit itself
   /// invalidates no cached plan.
   void AfterCommit(const std::vector<Table*>& written);
-  void EnqueueMerge(const std::string& table);
-  void MergeWorkerLoop();
+  /// Submits a merge task for every table whose delta holds at least
+  /// merge_threshold_ rows, unless one is already queued or running for
+  /// it; that task then tries once more.
+  void OfferMerges(const std::vector<Table*>& tables);
+  /// The merge task: merges `table` while its delta stays at or above the
+  /// threshold and a commit or rollback offered it during the last try.
+  void RunMerges(const std::string& table);
   /// Drops the handle from open_txns_ (destroying the Transaction).
   void ReleaseTxnHandle(Transaction* txn);
   /// Recollects one table's statistics under the current VDM_STATS mode
@@ -412,13 +414,6 @@ class Database {
   StorageManager storage_;
   OptimizerConfig optimizer_config_;
   ExecOptions exec_options_;
-  // Shared worker pool, created on first parallel query and reused across
-  // ExecutePlan calls (thread spawn cost amortizes over the session).
-  // Creation is guarded by exec_pool_mu_ — concurrent server sessions hit
-  // the first parallel query at the same time; use of the built pool is
-  // lock-free (ParallelFor serializes internally, extra callers inline).
-  mutable std::mutex exec_pool_mu_;
-  mutable std::unique_ptr<ThreadPool> exec_pool_;
   // Shared optimizer for the common non-verifying path, rebuilt with every
   // config change (the config copy is large enough to show up on short
   // compile paths). Optimizer is stateless, so concurrent sessions compile
@@ -455,15 +450,19 @@ class Database {
   std::atomic<uint64_t> conflicts_{0};
   std::atomic<uint64_t> txn_retries_used_{0};
   std::atomic<uint64_t> merges_done_{0};
-  // Background merge worker: commits enqueue tables whose delta crossed
-  // merge_threshold_; the worker merges at the transaction watermark and
-  // retries kResourceExhausted with backoff. Joined in the destructor.
+  // Background merges: commits and rollbacks offer tables whose delta
+  // reached merge_threshold_ (OfferMerges). merge_tasks_ maps each table
+  // with a merge task queued or running to "offered again since that task
+  // last tried".
   std::mutex merge_mu_;
-  std::condition_variable merge_cv_;
-  std::deque<std::string> merge_queue_;  // guarded by merge_mu_
-  bool merge_stop_ = false;              // guarded by merge_mu_
-  size_t merge_threshold_ = 0;           // guarded by merge_mu_
-  std::thread merge_thread_;
+  std::map<std::string, bool> merge_tasks_;  // guarded by merge_mu_
+  bool merge_stop_ = false;                  // guarded by merge_mu_
+  size_t merge_threshold_ = 0;               // guarded by merge_mu_
+
+  // Declared last: the destructor drains it before the state its tasks
+  // touch goes away.
+  std::unique_ptr<ThreadPool> pool_ =
+      std::make_unique<ThreadPool>(ThreadPool::DefaultThreads());
 };
 
 }  // namespace vdm

@@ -40,9 +40,9 @@ class ThreadPool;
 
 /// Execution knobs. Results are identical under every setting.
 struct ExecOptions {
-  /// Worker count including the calling thread; 0 = hardware concurrency.
-  /// Read by Database only, which sizes the worker pool it hands to the
-  /// Executor; the Executor itself never creates threads.
+  /// Worker count; 0 = hardware concurrency. Read by Database only: 1
+  /// runs every query inline, and more grows the worker pool it hands to
+  /// the Executor. The Executor itself never creates threads.
   size_t num_threads = 0;
   /// Rows per morsel (scan / probe / aggregation granule).
   size_t morsel_size = 4096;
@@ -84,8 +84,9 @@ struct ExecMetrics {
 
 class Executor {
  public:
-  /// `pool`, when given, runs morsels on its workers; when null (or a
-  /// one-thread pool) every morsel runs inline on the calling thread.
+  /// `pool`, when given, runs morsels on its workers and the calling
+  /// thread; when null (or a one-worker pool) every morsel runs inline on
+  /// the calling thread.
   explicit Executor(const StorageManager* storage, ExecOptions options = {},
                     ThreadPool* pool = nullptr)
       : storage_(storage), options_(options), pool_(pool) {}

@@ -12,7 +12,9 @@
 //     partial aggregate on the anchor (grouped by the anchor's group
 //     columns plus the join keys) and a final aggregate above the join.
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "common/string_util.h"
 #include "optimizer/optimizer.h"
@@ -84,36 +86,26 @@ void CollectAggNodes(const ExprRef& expr, std::vector<ExprRef>* out) {
   for (const ExprRef& child : expr->children()) CollectAggNodes(child, out);
 }
 
-/// Partial/final function pair for eager aggregation; returns false when
-/// the aggregate cannot be decomposed.
-bool DecomposeAgg(AggKind kind, bool distinct, AggKind* partial,
-                  AggKind* final_fn) {
-  if (distinct) return false;
+/// Partial/final function pair for eager aggregation; nullopt when the
+/// aggregate cannot be decomposed.
+std::optional<std::pair<AggKind, AggKind>> DecomposeAgg(AggKind kind,
+                                                        bool distinct) {
+  if (distinct) return std::nullopt;
   switch (kind) {
     case AggKind::kSum:
-      *partial = AggKind::kSum;
-      *final_fn = AggKind::kSum;
-      return true;
+      return std::make_pair(AggKind::kSum, AggKind::kSum);
     case AggKind::kCount:
-      *partial = AggKind::kCount;
-      *final_fn = AggKind::kSum;
-      return true;
+      return std::make_pair(AggKind::kCount, AggKind::kSum);
     case AggKind::kCountStar:
-      *partial = AggKind::kCountStar;
-      *final_fn = AggKind::kSum;
-      return true;
+      return std::make_pair(AggKind::kCountStar, AggKind::kSum);
     case AggKind::kMin:
-      *partial = AggKind::kMin;
-      *final_fn = AggKind::kMin;
-      return true;
+      return std::make_pair(AggKind::kMin, AggKind::kMin);
     case AggKind::kMax:
-      *partial = AggKind::kMax;
-      *final_fn = AggKind::kMax;
-      return true;
+      return std::make_pair(AggKind::kMax, AggKind::kMax);
     case AggKind::kAvg:
-      return false;  // would need sum/count decomposition; not needed here
+      return std::nullopt;  // would need sum/count decomposition
   }
-  return false;
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,13 +304,15 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
     CollectAggNodes(item.expr, &agg_nodes);
   }
   if (agg_nodes.empty()) return nullptr;
+  // (partial, final) function pair per aggregate node.
+  std::vector<std::pair<AggKind, AggKind>> decomposed;
   for (const ExprRef& node : agg_nodes) {
     const auto& a = static_cast<const AggregateExpr&>(*node);
-    AggKind partial, final_fn;
-    if (!DecomposeAgg(a.agg(), a.distinct(), &partial, &final_fn)) {
-      return nullptr;
-    }
+    std::optional<std::pair<AggKind, AggKind>> pair =
+        DecomposeAgg(a.agg(), a.distinct());
+    if (!pair) return nullptr;
     if (a.has_arg() && !ReferencesOnly(a.arg(), left_names)) return nullptr;
+    decomposed.push_back(*pair);
   }
 
   // Some group column must come from the augmenter — otherwise the join is
@@ -360,11 +354,9 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
   std::vector<std::string> partial_names;
   for (size_t k = 0; k < agg_nodes.size(); ++k) {
     const auto& a = static_cast<const AggregateExpr&>(*agg_nodes[k]);
-    AggKind partial, final_fn;
-    DecomposeAgg(a.agg(), a.distinct(), &partial, &final_fn);
     std::string pname = StrFormat("__partial_%zu", k);
     ExprRef partial_expr = std::make_shared<AggregateExpr>(
-        partial, a.has_arg() ? a.arg() : nullptr, false,
+        decomposed[k].first, a.has_arg() ? a.arg() : nullptr, false,
         a.allow_precision_loss());
     inner_aggs.push_back({std::move(partial_expr), pname});
     partial_names.push_back(std::move(pname));
@@ -386,10 +378,8 @@ PlanRef TryEagerAggregation(const std::shared_ptr<const AggregateOp>& agg,
           for (size_t k = 0; k < agg_nodes.size(); ++k) {
             if (node->Equals(*agg_nodes[k])) {
               const auto& a = static_cast<const AggregateExpr&>(*agg_nodes[k]);
-              AggKind partial, final_fn;
-              DecomposeAgg(a.agg(), a.distinct(), &partial, &final_fn);
               return std::make_shared<AggregateExpr>(
-                  final_fn, Col(partial_names[k]), false,
+                  decomposed[k].second, Col(partial_names[k]), false,
                   a.allow_precision_loss());
             }
           }

@@ -8,10 +8,10 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 
 #include "common/string_util.h"
 #include "server/wire.h"
@@ -50,11 +50,11 @@ struct Server::Connection {
   /// Guards pending / busy / dead.
   std::mutex mu;
   std::deque<std::vector<uint8_t>> pending;
-  /// A worker owns the frame queue right now (at most one at a time).
+  /// A pool task owns the frame queue right now (at most one at a time).
   bool busy = false;
   /// Socket closed, poisoned, or CLOSEd; reaped once not busy.
   bool dead = false;
-  /// Serializes socket writes (worker responses vs. poll-thread
+  /// Serializes socket writes (task responses vs. poll-thread
   /// protocol-error frames).
   std::mutex write_mu;
 };
@@ -99,18 +99,10 @@ Status Server::Start() {
   port_ = ntohs(addr.sin_port);
   SetNonBlocking(listen_fd_);
 
-  size_t workers = options_.workers;
-  if (workers == 0) {
-    const size_t hw = std::thread::hardware_concurrency();
-    workers = std::min<size_t>(hw == 0 ? 4 : hw, 8);
-  }
+  db_->thread_pool().EnsureWorkers(options_.workers);
   stopping_.store(false, std::memory_order_release);
   started_ = true;
   poll_thread_ = std::thread([this] { PollLoop(); });
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   return Status::OK();
 }
 
@@ -120,16 +112,16 @@ void Server::Stop() {
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   Wake();
   if (poll_thread_.joinable()) poll_thread_.join();
-  // Cancel every in-flight statement so the workers drain promptly.
+  // Cancel every in-flight statement so the connection tasks end promptly
+  // (queued ones see stopping_ and return at once).
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& [fd, conn] : conns_) conn->session->CancelActive();
   }
-  queue_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
+  {
+    std::unique_lock<std::mutex> lock(tasks_mu_);
+    tasks_cv_.wait(lock, [&] { return tasks_ == 0; });
   }
-  workers_.clear();
   // Destroy the connections: each session destructor rolls back its open
   // transaction. The Database is still alive — the documented ordering.
   {
@@ -255,13 +247,7 @@ bool Server::ExtractFrames(Connection* conn) {
     }
   }
   buf.erase(buf.begin(), buf.begin() + off);
-  if (enqueue) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      work_queue_.push_back(conn);
-    }
-    queue_cv_.notify_one();
-  }
+  if (enqueue) SubmitConnection(conn);
   return true;
 }
 
@@ -340,24 +326,19 @@ void Server::PollLoop() {
   }
 }
 
-void Server::WorkerLoop() {
-  while (true) {
-    Connection* conn = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !work_queue_.empty();
-      });
-      if (work_queue_.empty()) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      conn = work_queue_.front();
-      work_queue_.pop_front();
-    }
-    ProcessConnection(conn);
+void Server::SubmitConnection(Connection* conn) {
+  {
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    ++tasks_;
   }
+  db_->thread_pool().Submit([this, conn] {
+    ProcessConnection(conn);
+    // Notified under the lock: once Stop() sees zero it may destroy the
+    // Server, condition variable included.
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    --tasks_;
+    tasks_cv_.notify_all();
+  });
 }
 
 void Server::ProcessConnection(Connection* conn) {

@@ -3,16 +3,17 @@
 //
 // Architecture: one poll()-based I/O thread owns the listening socket and
 // every connection's read side; complete frames are queued per connection
-// and drained in order by a fixed worker pool (at most one worker per
-// connection at a time, so a session never sees concurrent frames).
-// CANCEL frames bypass the queue: the poll thread fires
-// Session::CancelActive the moment the frame is read, which is what lets
-// a cancel reach a query the worker is still executing.
+// and drained in order by a ProcessConnection task on the Database's
+// worker pool (at most one task per connection at a time, so a session
+// never sees concurrent frames). CANCEL frames bypass the queue: the poll
+// thread fires Session::CancelActive the moment the frame is read, which
+// is what lets a cancel reach a query a worker is still executing.
 //
 // Lifetime: the Database must outlive the Server. Stop() (also run by the
 // destructor) stops accepting, joins the poll thread, cancels every
-// in-flight statement, drains the workers, then destroys the connections
-// — each session rolling back its open transaction.
+// in-flight statement, waits for the connection tasks to finish, then
+// destroys the connections — each session rolling back its open
+// transaction.
 //
 // Concurrent DDL is NOT part of the server contract: catalog table/view
 // registration is unsynchronized by design (setup happens before traffic,
@@ -24,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,7 +42,9 @@ namespace vdm {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
   uint16_t port = 0;
-  /// Worker threads executing statements; 0 = min(hardware, 8).
+  /// Start() grows the Database's worker pool, which runs the statements,
+  /// to at least this many workers; 0 keeps its size (hardware
+  /// concurrency by default).
   size_t workers = 0;
   /// Max concurrent connections; new ones beyond it are turned away with
   /// kResourceExhausted. 0 = unlimited.
@@ -70,7 +72,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds 127.0.0.1:<port>, spawns the poll thread and the worker pool.
+  /// Binds 127.0.0.1:<port>, grows the worker pool to options.workers and
+  /// spawns the poll thread.
   Status Start();
   /// Idempotent full shutdown; see the lifetime comment above.
   void Stop();
@@ -84,10 +87,11 @@ class Server {
   struct Connection;
 
   void PollLoop();
-  void WorkerLoop();
-  /// Drains one connection's frame queue in order (single worker at a
+  /// Drains one connection's frame queue in order (one pool task at a
   /// time per connection).
   void ProcessConnection(Connection* conn);
+  /// Submits ProcessConnection(conn) to the pool, counted in tasks_.
+  void SubmitConnection(Connection* conn);
   /// Extracts complete frames from the connection's read buffer,
   /// dispatching CANCEL immediately and queueing the rest. False = the
   /// stream is poisoned (oversized/zero-length frame): error sent, die.
@@ -107,7 +111,6 @@ class Server {
   bool started_ = false;
 
   std::thread poll_thread_;
-  std::vector<std::thread> workers_;
 
   // Connections keyed by fd. The poll thread inserts; removal happens in
   // the reap step (poll thread) or Stop — both under conns_mu_ because
@@ -115,10 +118,11 @@ class Server {
   mutable std::mutex conns_mu_;
   std::map<int, std::unique_ptr<Connection>> conns_;
 
-  // Worker queue of connections with pending frames.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Connection*> work_queue_;  // guarded by queue_mu_
+  // ProcessConnection tasks submitted and not yet finished; Stop() waits
+  // for zero.
+  std::mutex tasks_mu_;
+  std::condition_variable tasks_cv_;
+  size_t tasks_ = 0;  // guarded by tasks_mu_
 
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<uint64_t> sessions_opened_{0};

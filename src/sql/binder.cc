@@ -203,8 +203,6 @@ Result<Binder::BoundRef> Binder::BindTableRef(const TableRef& ref) {
   PlanRef view_plan;
   if (view_plan_override) {
     view_plan = view_plan_override;
-  } else if (view->bound_plan) {
-    view_plan = view->bound_plan;
   } else {
     Result<PlanRef> bound = BindSql(view->sql);
     if (!bound.ok()) {

@@ -2,20 +2,23 @@
 // codec checks, loopback protocol semantics (session isolation, prepared
 // rebind and cached plans across commits, CANCEL mid-query, per-tenant
 // admission, death mid-transaction), a seeded frame fuzzer that must never
-// crash the server, and the Database teardown-ordering audit with live
-// sessions and queued merges. The ASan/TSan legs run through
-// `tools/ci.sh server`.
+// crash the server, the Database teardown-ordering audit with live
+// sessions and queued merges, and the one-pool thread count. The ASan/TSan
+// legs run through `tools/ci.sh server`.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -523,7 +526,7 @@ TEST_F(ServerTest, TenantAdmissionIsolatesClasses) {
   MakeBig();
   ServerOptions options;
   options.tenant_spec = "capped:conc=1;open:conc=0";
-  // Force a real worker pool: on a single-core box the default is one
+  // Force a real worker pool: on a single-core box the pool starts with one
   // worker, which would serialize the statements *before* the tenant gate
   // and hide the admission contention this test is about.
   options.workers = 4;
@@ -754,11 +757,74 @@ TEST_F(ServerTest, TeardownWithLiveSessionsAndQueuedMerges) {
   FaultInjection::Clear();
 
   // The open transaction died with its session: the insert is gone, and
-  // the Database (whose destructor stops the merge worker with whatever is
-  // still queued) shuts down cleanly when the fixture tears down.
+  // the Database (whose destructor drains the pool, cancelling whatever
+  // merges are still queued) shuts down cleanly when the fixture tears
+  // down.
   Result<Chunk> count = db_.Query("select count(*) as n from t");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->columns[0].ints()[0], 3);
+}
+
+// ---------------------------------------------------------------------------
+// One pool: statements, query morsels and merges start no threads of their
+// own.
+
+/// The process's thread count from /proc/self/status; -1 where that file
+/// does not exist.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ServerThreadsTest, OnePoolRunsStatementsMorselsAndMerges) {
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  Database db;
+  ExecOptions exec;
+  exec.num_threads = 4;  // explicit: every query runs on the pool
+  exec.morsel_size = 64;
+  db.SetExecOptions(exec);
+  ASSERT_TRUE(db.Execute("create table t (k int, v int)").ok());
+  std::string values;
+  for (int i = 0; i < 2000; ++i) {
+    values += StrFormat("%s(%d, %d)", i == 0 ? "" : ", ", i, i % 7);
+  }
+  ASSERT_TRUE(db.Execute("insert into t values " + values).ok());
+  db.SetMergeThreshold(1);  // every commit offers a merge
+  Server server(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Four concurrent client statements.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      VdmClient client;
+      if (!client.Connect("127.0.0.1", server.port()).ok() ||
+          !client.Hello(HelloMsg()).ok() ||
+          !client.Query("select v, count(*) as n from t group by v").ok()) {
+        ++failures;
+      }
+      (void)client.Close();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // One parallel query and one background merge.
+  ASSERT_TRUE(db.Query("select v, sum(k) as s from t group by v").ok());
+  ASSERT_TRUE(db.Execute("insert into t values (5000, 1)").ok());
+  for (int spin = 0; spin < 500 && db.txn_stats().merges == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(db.txn_stats().merges, 0u);
+
+  // The pool's workers plus the poll thread, and nothing else.
+  EXPECT_LE(ProcessThreads() - before,
+            static_cast<int>(db.thread_pool().size()) + 1);
 }
 
 }  // namespace

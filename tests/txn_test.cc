@@ -250,6 +250,50 @@ TEST(TxnTest, BackgroundMergeTriggersAtThreshold) {
   EXPECT_GT(db.txn_stats().merges, 0u);
 }
 
+// A background merge offered while another transaction writes the table
+// cannot install. Nothing retries it on a timer: the blocking writer's
+// commit or rollback offers it again, and no further commit is needed.
+void ExpectMergeAfterBlockingWriterFinishes(bool commit) {
+  Database db;
+  MakeKV(&db);
+  Table* table = db.storage().FindTable("t");
+  ASSERT_NE(table, nullptr);
+  Transaction* writer = nullptr;
+  ASSERT_TRUE(db.ExecuteSession("begin", &writer).ok());
+  ASSERT_TRUE(db.ExecuteSession("insert into t values (50, 0)", &writer).ok());
+  db.SetMergeThreshold(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db.Execute("insert into t values (" + std::to_string(100 + i) +
+                           ", 0)")
+                    .ok());
+  }
+  // The offered merges find the writer and leave the table untouched.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(db.txn_stats().merges, 0u);
+  EXPECT_GE(table->NumDeltaRows(), 4u);
+
+  const uint64_t commits = db.txn_stats().commits;
+  if (commit) {
+    ASSERT_TRUE(db.ExecuteSession("commit", &writer).ok());
+  } else {
+    ASSERT_TRUE(db.ExecuteSession("rollback", &writer).ok());
+  }
+  for (int spin = 0; spin < 500 && db.txn_stats().merges == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(db.txn_stats().merges, 0u);
+  EXPECT_EQ(db.txn_stats().commits, commits + (commit ? 1 : 0));
+  EXPECT_EQ(Count(db, "t"), commit ? 8 : 7);
+}
+
+TEST(TxnTest, BlockedMergeRunsWhenWriterCommits) {
+  ExpectMergeAfterBlockingWriterFinishes(/*commit=*/true);
+}
+
+TEST(TxnTest, BlockedMergeRunsWhenWriterRollsBack) {
+  ExpectMergeAfterBlockingWriterFinishes(/*commit=*/false);
+}
+
 TEST(TxnTest, MergePreservesOpenSnapshots) {
   Database db;
   MakeKV(&db);

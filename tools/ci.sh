@@ -49,24 +49,24 @@ run_sanitizer() {
 }
 
 run_thread_sanitizer() {
-  # ThreadSanitizer over the tests that exercise concurrency: the parallel
-  # executor suites, the differential oracle (its N-thread legs run tiny
+  # ThreadSanitizer over the tests that exercise concurrency: the worker
+  # pool itself, the parallel executor suites, the differential oracle (its N-thread legs run tiny
   # morsels, so aggregate merges and probe waves run concurrently), the
   # plan cache (shared LRU hit from many sessions) and concurrent compiles
   # through the shared, lock-free optimizer.
   # Only these run: the rest of the test battery is single-threaded and
   # TSan slows it ~10x for no signal.
   local dir="build-thread"
-  echo "== thread sanitizer build (executor + oracle + cache + txn + compile tests) =="
+  echo "== thread sanitizer build (pool + executor + oracle + cache + txn + compile tests) =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DVDMQO_SANITIZE=thread >/dev/null
   cmake --build "${dir}" -j "${JOBS}" \
-        --target exec_test exec_parallel_test hash_table_test kernel_test \
-                 plan_cache_test governor_test txn_test jeib_compile_test \
-                 differential_test
+        --target thread_pool_test exec_test exec_parallel_test \
+                 hash_table_test kernel_test plan_cache_test governor_test \
+                 txn_test jeib_compile_test differential_test
   VDM_PLAN_CACHE=1 ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -R 'exec_test|exec_parallel_test|hash_table_test|kernel_test|plan_cache_test|governor_test|txn_test|jeib_compile_test|differential_test'
-  echo "== thread: executor + oracle + plan cache + governor + txn + compile tests passed =="
+      -R 'thread_pool_test|exec_test|exec_parallel_test|hash_table_test|kernel_test|plan_cache_test|governor_test|txn_test|jeib_compile_test|differential_test'
+  echo "== thread: pool + executor + oracle + plan cache + governor + txn + compile tests passed =="
 }
 
 run_fault() {
@@ -137,7 +137,7 @@ run_server() {
   #      produce typed errors or a dropped connection, never a crash or
   #      leak, and the teardown-ordering test runs with the merge/rollback
   #      fault points armed.
-  #   2. TSan over the same suite: poll thread vs. worker pool vs. client
+  #   2. TSan over the same suite: poll thread vs. pool tasks vs. client
   #      threads, admission gate, CANCEL racing a running statement.
   #   3. A short vdmfuzz --server sweep: the differential oracle matrix
   #      with every engine execution round-tripping a loopback connection;

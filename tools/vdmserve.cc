@@ -14,7 +14,9 @@
 //                     overrides VDM_SERVER_PORT
 //   --load W          tpch | s4 | none (default tpch)
 //   --scale F         TPC-H scale factor (default 0.2)
-//   --workers N       statement worker threads (0 = min(hardware, 8))
+//   --workers N       minimum worker threads in the engine's one pool,
+//                     which runs statements, query morsels and merges
+//                     (0 = hardware concurrency)
 //   --max-sessions N  connection cap (0 = unlimited);
 //                     overrides VDM_MAX_SESSIONS
 //   --tenants SPEC    tenant classes (overrides VDM_TENANT_CLASSES), e.g.

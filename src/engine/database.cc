@@ -988,6 +988,11 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
       "governor: %llu cancel checks, peak tracked memory %.2f MiB\n",
       static_cast<unsigned long long>(metrics.cancel_checks),
       static_cast<double>(metrics.peak_memory_bytes) / (1 << 20));
+  out += StrFormat(
+      "rows: %llu scanned, %llu probed, %llu values gathered\n",
+      static_cast<unsigned long long>(metrics.rows_scanned),
+      static_cast<unsigned long long>(metrics.rows_probe_input),
+      static_cast<unsigned long long>(metrics.values_gathered));
   if (metrics.admission_wait_ns > 0) {
     out += StrFormat("admission wait: %.3f ms\n",
                      ms(static_cast<int64_t>(metrics.admission_wait_ns)));

@@ -55,16 +55,6 @@ const char* OpKindLabel(OpKind kind) {
   return "?";
 }
 
-Chunk GatherChunk(const Chunk& input, const std::vector<size_t>& rows) {
-  Chunk out;
-  out.names = input.names;
-  out.columns.reserve(input.columns.size());
-  for (const ColumnData& col : input.columns) {
-    out.columns.push_back(col.Gather(rows));
-  }
-  return out;
-}
-
 /// Evaluates `predicate` on `chunk` and returns the rows where it is true,
 /// ascending (NULL counts as false).
 Result<SelectionVector> SelectWhere(const ExprRef& predicate,
@@ -80,24 +70,11 @@ Result<SelectionVector> SelectWhere(const ExprRef& predicate,
 }
 
 /// Keeps the selected rows of *chunk; selecting every row is free.
-void KeepRows(const SelectionVector& sel, Chunk* chunk) {
-  if (sel.size() == chunk->NumRows()) return;
+/// Returns the number of values gathered.
+size_t KeepRows(const SelectionVector& sel, Chunk* chunk) {
+  if (sel.size() == chunk->NumRows()) return 0;
   for (ColumnData& col : chunk->columns) col = col.GatherSelection(sel);
-}
-
-/// Collects a leaf pipeline: a stack of Filter/Project nodes over a Scan.
-/// On success `*chain` holds the nodes top-down (the Scan last).
-bool CollectPipeline(const LogicalOp* plan,
-                     std::vector<const LogicalOp*>* chain) {
-  chain->clear();
-  const LogicalOp* node = plan;
-  while (node->kind() == OpKind::kFilter || node->kind() == OpKind::kProject) {
-    chain->push_back(node);
-    node = node->child(0).get();
-  }
-  if (node->kind() != OpKind::kScan) return false;
-  chain->push_back(node);
-  return true;
+  return sel.size() * chunk->columns.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -135,10 +112,10 @@ struct LoweredPred {
   bool match_null = false;  // kCodeSet: NULL codes match too
 };
 
-/// The bottom Filter run of a pipeline, compiled once per RunPipeline.
+/// The bottom Filter run of a chain over a Scan, compiled once per run.
 struct CompiledFilters {
   bool active = false;        // at least one predicate lowered to a kernel
-  size_t bottom_filters = 0;  // chain entries consumed (from the scan up)
+  size_t bottom_filters = 0;  // chain Filters applied (from the scan up)
   std::vector<LoweredPred> lowered;
   ExprRef residual;  // conjuncts evaluated on survivors; may be null
 };
@@ -191,73 +168,6 @@ bool IsComparisonOp(BinaryOpKind op) {
     default:
       return false;
   }
-}
-
-/// Lowers `<string column> <cmp> <string literal>` against the sorted
-/// dictionary. Every case reduces to one code compare or one inclusive
-/// code interval, resolved here once per query.
-void LowerStringCompare(BinaryOpKind op, size_t schema_idx,
-                        const std::vector<std::string>& dict,
-                        const std::string& s, std::vector<LoweredPred>* out) {
-  LoweredPred p;
-  p.schema_idx = schema_idx;
-  const int32_t size = static_cast<int32_t>(dict.size());
-  auto lb = [&] {
-    return static_cast<int32_t>(
-        std::lower_bound(dict.begin(), dict.end(), s) - dict.begin());
-  };
-  auto ub = [&] {
-    return static_cast<int32_t>(
-        std::upper_bound(dict.begin(), dict.end(), s) - dict.begin());
-  };
-  switch (op) {
-    case BinaryOpKind::kEq: {
-      int32_t at = lb();
-      if (at < size && dict[static_cast<size_t>(at)] == s) {
-        p.kind = LoweredPred::Kind::kCodeEq;
-        p.code = at;
-      } else {
-        p.kind = LoweredPred::Kind::kNever;
-      }
-      break;
-    }
-    case BinaryOpKind::kNotEq: {
-      int32_t at = lb();
-      if (at < size && dict[static_cast<size_t>(at)] == s) {
-        p.kind = LoweredPred::Kind::kCodeNe;
-        p.code = at;
-      } else {
-        // Absent literal: every non-NULL value differs.
-        p.kind = LoweredPred::Kind::kCodeNull;
-        p.negated = true;
-      }
-      break;
-    }
-    case BinaryOpKind::kLess:
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = 0;
-      p.hi = lb() - 1;
-      break;
-    case BinaryOpKind::kLessEq:
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = 0;
-      p.hi = ub() - 1;
-      break;
-    case BinaryOpKind::kGreater:
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = ub();
-      p.hi = size - 1;
-      break;
-    default:  // kGreaterEq
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = lb();
-      p.hi = size - 1;
-      break;
-  }
-  if (p.kind == LoweredPred::Kind::kCodeRange && p.lo > p.hi) {
-    p.kind = LoweredPred::Kind::kNever;
-  }
-  out->push_back(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,8 +262,8 @@ std::vector<std::pair<int32_t, int32_t>> ComplementIntervals(
   return out;
 }
 
-/// Interval form of `<col> <cmp> <literal>` against the sorted dictionary —
-/// the CodeSet twin of LowerStringCompare, same case analysis.
+/// Interval form of `<col> <cmp> <literal>` against the sorted dictionary:
+/// every case is one code, one code interval, or all codes but one.
 void CompareToIntervals(BinaryOpKind op,
                         const std::vector<std::string>& dict,
                         const std::string& s, CodeSet* set) {
@@ -567,6 +477,14 @@ bool LowerStringTree(const ExprRef& e, const ScanOp& scan,
     out->push_back(p);
     return true;
   }
+  if (set.intervals.size() == 2 && !match_null &&
+      set.intervals[0] == std::make_pair(0, set.intervals[1].first - 2) &&
+      set.intervals[1].second == size - 1) {
+    p.kind = LoweredPred::Kind::kCodeNe;  // every code but one
+    p.code = set.intervals[1].first - 1;
+    out->push_back(p);
+    return true;
+  }
   if (set.intervals.size() == 1 && !match_null) {
     if (set.intervals[0].first == set.intervals[0].second) {
       p.kind = LoweredPred::Kind::kCodeEq;
@@ -594,21 +512,18 @@ bool LowerStringTree(const ExprRef& e, const ScanOp& scan,
 /// Attempts to lower one conjunct to a kernel predicate. Returns false to
 /// leave it in the residual. Lowering must be *exactly* EvalBinary's
 /// semantics (expr/eval.cc), so only the cases that cannot raise are
-/// taken: string column vs string literal (same types — no TypeError
-/// possible) and integer-backed columns compared at equal scale. NULL
-/// literals, double/mixed-scale comparisons, and anything non-trivial stay
-/// residual — and the residual is evaluated even for zero survivors, so
-/// row-independent type errors surface exactly as on the generic path.
+/// taken: trees over one string column against string literals (same
+/// types — no TypeError possible) and integer-backed columns compared at
+/// equal scale. NULL literals, double/mixed-scale comparisons, and
+/// anything non-trivial stay residual — and the residual is evaluated even
+/// for zero survivors, so row-independent type errors surface exactly as
+/// on the generic path.
 bool LowerConjunct(const ExprRef& e, const ScanOp& scan,
                    const TableSnapshot& table,
                    std::vector<LoweredPred>* out) {
+  if (LowerStringTree(e, scan, table, out)) return true;
   if (e->kind() == ExprKind::kBinary) {
     const auto& bin = static_cast<const BinaryExpr&>(*e);
-    if (bin.op() == BinaryOpKind::kOr) {
-      // OR-disjunctions over one string column lower whole: the tree
-      // reduces to a union of dictionary-code intervals.
-      return LowerStringTree(e, scan, table, out);
-    }
     if (!IsComparisonOp(bin.op())) return false;
     const ColumnRefExpr* col = AsColumnRef(bin.left());
     const LiteralExpr* lit = AsLiteral(bin.right());
@@ -625,143 +540,72 @@ bool LowerConjunct(const ExprRef& e, const ScanOp& scan,
     if (idx < 0) return false;
     const DataType& ct = table.schema->column(static_cast<size_t>(idx)).type;
     const DataType& lt = lit->value().type();
-    if (ct.id == TypeId::kString && lt.id == TypeId::kString) {
-      LowerStringCompare(op, static_cast<size_t>(idx),
-                         *table.main_column(static_cast<size_t>(idx))
-                              .dictionary,
-                         lit->value().AsString(), out);
-      return true;
-    }
-    if (ct.IsIntegerBacked() && lt.IsIntegerBacked() && ct.scale == lt.scale) {
-      LoweredPred p;
-      p.kind = LoweredPred::Kind::kInt64Cmp;
-      p.schema_idx = static_cast<size_t>(idx);
-      p.literal = lit->value().AsInt64();  // raw storage for all int-backed
-      switch (op) {
-        case BinaryOpKind::kEq:
-          p.cmp = kernels::CmpOp::kEq;
-          break;
-        case BinaryOpKind::kNotEq:
-          p.cmp = kernels::CmpOp::kNe;
-          break;
-        case BinaryOpKind::kLess:
-          p.cmp = kernels::CmpOp::kLt;
-          break;
-        case BinaryOpKind::kLessEq:
-          p.cmp = kernels::CmpOp::kLe;
-          break;
-        case BinaryOpKind::kGreater:
-          p.cmp = kernels::CmpOp::kGt;
-          break;
-        default:
-          p.cmp = kernels::CmpOp::kGe;
-          break;
-      }
-      out->push_back(p);
-      return true;
-    }
-    return false;
-  }
-  if (e->kind() == ExprKind::kIsNull) {
-    const auto& isn = static_cast<const IsNullExpr&>(*e);
-    const ColumnRefExpr* col = AsColumnRef(isn.operand());
-    if (col == nullptr) return false;
-    int idx = FindScanColumn(scan, col->name());
-    if (idx < 0) return false;
-    const DataType& ct = table.schema->column(static_cast<size_t>(idx)).type;
-    if (ct.id == TypeId::kString) {
-      LoweredPred p;
-      p.kind = LoweredPred::Kind::kCodeNull;
-      p.schema_idx = static_cast<size_t>(idx);
-      p.negated = isn.negated();
-      out->push_back(p);
-      return true;
-    }
-    // Non-string: the main fragment's validity emptiness decides
-    // statically (fragments are immutable during execution).
-    if (table.main_column(static_cast<size_t>(idx)).validity.empty()) {
-      if (!isn.negated()) {
-        LoweredPred p;
-        p.kind = LoweredPred::Kind::kNever;
-        p.schema_idx = static_cast<size_t>(idx);
-        out->push_back(p);
-      }
-      // IS NOT NULL over an all-valid column is vacuously true: lower to
-      // nothing at all.
-      return true;
-    }
-    return false;
-  }
-  if (e->kind() == ExprKind::kFunction) {
-    const auto& fn = static_cast<const FunctionExpr&>(*e);
-    if (fn.name() != "like" || fn.children().size() != 2) return false;
-    const ColumnRefExpr* col = AsColumnRef(fn.children()[0]);
-    const LiteralExpr* lit = AsLiteral(fn.children()[1]);
-    if (col == nullptr || lit == nullptr || lit->value().is_null() ||
-        lit->value().type().id != TypeId::kString) {
+    if (!ct.IsIntegerBacked() || !lt.IsIntegerBacked() || ct.scale != lt.scale) {
       return false;
     }
-    int idx = FindScanColumn(scan, col->name());
-    if (idx < 0) return false;
-    const DataType& ct = table.schema->column(static_cast<size_t>(idx)).type;
-    if (ct.id != TypeId::kString) return false;
-    const std::string& pat = lit->value().AsString();
-    const size_t wild = pat.find_first_of("%_");
-    const auto& dict =
-        *table.main_column(static_cast<size_t>(idx)).dictionary;
-    if (wild == std::string::npos) {
-      // No wildcards: LIKE is plain equality.
-      LowerStringCompare(BinaryOpKind::kEq, static_cast<size_t>(idx), dict,
-                         pat, out);
-      return true;
-    }
-    if (wild != pat.size() - 1 || pat.back() != '%') return false;
-    // Pure prefix pattern `abc%`.
-    const std::string prefix = pat.substr(0, pat.size() - 1);
     LoweredPred p;
+    p.kind = LoweredPred::Kind::kInt64Cmp;
     p.schema_idx = static_cast<size_t>(idx);
-    if (prefix.empty()) {
-      // `x LIKE '%'` matches every non-NULL value.
-      p.kind = LoweredPred::Kind::kCodeNull;
-      p.negated = true;
-      out->push_back(p);
-      return true;
-    }
-    // Prefix matches form one contiguous code run in the sorted dictionary.
-    auto begin_it = std::lower_bound(dict.begin(), dict.end(), prefix);
-    auto end_it = std::partition_point(
-        begin_it, dict.end(), [&](const std::string& s) {
-          return s.compare(0, prefix.size(), prefix) == 0;
-        });
-    if (begin_it == end_it) {
-      p.kind = LoweredPred::Kind::kNever;
-    } else {
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = static_cast<int32_t>(begin_it - dict.begin());
-      p.hi = static_cast<int32_t>(end_it - dict.begin()) - 1;
+    p.literal = lit->value().AsInt64();  // raw storage for all int-backed
+    switch (op) {
+      case BinaryOpKind::kEq:
+        p.cmp = kernels::CmpOp::kEq;
+        break;
+      case BinaryOpKind::kNotEq:
+        p.cmp = kernels::CmpOp::kNe;
+        break;
+      case BinaryOpKind::kLess:
+        p.cmp = kernels::CmpOp::kLt;
+        break;
+      case BinaryOpKind::kLessEq:
+        p.cmp = kernels::CmpOp::kLe;
+        break;
+      case BinaryOpKind::kGreater:
+        p.cmp = kernels::CmpOp::kGt;
+        break;
+      default:
+        p.cmp = kernels::CmpOp::kGe;
+        break;
     }
     out->push_back(p);
     return true;
   }
-  if (e->kind() == ExprKind::kUnary) {
-    // NOT LIKE / NOT (...) over one string column: complement of the
-    // inner tree's code intervals under 3VL.
-    return LowerStringTree(e, scan, table, out);
+  if (e->kind() == ExprKind::kIsNull) {
+    // Non-string (string columns lowered above): the main fragment's
+    // validity emptiness decides statically (fragments are immutable
+    // during execution).
+    const auto& isn = static_cast<const IsNullExpr&>(*e);
+    const ColumnRefExpr* col = AsColumnRef(isn.operand());
+    if (col == nullptr) return false;
+    int idx = FindScanColumn(scan, col->name());
+    if (idx < 0 ||
+        !table.main_column(static_cast<size_t>(idx)).validity.empty()) {
+      return false;
+    }
+    if (!isn.negated()) {
+      LoweredPred p;
+      p.kind = LoweredPred::Kind::kNever;
+      p.schema_idx = static_cast<size_t>(idx);
+      out->push_back(p);
+    }
+    // IS NOT NULL over an all-valid column is vacuously true: lower to
+    // nothing at all.
+    return true;
   }
   return false;
 }
 
-/// Compiles the contiguous Filter run directly above the Scan. Those
-/// filters all see the same scan columns, and conjuncts of ANDed filters
-/// commute, so they lower as one batch.
-CompiledFilters CompileFilters(const std::vector<const LogicalOp*>& chain,
+/// Compiles the contiguous Filter run directly above the Scan (the end of
+/// the top-down `ops`). Those filters all see the same scan columns, and
+/// conjuncts of ANDed filters commute, so they lower as one batch.
+CompiledFilters CompileFilters(const std::vector<const LogicalOp*>& ops,
                                const ScanOp& scan,
                                const TableSnapshot& table) {
   CompiledFilters cf;
   std::vector<ExprRef> residual;
-  for (size_t i = chain.size() - 1; i-- > 0;) {
-    if (chain[i]->kind() != OpKind::kFilter) break;
-    const auto& filter = static_cast<const FilterOp&>(*chain[i]);
+  for (size_t i = ops.size(); i-- > 0;) {
+    if (ops[i]->kind() != OpKind::kFilter) break;
+    const auto& filter = static_cast<const FilterOp&>(*ops[i]);
     for (const ExprRef& conj : SplitConjuncts(filter.predicate())) {
       if (!LowerConjunct(conj, scan, table, &cf.lowered)) {
         residual.push_back(conj);
@@ -788,34 +632,34 @@ class ExecutorImpl {
   /// `budget` is the number of output rows an ancestor LIMIT will keep
   /// (offset + limit), or kNoBudget. Operators may stop producing once
   /// they have that many rows, because everything they emit is a prefix
-  /// of the full result and the LimitOp truncates.
-  Result<Chunk> Run(const PlanRef& plan, int64_t budget) {
+  /// of the full result and the LimitOp truncates. `top_k_sort`, when
+  /// given, lets a chain keep only each morsel's first `top_k` rows in
+  /// that sort's order (the LIMIT-over-SORT breaker); other operators
+  /// ignore it.
+  Result<Chunk> Run(const PlanRef& plan, int64_t budget,
+                    const SortOp* top_k_sort = nullptr,
+                    int64_t top_k = kNoBudget) {
     // Operator-granularity governor check; the hot loops below add
     // morsel-granularity checks on every worker.
     VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-    std::vector<const LogicalOp*> chain;
-    if (CollectPipeline(plan.get(), &chain)) {
-      if (metrics_ != nullptr) metrics_->operators_executed += chain.size();
-      const char* label = chain.size() > 1 ? "Pipeline" : "Scan";
-      return Timed(label, [&] { return RunPipeline(chain, budget); });
+    if (IsChainOp(plan->kind())) {
+      const ChainShape shape = CollectChain(plan);
+      if (metrics_ != nullptr) {
+        metrics_->operators_executed +=
+            shape.ops.size() + (shape.streamed() ? 1 : 0);
+      }
+      return Timed(shape.Label(), [&] {
+        return RunChain(shape, budget, top_k_sort, top_k);
+      });
     }
     if (metrics_ != nullptr) ++metrics_->operators_executed;
     const char* label = OpKindLabel(plan->kind());
     switch (plan->kind()) {
       case OpKind::kScan:
-        break;  // handled by the pipeline path above
       case OpKind::kFilter:
-        return Timed(label, [&] {
-          return RunFilter(static_cast<const FilterOp&>(*plan));
-        });
       case OpKind::kProject:
-        return Timed(label, [&] {
-          return RunProject(static_cast<const ProjectOp&>(*plan), budget);
-        });
       case OpKind::kJoin:
-        return Timed(label, [&] {
-          return RunJoin(static_cast<const JoinOp&>(*plan), budget);
-        });
+        break;  // chains, above
       case OpKind::kAggregate:
         return Timed(label, [&] {
           return RunAggregate(static_cast<const AggregateOp&>(*plan));
@@ -886,7 +730,7 @@ class ExecutorImpl {
   }
 
   // -----------------------------------------------------------------------
-  // Leaf pipeline: Scan with any Filter/Project stack, morsel-at-a-time.
+  // Scan morsels, the base of a chain over a Scan.
 
   /// Evaluates the compiled bottom filters on one main-fragment morsel
   /// [begin, end): kernel filters over the raw fragment arrays build a
@@ -896,16 +740,19 @@ class ExecutorImpl {
   /// survivors so type errors match the generic path exactly.
   Status CompressedMorsel(const ScanOp& scan, const TableSnapshot& table,
                           const CompiledFilters& cf, size_t begin, size_t end,
-                          Chunk* out_chunk) {
+                          Chunk* out_chunk, uint64_t* gathered) {
     const size_t n = end - begin;
     SelectionVector sel;
     bool never = false;
     for (const LoweredPred& p : cf.lowered) {
       if (p.kind == LoweredPred::Kind::kNever) never = true;
     }
-    bool have_sel = never;  // a statically-false conjunct selects nothing
-    for (const LoweredPred& p : cf.lowered) {
-      if (never) break;
+    // The first predicate filters the morsel into `sel`; the rest refine
+    // it. A statically-false conjunct selects nothing.
+    for (size_t i = 0; i < cf.lowered.size() && !never; ++i) {
+      const LoweredPred& p = cf.lowered[i];
+      const bool first = i == 0;
+      if (!first && sel.empty()) break;
       const MainColumn& mc = table.main_column(p.schema_idx);
       // Codes are stored as uint32 with kNullCode = 0xFFFFFFFF; the
       // kernels read them as int32 where negative means NULL (the
@@ -915,66 +762,47 @@ class ExecutorImpl {
       const int64_t* ints = mc.ints.data() + begin;
       const uint8_t* valid =
           mc.validity.empty() ? nullptr : mc.validity.data() + begin;
-      size_t k = 0;
-      if (!have_sel) {
-        sel.resize(n);
-        switch (p.kind) {
-          case LoweredPred::Kind::kCodeEq:
-            k = kernels::FilterCodesEq(codes, n, p.code, sel.data());
-            break;
-          case LoweredPred::Kind::kCodeNe:
-            k = kernels::FilterCodesNe(codes, n, p.code, sel.data());
-            break;
-          case LoweredPred::Kind::kCodeRange:
-            k = kernels::FilterCodesRange(codes, n, p.lo, p.hi, sel.data());
-            break;
-          case LoweredPred::Kind::kCodeNull:
-            k = kernels::FilterCodesNull(codes, n, p.negated, sel.data());
-            break;
-          case LoweredPred::Kind::kCodeSet:
-            k = kernels::FilterCodesIntervalUnion(
-                codes, n, p.set_lo.data(), p.set_hi.data(), p.set_lo.size(),
-                p.match_null, sel.data());
-            break;
-          case LoweredPred::Kind::kInt64Cmp:
-            k = kernels::FilterInt64(ints, valid, n, p.cmp, p.literal,
-                                     sel.data());
-            break;
-          case LoweredPred::Kind::kNever:
-            break;
-        }
-        sel.resize(k);
-        have_sel = true;
-      } else {
-        if (sel.empty()) break;
-        switch (p.kind) {
-          case LoweredPred::Kind::kCodeEq:
-            k = kernels::RefineCodesEq(codes, sel.data(), sel.size(), p.code);
-            break;
-          case LoweredPred::Kind::kCodeNe:
-            k = kernels::RefineCodesNe(codes, sel.data(), sel.size(), p.code);
-            break;
-          case LoweredPred::Kind::kCodeRange:
-            k = kernels::RefineCodesRange(codes, sel.data(), sel.size(), p.lo,
-                                          p.hi);
-            break;
-          case LoweredPred::Kind::kCodeNull:
-            k = kernels::RefineCodesNull(codes, sel.data(), sel.size(),
-                                         p.negated);
-            break;
-          case LoweredPred::Kind::kCodeSet:
-            k = kernels::RefineCodesIntervalUnion(
-                codes, sel.data(), sel.size(), p.set_lo.data(),
-                p.set_hi.data(), p.set_lo.size(), p.match_null);
-            break;
-          case LoweredPred::Kind::kInt64Cmp:
-            k = kernels::RefineInt64(ints, valid, sel.data(), sel.size(),
-                                     p.cmp, p.literal);
-            break;
-          case LoweredPred::Kind::kNever:
-            break;
-        }
-        sel.resize(k);
+      if (first) sel.resize(n);
+      uint32_t* out = sel.data();
+      const size_t k = sel.size();
+      switch (p.kind) {
+        case LoweredPred::Kind::kCodeEq:
+          sel.resize(first ? kernels::FilterCodesEq(codes, n, p.code, out)
+                           : kernels::RefineCodesEq(codes, out, k, p.code));
+          break;
+        case LoweredPred::Kind::kCodeNe:
+          sel.resize(first ? kernels::FilterCodesNe(codes, n, p.code, out)
+                           : kernels::RefineCodesNe(codes, out, k, p.code));
+          break;
+        case LoweredPred::Kind::kCodeRange:
+          sel.resize(first ? kernels::FilterCodesRange(codes, n, p.lo, p.hi,
+                                                       out)
+                           : kernels::RefineCodesRange(codes, out, k, p.lo,
+                                                       p.hi));
+          break;
+        case LoweredPred::Kind::kCodeNull:
+          sel.resize(first ? kernels::FilterCodesNull(codes, n, p.negated,
+                                                      out)
+                           : kernels::RefineCodesNull(codes, out, k,
+                                                      p.negated));
+          break;
+        case LoweredPred::Kind::kCodeSet:
+          sel.resize(first ? kernels::FilterCodesIntervalUnion(
+                                 codes, n, p.set_lo.data(), p.set_hi.data(),
+                                 p.set_lo.size(), p.match_null, out)
+                           : kernels::RefineCodesIntervalUnion(
+                                 codes, out, k, p.set_lo.data(),
+                                 p.set_hi.data(), p.set_lo.size(),
+                                 p.match_null));
+          break;
+        case LoweredPred::Kind::kInt64Cmp:
+          sel.resize(first ? kernels::FilterInt64(ints, valid, n, p.cmp,
+                                                  p.literal, out)
+                           : kernels::RefineInt64(ints, valid, out, k, p.cmp,
+                                                  p.literal));
+          break;
+        case LoweredPred::Kind::kNever:
+          break;
       }
     }
 
@@ -1026,18 +854,14 @@ class ExecutorImpl {
     if (cf.residual != nullptr) {
       VDM_ASSIGN_OR_RETURN(SelectionVector rsel,
                            SelectWhere(cf.residual, chunk));
-      KeepRows(rsel, &chunk);
+      *gathered += KeepRows(rsel, &chunk);
     }
     *out_chunk = std::move(chunk);
     return Status::OK();
   }
 
-  /// One leaf pipeline, prepared once and evaluated morsel by morsel.
-  /// RunPipeline drives it for standalone pipelines; RunJoin drives the
-  /// same morsels straight into its probe without materializing the
-  /// pipeline output first.
-  struct PipelinePrep {
-    const std::vector<const LogicalOp*>* chain = nullptr;
+  /// A chain's Scan base, prepared once and read morsel by morsel.
+  struct ScanPrep {
     const ScanOp* scan = nullptr;
     TableSnapshot snap;
     CompiledFilters compiled;
@@ -1047,21 +871,18 @@ class ExecutorImpl {
     bool all_visible = false;  // every physical row visible: no MVCC gather
   };
 
-  Result<PipelinePrep> PreparePipeline(
-      const std::vector<const LogicalOp*>& chain) {
-    PipelinePrep prep;
-    prep.chain = &chain;
-    prep.scan = static_cast<const ScanOp*>(chain.back());
-    const Table* table = storage_->FindTable(prep.scan->table_name());
+  Result<ScanPrep> PrepareScan(const std::vector<const LogicalOp*>& ops,
+                               const ScanOp& scan) {
+    ScanPrep prep;
+    prep.scan = &scan;
+    const Table* table = storage_->FindTable(scan.table_name());
     if (table == nullptr) {
-      return Status::NotFound("no storage for table " +
-                              prep.scan->table_name());
+      return Status::NotFound("no storage for table " + scan.table_name());
     }
-    if (prep.scan->column_indexes().empty()) {
-      return Status::Internal("scan with no columns: " +
-                              prep.scan->table_name());
+    if (scan.column_indexes().empty()) {
+      return Status::Internal("scan with no columns: " + scan.table_name());
     }
-    // Pin the MVCC read view once per pipeline: the immutable main version
+    // Pin the MVCC read view once per scan: the immutable main version
     // plus a copy of the delta. Workers never touch the Table again, so
     // concurrent DML and merges cannot race the scan.
     prep.snap = table->PinSnapshot(ctx_->snapshot());
@@ -1070,179 +891,46 @@ class ExecutorImpl {
     // carries its column names/types even for empty tables.
     prep.num_morsels =
         std::max<size_t>(1, (prep.n + morsel_size_ - 1) / morsel_size_);
-    // Compile the bottom Filter run once per pipeline; morsels that lie
+    // Compile the bottom Filter run once per scan; morsels that lie
     // entirely in the main fragment with no hidden rows take the
     // compressed path, morsels overlapping the delta or MVCC-filtered
-    // rows fall back to the generic one (same results).
-    if (options_.enable_compressed_exec && chain.size() > 1) {
-      prep.compiled = CompileFilters(chain, *prep.scan, prep.snap);
+    // rows fall back to the chain's Filter steps (same results).
+    if (options_.enable_compressed_exec) {
+      prep.compiled = CompileFilters(ops, scan, prep.snap);
     }
     prep.main_rows = prep.snap.main_rows();
     prep.all_visible = prep.snap.AllVisible(0, prep.n);
     return prep;
   }
 
-  Status PipelineMorsel(const PipelinePrep& prep, size_t m, Chunk* out) {
-    const std::vector<const LogicalOp*>& chain = *prep.chain;
-    size_t begin = std::min(prep.n, m * morsel_size_);
-    size_t end = std::min(prep.n, begin + morsel_size_);
-    Chunk chunk;
-    size_t top = chain.size() - 1;  // ops left for the generic loop below
+  /// Scans morsel m into *out. The compressed path also applies the
+  /// chain's bottom Filters and sets *filtered to their count; the generic
+  /// path drops the rows this snapshot cannot see.
+  Status ScanMorsel(const ScanPrep& prep, size_t m, Chunk* out,
+                    size_t* filtered, uint64_t* gathered) {
+    const size_t begin = std::min(prep.n, m * morsel_size_);
+    const size_t end = std::min(prep.n, begin + morsel_size_);
     const bool all_visible =
         prep.all_visible || prep.snap.AllVisible(begin, end);
     if (prep.compiled.active && end <= prep.main_rows && all_visible) {
-      VDM_RETURN_NOT_OK(CompressedMorsel(*prep.scan, prep.snap,
-                                         prep.compiled, begin, end, &chunk));
-      top -= prep.compiled.bottom_filters;
-    } else {
-      for (size_t schema_idx : prep.scan->column_indexes()) {
-        chunk.names.push_back(prep.scan->QualifiedName(schema_idx));
-        chunk.columns.push_back(
-            prep.snap.ScanColumnRange(schema_idx, begin, end));
-      }
-      if (!all_visible) {
-        // Visibility-checked residual path: drop the rows this snapshot
-        // cannot see before any predicate runs.
-        SelectionVector vis;
-        prep.snap.VisibleRows(begin, end, &vis);
-        KeepRows(vis, &chunk);
-      }
+      *filtered = prep.compiled.bottom_filters;
+      return CompressedMorsel(*prep.scan, prep.snap, prep.compiled, begin,
+                              end, out, gathered);
     }
-    // Apply the remaining Filter/Project stack bottom-up (chain is
-    // top-down).
-    for (size_t i = top; i-- > 0;) {
-      const LogicalOp* op = chain[i];
-      if (op->kind() == OpKind::kFilter) {
-        const auto& filter = static_cast<const FilterOp&>(*op);
-        VDM_ASSIGN_OR_RETURN(SelectionVector sel,
-                             SelectWhere(filter.predicate(), chunk));
-        KeepRows(sel, &chunk);
-      } else {
-        const auto& project = static_cast<const ProjectOp&>(*op);
-        Chunk projected;
-        for (const ProjectOp::Item& item : project.items()) {
-          VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(item.expr, chunk));
-          projected.names.push_back(item.name);
-          projected.columns.push_back(std::move(col));
-        }
-        chunk = std::move(projected);
-      }
+    for (size_t schema_idx : prep.scan->column_indexes()) {
+      out->names.push_back(prep.scan->QualifiedName(schema_idx));
+      out->columns.push_back(prep.snap.ScanColumnRange(schema_idx, begin, end));
     }
-    *out = std::move(chunk);
+    if (!all_visible) {
+      SelectionVector vis;
+      prep.snap.VisibleRows(begin, end, &vis);
+      *gathered += KeepRows(vis, out);
+    }
     return Status::OK();
   }
 
-  /// Runs morsel(m, &(*pieces)[m]) for every morsel, in waves, and returns
-  /// how many morsels ran (always a prefix). Without a budget one wave
-  /// holds every morsel. With one, each wave holds two pool-widths of
-  /// morsels, and the waves stop once the pieces hold `budget` rows; the
-  /// caller's output is a prefix in morsel order, so a downstream LIMIT
-  /// keeps the same rows. Every morsel polls the governor first; the first
-  /// failure in morsel order is returned. `charge`, when given, is charged
-  /// two row indexes per output row, wave by wave.
-  Result<size_t> RunWaves(size_t num_morsels, int64_t budget,
-                          const std::function<Status(size_t, Chunk*)>& morsel,
-                          std::vector<Chunk>* pieces,
-                          ScopedMemoryCharge* charge = nullptr) {
-    pieces->resize(num_morsels);
-    std::vector<Status> errors(num_morsels);
-    auto process = [&](size_t m) {
-      errors[m] = ctx_->CheckAlive();
-      if (errors[m].ok()) errors[m] = morsel(m, &(*pieces)[m]);
-    };
-    size_t processed = 0;
-    uint64_t out_rows = 0;
-    while (processed < num_morsels) {
-      size_t wave = num_morsels - processed;
-      if (budget >= 0) {
-        wave = std::min(wave, std::max<size_t>(PoolThreads() * 2, 1));
-      }
-      VDM_RETURN_NOT_OK(RunTasks(processed, wave, process));
-      uint64_t wave_rows = 0;
-      for (size_t m = processed; m < processed + wave; ++m) {
-        VDM_RETURN_NOT_OK(errors[m]);
-        wave_rows += (*pieces)[m].NumRows();
-      }
-      if (charge != nullptr) {
-        VDM_RETURN_NOT_OK(charge->Charge(static_cast<int64_t>(wave_rows) * 2 *
-                                         sizeof(size_t)));
-      }
-      out_rows += wave_rows;
-      processed += wave;
-      if (budget >= 0 && out_rows >= static_cast<uint64_t>(budget) &&
-          processed < num_morsels) {
-        if (metrics_ != nullptr) ++metrics_->limit_early_exits;
-        break;
-      }
-    }
-    return processed;
-  }
-
-  /// Concatenates pieces[0, count) in morsel order. pieces[0] always
-  /// exists and carries the names and column types, even when empty.
-  static Chunk ConcatPieces(std::vector<Chunk>* pieces, size_t count) {
-    Chunk out = std::move((*pieces)[0]);
-    for (size_t m = 1; m < count; ++m) {
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].AppendColumn(std::move((*pieces)[m].columns[c]));
-      }
-    }
-    return out;
-  }
-
-  Result<Chunk> RunPipeline(const std::vector<const LogicalOp*>& chain,
-                            int64_t budget) {
-    VDM_ASSIGN_OR_RETURN(PipelinePrep prep, PreparePipeline(chain));
-    VDM_FAULT_POINT("exec.pipeline.morsel");
-    std::vector<Chunk> pieces;
-    VDM_ASSIGN_OR_RETURN(
-        size_t processed,
-        RunWaves(prep.num_morsels,
-                 options_.enable_limit_early_exit ? budget : kNoBudget,
-                 [&](size_t m, Chunk* piece) {
-                   return PipelineMorsel(prep, m, piece);
-                 },
-                 &pieces));
-    if (metrics_ != nullptr) {
-      metrics_->rows_scanned += std::min(prep.n, processed * morsel_size_);
-      metrics_->morsels_scanned += processed;
-    }
-    return ConcatPieces(&pieces, processed);
-  }
-
   // -----------------------------------------------------------------------
-  // Non-fused Filter / Project (above joins, aggregates, ...).
-
-  Result<Chunk> RunFilter(const FilterOp& filter) {
-    VDM_ASSIGN_OR_RETURN(Chunk input, Run(filter.child(0), kNoBudget));
-    VDM_ASSIGN_OR_RETURN(SelectionVector sel,
-                         SelectWhere(filter.predicate(), input));
-    if (sel.size() == input.NumRows()) return input;  // all rows pass
-    Chunk out;
-    out.names = input.names;
-    out.columns.resize(input.columns.size());
-    VDM_RETURN_NOT_OK(RunTasks(0, input.columns.size(), [&](size_t c) {
-      out.columns[c] = input.columns[c].GatherSelection(sel);
-    }));
-    return out;
-  }
-
-  Result<Chunk> RunProject(const ProjectOp& project, int64_t budget) {
-    // Projection is row-preserving, so the LIMIT budget passes through.
-    VDM_ASSIGN_OR_RETURN(Chunk input, Run(project.child(0), budget));
-    Chunk out;
-    for (const ProjectOp::Item& item : project.items()) {
-      VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(item.expr, input));
-      // A literal over an empty input evaluates to zero rows already.
-      out.names.push_back(item.name);
-      out.columns.push_back(std::move(col));
-    }
-    return out;
-  }
-
-  // -----------------------------------------------------------------------
-  // Hash join: build on the right (augmenter) side, probe the left side
-  // morsel by morsel in anchor order.
+  // Hash join keys.
 
   /// The join condition resolved against the children's output names
   /// (chunk names equal OutputNames): column-equals-column conjuncts with
@@ -1282,47 +970,223 @@ class ExecutorImpl {
     return keys;
   }
 
-  /// Left columns gathered at `lrows`, then right columns at `rrows`
-  /// (kInvalidIndex gathers NULL).
-  static Chunk GatherJoined(const Chunk& left, const std::vector<size_t>& lrows,
-                            const Chunk& right,
-                            const std::vector<size_t>& rrows) {
-    Chunk out;
-    out.names = left.names;
-    out.names.insert(out.names.end(), right.names.begin(), right.names.end());
-    out.columns.reserve(left.columns.size() + right.columns.size());
-    for (const ColumnData& col : left.columns) {
-      out.columns.push_back(col.Gather(lrows));
+  // -----------------------------------------------------------------------
+  // Chains. A stack of Join (through the probe side), Filter and Project
+  // nodes runs as one morsel pipeline over its base: a Scan, read morsel
+  // by morsel, or another operator's materialized output, cut into row
+  // ranges. A morsel in flight is not a chunk but one
+  // row-index vector per source: the base, each join's build side
+  // (kInvalidIndex for a NULL-extended row) and each Project's computed
+  // columns. Join keys, residuals and filters gather only the columns they
+  // read; the chain's top, where a breaker or the result takes over,
+  // gathers each output column once.
+
+  /// The chain topped by some plan node: its Join, Filter and Project
+  /// nodes top-down, and the base under them — a Scan, read morsel by
+  /// morsel, or any other node, materialized.
+  struct ChainShape {
+    std::vector<const LogicalOp*> ops;
+    PlanRef base;
+    bool has_join = false;
+
+    bool streamed() const { return base->kind() == OpKind::kScan; }
+    const char* Label() const {
+      if (has_join) return "Join";
+      if (streamed()) return ops.empty() ? "Scan" : "Pipeline";
+      return OpKindLabel(ops.front()->kind());
     }
-    for (const ColumnData& col : right.columns) {
-      out.columns.push_back(col.Gather(rrows));
-    }
-    return out;
+  };
+
+  static bool IsChainOp(OpKind kind) {
+    return kind == OpKind::kScan || kind == OpKind::kFilter ||
+           kind == OpKind::kProject || kind == OpKind::kJoin;
   }
 
-  /// Joins probe rows [begin, end) of `probe` with `right` into *out, in
-  /// (probe row, ascending build row) order. Without a hash table (no equi
-  /// key) every build row matches. The residual then drops matches, and a
-  /// LEFT OUTER probe row left without one is null-extended. At most
-  /// `budget` rows are gathered: the caller keeps only a prefix.
-  Status ProbeRows(const Chunk& probe, size_t begin, size_t end,
-                   const Chunk& right, const JoinKeys& keys,
-                   const JoinHashTable* table, bool left_outer,
-                   int64_t budget, Chunk* out) {
+  static ChainShape CollectChain(const PlanRef& plan) {
+    ChainShape shape;
+    PlanRef node = plan;
+    while (node->kind() != OpKind::kScan && IsChainOp(node->kind())) {
+      shape.ops.push_back(node.get());
+      shape.has_join = shape.has_join || node->kind() == OpKind::kJoin;
+      node = node->child(0);
+    }
+    shape.base = node;
+    return shape;
+  }
+
+  /// A chain column: column `col` of source `src`.
+  struct Slot {
+    size_t src;
+    size_t col;
+  };
+
+  /// The output of a chain level: column names and where each lives.
+  struct Level {
+    std::vector<std::string> names;
+    std::vector<Slot> slots;
+  };
+
+  /// The level columns an expression reads, by first match of each name
+  /// (as EvalExpr resolves them). At least one column, so a view always
+  /// has the level's row count.
+  static std::vector<size_t> ResolveInputs(const std::vector<ExprRef>& exprs,
+                                           const Level& level) {
+    std::vector<std::string> refs;
+    for (const ExprRef& e : exprs) CollectColumnRefs(e, &refs);
+    std::vector<size_t> cols;
+    for (const std::string& name : refs) {
+      auto it = std::find(level.names.begin(), level.names.end(), name);
+      if (it == level.names.end()) continue;  // EvalExpr reports it
+      const size_t c = static_cast<size_t>(it - level.names.begin());
+      if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
+        cols.push_back(c);
+      }
+    }
+    if (cols.empty() && !level.names.empty()) cols.push_back(0);
+    return cols;
+  }
+
+  /// One Join / Filter / Project of a chain, compiled once per run.
+  struct ChainStep {
+    const LogicalOp* op = nullptr;
+    Level out;
+    std::vector<uint8_t> live;  // sources `out` reads
+    int64_t budget = kNoBudget;  // output rows an ancestor keeps
+    size_t src = 0;  // source of a Join's build side / Project's columns
+    std::vector<size_t> inputs;  // `out` columns the residual reads, or
+                                 // input columns a Filter/Project reads
+    // Join
+    bool left_outer = false;
+    JoinKeys keys;
+    Chunk build;
+    std::unique_ptr<JoinHashTable> table;
+    // Project: the items that are not bare column references
+    std::vector<const ProjectOp::Item*> computed;
+  };
+
+  /// A chain compiled for one run; read-only while morsels run.
+  struct Chain {
+    std::vector<ChainStep> steps;  // bottom-up
+    std::vector<const Chunk*> shared;  // per source; null = per morsel
+    Level base;
+    size_t num_sources = 1;
+    std::vector<uint8_t> read_once;    // per top column: its slot only once
+    std::vector<size_t> top_k_inputs;  // top columns the sort keys read
+  };
+
+  /// One source of a morsel in flight.
+  struct Source {
+    std::vector<size_t> rows;  // source row per batch row
+    bool identity = false;     // rows[i] == i, not stored
+    bool live = false;
+    Chunk owned;  // a per-morsel source: the scan morsel, computed columns
+  };
+
+  /// One morsel in flight: `n` rows, each a row of every live source.
+  struct Batch {
+    size_t n = 0;
+    std::vector<Source> src;
+    uint64_t gathered = 0;
+
+    explicit Batch(size_t num_sources) : src(num_sources) {}
+
+    /// Keeps batch rows `pick` (in that order) of every live source.
+    void Pick(const std::vector<size_t>& pick) {
+      for (Source& s : src) {
+        if (!s.live) continue;
+        if (s.identity) {
+          s.rows = pick;
+          s.identity = false;
+          continue;
+        }
+        std::vector<size_t> next(pick.size());
+        for (size_t i = 0; i < pick.size(); ++i) next[i] = s.rows[pick[i]];
+        s.rows = std::move(next);
+      }
+      n = pick.size();
+    }
+
+    /// Releases the sources no longer read.
+    void Retain(const std::vector<uint8_t>& keep) {
+      for (size_t i = 0; i < src.size(); ++i) {
+        if (keep[i] || !src[i].live) continue;
+        src[i] = Source();
+      }
+    }
+
+    size_t IndexBytes() const {
+      size_t bytes = 0;
+      for (const Source& s : src) bytes += s.rows.size();
+      return bytes * sizeof(size_t);
+    }
+  };
+
+  static const ColumnData& SourceColumn(const Chain& chain, const Batch& b,
+                                        Slot slot) {
+    const Chunk* chunk = chain.shared[slot.src];
+    return (chunk != nullptr ? *chunk : b.src[slot.src].owned).columns[slot.col];
+  }
+
+  /// Column `slot` at the batch's rows.
+  static ColumnData Take(const Chain& chain, Batch* b, Slot slot) {
+    const ColumnData& col = SourceColumn(chain, *b, slot);
+    b->gathered += b->n;
+    if (b->src[slot.src].identity) return col;
+    return col.Gather(b->src[slot.src].rows);
+  }
+
+  /// The `cols` of `level` at the batch's rows, by name: the input chunk
+  /// of an expression that reads only those columns.
+  static Chunk View(const Chain& chain, const Level& level,
+                    const std::vector<size_t>& cols, Batch* b) {
+    Chunk view;
+    for (size_t c : cols) {
+      view.names.push_back(level.names[c]);
+      view.columns.push_back(Take(chain, b, level.slots[c]));
+    }
+    return view;
+  }
+
+  /// Keeps the first `budget` entries of a row pair list (all with
+  /// kNoBudget).
+  static void KeepPrefix(int64_t budget, std::vector<size_t>* a,
+                         std::vector<size_t>* b) {
+    if (budget < 0 || a->size() <= static_cast<size_t>(budget)) return;
+    a->resize(static_cast<size_t>(budget));
+    b->resize(static_cast<size_t>(budget));
+  }
+
+  /// Probes the batch through join `step` in (probe row, ascending build
+  /// row) order; without a hash table (no equi key) every build row
+  /// matches. The residual then drops matches, a LEFT OUTER probe row left
+  /// without one is null-extended, and at most the step's budget of rows
+  /// is kept: the caller needs only a prefix.
+  static Status ProbeStep(const Chain& chain, const ChainStep& step,
+                          const Level& in, Batch* b) {
+    const size_t n = b->n;
     std::vector<size_t> lrows, rrows, matches;
-    lrows.reserve(end - begin);
-    rrows.reserve(end - begin);
+    lrows.reserve(n);
+    rrows.reserve(n);
+    std::vector<ColumnData> gathered_keys;
+    gathered_keys.reserve(step.keys.cols.size());
     std::vector<const ColumnData*> key_cols;
     std::optional<JoinHashTable::Prober> prober;
-    if (table != nullptr) {
-      for (const auto& [lc, rc] : keys.cols) {
-        key_cols.push_back(&probe.columns[lc]);
+    if (step.table != nullptr) {
+      for (const auto& [lc, rc] : step.keys.cols) {
+        const Slot slot = in.slots[lc];
+        if (b->src[slot.src].identity) {
+          key_cols.push_back(&SourceColumn(chain, *b, slot));
+        } else {
+          gathered_keys.push_back(Take(chain, b, slot));
+          key_cols.push_back(&gathered_keys.back());
+        }
       }
-      prober.emplace(*table);
+      prober.emplace(*step.table);
       prober->Bind(&key_cols);
     }
-    for (size_t l = begin; l < end; ++l) {
-      size_t count = right.NumRows();
+    const size_t build_rows = step.build.NumRows();
+    for (size_t l = 0; l < n; ++l) {
+      size_t count = build_rows;
       if (prober.has_value()) {
         matches.clear();
         count = prober->ProbeRow(l, &matches);
@@ -1336,148 +1200,388 @@ class ExecutorImpl {
           rrows.push_back(r);
         }
       }
-      if (count == 0 && left_outer) {
+      if (count == 0 && step.left_outer) {
         lrows.push_back(l);
         rrows.push_back(ColumnData::kInvalidIndex);
       }
     }
-    if (keys.residual != nullptr) {
-      // The residual is part of the join condition: it runs on every
-      // candidate (even none, so type errors surface), and a LEFT OUTER
-      // probe row whose matches all fail reverts to null extension.
-      VDM_ASSIGN_OR_RETURN(
-          SelectionVector pass,
-          SelectWhere(keys.residual, GatherJoined(probe, lrows, right, rrows)));
-      std::vector<size_t> kept_l, kept_r;
-      size_t p = 0;
-      for (size_t i = 0; i < lrows.size();) {
-        const size_t l = lrows[i];
-        bool any = false;
-        for (; i < lrows.size() && lrows[i] == l; ++i) {
-          const bool passed = p < pass.size() && pass[p] == i;
-          if (passed) ++p;
-          if (passed && rrows[i] != ColumnData::kInvalidIndex) {
-            kept_l.push_back(l);
-            kept_r.push_back(rrows[i]);
-            any = true;
-          }
-        }
-        if (!any && left_outer) {
-          kept_l.push_back(l);
-          kept_r.push_back(ColumnData::kInvalidIndex);
+    // Without a residual the budget applies before the sources compose.
+    const bool residual = step.keys.residual != nullptr;
+    if (!residual) KeepPrefix(step.budget, &lrows, &rrows);
+    b->Pick(lrows);
+    b->src[step.src].rows = std::move(rrows);
+    b->src[step.src].live = true;
+    if (!residual) return Status::OK();
+    // The residual is part of the join condition: it runs on every
+    // candidate (even none, so type errors surface), and a LEFT OUTER probe
+    // row whose matches all fail reverts to null extension.
+    VDM_ASSIGN_OR_RETURN(
+        SelectionVector pass,
+        SelectWhere(step.keys.residual,
+                    View(chain, step.out, step.inputs, b)));
+    const std::vector<size_t>& cand_r = b->src[step.src].rows;
+    std::vector<size_t> kept, kept_r;  // candidate index, build row
+    size_t p = 0;
+    for (size_t i = 0; i < lrows.size();) {
+      const size_t first = i;
+      bool any = false;
+      for (; i < lrows.size() && lrows[i] == lrows[first]; ++i) {
+        const bool passed = p < pass.size() && pass[p] == i;
+        if (passed) ++p;
+        if (passed && cand_r[i] != ColumnData::kInvalidIndex) {
+          kept.push_back(i);
+          kept_r.push_back(cand_r[i]);
+          any = true;
         }
       }
-      lrows = std::move(kept_l);
-      rrows = std::move(kept_r);
+      if (!any && step.left_outer) {
+        kept.push_back(first);
+        kept_r.push_back(ColumnData::kInvalidIndex);
+      }
     }
-    if (budget >= 0 && lrows.size() > static_cast<size_t>(budget)) {
-      lrows.resize(static_cast<size_t>(budget));
-      rrows.resize(static_cast<size_t>(budget));
-    }
-    *out = GatherJoined(probe, lrows, right, rrows);
+    KeepPrefix(step.budget, &kept, &kept_r);
+    b->src[step.src].live = false;
+    b->Pick(kept);
+    b->src[step.src].rows = std::move(kept_r);
+    b->src[step.src].live = true;
     return Status::OK();
   }
 
-  /// One hash join for every input shape. The probe side arrives either as
-  /// a leaf pipeline, morsel by morsel (its output is never materialized
-  /// whole, and a LIMIT stops the scan itself), or as a materialized chunk
-  /// probed in row ranges. Pieces are concatenated in morsel order, so the
-  /// output is independent of the thread count.
-  Result<Chunk> RunJoin(const JoinOp& join, int64_t budget) {
-    const bool left_outer = join.join_type() == JoinType::kLeftOuter;
-    const JoinKeys keys = ResolveJoinKeys(join);
-    // The output is a prefix (anchor order) of the full result, so the
-    // probe may stop once `out_budget` rows exist; the ancestor LimitOp
-    // truncates. The optimizer's limit hint covers plans where the LimitOp
-    // itself could not sink.
-    int64_t out_budget = kNoBudget;
-    if (options_.enable_limit_early_exit) {
-      out_budget = budget;
-      const int64_t hint = join.limit_hint();
-      if (hint >= 0 && (out_budget < 0 || hint < out_budget)) out_budget = hint;
-    }
+  /// One morsel's chain output and the counts RunWaves and the metrics
+  /// read.
+  struct ChainPiece {
+    Chunk out;
+    std::vector<size_t> level_rows;  // rows leaving the base and each step
+    size_t index_bytes = 0;          // peak row-index bytes held
+    uint64_t gathered = 0;
+  };
 
-    std::vector<const LogicalOp*> chain;
-    const bool streamed = CollectPipeline(join.left().get(), &chain);
-    Chunk left;
-    if (!streamed) {
-      // A LEFT OUTER join emits at least one row per probe row, so its
-      // probe child only needs to produce `out_budget` rows.
-      VDM_ASSIGN_OR_RETURN(
-          left, Run(join.left(), left_outer ? out_budget : kNoBudget));
-    }
-    VDM_ASSIGN_OR_RETURN(Chunk right, Run(join.right(), kNoBudget));
-    PipelinePrep prep;
-    if (streamed) {
-      VDM_ASSIGN_OR_RETURN(prep, PreparePipeline(chain));
-      if (metrics_ != nullptr) metrics_->operators_executed += chain.size();
-    }
-    if (metrics_ != nullptr) metrics_->rows_build_input += right.NumRows();
-
-    std::optional<JoinHashTable> table;
-    if (!keys.cols.empty()) {
-      std::vector<const ColumnData*> build_cols;
-      build_cols.reserve(keys.cols.size());
-      for (const auto& [lc, rc] : keys.cols) {
-        build_cols.push_back(&right.columns[rc]);
-      }
-      table.emplace(std::move(build_cols));
-      VDM_RETURN_NOT_OK(table->Build(BuildPool(right.NumRows()), ctx_));
-      if (metrics_ != nullptr) {
-        metrics_->peak_hash_table_entries = std::max<uint64_t>(
-            metrics_->peak_hash_table_entries, table->num_entries());
-      }
-    }
-
-    const size_t ln = left.NumRows();
-    const size_t num_morsels =
-        streamed ? prep.num_morsels
-                 : std::max<size_t>(1, (ln + morsel_size_ - 1) / morsel_size_);
-    std::vector<size_t> probed(num_morsels, 0);
-    VDM_FAULT_POINT("exec.join.probe");
-    auto probe_morsel = [&](size_t m, Chunk* piece) -> Status {
-      Chunk morsel;
-      const Chunk* probe = &left;
-      size_t begin = std::min(ln, m * morsel_size_);
-      size_t end = std::min(ln, begin + morsel_size_);
-      if (streamed) {
-        VDM_RETURN_NOT_OK(PipelineMorsel(prep, m, &morsel));
-        probe = &morsel;
-        begin = 0;
-        end = morsel.NumRows();
-      }
-      probed[m] = end - begin;
-      return ProbeRows(*probe, begin, end, right, keys,
-                       table.has_value() ? &*table : nullptr, left_outer,
-                       out_budget, piece);
+  /// Runs morsel(m, &(*pieces)[m]) for every morsel, in waves, and returns
+  /// how many morsels ran (always a prefix). `budgets` holds a row budget
+  /// (or kNoBudget) per chain level. Without one, one wave holds every
+  /// morsel. With one, each wave holds two pool-widths of morsels, and the
+  /// waves stop once some level has produced its budget: the chain's
+  /// output is a prefix in morsel order, so a downstream LIMIT keeps the
+  /// same rows. Every morsel polls the governor first; the first failure
+  /// in morsel order is returned. `charge` is charged each wave's row
+  /// indexes.
+  Result<size_t> RunWaves(
+      size_t num_morsels, const std::vector<int64_t>& budgets,
+      const std::function<Status(size_t, ChainPiece*)>& morsel,
+      std::vector<ChainPiece>* pieces, ScopedMemoryCharge* charge) {
+    pieces->resize(num_morsels);
+    std::vector<Status> errors(num_morsels);
+    auto process = [&](size_t m) {
+      errors[m] = ctx_->CheckAlive();
+      if (errors[m].ok()) errors[m] = morsel(m, &(*pieces)[m]);
     };
-    // The probe output is the join's largest intermediate besides the
-    // build table; RunWaves charges it wave by wave so a budget violation
-    // surfaces before the allocation runs away.
-    ScopedMemoryCharge probe_mem(&ctx_->memory());
-    std::vector<Chunk> pieces;
-    VDM_ASSIGN_OR_RETURN(
-        size_t processed,
-        RunWaves(num_morsels, out_budget, probe_morsel, &pieces, &probe_mem));
-    if (metrics_ != nullptr) {
-      if (streamed) {
-        metrics_->rows_scanned += std::min(prep.n, processed * morsel_size_);
-        metrics_->morsels_scanned += processed;
+    const bool limited =
+        std::any_of(budgets.begin(), budgets.end(),
+                    [](int64_t budget) { return budget >= 0; });
+    size_t processed = 0;
+    std::vector<uint64_t> level_rows(budgets.size(), 0);
+    while (processed < num_morsels) {
+      size_t wave = num_morsels - processed;
+      if (limited) {
+        wave = std::min(wave, std::max<size_t>(PoolThreads() * 2, 1));
       }
-      metrics_->morsels_probed += processed;
-      for (size_t m = 0; m < processed; ++m) {
-        metrics_->rows_probe_input += probed[m];
+      VDM_RETURN_NOT_OK(RunTasks(processed, wave, process));
+      int64_t wave_bytes = 0;
+      for (size_t m = processed; m < processed + wave; ++m) {
+        VDM_RETURN_NOT_OK(errors[m]);
+        const ChainPiece& piece = (*pieces)[m];
+        for (size_t l = 0; l < budgets.size(); ++l) {
+          level_rows[l] += piece.level_rows[l];
+        }
+        wave_bytes += static_cast<int64_t>(piece.index_bytes);
+      }
+      VDM_RETURN_NOT_OK(charge->Charge(wave_bytes));
+      processed += wave;
+      bool met = false;
+      for (size_t l = 0; l < budgets.size(); ++l) {
+        met = met || (budgets[l] >= 0 &&
+                      level_rows[l] >= static_cast<uint64_t>(budgets[l]));
+      }
+      if (met && processed < num_morsels) {
+        if (metrics_ != nullptr) ++metrics_->limit_early_exits;
+        break;
       }
     }
+    return processed;
+  }
 
-    Chunk out = ConcatPieces(&pieces, processed);
-    // Trim the last wave's overshoot past the budget (the LimitOp would).
-    if (out_budget >= 0 && out.NumRows() > static_cast<size_t>(out_budget)) {
-      std::vector<size_t> keep(static_cast<size_t>(out_budget));
-      for (size_t i = 0; i < keep.size(); ++i) keep[i] = i;
-      out = GatherChunk(out, keep);
+  /// Concatenates the outputs of pieces[0, count) in morsel order.
+  /// pieces[0] always exists and carries the names and column types, even
+  /// when empty.
+  static Chunk ConcatPieces(std::vector<ChainPiece>* pieces, size_t count) {
+    Chunk out = std::move((*pieces)[0].out);
+    for (size_t m = 1; m < count; ++m) {
+      for (size_t c = 0; c < out.columns.size(); ++c) {
+        out.columns[c].AppendColumn(std::move((*pieces)[m].out.columns[c]));
+      }
     }
     return out;
+  }
+
+  /// The chain's work for one morsel, gathered into piece->out. With
+  /// `top_k_sort`, only the morsel's first `top_k` rows in that order
+  /// (kept in input order) are gathered.
+  Status ChainMorsel(const Chain& chain, const ScanPrep* prep,
+                     const SortOp* top_k_sort, int64_t top_k, size_t m,
+                     ChainPiece* piece) {
+    Batch b(chain.num_sources);
+    b.src[0].live = true;
+    size_t filtered = 0;  // bottom Filter steps the scan already applied
+    if (prep != nullptr) {
+      VDM_RETURN_NOT_OK(
+          ScanMorsel(*prep, m, &b.src[0].owned, &filtered, &b.gathered));
+      b.src[0].identity = true;
+      b.n = b.src[0].owned.NumRows();
+    } else {
+      const size_t rows = chain.shared[0]->NumRows();
+      const size_t begin = std::min(rows, m * morsel_size_);
+      b.n = std::min(rows, begin + morsel_size_) - begin;
+      b.src[0].rows.resize(b.n);
+      for (size_t i = 0; i < b.n; ++i) b.src[0].rows[i] = begin + i;
+    }
+    piece->level_rows.reserve(chain.steps.size() + 1);
+    piece->level_rows.push_back(b.n);
+    const Level* level = &chain.base;
+    for (size_t i = 0; i < chain.steps.size(); ++i) {
+      const ChainStep& step = chain.steps[i];
+      switch (i < filtered ? OpKind::kScan : step.op->kind()) {
+        case OpKind::kScan:
+          break;
+        case OpKind::kJoin:
+          VDM_RETURN_NOT_OK(ProbeStep(chain, step, *level, &b));
+          break;
+        case OpKind::kFilter: {
+          const auto& filter = static_cast<const FilterOp&>(*step.op);
+          VDM_ASSIGN_OR_RETURN(
+              SelectionVector sel,
+              SelectWhere(filter.predicate(),
+                          View(chain, *level, step.inputs, &b)));
+          if (sel.size() != b.n) {
+            b.Pick(std::vector<size_t>(sel.begin(), sel.end()));
+          }
+          break;
+        }
+        default: {  // kProject
+          if (step.computed.empty()) break;
+          const Chunk view = View(chain, *level, step.inputs, &b);
+          Chunk& computed = b.src[step.src].owned;
+          for (const ProjectOp::Item* item : step.computed) {
+            VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(item->expr, view));
+            computed.columns.push_back(std::move(col));
+          }
+          b.src[step.src].identity = true;
+          b.src[step.src].live = true;
+          break;
+        }
+      }
+      b.Retain(step.live);
+      level = &step.out;
+      piece->level_rows.push_back(b.n);
+      piece->index_bytes = std::max(piece->index_bytes, b.IndexBytes());
+    }
+    if (top_k_sort != nullptr) {
+      VDM_ASSIGN_OR_RETURN(
+          std::vector<size_t> keep,
+          SortOrder(*top_k_sort, View(chain, *level, chain.top_k_inputs, &b),
+                    top_k));
+      std::sort(keep.begin(), keep.end());
+      if (keep.size() != b.n) b.Pick(keep);
+    }
+    // The breaker's gather: each output column once. A per-morsel column
+    // read once at identity rows moves out instead.
+    piece->out.names = level->names;
+    for (size_t c = 0; c < level->slots.size(); ++c) {
+      const Slot slot = level->slots[c];
+      const bool movable = chain.read_once[c] && b.src[slot.src].identity &&
+                           chain.shared[slot.src] == nullptr;
+      piece->out.columns.push_back(
+          movable ? std::move(b.src[slot.src].owned.columns[slot.col])
+                  : Take(chain, &b, slot));
+    }
+    piece->gathered = b.gathered;
+    return Status::OK();
+  }
+
+  /// Builds join `step`'s hash table over its materialized build side.
+  Status PrepareJoin(const JoinOp& join, ChainStep* step) {
+    step->left_outer = join.join_type() == JoinType::kLeftOuter;
+    step->keys = ResolveJoinKeys(join);
+    VDM_ASSIGN_OR_RETURN(step->build, Run(join.right(), kNoBudget));
+    if (metrics_ != nullptr) metrics_->rows_build_input += step->build.NumRows();
+    if (!step->keys.cols.empty()) {
+      std::vector<const ColumnData*> build_cols;
+      build_cols.reserve(step->keys.cols.size());
+      for (const auto& [lc, rc] : step->keys.cols) {
+        build_cols.push_back(&step->build.columns[rc]);
+      }
+      step->table = std::make_unique<JoinHashTable>(std::move(build_cols));
+      VDM_RETURN_NOT_OK(
+          step->table->Build(BuildPool(step->build.NumRows()), ctx_));
+      if (metrics_ != nullptr) {
+        metrics_->peak_hash_table_entries = std::max<uint64_t>(
+            metrics_->peak_hash_table_entries, step->table->num_entries());
+      }
+    }
+    VDM_FAULT_POINT("exec.join.probe");
+    return Status::OK();
+  }
+
+  /// Runs a chain and gathers its output. `budget` is the ancestor LIMIT's
+  /// row budget; `top_k_sort`/`top_k` are the LIMIT-over-SORT breaker's
+  /// (each morsel then gathers only its own top k rows).
+  Result<Chunk> RunChain(const ChainShape& shape, int64_t budget,
+                         const SortOp* top_k_sort, int64_t top_k) {
+    const size_t num_steps = shape.ops.size();
+    // Row budgets per level (0 = base, i + 1 = step i), top-down: a Project
+    // passes its budget through, a Filter's input is unbounded, and a Join
+    // keeps at most its budget (the optimizer's limit hint included),
+    // which reaches its probe side only when LEFT OUTER: such a join emits
+    // at least one row per probe row.
+    std::vector<int64_t> budgets(num_steps + 1, kNoBudget);
+    const bool early = options_.enable_limit_early_exit;
+    int64_t b = early ? budget : kNoBudget;
+    for (size_t t = 0; t < num_steps; ++t) {
+      const LogicalOp* op = shape.ops[t];
+      if (op->kind() == OpKind::kJoin) {
+        const auto& join = static_cast<const JoinOp&>(*op);
+        const int64_t hint = join.limit_hint();
+        if (early && hint >= 0 && (b < 0 || hint < b)) b = hint;
+        budgets[num_steps - t] = b;
+        if (join.join_type() != JoinType::kLeftOuter) b = kNoBudget;
+      } else {
+        budgets[num_steps - t] = b;
+        if (op->kind() == OpKind::kFilter) b = kNoBudget;
+      }
+    }
+    budgets[0] = b;
+
+    Chain chain;
+    Chunk base;
+    if (shape.streamed()) {
+      chain.shared.push_back(nullptr);
+      chain.base.names = shape.base->OutputNames();
+    } else {
+      VDM_ASSIGN_OR_RETURN(base, Run(shape.base, budgets[0]));
+      chain.shared.push_back(&base);
+      chain.base.names = base.names;
+    }
+    for (size_t c = 0; c < chain.base.names.size(); ++c) {
+      chain.base.slots.push_back({0, c});
+    }
+    chain.steps.resize(num_steps);  // never resized again: sources point in
+    const Level* level = &chain.base;
+    for (size_t i = 0; i < num_steps; ++i) {
+      ChainStep& step = chain.steps[i];
+      step.op = shape.ops[num_steps - 1 - i];
+      step.budget = budgets[i + 1];
+      if (step.op->kind() != OpKind::kProject) step.out = *level;
+      if (step.op->kind() == OpKind::kJoin) {
+        VDM_RETURN_NOT_OK(
+            PrepareJoin(static_cast<const JoinOp&>(*step.op), &step));
+        step.src = chain.num_sources++;
+        chain.shared.push_back(&step.build);
+        for (size_t c = 0; c < step.build.names.size(); ++c) {
+          step.out.names.push_back(step.build.names[c]);
+          step.out.slots.push_back({step.src, c});
+        }
+        if (step.keys.residual != nullptr) {
+          step.inputs = ResolveInputs({step.keys.residual}, step.out);
+        }
+      } else if (step.op->kind() == OpKind::kFilter) {
+        step.inputs = ResolveInputs(
+            {static_cast<const FilterOp&>(*step.op).predicate()}, *level);
+      } else {
+        const auto& project = static_cast<const ProjectOp&>(*step.op);
+        step.src = chain.num_sources;
+        std::vector<ExprRef> exprs;
+        for (const ProjectOp::Item& item : project.items()) {
+          const ColumnRefExpr* ref = AsColumnRef(item.expr);
+          auto it = ref == nullptr ? level->names.end()
+                                   : std::find(level->names.begin(),
+                                               level->names.end(),
+                                               ref->name());
+          if (it != level->names.end()) {  // a rename
+            step.out.slots.push_back(
+                level->slots[static_cast<size_t>(it - level->names.begin())]);
+          } else {
+            step.out.slots.push_back({step.src, step.computed.size()});
+            step.computed.push_back(&item);
+            exprs.push_back(item.expr);
+          }
+          step.out.names.push_back(item.name);
+        }
+        if (!step.computed.empty()) {
+          ++chain.num_sources;
+          chain.shared.push_back(nullptr);
+          step.inputs = ResolveInputs(exprs, *level);
+        }
+      }
+      level = &step.out;
+    }
+    for (ChainStep& step : chain.steps) {
+      step.live.assign(chain.num_sources, 0);
+      for (const Slot& slot : step.out.slots) step.live[slot.src] = 1;
+    }
+    for (const Slot& slot : level->slots) {
+      chain.read_once.push_back(
+          std::count_if(level->slots.begin(), level->slots.end(),
+                        [&](const Slot& s) {
+                          return s.src == slot.src && s.col == slot.col;
+                        }) == 1);
+    }
+    if (top_k_sort != nullptr) {
+      std::vector<ExprRef> keys;
+      for (const SortOp::SortKey& key : top_k_sort->keys()) {
+        keys.push_back(key.expr);
+      }
+      chain.top_k_inputs = ResolveInputs(keys, *level);
+    }
+
+    std::optional<ScanPrep> prep;
+    size_t num_morsels =
+        std::max<size_t>(1, (base.NumRows() + morsel_size_ - 1) / morsel_size_);
+    if (shape.streamed()) {
+      VDM_ASSIGN_OR_RETURN(
+          prep, PrepareScan(shape.ops,
+                            static_cast<const ScanOp&>(*shape.base)));
+      num_morsels = prep->num_morsels;
+      if (!shape.has_join) VDM_FAULT_POINT("exec.pipeline.morsel");
+    }
+    // Row indexes are the chain's largest intermediate besides the build
+    // tables; RunWaves charges them wave by wave so a budget violation
+    // surfaces before the allocation runs away.
+    ScopedMemoryCharge index_mem(&ctx_->memory());
+    std::vector<ChainPiece> pieces;
+    VDM_ASSIGN_OR_RETURN(
+        size_t processed,
+        RunWaves(num_morsels, budgets,
+                 [&](size_t m, ChainPiece* piece) {
+                   return ChainMorsel(chain, prep ? &*prep : nullptr,
+                                      top_k_sort, top_k, m, piece);
+                 },
+                 &pieces, &index_mem));
+    if (metrics_ != nullptr) {
+      if (prep.has_value()) {
+        metrics_->rows_scanned += std::min(prep->n, processed * morsel_size_);
+        metrics_->morsels_scanned += processed;
+      }
+      for (size_t m = 0; m < processed; ++m) {
+        metrics_->values_gathered += pieces[m].gathered;
+        for (size_t i = 0; i < num_steps; ++i) {
+          if (chain.steps[i].op->kind() != OpKind::kJoin) continue;
+          metrics_->rows_probe_input += pieces[m].level_rows[i];
+          if (m == 0) metrics_->morsels_probed += processed;
+        }
+      }
+    }
+
+    // The last wave may overshoot the budget; the ancestor LimitOp trims.
+    return ConcatPieces(&pieces, processed);
   }
 
   // -----------------------------------------------------------------------
@@ -1716,12 +1820,10 @@ class ExecutorImpl {
     Chunk interim;
     for (size_t gi = 0; gi < agg.group_by().size(); ++gi) {
       interim.names.push_back(agg.group_by()[gi].name);
-      ColumnData col(group_cols[gi].type());
-      col.Reserve(n_groups);
-      for (size_t g = 0; g < n_groups; ++g) {
-        col.AppendFrom(group_cols[gi], first_row[g]);
-      }
-      interim.columns.push_back(std::move(col));
+      interim.columns.push_back(group_cols[gi].Gather(first_row));
+    }
+    if (metrics_ != nullptr) {
+      metrics_->values_gathered += n_groups * group_cols.size();
     }
     for (size_t k = 0; k < agg_nodes.size(); ++k) {
       interim.names.push_back(StrFormat("__agg_%zu", k));
@@ -1895,12 +1997,37 @@ class ExecutorImpl {
     return out;
   }
 
-  /// Shared by RunSort and the top-k fusion in RunLimit. When
-  /// `top_k >= 0`, only the first top_k positions need to be ordered
-  /// (std::partial_sort — note: not stable, which SQL does not require
-  /// in the presence of LIMIT).
-  Result<Chunk> SortChunk(const SortOp& sort, Chunk input,
-                          int64_t top_k = -1) {
+  /// Three-way compare of rows a and b of one sort key column, NULL
+  /// first (Value::Compare's order), on the typed storage: no Value and
+  /// no string copy per comparison.
+  static int CompareKeyRows(const ColumnData& col, size_t a, size_t b) {
+    const bool na = col.IsNull(a);
+    const bool nb = col.IsNull(b);
+    if (na || nb) return na == nb ? 0 : (na ? -1 : 1);
+    switch (col.type().id) {
+      case TypeId::kString: {
+        const int cmp = col.StringAt(a).compare(col.StringAt(b));
+        return cmp < 0 ? -1 : (cmp == 0 ? 0 : 1);
+      }
+      case TypeId::kDouble: {
+        const double x = col.doubles()[a];
+        const double y = col.doubles()[b];
+        return x < y ? -1 : (x == y ? 0 : 1);
+      }
+      default: {
+        const int64_t x = col.ints()[a];
+        const int64_t y = col.ints()[b];
+        return x < y ? -1 : (x == y ? 0 : 1);
+      }
+    }
+  }
+
+  /// Row positions of `input` in `sort` order, ties broken by position.
+  /// With `top_k >= 0` only the first top_k positions are ordered and
+  /// returned.
+  static Result<std::vector<size_t>> SortOrder(const SortOp& sort,
+                                               const Chunk& input,
+                                               int64_t top_k) {
     std::vector<ColumnData> key_cols;
     for (const SortOp::SortKey& key : sort.keys()) {
       VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(key.expr, input));
@@ -1910,10 +2037,9 @@ class ExecutorImpl {
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     auto less = [&](size_t a, size_t b) {
       for (size_t k = 0; k < key_cols.size(); ++k) {
-        int cmp = key_cols[k].GetValue(a).Compare(key_cols[k].GetValue(b));
+        const int cmp = CompareKeyRows(key_cols[k], a, b);
         if (cmp != 0) return sort.keys()[k].ascending ? cmp < 0 : cmp > 0;
       }
-      // Break ties on the input position to keep the order stable.
       return a < b;
     };
     if (top_k >= 0 && static_cast<size_t>(top_k) < order.size()) {
@@ -1924,26 +2050,45 @@ class ExecutorImpl {
     } else {
       std::sort(order.begin(), order.end(), less);
     }
-    return GatherChunk(input, order);
+    return order;
+  }
+
+  /// Gathers `rows` of every column of `input`.
+  Chunk GatherChunk(const Chunk& input, const std::vector<size_t>& rows) {
+    Chunk out;
+    out.names = input.names;
+    out.columns.reserve(input.columns.size());
+    for (const ColumnData& col : input.columns) {
+      out.columns.push_back(col.Gather(rows));
+    }
+    if (metrics_ != nullptr) {
+      metrics_->values_gathered += rows.size() * input.columns.size();
+    }
+    return out;
   }
 
   Result<Chunk> RunSort(const SortOp& sort) {
     VDM_ASSIGN_OR_RETURN(Chunk input, Run(sort.child(0), kNoBudget));
-    return SortChunk(sort, std::move(input));
+    VDM_ASSIGN_OR_RETURN(std::vector<size_t> order,
+                         SortOrder(sort, input, kNoBudget));
+    return GatherChunk(input, order);
   }
 
   Result<Chunk> RunLimit(const LimitOp& limit, int64_t budget) {
     int64_t my_budget = limit.offset() + limit.limit();
     if (budget >= 0 && budget < my_budget) my_budget = budget;
     // Top-k fusion: LIMIT directly above SORT orders only the first
-    // offset+limit positions instead of the whole input.
+    // offset+limit positions instead of the whole input, and a chain below
+    // gathers only each morsel's own top offset+limit rows.
     Chunk input;
     if (limit.child(0)->kind() == OpKind::kSort) {
       const auto& sort = static_cast<const SortOp&>(*limit.child(0));
-      VDM_ASSIGN_OR_RETURN(Chunk sort_input, Run(sort.child(0), kNoBudget));
-      VDM_ASSIGN_OR_RETURN(
-          input, SortChunk(sort, std::move(sort_input),
-                           limit.offset() + limit.limit()));
+      const int64_t top_k = limit.offset() + limit.limit();
+      VDM_ASSIGN_OR_RETURN(Chunk candidates,
+                           Run(sort.child(0), kNoBudget, &sort, top_k));
+      VDM_ASSIGN_OR_RETURN(std::vector<size_t> order,
+                           SortOrder(sort, candidates, top_k));
+      input = GatherChunk(candidates, order);
     } else {
       VDM_ASSIGN_OR_RETURN(
           input, Run(limit.child(0),
@@ -1956,6 +2101,7 @@ class ExecutorImpl {
          i < end && i < static_cast<int64_t>(input.NumRows()); ++i) {
       rows.push_back(static_cast<size_t>(i));
     }
+    if (rows.size() == input.NumRows()) return input;
     return GatherChunk(input, rows);
   }
 

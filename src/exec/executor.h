@@ -1,8 +1,14 @@
 // Morsel-driven parallel columnar executor.
 //
-// Each logical operator is evaluated into a fully materialized Chunk, but
-// leaf pipelines (Scan with any stack of Filter/Project above it), join
-// probes and aggregation run morsel-at-a-time. Every operator has one
+// Scans, and every stack of Join (through its probe side), Filter and
+// Project nodes above one, run as pipelines: a morsel of the base flows
+// through every probe, filter and projection before anything is
+// materialized. In flight a morsel is one row-index vector per source (the
+// base, each join's build side, each Project's computed columns); a join
+// key, residual or filter gathers only the columns it reads, and the
+// pipeline's top gathers each output column once, for the breaker above it
+// (aggregate, sort/top-k, distinct, union, or the result). Build sides and
+// breaker inputs are fully materialized Chunks. Every operator has one
 // implementation, and the worker pool is only a parameter of it: without
 // a pool every morsel runs inline on the calling thread. Results are
 // byte-for-byte independent of the thread count and the morsel size:
@@ -18,9 +24,10 @@
 // serialization.
 //
 // A LIMIT's row budget (offset + limit) is threaded down through
-// order-preserving operators; scan and probe loops run in waves and stop
-// once the budget is satisfied, so `LIMIT k` over a large augmentation
-// join probes ~k anchor rows instead of all of them.
+// order-preserving operators; pipelines run in waves and stop once some
+// level has met its budget, so `LIMIT k` over a large augmentation join
+// probes ~k anchor rows instead of all of them. Under LIMIT over ORDER BY
+// each morsel keeps only its own top k rows before the gather.
 #ifndef VDMQO_EXEC_EXECUTOR_H_
 #define VDMQO_EXEC_EXECUTOR_H_
 
@@ -67,6 +74,9 @@ struct ExecMetrics {
   uint64_t morsels_probed = 0;     // join probe morsels processed
   uint64_t peak_hash_table_entries = 0;  // largest join/group table built
   uint64_t limit_early_exits = 0;  // waves cut short by a LIMIT budget
+  // Values copied by row index between operators: join keys, residual and
+  // filter inputs, each chain's output, sorts, LIMIT slices and group keys.
+  uint64_t values_gathered = 0;
   // Governor counters (common/query_context.h). The engine fills the last
   // two: degraded_serial_retries counts kResourceExhausted queries that
   // completed on the serial-retry rung, admission_wait_ns is time spent

@@ -198,10 +198,63 @@ namespace {
 
 Result<ColumnData> Eval(const ExprRef& expr, const Chunk& input);
 
+/// An evaluated operand of a binary operator or function. A literal is
+/// evaluated once, to a one-row column read at row 0 for every input row,
+/// instead of being broadcast to n rows; a bare column reference borrows
+/// the input's column instead of copying it.
+struct Operand {
+  const ColumnData* borrowed = nullptr;
+  ColumnData owned;
+  size_t stride = 1;  // 0 for a literal
+
+  const ColumnData& col() const { return borrowed ? *borrowed : owned; }
+  /// The operand's row for input row i.
+  size_t At(size_t i) const { return i * stride; }
+  bool IsNull(size_t i) const { return col().IsNull(At(i)); }
+};
+
+Result<Operand> EvalOperand(const ExprRef& expr, const Chunk& input) {
+  Operand op;
+  if (expr->kind() == ExprKind::kColumnRef) {
+    const std::string& name =
+        static_cast<const ColumnRefExpr&>(*expr).name();
+    int idx = input.FindColumn(name);
+    if (idx < 0) return Status::BindError("unknown column: " + name);
+    op.borrowed = &input.columns[static_cast<size_t>(idx)];
+  } else if (expr->kind() == ExprKind::kLiteral) {
+    const Value& v = static_cast<const LiteralExpr&>(*expr).value();
+    op.owned = ColumnData(v.is_null() ? DataType::Int64() : v.type());
+    op.owned.AppendValue(v);
+    op.stride = 0;
+  } else {
+    VDM_ASSIGN_OR_RETURN(op.owned, Eval(expr, input));
+  }
+  return op;
+}
+
+bool CompareResult(BinaryOpKind op, int cmp) {
+  switch (op) {
+    case BinaryOpKind::kEq:
+      return cmp == 0;
+    case BinaryOpKind::kNotEq:
+      return cmp != 0;
+    case BinaryOpKind::kLess:
+      return cmp < 0;
+    case BinaryOpKind::kLessEq:
+      return cmp <= 0;
+    case BinaryOpKind::kGreater:
+      return cmp > 0;
+    default:
+      return cmp >= 0;
+  }
+}
+
 Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
-  VDM_ASSIGN_OR_RETURN(ColumnData lc, Eval(bin.left(), input));
-  VDM_ASSIGN_OR_RETURN(ColumnData rc, Eval(bin.right(), input));
-  size_t n = lc.size();
+  VDM_ASSIGN_OR_RETURN(Operand lop, EvalOperand(bin.left(), input));
+  VDM_ASSIGN_OR_RETURN(Operand rop, EvalOperand(bin.right(), input));
+  const ColumnData& lc = lop.col();
+  const ColumnData& rc = rop.col();
+  const size_t n = input.NumRows();
   BinaryOpKind op = bin.op();
 
   if (op == BinaryOpKind::kAnd || op == BinaryOpKind::kOr) {
@@ -209,9 +262,10 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
     ColumnData out(DataType::Bool());
     out.Reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      bool ln = lc.IsNull(i), rn = rc.IsNull(i);
-      bool lv = !ln && lc.ints()[i] != 0;
-      bool rv = !rn && rc.ints()[i] != 0;
+      const size_t li = lop.At(i), ri = rop.At(i);
+      bool ln = lc.IsNull(li), rn = rc.IsNull(ri);
+      bool lv = !ln && lc.ints()[li] != 0;
+      bool rv = !rn && rc.ints()[ri] != 0;
       if (op == BinaryOpKind::kAnd) {
         if (!ln && !lv) {
           out.AppendInt(0);
@@ -238,8 +292,6 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
   }
 
   if (IsComparison(op)) {
-    ColumnData out(DataType::Bool());
-    out.Reserve(n);
     bool string_cmp = lc.type().id == TypeId::kString ||
                       rc.type().id == TypeId::kString;
     if (string_cmp && lc.type().id != rc.type().id) {
@@ -248,46 +300,30 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
     bool same_int = lc.type().IsIntegerBacked() &&
                     rc.type().IsIntegerBacked() &&
                     lc.type().scale == rc.type().scale;
+    std::vector<int64_t> vals(n);
+    std::vector<uint8_t> validity;
     for (size_t i = 0; i < n; ++i) {
-      if (lc.IsNull(i) || rc.IsNull(i)) {
-        out.AppendNull();
+      const size_t li = lop.At(i), ri = rop.At(i);
+      if (lc.IsNull(li) || rc.IsNull(ri)) {
+        if (validity.empty()) validity.assign(n, 1);
+        validity[i] = 0;
         continue;
       }
       int cmp;
       if (string_cmp) {
-        cmp = lc.StringAt(i).compare(rc.StringAt(i));
+        cmp = lc.StringAt(li).compare(rc.StringAt(ri));
         cmp = cmp < 0 ? -1 : (cmp == 0 ? 0 : 1);
       } else if (same_int) {
-        int64_t a = lc.ints()[i], b = rc.ints()[i];
+        int64_t a = lc.ints()[li], b = rc.ints()[ri];
         cmp = a < b ? -1 : (a == b ? 0 : 1);
       } else {
-        double a = AsDoubleAt(lc, i), b = AsDoubleAt(rc, i);
+        double a = AsDoubleAt(lc, li), b = AsDoubleAt(rc, ri);
         cmp = a < b ? -1 : (a == b ? 0 : 1);
       }
-      bool result;
-      switch (op) {
-        case BinaryOpKind::kEq:
-          result = cmp == 0;
-          break;
-        case BinaryOpKind::kNotEq:
-          result = cmp != 0;
-          break;
-        case BinaryOpKind::kLess:
-          result = cmp < 0;
-          break;
-        case BinaryOpKind::kLessEq:
-          result = cmp <= 0;
-          break;
-        case BinaryOpKind::kGreater:
-          result = cmp > 0;
-          break;
-        default:
-          result = cmp >= 0;
-          break;
-      }
-      out.AppendInt(result ? 1 : 0);
+      vals[i] = CompareResult(op, cmp) ? 1 : 0;
     }
-    return out;
+    return ColumnData::TakeInts(DataType::Bool(), std::move(vals),
+                                std::move(validity));
   }
 
   // Arithmetic.
@@ -297,11 +333,12 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
   out.Reserve(n);
   if (rt.id == TypeId::kDouble) {
     for (size_t i = 0; i < n; ++i) {
-      if (lc.IsNull(i) || rc.IsNull(i)) {
+      const size_t li = lop.At(i), ri = rop.At(i);
+      if (lc.IsNull(li) || rc.IsNull(ri)) {
         out.AppendNull();
         continue;
       }
-      double a = AsDoubleAt(lc, i), b = AsDoubleAt(rc, i);
+      double a = AsDoubleAt(lc, li), b = AsDoubleAt(rc, ri);
       switch (op) {
         case BinaryOpKind::kAdd:
           out.AppendDouble(a + b);
@@ -328,32 +365,35 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
   if (rt.id == TypeId::kDecimal) {
     if (op == BinaryOpKind::kMul) {
       for (size_t i = 0; i < n; ++i) {
-        if (lc.IsNull(i) || rc.IsNull(i)) {
+        const size_t li = lop.At(i), ri = rop.At(i);
+        if (lc.IsNull(li) || rc.IsNull(ri)) {
           out.AppendNull();
           continue;
         }
-        out.AppendInt(lc.ints()[i] * rc.ints()[i]);
+        out.AppendInt(lc.ints()[li] * rc.ints()[ri]);
       }
       return out;
     }
     for (size_t i = 0; i < n; ++i) {
-      if (lc.IsNull(i) || rc.IsNull(i)) {
+      const size_t li = lop.At(i), ri = rop.At(i);
+      if (lc.IsNull(li) || rc.IsNull(ri)) {
         out.AppendNull();
         continue;
       }
-      int64_t a = AsUnscaledAt(lc, i, rt.scale);
-      int64_t b = AsUnscaledAt(rc, i, rt.scale);
+      int64_t a = AsUnscaledAt(lc, li, rt.scale);
+      int64_t b = AsUnscaledAt(rc, ri, rt.scale);
       out.AppendInt(op == BinaryOpKind::kAdd ? a + b : a - b);
     }
     return out;
   }
   // int64
   for (size_t i = 0; i < n; ++i) {
-    if (lc.IsNull(i) || rc.IsNull(i)) {
+    const size_t li = lop.At(i), ri = rop.At(i);
+    if (lc.IsNull(li) || rc.IsNull(ri)) {
       out.AppendNull();
       continue;
     }
-    int64_t a = lc.ints()[i], b = rc.ints()[i];
+    int64_t a = lc.ints()[li], b = rc.ints()[ri];
     switch (op) {
       case BinaryOpKind::kAdd:
         out.AppendInt(a + b);
@@ -367,6 +407,82 @@ Result<ColumnData> EvalBinary(const BinaryExpr& bin, const Chunk& input) {
     }
   }
   return out;
+}
+
+/// coalesce: per row, the first non-NULL argument, converted to the first
+/// argument's type (numeric arguments convert by value: integers and
+/// decimals rescale, doubles round half away from zero into integer-backed
+/// types). Mixing string and non-string arguments is a TypeError.
+Result<ColumnData> EvalCoalesce(const FunctionExpr& fn, const Chunk& input) {
+  std::vector<Operand> args;
+  for (const ExprRef& child : fn.children()) {
+    VDM_ASSIGN_OR_RETURN(Operand a, EvalOperand(child, input));
+    args.push_back(std::move(a));
+  }
+  const DataType rt = args[0].col().type();
+  const bool strings = rt.id == TypeId::kString;
+  for (const Operand& a : args) {
+    if ((a.col().type().id == TypeId::kString) != strings) {
+      return Status::TypeError("coalesce of string and non-string");
+    }
+  }
+  const size_t n = input.NumRows();
+  auto first_valid = [&](size_t i) -> const Operand* {
+    for (const Operand& a : args) {
+      if (!a.IsNull(i)) return &a;
+    }
+    return nullptr;
+  };
+  if (strings) {
+    ColumnData out(rt);
+    out.Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Operand* a = first_valid(i);
+      if (a == nullptr) {
+        out.AppendNull();
+      } else {
+        out.AppendString(a->col().StringAt(a->At(i)));
+      }
+    }
+    return out;
+  }
+  std::vector<uint8_t> validity;
+  auto mark_null = [&](size_t i) {
+    if (validity.empty()) validity.assign(n, 1);
+    validity[i] = 0;
+  };
+  if (rt.id == TypeId::kDouble) {
+    std::vector<double> vals(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Operand* a = first_valid(i);
+      if (a == nullptr) {
+        mark_null(i);
+      } else {
+        vals[i] = AsDoubleAt(a->col(), a->At(i));
+      }
+    }
+    return ColumnData::TakeDoubles(rt, std::move(vals), std::move(validity));
+  }
+  const uint8_t to_scale = rt.id == TypeId::kDecimal ? rt.scale : 0;
+  std::vector<int64_t> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Operand* a = first_valid(i);
+    if (a == nullptr) {
+      mark_null(i);
+      continue;
+    }
+    const ColumnData& col = a->col();
+    const size_t r = a->At(i);
+    if (col.type().id == TypeId::kDouble) {
+      vals[i] = std::llround(col.doubles()[r] *
+                             static_cast<double>(DecimalPow10(to_scale)));
+    } else {
+      const uint8_t from_scale =
+          col.type().id == TypeId::kDecimal ? col.type().scale : 0;
+      vals[i] = RoundUnscaled(col.ints()[r], from_scale, to_scale);
+    }
+  }
+  return ColumnData::TakeInts(rt, std::move(vals), std::move(validity));
 }
 
 // SQL LIKE matcher: '%' matches any sequence, '_' any single character;
@@ -403,8 +519,10 @@ Result<ColumnData> EvalFunction(const FunctionExpr& fn, const Chunk& input) {
     VDM_ASSIGN_OR_RETURN(ColumnData arg, Eval(fn.children()[0], input));
     int64_t digits = 0;
     if (fn.children().size() > 1) {
-      VDM_ASSIGN_OR_RETURN(ColumnData dc, Eval(fn.children()[1], input));
-      if (dc.size() > 0 && !dc.IsNull(0)) digits = dc.ints()[0];
+      VDM_ASSIGN_OR_RETURN(Operand dc, EvalOperand(fn.children()[1], input));
+      if (dc.col().size() > 0 && !dc.col().IsNull(0)) {
+        digits = dc.col().ints()[0];
+      }
     }
     if (arg.type().id == TypeId::kDecimal) {
       uint8_t to_scale = static_cast<uint8_t>(
@@ -433,27 +551,7 @@ Result<ColumnData> EvalFunction(const FunctionExpr& fn, const Chunk& input) {
     }
     return out;
   }
-  if (fn.name() == "coalesce") {
-    std::vector<ColumnData> args;
-    for (const ExprRef& child : fn.children()) {
-      VDM_ASSIGN_OR_RETURN(ColumnData c, Eval(child, input));
-      args.push_back(std::move(c));
-    }
-    ColumnData out(args[0].type());
-    out.Reserve(n);
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      bool appended = false;
-      for (const ColumnData& a : args) {
-        if (!a.IsNull(i)) {
-          out.AppendFrom(a, i);
-          appended = true;
-          break;
-        }
-      }
-      if (!appended) out.AppendNull();
-    }
-    return out;
-  }
+  if (fn.name() == "coalesce") return EvalCoalesce(fn, input);
   if (fn.name() == "abs") {
     VDM_ASSIGN_OR_RETURN(ColumnData arg, Eval(fn.children()[0], input));
     ColumnData out(arg.type());

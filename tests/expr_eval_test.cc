@@ -173,6 +173,89 @@ TEST(EvalTest, CoalesceAndCase) {
   EXPECT_EQ(cased.GetValue(1), Value::String("neg"));
 }
 
+TEST(EvalTest, ComparisonAgainstLiteralOperands) {
+  // The literal is evaluated once and read for every row, on either side.
+  ColumnData lit_left = Eval(Bin(BinaryOpKind::kLess, LitInt(1), Col("i")));
+  EXPECT_EQ(lit_left.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(lit_left.GetValue(1), Value::Bool(true));
+  EXPECT_TRUE(lit_left.IsNull(2));
+  // Mixed int/double compares by value, both ways round.
+  ColumnData int_vs_double =
+      Eval(Bin(BinaryOpKind::kGreaterEq, Col("i"), Lit(Value::Double(1.5))));
+  EXPECT_EQ(int_vs_double.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(int_vs_double.GetValue(1), Value::Bool(true));
+  EXPECT_TRUE(int_vs_double.IsNull(2));
+  ColumnData double_vs_int =
+      Eval(Bin(BinaryOpKind::kEq, Col("d"), LitInt(2)));
+  EXPECT_EQ(double_vs_int.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(double_vs_int.GetValue(2), Value::Bool(true));
+  ColumnData dec_vs_int = Eval(Bin(BinaryOpKind::kLess, Col("dec"), LitInt(0)));
+  EXPECT_EQ(dec_vs_int.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(dec_vs_int.GetValue(1), Value::Bool(true));
+  ColumnData str = Eval(Bin(BinaryOpKind::kNotEq, LitStr("apple"), Col("s")));
+  EXPECT_EQ(str.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(str.GetValue(1), Value::Bool(true));
+  EXPECT_TRUE(str.IsNull(2));
+  // A NULL literal makes every row NULL; two literals still give n rows.
+  ColumnData null_lit = Eval(Bin(BinaryOpKind::kEq, Col("i"), Lit(Value::Null())));
+  ASSERT_EQ(null_lit.size(), 3u);
+  for (size_t r = 0; r < 3; ++r) EXPECT_TRUE(null_lit.IsNull(r));
+  ColumnData both = Eval(Bin(BinaryOpKind::kLess, LitInt(1), LitInt(2)));
+  ASSERT_EQ(both.size(), 3u);
+  EXPECT_EQ(both.GetValue(2), Value::Bool(true));
+  // Column against column (no literal) keeps the row-wise path.
+  ColumnData cols = Eval(Bin(BinaryOpKind::kGreater, Col("d"), Col("i")));
+  EXPECT_EQ(cols.GetValue(0), Value::Bool(false));
+  EXPECT_EQ(cols.GetValue(1), Value::Bool(false));
+  EXPECT_TRUE(cols.IsNull(2));
+  // String against a number literal stays a TypeError, either side.
+  Chunk chunk = TestChunk();
+  EXPECT_EQ(EvalExpr(Bin(BinaryOpKind::kEq, LitInt(1), Col("s")), chunk)
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+}
+
+TEST(EvalTest, CoalesceTypedPaths) {
+  // Integer column, integer literal: NULL rows take the literal.
+  ColumnData ints = Eval(Func("coalesce", {Col("i"), LitInt(7)}));
+  EXPECT_EQ(ints.type(), DataType::Int64());
+  EXPECT_EQ(ints.GetValue(0), Value::Int64(1));
+  EXPECT_EQ(ints.GetValue(2), Value::Int64(7));
+  EXPECT_FALSE(ints.HasNulls());
+  // Two columns: the first non-NULL per row; all NULL stays NULL.
+  ColumnData two = Eval(Func("coalesce", {Col("i"), Col("b")}));
+  EXPECT_EQ(two.GetValue(1), Value::Int64(2));
+  EXPECT_TRUE(two.IsNull(2));
+  // Mixed int/double converts to the first argument's type by value.
+  ColumnData int_first =
+      Eval(Func("coalesce", {Col("i"), Lit(Value::Double(2.5))}));
+  EXPECT_EQ(int_first.type(), DataType::Int64());
+  EXPECT_EQ(int_first.GetValue(2), Value::Int64(3));  // rounds half away
+  ColumnData double_first =
+      Eval(Func("coalesce", {Lit(Value::Null()), Col("d")}));
+  EXPECT_EQ(double_first.type(), DataType::Int64());
+  EXPECT_EQ(double_first.GetValue(1), Value::Int64(-2));
+  ColumnData to_double =
+      Eval(Func("coalesce", {Col("d"), Col("i")}));
+  EXPECT_EQ(to_double.type(), DataType::Double());
+  EXPECT_DOUBLE_EQ(to_double.GetValue(0).AsDouble(), 0.5);
+  // Decimals rescale integer arguments.
+  ColumnData dec = Eval(Func("coalesce", {Col("dec"), LitInt(5)}));
+  EXPECT_EQ(dec.type(), DataType::Decimal(2));
+  EXPECT_EQ(dec.GetValue(0), Value::Decimal(150, 2));
+  // Strings, with a NULL row falling through to the literal.
+  ColumnData strs = Eval(Func("coalesce", {Col("s"), LitStr("none")}));
+  EXPECT_EQ(strs.GetValue(1), Value::String("banana"));
+  EXPECT_EQ(strs.GetValue(2), Value::String("none"));
+  // String mixed with a number is a TypeError.
+  Chunk chunk = TestChunk();
+  EXPECT_EQ(EvalExpr(Func("coalesce", {Col("s"), LitInt(0)}), chunk)
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+}
+
 TEST(EvalTest, StringFunctions) {
   ColumnData upper = Eval(Func("upper", {Col("s")}));
   EXPECT_EQ(upper.GetValue(0), Value::String("APPLE"));

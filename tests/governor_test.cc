@@ -183,6 +183,8 @@ TEST_F(GovernorTest, ExplainAnalyzeReportsGovernorAndDegradation) {
   db_->set_default_limits(saved);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("governor:"), std::string::npos) << *analyzed;
+  EXPECT_NE(analyzed->find("values gathered"), std::string::npos)
+      << *analyzed;
   EXPECT_NE(analyzed->find("degraded: 1 serial retry"), std::string::npos)
       << *analyzed;
 }

@@ -1,6 +1,5 @@
 #include "common/tenant.h"
 
-#include <chrono>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -11,53 +10,15 @@ TenantClass::TenantClass(TenantClassConfig config)
     : config_(std::move(config)),
       tracker_(config_.memory_limit_bytes > 0 ? config_.memory_limit_bytes
                                               : MemoryTracker::kUnlimited,
-               &MemoryTracker::Process(), "tenant:" + config_.name) {}
+               &MemoryTracker::Process(), "tenant:" + config_.name),
+      gate_(config_.max_concurrent) {}
 
-Status TenantClass::Admit(int64_t max_wait_ms, uint64_t* waited_ns) {
-  if (waited_ns != nullptr) *waited_ns = 0;
-  if (config_.max_concurrent == 0) {
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++running_;
-    return Status::OK();
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // Mirror the global gate's queue-then-fail contract (database.cc):
-  // <= 0 falls back to the 10s default rather than rejecting instantly.
-  const int64_t wait_ms = max_wait_ms > 0 ? max_wait_ms : 10000;
-  std::unique_lock<std::mutex> lock(mu_);
-  const bool admitted = cv_.wait_for(
-      lock, std::chrono::milliseconds(wait_ms),
-      [this] { return running_ < config_.max_concurrent; });
-  const uint64_t waited = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (waited_ns != nullptr) *waited_ns = waited;
-  if (!admitted) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted(StrFormat(
-        "tenant '%s': admission queue timeout after %lld ms (%zu running, "
-        "limit %zu)",
-        config_.name.c_str(), static_cast<long long>(wait_ms),
-        running_, config_.max_concurrent));
-  }
-  ++running_;
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-void TenantClass::Release() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (running_ > 0) --running_;
-  }
-  cv_.notify_one();
-}
-
-size_t TenantClass::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
+Result<AdmissionGate::Slot> TenantClass::Admit(int64_t max_wait_ms,
+                                               uint64_t* waited_ns) {
+  Result<AdmissionGate::Slot> slot = gate_.Admit(max_wait_ms, waited_ns);
+  if (slot.ok()) return slot;
+  return Status::ResourceExhausted("tenant '" + config_.name +
+                                   "': " + slot.status().message());
 }
 
 namespace {

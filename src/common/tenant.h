@@ -6,8 +6,8 @@
 // still queue out another tenant's point lookups. A TenantClass interposes
 // a named layer between the two — its MemoryTracker parents the per-query
 // trackers of every session declaring that tenant at HELLO, and its own
-// admission gate bounds the tenant's concurrent statements before they
-// reach the global gate.
+// AdmissionGate bounds the tenant's concurrent statements before they
+// reach the global gate; both gates share one ExecLimits::max_queued_ms.
 //
 // Classes are declared in VDM_TENANT_CLASSES, a ';'-separated list of
 // `name:key=value,...` entries, e.g.
@@ -21,8 +21,6 @@
 #ifndef VDMQO_COMMON_TENANT_H_
 #define VDMQO_COMMON_TENANT_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/admission_gate.h"
 #include "common/query_context.h"
 #include "common/status.h"
 
@@ -51,32 +50,23 @@ class TenantClass {
   TenantClass(const TenantClass&) = delete;
   TenantClass& operator=(const TenantClass&) = delete;
 
-  /// Blocks until a statement slot is free, up to max_wait_ms (<= 0 waits
-  /// the governor's default 10s). kResourceExhausted on timeout. On
-  /// success the caller owns one slot and must Release() it; `waited_ns`,
-  /// when given, receives the queueing time.
-  Status Admit(int64_t max_wait_ms, uint64_t* waited_ns = nullptr);
-  void Release();
+  /// Takes a statement slot (AdmissionGate::Admit; the timeout error
+  /// names the tenant).
+  Result<AdmissionGate::Slot> Admit(int64_t max_wait_ms,
+                                    uint64_t* waited_ns = nullptr);
 
   /// Parent for the per-query MemoryTracker of this tenant's statements
   /// (itself parented to MemoryTracker::Process()).
   MemoryTracker* memory() { return &tracker_; }
   const TenantClassConfig& config() const { return config_; }
 
-  uint64_t admitted() const { return admitted_.load(std::memory_order_relaxed); }
-  uint64_t admission_timeouts() const {
-    return timeouts_.load(std::memory_order_relaxed);
-  }
-  size_t running() const;
+  uint64_t admitted() const { return gate_.admitted(); }
+  uint64_t admission_timeouts() const { return gate_.timeouts(); }
 
  private:
   const TenantClassConfig config_;
   MemoryTracker tracker_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  size_t running_ = 0;  // guarded by mu_
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> timeouts_{0};
+  AdmissionGate gate_;
 };
 
 /// Owns every TenantClass a server hands out. Thread-safe. Classes live as

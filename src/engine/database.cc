@@ -45,7 +45,9 @@ constexpr double kSerialCostThreshold = 50000.0;
 }  // namespace
 
 Database::Database()
-    : optimizer_config_(ConfigForProfile(SystemProfile::kHana)) {
+    : optimizer_config_(ConfigForProfile(SystemProfile::kHana)),
+      admission_(static_cast<size_t>(
+          std::max<int64_t>(0, EnvInt64("VDM_MAX_CONCURRENT", 0)))) {
   size_t capacity = kDefaultPlanCacheCapacity;
   if (const char* env = std::getenv("VDM_PLAN_CACHE_CAPACITY")) {
     capacity = static_cast<size_t>(std::strtoull(env, nullptr, 10));
@@ -60,10 +62,6 @@ Database::Database()
   if (mem_mb > 0) default_limits_.memory_budget = mem_mb * (int64_t{1} << 20);
   default_limits_.max_queued_ms =
       EnvInt64("VDM_MAX_QUEUED_MS", default_limits_.max_queued_ms);
-  int64_t max_concurrent = EnvInt64("VDM_MAX_CONCURRENT", 0);
-  if (max_concurrent > 0) {
-    max_concurrent_ = static_cast<size_t>(max_concurrent);
-  }
   stats_enabled_ = EnvInt64("VDM_STATS", 1) != 0;
   txn_retries_ = static_cast<int>(
       std::max<int64_t>(0, EnvInt64("VDM_TXN_RETRIES", txn_retries_)));
@@ -290,53 +288,33 @@ Result<Chunk> Database::Query(const std::string& sql, ExecMetrics* metrics,
   return Query(sql, default_limits_, metrics, timing);
 }
 
-Result<Chunk> Database::Query(const std::string& sql, const ExecLimits& limits,
-                              ExecMetrics* metrics, QueryTiming* timing,
-                              QueryContext* ctx) {
+template <typename PlanFn>
+Result<Chunk> Database::RunSelect(const PlanFn& plan, const ExecLimits& limits,
+                                  ExecMetrics* metrics, QueryTiming* timing,
+                                  QueryContext* ctx, PlanRef* plan_out) {
   VDM_RETURN_NOT_OK(EnsureFreshCaches());
   QueryTiming local;
   QueryTiming* t = timing != nullptr ? timing : &local;
   *t = QueryTiming{};
-  PlanRef plan;
-  if (PlanCacheUsable()) {
-    t->used_cache = true;
-    VDM_ASSIGN_OR_RETURN(plan, PlanQueryCached(sql, t));
-  } else {
-    VDM_ASSIGN_OR_RETURN(plan, PlanQueryTimed(sql, t));
-  }
-  int64_t start = NowNs();
-  Result<Chunk> result = GovernedExecute(plan, limits, metrics, ctx);
+  VDM_ASSIGN_OR_RETURN(PlanRef planned, plan(t));
+  const int64_t start = NowNs();
+  Result<Chunk> result = GovernedExecute(planned, limits, metrics, ctx);
   t->execute_ns = NowNs() - start;
+  if (plan_out != nullptr) *plan_out = std::move(planned);
   return result;
 }
 
-namespace {
-
-/// Releases one admission-gate slot on scope exit (all GovernedExecute
-/// return paths, including degradation retries and injected faults).
-struct AdmissionRelease {
-  std::mutex* mu = nullptr;
-  std::condition_variable* cv = nullptr;
-  size_t* running = nullptr;
-  AdmissionRelease() = default;
-  AdmissionRelease(const AdmissionRelease&) = delete;
-  AdmissionRelease& operator=(const AdmissionRelease&) = delete;
-  ~AdmissionRelease() {
-    if (mu == nullptr) return;
-    {
-      std::lock_guard<std::mutex> lock(*mu);
-      --*running;
-    }
-    cv->notify_one();
-  }
-};
-
-}  // namespace
+Result<Chunk> Database::Query(const std::string& sql, const ExecLimits& limits,
+                              ExecMetrics* metrics, QueryTiming* timing,
+                              QueryContext* ctx) {
+  return RunSelect([&](QueryTiming* t) { return PlanSelect(sql, t); },
+                   limits, metrics, timing, ctx);
+}
 
 Result<Chunk> Database::GovernedExecute(const PlanRef& plan,
                                         const ExecLimits& limits,
                                         ExecMetrics* metrics,
-                                        QueryContext* ctx) const {
+                                        QueryContext* ctx) {
   QueryContext local_ctx;
   QueryContext* qc = ctx != nullptr ? ctx : &local_ctx;
   if (limits.timeout_ms > 0) qc->SetTimeout(limits.timeout_ms);
@@ -353,28 +331,11 @@ Result<Chunk> Database::GovernedExecute(const PlanRef& plan,
   // Admission gate: bounded queueing, not rejection. Nested engine work
   // (cache refresh snapshots) goes through ExecutePlan directly and never
   // re-enters the gate, so a running query cannot deadlock itself here.
-  AdmissionRelease release;
-  if (max_concurrent_ > 0) {
-    int64_t wait_start = NowNs();
-    std::unique_lock<std::mutex> lock(admit_mu_);
-    bool admitted = admit_cv_.wait_for(
-        lock, std::chrono::milliseconds(std::max<int64_t>(0, limits.max_queued_ms)),
-        [&] { return running_queries_ < max_concurrent_; });
-    if (!admitted) {
-      return Status::ResourceExhausted(StrFormat(
-          "admission queue timeout: %zu queries running, waited %lld ms",
-          running_queries_,
-          static_cast<long long>(std::max<int64_t>(0, limits.max_queued_ms))));
-    }
-    ++running_queries_;
-    release.mu = &admit_mu_;
-    release.cv = &admit_cv_;
-    release.running = &running_queries_;
-    lock.unlock();
-    if (metrics != nullptr) {
-      metrics->admission_wait_ns += static_cast<uint64_t>(NowNs() - wait_start);
-    }
-  }
+  // The slot is held through the serial retry below.
+  uint64_t waited_ns = 0;
+  VDM_ASSIGN_OR_RETURN(AdmissionGate::Slot slot,
+                       admission_.Admit(limits.max_queued_ms, &waited_ns));
+  if (metrics != nullptr) metrics->admission_wait_ns += waited_ns;
 
   Result<Chunk> result = ExecutePlan(plan, metrics, qc);
   if (!result.ok() &&
@@ -454,69 +415,73 @@ std::shared_ptr<CachedPlan> Database::NewCachedPlan(
   return cached;
 }
 
-Result<PlanRef> Database::PlanQueryCached(const std::string& sql,
-                                          QueryTiming* timing) {
-  // Every early `return PlanQueryTimed(...)` below is the safety valve:
-  // anything unusual about the parameterized path (not cacheable, sentinel
-  // ambiguity, parse/bind/optimize/verify/rebind failure) reverts to the
-  // plain pipeline, which must behave exactly as with the cache disabled.
-  int64_t start = NowNs();
+Result<PlanRef> Database::PlanSelect(const std::string& sql,
+                                     QueryTiming* timing) {
+  if (!PlanCacheUsable()) return PlanQueryTimed(sql, timing);
+  const int64_t start = NowNs();
   Result<ParameterizedStatement> ps = ParameterizeStatement(sql);
   timing->parameterize_ns += NowNs() - start;
-  if (!ps.ok() || !ps->cacheable) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
+  // An injected cache failure takes the same safety valve as any other
+  // parameterized-path problem: the plain, cache-off pipeline.
+  if (ps.ok() && ps->cacheable &&
+      FaultInjection::Check("engine.plan_cache.lookup").ok()) {
+    Result<PlanRef> plan = CompileParameterized(sql, *ps, ps->params,
+                                                ps->limit, ps->offset, timing);
+    if (plan.ok()) return plan;
   }
-  // An injected cache failure exercises the same safety valve as any
-  // other parameterized-path problem: revert to the plain pipeline.
-  if (!FaultInjection::Check("engine.plan_cache.lookup").ok()) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
-  }
-  const std::string key =
-      ComposePlanCacheKey(ps->key, config_fingerprint_, catalog_.version());
-  if (PlanRef hit = ServeCachedPlan(key, ps->params, ps->limit, ps->offset,
-                                    timing)) {
-    return hit;
-  }
-  start = NowNs();
-  Result<Statement> stmt = ParseTokenStream(sql, ps->tokens);
+  timing->used_cache = false;
+  return PlanQueryTimed(sql, timing);
+}
+
+Result<PlanRef> Database::BindParameterized(const std::string& sql,
+                                            const ParameterizedStatement& ps,
+                                            QueryTiming* timing) const {
+  int64_t start = NowNs();
+  Result<Statement> stmt = ParseTokenStream(sql, ps.tokens);
   timing->parse_ns += NowNs() - start;
-  if (!stmt.ok() || stmt->kind != Statement::Kind::kSelect ||
-      stmt->select == nullptr) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
+  if (!stmt.ok()) return stmt.status();
+  if (stmt->kind != Statement::Kind::kSelect || stmt->select == nullptr) {
+    return Status::Internal("parameterized token stream is not a SELECT");
   }
   start = NowNs();
   Binder binder(&catalog_);
   Result<PlanRef> bound = binder.BindSelect(*stmt->select);
   timing->bind_ns += NowNs() - start;
-  if (!bound.ok() ||
-      !LimitSentinelsUnambiguous(*bound, ps->has_limit, ps->has_offset)) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
+  if (!bound.ok()) return bound.status();
+  if (!LimitSentinelsUnambiguous(*bound, ps.has_limit, ps.has_offset)) {
+    // A view replacement can introduce a colliding literal after Prepare.
+    return Status::InvalidArgument(
+        "prepared statement is no longer rebindable (limit-sentinel "
+        "collision after a view change); re-prepare it");
   }
-  std::shared_ptr<CachedPlan> cached = NewCachedPlan(*ps, *bound);
-  Result<PlanRef> optimized = OptimizePlan(*bound, timing);
-  if (!optimized.ok()) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
+  return bound;
+}
+
+Result<PlanRef> Database::CompileParameterized(
+    const std::string& sql, const ParameterizedStatement& ps,
+    const std::vector<Value>& params, int64_t limit, int64_t offset,
+    QueryTiming* timing) {
+  const bool use_cache = PlanCacheUsable();
+  timing->used_cache = use_cache;
+  std::string key;
+  if (use_cache) {
+    key = ComposePlanCacheKey(ps.key, config_fingerprint_, catalog_.version());
+    if (PlanRef hit = ServeCachedPlan(key, params, limit, offset, timing)) {
+      return hit;
+    }
   }
-  // Plan integrity is checked once here, at insertion; hits skip it.
-  if (!PlanVerifier::Verify(*optimized).ok()) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
-  }
-  cached->plan = *optimized;
-  start = NowNs();
-  Result<PlanRef> rebound =
-      BindCachedPlan(*cached, ps->params, ps->limit, ps->offset);
+  VDM_ASSIGN_OR_RETURN(PlanRef bound, BindParameterized(sql, ps, timing));
+  std::shared_ptr<CachedPlan> cached = NewCachedPlan(ps, bound);
+  VDM_ASSIGN_OR_RETURN(cached->plan, OptimizePlan(bound, timing));
+  const int64_t start = NowNs();
+  Result<PlanRef> rebound = BindCachedPlan(*cached, params, limit, offset);
   timing->rebind_ns += NowNs() - start;
-  if (!rebound.ok()) {
-    timing->used_cache = false;
-    return PlanQueryTimed(sql, timing);
+  // Plan integrity is checked once, at insertion; hits skip it. A plan
+  // that fails it stays out of the cache, but this call still runs it:
+  // the verifier flags structural invariants, not wrong results.
+  if (rebound.ok() && use_cache && PlanVerifier::Verify(cached->plan).ok()) {
+    plan_cache_->Insert(key, std::move(cached));
   }
-  plan_cache_->Insert(key, std::move(cached));
   return rebound;
 }
 
@@ -532,24 +497,15 @@ Result<std::shared_ptr<const PreparedStatement>> Database::Prepare(
   }
   auto out = std::make_shared<PreparedStatement>();
   out->sql = sql;
+  // Trial bind: prove the stored token stream parses and binds and the
+  // limit sentinels rebind unambiguously NOW, so an EXECUTE can only fail
+  // for reasons that would fail the plain query path too.
   Result<ParameterizedStatement> ps = ParameterizeStatement(sql);
-  if (ps.ok() && ps->cacheable) {
-    // Trial compile: prove the stored token stream parses + binds and the
-    // limit sentinels rebind unambiguously NOW, so an EXECUTE can only
-    // fail for reasons that would fail the plain query path too.
-    Result<Statement> tok_stmt = ParseTokenStream(sql, ps->tokens);
-    if (tok_stmt.ok() && tok_stmt->kind == Statement::Kind::kSelect &&
-        tok_stmt->select != nullptr) {
-      Binder binder(&catalog_);
-      Result<PlanRef> bound = binder.BindSelect(*tok_stmt->select);
-      if (bound.ok() &&
-          LimitSentinelsUnambiguous(*bound, ps->has_limit, ps->has_offset)) {
-        out->parameterized = std::move(*ps);
-        out->parameterized_ok = true;
-      }
-    }
-  }
-  if (!out->parameterized_ok) {
+  QueryTiming trial;
+  if (ps.ok() && ps->cacheable && BindParameterized(sql, *ps, &trial).ok()) {
+    out->parameterized = std::move(*ps);
+    out->parameterized_ok = true;
+  } else {
     // Direct mode: validate the text binds at all (same check CREATE VIEW
     // makes), then EXECUTE re-runs it verbatim.
     Binder binder(&catalog_);
@@ -559,57 +515,6 @@ Result<std::shared_ptr<const PreparedStatement>> Database::Prepare(
   return std::shared_ptr<const PreparedStatement>(std::move(out));
 }
 
-Result<PlanRef> Database::PlanPrepared(const PreparedStatement& stmt,
-                                       const std::vector<Value>& params,
-                                       int64_t limit, int64_t offset,
-                                       QueryTiming* timing) {
-  const ParameterizedStatement& ps = stmt.parameterized;
-  std::string key;
-  if (PlanCacheUsable()) {
-    timing->used_cache = true;
-    key = ComposePlanCacheKey(ps.key, config_fingerprint_, catalog_.version());
-    if (PlanRef hit = ServeCachedPlan(key, params, limit, offset, timing)) {
-      return hit;
-    }
-  }
-  // Miss (or cache unusable): recompile from the stored token stream.
-  // There is deliberately no original-text fallback here — the text
-  // carries the PREPARE-time literals, not this call's `params`.
-  int64_t start = NowNs();
-  Result<Statement> tok_stmt = ParseTokenStream(stmt.sql, ps.tokens);
-  timing->parse_ns += NowNs() - start;
-  if (!tok_stmt.ok()) return tok_stmt.status();
-  if (tok_stmt->kind != Statement::Kind::kSelect ||
-      tok_stmt->select == nullptr) {
-    return Status::Internal("prepared token stream is no longer a SELECT");
-  }
-  start = NowNs();
-  Binder binder(&catalog_);
-  Result<PlanRef> bound = binder.BindSelect(*tok_stmt->select);
-  timing->bind_ns += NowNs() - start;
-  if (!bound.ok()) return bound.status();
-  if (!LimitSentinelsUnambiguous(*bound, ps.has_limit, ps.has_offset)) {
-    // A view replacement introduced a colliding literal since Prepare.
-    return Status::InvalidArgument(
-        "prepared statement is no longer rebindable (limit-sentinel "
-        "collision after a view change); re-prepare it");
-  }
-  std::shared_ptr<CachedPlan> cached = NewCachedPlan(ps, *bound);
-  VDM_ASSIGN_OR_RETURN(PlanRef optimized, OptimizePlan(*bound, timing));
-  cached->plan = optimized;
-  start = NowNs();
-  Result<PlanRef> rebound = BindCachedPlan(*cached, params, limit, offset);
-  timing->rebind_ns += NowNs() - start;
-  if (!rebound.ok()) return rebound.status();
-  // Integrity-check once at insertion, like PlanQueryCached; a failed
-  // verify keeps the plan out of the cache but this call still runs it —
-  // the verifier flags structural invariants, not wrong results.
-  if (PlanCacheUsable() && PlanVerifier::Verify(optimized).ok()) {
-    plan_cache_->Insert(key, std::move(cached));
-  }
-  return rebound;
-}
-
 Result<Chunk> Database::ExecutePrepared(const PreparedStatement& stmt,
                                         const std::vector<Value>& params,
                                         int64_t limit, int64_t offset,
@@ -617,8 +522,6 @@ Result<Chunk> Database::ExecutePrepared(const PreparedStatement& stmt,
                                         ExecMetrics* metrics,
                                         QueryTiming* timing,
                                         QueryContext* ctx) {
-  QueryTiming local_timing;
-  QueryTiming* t = timing != nullptr ? timing : &local_timing;
   if (!stmt.parameterized_ok) {
     if (!params.empty() || limit >= 0 || offset >= 0) {
       return Status::InvalidArgument(
@@ -644,14 +547,12 @@ Result<Chunk> Database::ExecutePrepared(const PreparedStatement& stmt,
   const std::vector<Value>& values = params.empty() ? ps.params : params;
   const int64_t eff_limit = limit >= 0 ? limit : ps.limit;
   const int64_t eff_offset = offset >= 0 ? offset : ps.offset;
-  VDM_RETURN_NOT_OK(EnsureFreshCaches());
-  *t = QueryTiming{};
-  VDM_ASSIGN_OR_RETURN(PlanRef plan,
-                       PlanPrepared(stmt, values, eff_limit, eff_offset, t));
-  int64_t start = NowNs();
-  Result<Chunk> result = GovernedExecute(plan, limits, metrics, ctx);
-  t->execute_ns = NowNs() - start;
-  return result;
+  return RunSelect(
+      [&](QueryTiming* t) {
+        return CompileParameterized(stmt.sql, ps, values, eff_limit,
+                                    eff_offset, t);
+      },
+      limits, metrics, timing, ctx);
 }
 
 Status Database::Insert(const std::string& table,
@@ -929,21 +830,14 @@ Result<std::string> Database::ExplainRaw(const std::string& sql) const {
 }
 
 Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
-  VDM_RETURN_NOT_OK(EnsureFreshCaches());
+  // Query's own run sequence, so the report shows the path Query takes.
   QueryTiming timing;
-  PlanRef plan;
-  if (PlanCacheUsable()) {
-    timing.used_cache = true;
-    VDM_ASSIGN_OR_RETURN(plan, PlanQueryCached(sql, &timing));
-  } else {
-    VDM_ASSIGN_OR_RETURN(plan, PlanQueryTimed(sql, &timing));
-  }
   ExecMetrics metrics;
-  int64_t start = NowNs();
-  VDM_ASSIGN_OR_RETURN(Chunk result,
-                       GovernedExecute(plan, default_limits_, &metrics,
-                                       /*ctx=*/nullptr));
-  timing.execute_ns = NowNs() - start;
+  PlanRef plan;
+  VDM_ASSIGN_OR_RETURN(
+      Chunk result,
+      RunSelect([&](QueryTiming* t) { return PlanSelect(sql, t); },
+                default_limits_, &metrics, &timing, /*ctx=*/nullptr, &plan));
   // Annotate the rendered plan with per-operator cardinality/cost
   // estimates (§14) so estimation errors are visible next to the actual
   // timings below.

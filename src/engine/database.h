@@ -15,7 +15,6 @@
 #define VDMQO_ENGINE_DATABASE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/admission_gate.h"
 #include "common/query_context.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -38,14 +38,11 @@
 
 namespace vdm {
 
-/// Per-query time breakdown (nanoseconds). Populated by Query() when a
-/// timing sink is passed; rendered by ExplainAnalyze() and the benchmark
-/// JSON reports. On a plan-cache hit, parse/bind/optimize are zero and
-/// rebind_ns carries the parameter-rebinding cost.
 /// Per-query resource limits — the query lifecycle governor's contract.
-/// Zero or negative fields disable that limit. Database's session defaults
-/// come from the environment at construction: VDM_TIMEOUT_MS,
-/// VDM_MEM_LIMIT_MB, and VDM_MAX_QUEUED_MS (per-call values override).
+/// Zero or negative timeout / budget fields disable that limit. Database's
+/// session defaults come from the environment at construction:
+/// VDM_TIMEOUT_MS, VDM_MEM_LIMIT_MB, and VDM_MAX_QUEUED_MS (per-call
+/// values override).
 struct ExecLimits {
   /// Wall-clock execution deadline; exceeding it returns
   /// kDeadlineExceeded within one morsel.
@@ -54,8 +51,10 @@ struct ExecLimits {
   /// may hold. Exceeding it triggers the degradation ladder: retry
   /// serially with tight hash tables, and only then kResourceExhausted.
   int64_t memory_budget = 0;
-  /// Longest a query waits at the admission gate (VDM_MAX_CONCURRENT)
-  /// before giving up with kResourceExhausted. Queueing, not rejection.
+  /// Longest a statement queues for admission before failing with
+  /// kResourceExhausted: queueing, not rejection. Over the wire, the
+  /// tenant gate and then the global gate (VDM_MAX_CONCURRENT) share this
+  /// one budget. <= 0 = no queueing: take a free slot or fail at once.
   int64_t max_queued_ms = 10000;
 };
 
@@ -89,6 +88,10 @@ struct PreparedStatement {
   bool parameterized_ok = false;
 };
 
+/// Per-query time breakdown (nanoseconds). Populated by Query() when a
+/// timing sink is passed; rendered by ExplainAnalyze() and the benchmark
+/// JSON reports. On a plan-cache hit, parse/bind/optimize are zero and
+/// rebind_ns carries the parameter-rebinding cost.
 struct QueryTiming {
   int64_t parameterize_ns = 0;
   int64_t parse_ns = 0;
@@ -199,9 +202,9 @@ class Database {
       const std::string& sql);
   /// Executes a prepared statement with `params` (empty = prepare-time
   /// values; count and types must otherwise match). `limit` / `offset`
-  /// < 0 keep the prepare-time values. Plans come from the parameterized
-  /// plan cache when enabled (DML invalidation forces a recompile), or
-  /// are recompiled from the stored token stream per call.
+  /// < 0 keep the prepare-time values. Compiles like Query's cached path,
+  /// under the same plan-cache key, but returns compile errors instead of
+  /// falling back to the text, which carries prepare-time literals.
   Result<Chunk> ExecutePrepared(const PreparedStatement& stmt,
                                 const std::vector<Value>& params,
                                 int64_t limit, int64_t offset,
@@ -358,11 +361,17 @@ class Database {
   /// (bumps its stats version via SetTableStats).
   void RefreshTableStats(const std::string& name);
 
-  /// The governed execution path shared by Query and ExplainAnalyze:
-  /// admission gate, context setup from `limits`, parallel execution, and
+  /// The SELECT run sequence of Query, ExecutePrepared and ExplainAnalyze:
+  /// refresh stale cached views, `plan(QueryTiming*)` (a callable returning
+  /// Result<PlanRef>), GovernedExecute, timing each. Defined in the .cc.
+  template <typename PlanFn>
+  Result<Chunk> RunSelect(const PlanFn& plan, const ExecLimits& limits,
+                          ExecMetrics* metrics, QueryTiming* timing,
+                          QueryContext* ctx, PlanRef* plan_out = nullptr);
+  /// Admission gate, context setup from `limits`, parallel execution, and
   /// the serial degradation retry on kResourceExhausted.
   Result<Chunk> GovernedExecute(const PlanRef& plan, const ExecLimits& limits,
-                                ExecMetrics* metrics, QueryContext* ctx) const;
+                                ExecMetrics* metrics, QueryContext* ctx);
 
   /// Recomputes the config fingerprint, clears the plan cache, and rebuilds
   /// the shared optimizer. Called whenever optimizer_config_ changes.
@@ -377,26 +386,27 @@ class Database {
   /// and no per-query verification/fault-injection mode active).
   bool PlanCacheUsable() const;
 
-  /// Produces an executable plan via the plan cache: parameterize, look
-  /// up, rebind on hit; parse + bind + optimize + verify + insert on miss.
-  /// Any failure along the parameterized path falls back to the plain
-  /// compile pipeline (PlanQueryTimed).
-  Result<PlanRef> PlanQueryCached(const std::string& sql,
-                                  QueryTiming* timing);
+  /// Query's planner: parameterize and CompileParameterized when the cache
+  /// is usable; any failure there falls back to PlanQueryTimed.
+  Result<PlanRef> PlanSelect(const std::string& sql, QueryTiming* timing);
 
-  /// Plans a prepared statement with the given values: plan-cache lookup
-  /// and rebind when usable, otherwise recompile from the stored token
-  /// stream. Unlike PlanQueryCached there is no original-text fallback —
-  /// the text carries prepare-time literals, not `params`.
-  Result<PlanRef> PlanPrepared(const PreparedStatement& stmt,
-                               const std::vector<Value>& params,
-                               int64_t limit, int64_t offset,
-                               QueryTiming* timing);
+  /// The parameterized compile of QUERY and EXECUTE: cache lookup and
+  /// rebind on a hit; else BindParameterized, optimize, rebind, and cache
+  /// the plan if it passes PlanVerifier (one that fails still runs).
+  Result<PlanRef> CompileParameterized(const std::string& sql,
+                                       const ParameterizedStatement& ps,
+                                       const std::vector<Value>& params,
+                                       int64_t limit, int64_t offset,
+                                       QueryTiming* timing);
+  /// Token stream → bound SELECT whose limit sentinels rebind
+  /// unambiguously (else kInvalidArgument, "re-prepare it").
+  Result<PlanRef> BindParameterized(const std::string& sql,
+                                    const ParameterizedStatement& ps,
+                                    QueryTiming* timing) const;
 
-  /// The plan-cache hit path shared by PlanQueryCached and PlanPrepared:
-  /// looks `key` up, drops the entry if a table it scans has fresh
-  /// statistics, and rebinds it to the given values. nullptr means the
-  /// caller compiles.
+  /// The plan-cache hit path of CompileParameterized: looks `key` up,
+  /// drops the entry if a table it scans has fresh statistics, and rebinds
+  /// it to the given values. nullptr means the caller compiles.
   PlanRef ServeCachedPlan(const std::string& key,
                           const std::vector<Value>& params, int64_t limit,
                           int64_t offset, QueryTiming* timing);
@@ -433,10 +443,7 @@ class Database {
   // bounds concurrent GovernedExecute calls; excess queries queue up to
   // ExecLimits::max_queued_ms, then fail kResourceExhausted.
   ExecLimits default_limits_;
-  size_t max_concurrent_ = 0;
-  mutable std::mutex admit_mu_;
-  mutable std::condition_variable admit_cv_;
-  mutable size_t running_queries_ = 0;  // guarded by admit_mu_
+  AdmissionGate admission_;
 
   // --- transactions & background merge (§15) ---
   // txn_mgr_ must outlive open_txns_ (handle destructors roll back into

@@ -1758,11 +1758,13 @@ class ExecutorImpl {
     size_t n = input.NumRows();
     if (metrics_ != nullptr) metrics_->rows_aggregated += n;
 
-    // Evaluate group expressions.
-    std::vector<ColumnData> group_cols;
-    for (const AggregateOp::GroupItem& g : agg.group_by()) {
-      VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(g.expr, input));
-      group_cols.push_back(std::move(col));
+    // Evaluate group expressions (a bare column is borrowed, not copied).
+    std::vector<ColumnData> group_storage(agg.group_by().size());
+    std::vector<const ColumnData*> key_ptrs(agg.group_by().size());
+    for (size_t gi = 0; gi < key_ptrs.size(); ++gi) {
+      VDM_ASSIGN_OR_RETURN(key_ptrs[gi],
+                           EvalExprBorrowed(agg.group_by()[gi].expr, input,
+                                            &group_storage[gi]));
     }
 
     // Collect the distinct aggregate nodes across all items.
@@ -1786,25 +1788,24 @@ class ExecutorImpl {
     for (size_t c = 0; c < input.names.size(); ++c) {
       env[input.names[c]] = input.columns[c].type();
     }
-    std::vector<ColumnData> arg_cols(agg_nodes.size());
+    std::vector<ColumnData> arg_storage(agg_nodes.size());
+    std::vector<const ColumnData*> arg_cols(agg_nodes.size());
     std::vector<const AggregateExpr*> agg_exprs(agg_nodes.size());
     std::vector<DataType> result_types;
     result_types.reserve(agg_nodes.size());
     for (size_t k = 0; k < agg_nodes.size(); ++k) {
       const auto& a = static_cast<const AggregateExpr&>(*agg_nodes[k]);
       agg_exprs[k] = &a;
+      arg_cols[k] = &arg_storage[k];
       if (a.has_arg()) {
-        VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(a.arg(), input));
-        arg_cols[k] = std::move(col);
+        VDM_ASSIGN_OR_RETURN(arg_cols[k],
+                             EvalExprBorrowed(a.arg(), input, &arg_storage[k]));
       }
       VDM_ASSIGN_OR_RETURN(DataType result_type, InferType(agg_nodes[k], env));
       result_types.push_back(result_type);
     }
 
     bool global = agg.group_by().empty();
-    std::vector<const ColumnData*> key_ptrs;
-    key_ptrs.reserve(group_cols.size());
-    for (const ColumnData& col : group_cols) key_ptrs.push_back(&col);
 
     std::vector<size_t> first_row;          // per group, in output order
     std::vector<ColumnData> agg_results;    // one column per aggregate node
@@ -1820,10 +1821,10 @@ class ExecutorImpl {
     Chunk interim;
     for (size_t gi = 0; gi < agg.group_by().size(); ++gi) {
       interim.names.push_back(agg.group_by()[gi].name);
-      interim.columns.push_back(group_cols[gi].Gather(first_row));
+      interim.columns.push_back(key_ptrs[gi]->Gather(first_row));
     }
     if (metrics_ != nullptr) {
-      metrics_->values_gathered += n_groups * group_cols.size();
+      metrics_->values_gathered += n_groups * key_ptrs.size();
     }
     for (size_t k = 0; k < agg_nodes.size(); ++k) {
       interim.names.push_back(StrFormat("__agg_%zu", k));
@@ -1832,14 +1833,19 @@ class ExecutorImpl {
 
     // Final output: group items, then aggregate items (which may be scalar
     // expressions over aggregates — §7.2 expression macros rely on this).
+    // A bare interim column (every group item, most aggregate items) is
+    // borrowed, then moved into the output at its last use.
+    const std::vector<AggregateOp::AggItem>& items = agg.aggregates();
+    std::vector<ColumnData> computed(items.size());
+    std::vector<ColumnData*> cols;
     Chunk out;
     for (size_t gi = 0; gi < agg.group_by().size(); ++gi) {
+      cols.push_back(&interim.columns[gi]);
       out.names.push_back(agg.group_by()[gi].name);
-      out.columns.push_back(interim.columns[gi]);
     }
-    for (const AggregateOp::AggItem& item : agg.aggregates()) {
+    for (size_t i = 0; i < items.size(); ++i) {
       ExprRef rewritten =
-          TransformExpr(item.expr, [&](const ExprRef& node) -> ExprRef {
+          TransformExpr(items[i].expr, [&](const ExprRef& node) -> ExprRef {
             if (node->kind() != ExprKind::kAggregate) return nullptr;
             for (size_t k = 0; k < agg_nodes.size(); ++k) {
               if (node->Equals(*agg_nodes[k])) {
@@ -1848,9 +1854,17 @@ class ExecutorImpl {
             }
             return nullptr;
           });
-      VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(rewritten, interim));
-      out.names.push_back(item.name);
-      out.columns.push_back(std::move(col));
+      VDM_ASSIGN_OR_RETURN(const ColumnData* col,
+                           EvalExprBorrowed(rewritten, interim, &computed[i]));
+      cols.push_back(col == &computed[i]
+                         ? &computed[i]
+                         : &interim.columns[col - interim.columns.data()]);
+      out.names.push_back(items[i].name);
+    }
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const bool reused =
+          std::find(cols.begin() + c + 1, cols.end(), cols[c]) != cols.end();
+      out.columns.push_back(reused ? *cols[c] : std::move(*cols[c]));
     }
     return out;
   }
@@ -1863,7 +1877,7 @@ class ExecutorImpl {
   Status AggregateRows(size_t n, bool global,
                        const std::vector<const ColumnData*>& key_ptrs,
                        const std::vector<const AggregateExpr*>& aggs,
-                       const std::vector<ColumnData>& arg_cols,
+                       const std::vector<const ColumnData*>& arg_cols,
                        const std::vector<DataType>& result_types,
                        std::vector<size_t>* first_row,
                        std::vector<ColumnData>* agg_results) {
@@ -1908,7 +1922,7 @@ class ExecutorImpl {
           if (g == part.first_rows.size()) add_group(&part, r);
         }
         for (size_t k = 0; k < num_aggs; ++k) {
-          Accumulate(*aggs[k], arg_cols[k], result_types[k], r, &key,
+          Accumulate(*aggs[k], *arg_cols[k], result_types[k], r, &key,
                      &part.states[k][g]);
         }
       }
@@ -2028,16 +2042,18 @@ class ExecutorImpl {
   static Result<std::vector<size_t>> SortOrder(const SortOp& sort,
                                                const Chunk& input,
                                                int64_t top_k) {
-    std::vector<ColumnData> key_cols;
-    for (const SortOp::SortKey& key : sort.keys()) {
-      VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(key.expr, input));
-      key_cols.push_back(std::move(col));
+    std::vector<ColumnData> key_storage(sort.keys().size());
+    std::vector<const ColumnData*> key_cols(sort.keys().size());
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      VDM_ASSIGN_OR_RETURN(key_cols[k],
+                           EvalExprBorrowed(sort.keys()[k].expr, input,
+                                            &key_storage[k]));
     }
     std::vector<size_t> order(input.NumRows());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     auto less = [&](size_t a, size_t b) {
       for (size_t k = 0; k < key_cols.size(); ++k) {
-        const int cmp = CompareKeyRows(key_cols[k], a, b);
+        const int cmp = CompareKeyRows(*key_cols[k], a, b);
         if (cmp != 0) return sort.keys()[k].ascending ? cmp < 0 : cmp > 0;
       }
       return a < b;

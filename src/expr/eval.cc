@@ -215,20 +215,16 @@ struct Operand {
 
 Result<Operand> EvalOperand(const ExprRef& expr, const Chunk& input) {
   Operand op;
-  if (expr->kind() == ExprKind::kColumnRef) {
-    const std::string& name =
-        static_cast<const ColumnRefExpr&>(*expr).name();
-    int idx = input.FindColumn(name);
-    if (idx < 0) return Status::BindError("unknown column: " + name);
-    op.borrowed = &input.columns[static_cast<size_t>(idx)];
-  } else if (expr->kind() == ExprKind::kLiteral) {
+  if (expr->kind() == ExprKind::kLiteral) {
     const Value& v = static_cast<const LiteralExpr&>(*expr).value();
     op.owned = ColumnData(v.is_null() ? DataType::Int64() : v.type());
     op.owned.AppendValue(v);
     op.stride = 0;
-  } else {
-    VDM_ASSIGN_OR_RETURN(op.owned, Eval(expr, input));
+    return op;
   }
+  VDM_ASSIGN_OR_RETURN(const ColumnData* col,
+                       EvalExprBorrowed(expr, input, &op.owned));
+  if (col != &op.owned) op.borrowed = col;
   return op;
 }
 
@@ -726,6 +722,19 @@ Result<ColumnData> Eval(const ExprRef& expr, const Chunk& input) {
 
 Result<ColumnData> EvalExpr(const ExprRef& expr, const Chunk& input) {
   return Eval(expr, input);
+}
+
+Result<const ColumnData*> EvalExprBorrowed(const ExprRef& expr,
+                                           const Chunk& input,
+                                           ColumnData* storage) {
+  if (expr->kind() != ExprKind::kColumnRef) {
+    VDM_ASSIGN_OR_RETURN(*storage, Eval(expr, input));
+    return storage;
+  }
+  const std::string& name = static_cast<const ColumnRefExpr&>(*expr).name();
+  const int idx = input.FindColumn(name);
+  if (idx < 0) return Status::BindError("unknown column: " + name);
+  return &input.columns[static_cast<size_t>(idx)];
 }
 
 Result<Value> EvalExprOnRow(const ExprRef& expr, const Chunk& input,

@@ -28,6 +28,13 @@ Result<DataType> InferType(const ExprRef& expr, const TypeEnv& env);
 /// The expression must not contain aggregate or macro nodes.
 Result<ColumnData> EvalExpr(const ExprRef& expr, const Chunk& input);
 
+/// EvalExpr without the copy of a bare column reference: the result points
+/// at the input's column for a column reference, and at `*storage`, which
+/// receives the evaluated column, for anything else.
+Result<const ColumnData*> EvalExprBorrowed(const ExprRef& expr,
+                                           const Chunk& input,
+                                           ColumnData* storage);
+
 /// Evaluates an expression on a single row (slow path; used by tests and by
 /// constant folding with an empty chunk).
 Result<Value> EvalExprOnRow(const ExprRef& expr, const Chunk& input,

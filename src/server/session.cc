@@ -1,5 +1,6 @@
 #include "server/session.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -105,7 +106,8 @@ std::vector<uint8_t> Session::HandleHello(WireReader* r) {
 }
 
 std::vector<uint8_t> Session::Governed(
-    const std::function<Result<Chunk>(QueryContext*, QueryTiming*)>& body) {
+    const std::function<Result<Chunk>(const ExecLimits&, QueryContext*,
+                                      QueryTiming*)>& body) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   // The per-query tracker charges into the tenant class, which charges
   // into the process tracker — the three-level hierarchy of §16.
@@ -115,15 +117,17 @@ std::vector<uint8_t> Session::Governed(
     std::lock_guard<std::mutex> lock(active_mu_);
     active_ctx_ = ctx;
   }
-  Status admitted = tenant_->Admit(limits_.max_queued_ms);
-  Result<Chunk> result = Status::Internal("unreachable");
   QueryTiming timing;
-  if (admitted.ok()) {
-    result = body(ctx.get(), &timing);
-    tenant_->Release();
-  } else {
-    result = admitted;
-  }
+  Result<Chunk> result = [&]() -> Result<Chunk> {
+    uint64_t waited_ns = 0;
+    VDM_ASSIGN_OR_RETURN(AdmissionGate::Slot slot,
+                         tenant_->Admit(limits_.max_queued_ms, &waited_ns));
+    // One queue budget for both gates: the global gate gets what is left.
+    ExecLimits limits = limits_;
+    limits.max_queued_ms = std::max<int64_t>(
+        0, limits_.max_queued_ms - static_cast<int64_t>(waited_ns / 1000000));
+    return body(limits, ctx.get(), &timing);
+  }();
   {
     std::lock_guard<std::mutex> lock(active_mu_);
     active_ctx_.reset();
@@ -137,8 +141,9 @@ std::vector<uint8_t> Session::HandleQuery(WireReader* r) {
   std::string sql;
   Status st = DecodeQuery(r, &sql);
   if (!st.ok()) return ErrorFrame(st);
-  return Governed([&](QueryContext* ctx, QueryTiming* timing) {
-    return db_->ExecuteSession(sql, &txn_, limits_, ctx, timing);
+  return Governed([&](const ExecLimits& limits, QueryContext* ctx,
+                      QueryTiming* timing) {
+    return db_->ExecuteSession(sql, &txn_, limits, ctx, timing);
   });
 }
 
@@ -170,9 +175,10 @@ std::vector<uint8_t> Session::HandleExecute(WireReader* r) {
         StrFormat("unknown prepared statement %u", msg.stmt_id)));
   }
   std::shared_ptr<const PreparedStatement> stmt = it->second;
-  return Governed([&](QueryContext* ctx, QueryTiming* timing) {
+  return Governed([&](const ExecLimits& limits, QueryContext* ctx,
+                      QueryTiming* timing) {
     return db_->ExecutePrepared(*stmt, msg.params, msg.limit, msg.offset,
-                                limits_, nullptr, timing, ctx);
+                                limits, nullptr, timing, ctx);
   });
 }
 

@@ -66,11 +66,13 @@ class Session {
   std::vector<uint8_t> HandleCloseStmt(WireReader* r);
   std::vector<uint8_t> HandleTxnControl(const char* sql);
 
-  /// Runs `body` (which executes one statement) between tenant admission
-  /// and release, with a fresh cancellable QueryContext installed as the
-  /// active one. Returns the response frame.
+  /// Runs `body` (which executes one statement) holding a tenant slot,
+  /// with a fresh cancellable QueryContext installed as the active one and
+  /// the limits' max_queued_ms cut to what the tenant gate left of it.
+  /// Returns the response frame.
   std::vector<uint8_t> Governed(
-      const std::function<Result<Chunk>(QueryContext*, QueryTiming*)>& body);
+      const std::function<Result<Chunk>(const ExecLimits&, QueryContext*,
+                                        QueryTiming*)>& body);
 
   std::vector<uint8_t> ErrorFrame(const Status& status);
 

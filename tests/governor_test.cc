@@ -1,6 +1,7 @@
 // Query lifecycle governor tests: cooperative cancellation from another
 // thread, wall-clock deadlines, memory budgets with the serial degradation
-// retry, the admission gate, and the fault-injection harness. The common
+// retry, the admission gate (the AdmissionGate type and the Database's
+// VDM_MAX_CONCURRENT gate), and the fault-injection harness. The common
 // invariant: every limit violation surfaces as a typed Status (kCancelled /
 // kDeadlineExceeded / kResourceExhausted) and the Database is immediately
 // reusable afterwards.
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/admission_gate.h"
 #include "common/fault_injection.h"
 #include "common/query_context.h"
 #include "engine/database.h"
@@ -271,6 +273,93 @@ TEST(AdmissionGateTest, QueueTimeoutIsTypedAndGateRecovers) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ASSERT_EQ(after->NumRows(), 1u);
   EXPECT_EQ(after->columns[0].GetValue(0).ToString(), "20000");
+}
+
+// The gate type behind both the global gate and every tenant class. The
+// ExecLimits::max_queued_ms rule: <= 0 takes a free slot or fails at once.
+TEST(AdmissionGateTypeTest, OpenGateNeverQueues) {
+  AdmissionGate gate(0);
+  std::vector<AdmissionGate::Slot> slots;
+  for (int i = 0; i < 64; ++i) {
+    Result<AdmissionGate::Slot> slot = gate.Admit(0);
+    ASSERT_TRUE(slot.ok()) << slot.status().ToString();
+    slots.push_back(std::move(*slot));
+  }
+  EXPECT_EQ(gate.admitted(), 64u);
+  EXPECT_EQ(gate.timeouts(), 0u);
+}
+
+TEST(AdmissionGateTypeTest, NonPositiveWaitTakesAFreeSlotOrFailsAtOnce) {
+  AdmissionGate gate(1);
+  Result<AdmissionGate::Slot> held = gate.Admit(0);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  const auto start = std::chrono::steady_clock::now();
+  for (int64_t wait_ms : {int64_t{0}, int64_t{-5}}) {
+    Result<AdmissionGate::Slot> refused = gate.Admit(wait_ms);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(refused.status().message().find("admission queue timeout"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_EQ(gate.timeouts(), 2u);
+  { AdmissionGate::Slot released = std::move(*held); }
+  EXPECT_TRUE(gate.Admit(0).ok());
+  EXPECT_EQ(gate.admitted(), 2u);
+}
+
+TEST(AdmissionGateTypeTest, SmallTimeoutQueuesThenFailsOrIsAdmitted) {
+  AdmissionGate gate(1);
+  Result<AdmissionGate::Slot> held = gate.Admit(0);
+  ASSERT_TRUE(held.ok());
+  uint64_t waited_ns = 0;
+  Result<AdmissionGate::Slot> timed_out = gate.Admit(20, &waited_ns);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GE(waited_ns, uint64_t{20} * 1000 * 1000);
+
+  // A slot freed while a statement queues admits it.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    AdmissionGate::Slot released = std::move(*held);
+  });
+  Result<AdmissionGate::Slot> queued = gate.Admit(10000, &waited_ns);
+  releaser.join();
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  EXPECT_GT(waited_ns, 0u);
+  EXPECT_EQ(gate.timeouts(), 1u);
+}
+
+// The global slot is held through the serial degradation retry and given
+// back afterwards: with one slot, a no-wait query right after a degraded
+// one is admitted.
+TEST(AdmissionGateTest, SlotIsReleasedAfterTheSerialRetry) {
+  setenv("VDM_MAX_CONCURRENT", "1", /*overwrite=*/1);
+  Database db;
+  unsetenv("VDM_MAX_CONCURRENT");
+  ASSERT_TRUE(db.Execute("create table t (k int, v int)").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 20000; ++i) {
+    rows.push_back({Value::Int64(i % 50), Value::Int64(i)});
+  }
+  ASSERT_TRUE(db.Insert("t", rows).ok());
+
+  ExecLimits tight;
+  tight.memory_budget = 1 << 10;  // far below the 20000-row hash build
+  ExecMetrics metrics;
+  Result<Chunk> degraded = db.Query(
+      "select count(*) as n from t a join t b on a.v = b.v", tight, &metrics);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(metrics.degraded_serial_retries, 1u);
+  EXPECT_EQ(degraded->columns[0].GetValue(0).ToString(), "20000");
+
+  ExecLimits no_wait;
+  no_wait.max_queued_ms = 0;
+  Result<Chunk> next = db.Query("select count(*) as n from t", no_wait);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->columns[0].GetValue(0).ToString(), "20000");
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Plan cache (engine/plan_cache.h) and statement parameterization
 // (sql/parameterize.h): hit/miss behaviour, invalidation, LRU eviction,
-// limit rebinding, and result equivalence against the uncached pipeline.
+// limit rebinding, result equivalence against the uncached pipeline, and
+// in-process prepared statements (Prepare / ExecutePrepared) with the
+// cache on and off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -473,6 +475,157 @@ TEST_F(PlanCacheDbTest, ExplainAnalyzeReportsCacheOutcome) {
             std::make_pair(direct.props_computed, direct.props_reused))
       << *off;
 }
+
+// ---------------------------------------------------------------------------
+// Prepared statements in process. EXECUTE compiles through the same
+// parameterized path as an ad-hoc QUERY; every case runs with the plan
+// cache on and off.
+
+class PreparedDbTest : public PlanCacheDbTest,
+                       public ::testing::WithParamInterface<bool> {
+ protected:
+  void SetUp() override {
+    PlanCacheDbTest::SetUp();
+    if (!GetParam()) db_->DisablePlanCache();
+  }
+
+  /// Executes `prepared` with the literals, LIMIT and OFFSET of `sql` (a
+  /// variant of the prepared text).
+  static Result<Chunk> ExecuteAs(const PreparedStatement& prepared,
+                                 const std::string& sql,
+                                 QueryTiming* timing = nullptr) {
+    Result<ParameterizedStatement> ps = ParameterizeStatement(sql);
+    if (!ps.ok()) return ps.status();
+    return db_->ExecutePrepared(prepared, ps->params, ps->limit,
+                                ps->has_offset ? ps->offset : -1,
+                                db_->default_limits(), nullptr, timing);
+  }
+};
+
+TEST_P(PreparedDbTest, ExecuteMatchesQuery) {
+  const auto range = [](const char* price, int limit) {
+    return StrFormat(
+        "select o_orderkey, o_totalprice from orders where o_totalprice > "
+        "%s order by o_orderkey limit %d",
+        price, limit);
+  };
+  Result<std::shared_ptr<const PreparedStatement>> ranged =
+      db_->Prepare(range("1000.5", 20));
+  ASSERT_TRUE(ranged.ok()) << ranged.status().ToString();
+  EXPECT_TRUE((*ranged)->parameterized_ok);
+  Result<std::shared_ptr<const PreparedStatement>> paging =
+      db_->Prepare(PagingQuerySql(10, 5));
+  ASSERT_TRUE(paging.ok()) << paging.status().ToString();
+  EXPECT_TRUE((*paging)->parameterized_ok);
+
+  std::vector<std::pair<const PreparedStatement*, std::string>> runs;
+  for (const char* price : {"1000.5", "250000.0", "9999999.9"}) {
+    for (int limit : {20, 3}) {
+      runs.emplace_back(ranged->get(), range(price, limit));
+    }
+  }
+  for (int64_t offset : {5, 0, 400}) {
+    runs.emplace_back(paging->get(), PagingQuerySql(10, offset));
+    runs.emplace_back(paging->get(), PagingQuerySql(25, offset));
+  }
+  for (const auto& [prepared, sql] : runs) {
+    Result<Chunk> executed = ExecuteAs(*prepared, sql);
+    Result<Chunk> queried = db_->Query(sql);
+    ASSERT_TRUE(executed.ok()) << sql << ": " << executed.status().ToString();
+    ASSERT_TRUE(queried.ok()) << sql << ": " << queried.status().ToString();
+    EXPECT_EQ(executed->ToString(), queried->ToString()) << sql;
+  }
+}
+
+TEST_P(PreparedDbTest, PreparedAndAdHocShareOneCachedPlan) {
+  const bool cache = GetParam();
+  // PREPARE + EXECUTE, then QUERY of the same text.
+  const std::string first =
+      "select o_orderkey from orders where o_totalprice > 700.5 limit 9";
+  Result<std::shared_ptr<const PreparedStatement>> prepared =
+      db_->Prepare(first);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  QueryTiming timing;
+  Result<Chunk> executed = db_->ExecutePrepared(
+      **prepared, {}, -1, -1, db_->default_limits(), nullptr, &timing);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(timing.used_cache, cache);
+  EXPECT_FALSE(timing.cache_hit);
+  Result<Chunk> queried = db_->Query(first, nullptr, &timing);
+  ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+  EXPECT_EQ(timing.cache_hit, cache);
+  EXPECT_EQ(executed->ToString(), queried->ToString());
+  EXPECT_EQ(db_->plan_cache_size(), cache ? 1u : 0u);
+
+  // QUERY, then PREPARE + EXECUTE of the same text.
+  const std::string second =
+      "select c_custkey from customer where c_acctbal > 10.5 limit 9";
+  queried = db_->Query(second, nullptr, &timing);
+  ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+  EXPECT_FALSE(timing.cache_hit);
+  prepared = db_->Prepare(second);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  executed = db_->ExecutePrepared(**prepared, {}, -1, -1,
+                                  db_->default_limits(), nullptr, &timing);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(timing.cache_hit, cache);
+  EXPECT_EQ(executed->ToString(), queried->ToString());
+  EXPECT_EQ(db_->plan_cache_size(), cache ? 2u : 0u);
+}
+
+TEST_P(PreparedDbTest, BadExecuteArgumentsAreInvalidArgument) {
+  const ExecLimits& limits = db_->default_limits();
+  Result<std::shared_ptr<const PreparedStatement>> no_limit =
+      db_->Prepare("select o_orderkey from orders where o_totalprice > 700.5");
+  ASSERT_TRUE(no_limit.ok()) << no_limit.status().ToString();
+  ASSERT_TRUE((*no_limit)->parameterized_ok);
+  ASSERT_EQ((*no_limit)->parameterized.param_types.size(), 1u);
+
+  Result<Chunk> wrong_count = db_->ExecutePrepared(
+      **no_limit, {Value::Int64(1), Value::Int64(2)}, -1, -1, limits);
+  ASSERT_FALSE(wrong_count.ok());
+  EXPECT_EQ(wrong_count.status().code(), StatusCode::kInvalidArgument)
+      << wrong_count.status().ToString();
+
+  Result<Chunk> limit_bound =
+      db_->ExecutePrepared(**no_limit, {}, /*limit=*/5, -1, limits);
+  ASSERT_FALSE(limit_bound.ok());
+  EXPECT_EQ(limit_bound.status().code(), StatusCode::kInvalidArgument)
+      << limit_bound.status().ToString();
+
+  // A literal colliding with the limit sentinels keeps the statement out
+  // of the parameterized path: EXECUTE re-runs its text, without values.
+  Result<std::shared_ptr<const PreparedStatement>> direct = db_->Prepare(
+      "select o_orderkey from orders where o_orderkey = 1000003 limit 5");
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_FALSE((*direct)->parameterized_ok);
+  Result<Chunk> with_values =
+      db_->ExecutePrepared(**direct, {Value::Int64(1)}, -1, -1, limits);
+  ASSERT_FALSE(with_values.ok());
+  EXPECT_EQ(with_values.status().code(), StatusCode::kInvalidArgument)
+      << with_values.status().ToString();
+  EXPECT_TRUE(db_->ExecutePrepared(**direct, {}, -1, -1, limits).ok());
+}
+
+TEST_P(PreparedDbTest, AdHocBindErrorReadsAsWithTheCacheOff) {
+  const std::string sql =
+      "select o_nosuchcolumn from orders where o_totalprice > 700.5";
+  Result<Chunk> queried = db_->Query(sql);
+  ASSERT_FALSE(queried.ok());
+  Result<std::shared_ptr<const PreparedStatement>> prepared =
+      db_->Prepare(sql);
+  ASSERT_FALSE(prepared.ok());
+  db_->DisablePlanCache();
+  Result<Chunk> reference = db_->Query(sql);
+  ASSERT_FALSE(reference.ok());
+  EXPECT_EQ(queried.status().ToString(), reference.status().ToString());
+  EXPECT_EQ(prepared.status().ToString(), reference.status().ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(PlanCache, PreparedDbTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "CacheOn" : "CacheOff";
+                         });
 
 }  // namespace
 }  // namespace vdm

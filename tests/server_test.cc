@@ -1,7 +1,8 @@
 // vdmserve conformance suite (DESIGN.md §16): golden byte-level wire
 // codec checks, loopback protocol semantics (session isolation, prepared
 // rebind and cached plans across commits, CANCEL mid-query, per-tenant
-// admission, death mid-transaction), a seeded frame fuzzer that must never
+// admission and its one queue budget with the global gate, death
+// mid-transaction), a seeded frame fuzzer that must never
 // crash the server, the Database teardown-ordering audit with live
 // sessions and queued merges, and the one-pool thread count. The ASan/TSan
 // legs run through `tools/ci.sh server`.
@@ -565,6 +566,68 @@ TEST_F(ServerTest, TenantAdmissionIsolatesClasses) {
   TenantClass* capped = server_->tenants().Resolve("capped");
   EXPECT_GT(capped->admission_timeouts(), 0u);
   EXPECT_GT(capped->admitted(), 0u);
+}
+
+// Sets VDM_MAX_CONCURRENT=1 for the Database the ServerTest base builds
+// (the global gate's size is read at construction).
+struct OneGlobalSlot {
+  OneGlobalSlot() { setenv("VDM_MAX_CONCURRENT", "1", /*overwrite=*/1); }
+};
+
+class ServerBothGatesTest : private OneGlobalSlot, public ServerTest {
+ protected:
+  ServerBothGatesTest() { unsetenv("VDM_MAX_CONCURRENT"); }
+};
+
+// A wire statement queues at its tenant gate, then at the global gate;
+// both together wait at most one max_queued_ms, not one per gate.
+TEST_F(ServerBothGatesTest, QueueWaitAcrossBothGatesIsOneBudget) {
+  MakeBig();
+  // The slot holder below runs inline (no pool workers taken from the
+  // server's statements, which would otherwise queue in the pool before
+  // reaching either gate) and in small morsels (it runs for seconds on
+  // little memory and notices its cancel quickly).
+  ExecOptions exec;
+  exec.num_threads = 1;
+  exec.morsel_size = 256;
+  db_.SetExecOptions(exec);
+  ServerOptions options;
+  options.tenant_spec = "capped:conc=1";
+  options.workers = 4;
+  StartServer(options);
+
+  // The one global slot: an in-process query, cancelled at the end.
+  QueryContext holder_ctx;
+  std::thread holder([&] {
+    (void)db_.Query(kSlowSql, ExecLimits{}, nullptr, nullptr, &holder_ctx);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  constexpr int64_t kQueueMs = 300;
+  VdmClient first, second;
+  NewClient(&first, "capped", 30000, kQueueMs);
+  NewClient(&second, "capped", 30000, kQueueMs);
+  // `first` takes the tenant's only slot and queues at the global gate...
+  Result<Chunk> first_result = Status::Internal("not run");
+  std::thread first_thread(
+      [&] { first_result = first.Query("select count(*) as n from big"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // ...so `second` queues at the tenant gate until `first` times out, and
+  // then at the global gate for only what is left of its budget.
+  const auto start = std::chrono::steady_clock::now();
+  Result<Chunk> second_result = second.Query("select count(*) as n from big");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  first_thread.join();
+  holder_ctx.RequestCancel();
+  holder.join();
+
+  ASSERT_FALSE(first_result.ok());
+  EXPECT_EQ(first_result.status().code(), StatusCode::kResourceExhausted)
+      << first_result.status().ToString();
+  ASSERT_FALSE(second_result.ok());
+  EXPECT_EQ(second_result.status().code(), StatusCode::kResourceExhausted)
+      << second_result.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kQueueMs * 3 / 2));
 }
 
 TEST_F(ServerTest, DyingConnectionRollsBackItsTransaction) {

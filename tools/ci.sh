@@ -27,12 +27,13 @@ run_sanitizer() {
         -DVDMQO_SANITIZE="${san}" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
-  # Second pass with the plan cache on: the paper-query and property
-  # suites must produce byte-identical results through the cached
-  # parameterize + rebind path too.
-  echo "== ${san}: paper-query + property tests, VDM_PLAN_CACHE=1 =="
+  # Second pass with the plan cache on: the paper-query, property,
+  # governor and SQL end-to-end suites must produce byte-identical results
+  # (and the same errors) through the one parameterized compile + rebind
+  # path too.
+  echo "== ${san}: paper-query + property + governor + SQL tests, VDM_PLAN_CACHE=1 =="
   VDM_PLAN_CACHE=1 ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -R 'paper_queries_test|property_random_test|plan_cache_test'
+      -R 'paper_queries_test|property_random_test|plan_cache_test|governor_test|sql_end2end_test'
   # Third pass with the SIMD kernels forced off: the exec / kernel /
   # paper-query suites must be byte-identical through the scalar
   # reference kernels (the default run above covers SIMD-on dispatch).

@@ -1,12 +1,14 @@
 // K1 — Compressed-execution kernel microbenchmark (DESIGN.md §13).
 //
-// Measures the dictionary-code filter / refine / gather kernels in
-// isolation, SIMD dispatch vs the scalar reference, on arrays sized to
-// the main-fragment scans the executor actually issues. Emits
-// BENCH_kernels.json with rows/sec per kernel and the simd/scalar
-// speedup so regressions in either path are visible across commits.
+// Measures the interval-set filter / refine kernels (over dictionary codes
+// and int64 values) and the gathers in isolation, SIMD dispatch vs the
+// scalar reference, on arrays sized to the main-fragment scans the
+// executor actually issues. Emits BENCH_kernels.json with rows/sec per
+// kernel and the simd/scalar speedup so regressions in either path are
+// visible across commits.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -70,46 +72,61 @@ int main() {
               kernels::SimdCompiled() ? "yes" : "no",
               kernels::SimdEnabled() ? "yes" : "no");
 
-  // Selectivities: Eq ~0.1% (one code), Range ~30%, Int64 ~50%.
-  const int32_t eq_code = 17;
-  const int32_t range_lo = 100, range_hi = 399;
-  const int64_t int_lit = 500'000;
+  // Every filter is an interval set (kernels.h). Selectivities: eq ~0.1%
+  // (one code), range ~30%, set ~15% (three code intervals), null ~2%,
+  // int64 ~50%.
+  auto set_of = [](const std::vector<int64_t>& lo,
+                   const std::vector<int64_t>& hi, bool match_null) {
+    return kernels::IntervalSet{lo.data(), hi.data(), lo.size(), match_null};
+  };
+  const std::vector<int64_t> eq_lo{17}, eq_hi{17};
+  const std::vector<int64_t> range_lo{100}, range_hi{399};
+  const std::vector<int64_t> set_lo{10, 400, 800}, set_hi{59, 449, 849};
+  const std::vector<int64_t> none;
+  const std::vector<int64_t> lt_lo{std::numeric_limits<int64_t>::min()},
+      lt_hi{499'999};
+  const std::vector<int64_t> ge_lo{500'000},
+      ge_hi{std::numeric_limits<int64_t>::max()};
+  const kernels::IntervalSet eq = set_of(eq_lo, eq_hi, false);
+  const kernels::IntervalSet range = set_of(range_lo, range_hi, false);
+  const kernels::IntervalSet set = set_of(set_lo, set_hi, false);
+  const kernels::IntervalSet is_null = set_of(none, none, true);
+  const kernels::IntervalSet lt = set_of(lt_lo, lt_hi, false);
+  const kernels::IntervalSet ge = set_of(ge_lo, ge_hi, false);
 
   std::vector<KernelCase> cases;
   cases.push_back({"filter_codes_eq", kRows, [&] {
-                     kernels::FilterCodesEq(fx.codes.data(), kRows, eq_code,
-                                            fx.out.data());
+                     kernels::FilterCodes(fx.codes.data(), kRows, eq,
+                                          fx.out.data());
                    }});
   cases.push_back({"filter_codes_range", kRows, [&] {
-                     kernels::FilterCodesRange(fx.codes.data(), kRows,
-                                               range_lo, range_hi,
-                                               fx.out.data());
+                     kernels::FilterCodes(fx.codes.data(), kRows, range,
+                                          fx.out.data());
+                   }});
+  cases.push_back({"filter_codes_set", kRows, [&] {
+                     kernels::FilterCodes(fx.codes.data(), kRows, set,
+                                          fx.out.data());
                    }});
   cases.push_back({"filter_codes_null", kRows, [&] {
-                     kernels::FilterCodesNull(fx.codes.data(), kRows,
-                                              /*negated=*/false,
-                                              fx.out.data());
+                     kernels::FilterCodes(fx.codes.data(), kRows, is_null,
+                                          fx.out.data());
                    }});
   cases.push_back({"filter_int64_lt", kRows, [&] {
                      kernels::FilterInt64(fx.vals.data(), fx.validity.data(),
-                                          kRows, kernels::CmpOp::kLt, int_lit,
-                                          fx.out.data());
+                                          kRows, lt, fx.out.data());
                    }});
   cases.push_back({"refine_codes_range", fx.sel_half.size(), [&] {
                      std::copy(fx.sel_half.begin(), fx.sel_half.end(),
                                fx.scratch.begin());
-                     kernels::RefineCodesRange(fx.codes.data(),
-                                               fx.scratch.data(),
-                                               fx.sel_half.size(), range_lo,
-                                               range_hi);
+                     kernels::RefineCodes(fx.codes.data(), fx.scratch.data(),
+                                          fx.sel_half.size(), range);
                    }});
   cases.push_back({"refine_int64_ge", fx.sel_half.size(), [&] {
                      std::copy(fx.sel_half.begin(), fx.sel_half.end(),
                                fx.scratch.begin());
                      kernels::RefineInt64(fx.vals.data(), fx.validity.data(),
                                           fx.scratch.data(),
-                                          fx.sel_half.size(),
-                                          kernels::CmpOp::kGe, int_lit);
+                                          fx.sel_half.size(), ge);
                    }});
   cases.push_back({"gather_int64", fx.sel_half.size(), [&] {
                      kernels::GatherInt64(fx.vals.data(), fx.sel_half.data(),

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -79,37 +80,29 @@ size_t KeepRows(const SelectionVector& sel, Chunk* chunk) {
 
 // ---------------------------------------------------------------------------
 // Compressed scan filters (DESIGN.md §13). Conjuncts of the Filter stack
-// directly above a Scan see unmodified scan columns, so predicates over
-// string columns lower to dictionary-code compares (the main-fragment
-// dictionary is sorted: equality is one code, ranges and LIKE prefixes are
-// code intervals) and integer predicates lower to raw int64 compares. The
-// kernels in exec/kernels/ evaluate them on the fragment arrays before any
-// value is materialized; whatever cannot be lowered stays in a residual
-// expression evaluated on the survivors.
+// directly above a Scan see unmodified scan columns, so a predicate tree
+// over one string or integer-backed column lowers to an interval set over
+// that column's domain: dictionary codes of a string column (the
+// main-fragment dictionary is sorted, so equality is one code and ranges
+// and LIKE prefixes are code intervals) or the raw int64 values of an
+// integer-backed one. The kernels in exec/kernels/ evaluate the sets on
+// the fragment arrays before any value is materialized; whatever cannot be
+// lowered stays in a residual expression evaluated on the survivors.
 
+/// One lowered conjunct: rows of column `schema_idx` whose value lies in
+/// one of the sorted, disjoint, inclusive intervals [lo[j], hi[j]], or
+/// that are NULL when `match_null`.
 struct LoweredPred {
-  enum class Kind : uint8_t {
-    kCodeEq,     // string code == code
-    kCodeNe,     // non-NULL and code != code
-    kCodeRange,  // lo <= code <= hi (inclusive; never matches NULL)
-    kCodeNull,   // IS [NOT] NULL via the code sign bit
-    kCodeSet,    // code in a union of intervals, optionally matching NULL
-    kInt64Cmp,   // raw int64 compare against a literal
-    kNever,      // statically false (literal absent from the dictionary)
-  };
-  Kind kind;
-  size_t schema_idx = 0;   // column index in the table schema
-  int32_t code = 0;        // kCodeEq / kCodeNe target
-  int32_t lo = 0;          // kCodeRange bounds
-  int32_t hi = 0;
-  bool negated = false;    // kCodeNull: true = IS NOT NULL
-  kernels::CmpOp cmp = kernels::CmpOp::kEq;  // kInt64Cmp
-  int64_t literal = 0;                       // kInt64Cmp
-  // kCodeSet: parallel inclusive bounds, sorted and disjoint; the lowered
-  // form of OR / NOT LIKE trees over one string column.
-  std::vector<int32_t> set_lo;
-  std::vector<int32_t> set_hi;
-  bool match_null = false;  // kCodeSet: NULL codes match too
+  size_t schema_idx = 0;  // column index in the table schema
+  bool codes = false;     // string column: intervals over dictionary codes
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  bool match_null = false;
+
+  kernels::IntervalSet Set() const {
+    return {lo.data(), hi.data(), lo.size(), match_null};
+  }
+  bool MatchesNothing() const { return lo.empty() && !match_null; }
 };
 
 /// The bottom Filter run of a chain over a Scan, compiled once per run.
@@ -171,13 +164,14 @@ bool IsComparisonOp(BinaryOpKind op) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-tree lowering of boolean expressions over one string column
-// (DESIGN.md §13): OR-disjunctions, NOT LIKE, and arbitrary NOT/AND/OR
-// combinations of string comparisons reduce to a union of dictionary-code
-// intervals plus the tri-state value the tree takes on a NULL input. For a
-// non-NULL code every leaf below is definitely true or false, so AND/OR on
-// the value side are plain set intersection/union; only the NULL side needs
-// Kleene logic, and under a WHERE conjunct NULL collapses to false.
+// Whole-tree lowering (DESIGN.md §13): any NOT/AND/OR tree of comparisons
+// and IS [NOT] NULL (and, over a string column, LIKE) whose leaves all
+// read one scan column reduces to an interval set over that column's
+// domain plus the tri-state value the tree takes on a NULL input. For a
+// non-NULL value every leaf is definitely true or false, so AND/OR on the
+// value side are plain set intersection/union and NOT is the complement
+// within the domain; only the NULL side needs Kleene logic, and under a
+// WHERE conjunct NULL collapses to false.
 
 enum class TriState : uint8_t { kFalse, kTrue, kNull };
 
@@ -198,47 +192,61 @@ TriState Or3(TriState a, TriState b) {
   return TriState::kNull;
 }
 
-/// Result of evaluating a predicate tree per dictionary code: the codes it
-/// matches (sorted, disjoint, inclusive intervals) and its tri-state result
-/// when the column value is NULL.
-struct CodeSet {
-  std::vector<std::pair<int32_t, int32_t>> intervals;
+using Interval = std::pair<int64_t, int64_t>;  // inclusive
+
+/// Result of evaluating a predicate tree per domain value: the values it
+/// matches (sorted, disjoint, inclusive intervals) and its tri-state
+/// result when the column value is NULL.
+struct ValueSet {
+  std::vector<Interval> intervals;
   TriState on_null = TriState::kNull;
 };
 
+/// The one column a tree reads, pinned by its first leaf, and its domain
+/// [lo, hi]: the codes [0, dictionary size - 1] of a string column, every
+/// int64 of an integer-backed one.
+struct TreeColumn {
+  int idx = -1;
+  const DataType* type = nullptr;
+  const std::vector<std::string>* dict = nullptr;  // string columns only
+  int64_t lo = 0;
+  int64_t hi = -1;
+};
+
 /// Coalesces a sorted interval list in place (overlapping or adjacent
-/// integer intervals merge: [0,2] ∪ [3,5] = [0,5]).
-void CoalesceIntervals(std::vector<std::pair<int32_t, int32_t>>* ivs) {
+/// integer intervals merge: [0,2] ∪ [3,5] = [0,5]). `first - 1` runs only
+/// when first > the previous end, so it cannot wrap at INT64_MIN.
+void CoalesceIntervals(std::vector<Interval>* ivs) {
   size_t m = 0;
   for (size_t i = 0; i < ivs->size(); ++i) {
-    if (m > 0 && (*ivs)[i].first <= (*ivs)[m - 1].second + 1) {
-      (*ivs)[m - 1].second = std::max((*ivs)[m - 1].second, (*ivs)[i].second);
+    const Interval& cur = (*ivs)[i];
+    if (m > 0 && (cur.first <= (*ivs)[m - 1].second ||
+                  cur.first - 1 == (*ivs)[m - 1].second)) {
+      (*ivs)[m - 1].second = std::max((*ivs)[m - 1].second, cur.second);
     } else {
-      (*ivs)[m++] = (*ivs)[i];
+      (*ivs)[m++] = cur;
     }
   }
   ivs->resize(m);
 }
 
-std::vector<std::pair<int32_t, int32_t>> UnionIntervals(
-    const std::vector<std::pair<int32_t, int32_t>>& a,
-    const std::vector<std::pair<int32_t, int32_t>>& b) {
-  std::vector<std::pair<int32_t, int32_t>> out;
+std::vector<Interval> UnionIntervals(const std::vector<Interval>& a,
+                                     const std::vector<Interval>& b) {
+  std::vector<Interval> out;
   out.reserve(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   CoalesceIntervals(&out);
   return out;
 }
 
-std::vector<std::pair<int32_t, int32_t>> IntersectIntervals(
-    const std::vector<std::pair<int32_t, int32_t>>& a,
-    const std::vector<std::pair<int32_t, int32_t>>& b) {
-  std::vector<std::pair<int32_t, int32_t>> out;
+std::vector<Interval> IntersectIntervals(const std::vector<Interval>& a,
+                                         const std::vector<Interval>& b) {
+  std::vector<Interval> out;
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
-    const int32_t lo = std::max(a[i].first, b[j].first);
-    const int32_t hi = std::min(a[i].second, b[j].second);
+    const int64_t lo = std::max(a[i].first, b[j].first);
+    const int64_t hi = std::min(a[i].second, b[j].second);
     if (lo <= hi) out.emplace_back(lo, hi);
     if (a[i].second < b[j].second) {
       ++i;
@@ -249,97 +257,124 @@ std::vector<std::pair<int32_t, int32_t>> IntersectIntervals(
   return out;
 }
 
-/// Complement within the code domain [0, size-1].
-std::vector<std::pair<int32_t, int32_t>> ComplementIntervals(
-    const std::vector<std::pair<int32_t, int32_t>>& a, int32_t size) {
-  std::vector<std::pair<int32_t, int32_t>> out;
-  int32_t next = 0;
-  for (const auto& iv : a) {
+/// Complement within the domain [lo, hi]. Steps past an interval only
+/// while it ends below hi, so neither end of the int64 range wraps.
+std::vector<Interval> ComplementIntervals(const std::vector<Interval>& a,
+                                          int64_t lo, int64_t hi) {
+  std::vector<Interval> out;
+  int64_t next = lo;  // smallest domain value not yet covered
+  for (const Interval& iv : a) {
     if (iv.first > next) out.emplace_back(next, iv.first - 1);
+    if (iv.second >= hi) return out;
     next = iv.second + 1;
   }
-  if (next <= size - 1) out.emplace_back(next, size - 1);
+  if (next <= hi) out.emplace_back(next, hi);
   return out;
 }
 
-/// Interval form of `<col> <cmp> <literal>` against the sorted dictionary:
-/// every case is one code, one code interval, or all codes but one.
-void CompareToIntervals(BinaryOpKind op,
-                        const std::vector<std::string>& dict,
-                        const std::string& s, CodeSet* set) {
-  set->on_null = TriState::kNull;
-  const int32_t size = static_cast<int32_t>(dict.size());
-  const int32_t lb = static_cast<int32_t>(
-      std::lower_bound(dict.begin(), dict.end(), s) - dict.begin());
-  const bool present = lb < size && dict[static_cast<size_t>(lb)] == s;
-  const int32_t ub = present ? lb + 1 : lb;
-  int32_t lo = 0;
-  int32_t hi = -1;
-  switch (op) {
-    case BinaryOpKind::kEq:
-      if (present) {
-        lo = lb;
-        hi = lb;
-      }
-      break;
-    case BinaryOpKind::kNotEq:
-      if (present) {
-        if (lb > 0) set->intervals.emplace_back(0, lb - 1);
-        if (lb + 1 <= size - 1) set->intervals.emplace_back(lb + 1, size - 1);
-        return;
-      }
-      lo = 0;
-      hi = size - 1;
-      break;
-    case BinaryOpKind::kLess:
-      lo = 0;
-      hi = lb - 1;
-      break;
-    case BinaryOpKind::kLessEq:
-      lo = 0;
-      hi = ub - 1;
-      break;
-    case BinaryOpKind::kGreater:
-      lo = ub;
-      hi = size - 1;
-      break;
-    default:  // kGreaterEq
-      lo = lb;
-      hi = size - 1;
-      break;
-  }
-  if (lo <= hi) set->intervals.emplace_back(lo, hi);
+/// The domain values at or above `from` (none when from > hi).
+std::vector<Interval> AtOrAbove(int64_t from, const TreeColumn& tc) {
+  if (from > tc.hi) return {};
+  return {{from, tc.hi}};
 }
 
-/// Resolves a leaf's column reference: must be a scan column of string
-/// type, and every leaf in the tree must name the same column.
+/// Interval form of `<col> <op> <literal>`, where `pos` is the literal's
+/// place in the domain: the value itself when `present`, else the first
+/// domain value above it (an absent string's dictionary lower bound).
+/// `=`, `>=` and `>` are at most one interval; `<>`, `<` and `<=` are their
+/// complements.
+void CompareToIntervals(BinaryOpKind op, int64_t pos, bool present,
+                        const TreeColumn& tc, ValueSet* set) {
+  set->on_null = TriState::kNull;
+  std::vector<Interval> eq;
+  if (present) eq.emplace_back(pos, pos);
+  std::vector<Interval> above;  // values > literal
+  if (!present) {
+    above = AtOrAbove(pos, tc);
+  } else if (pos < tc.hi) {
+    above = AtOrAbove(pos + 1, tc);
+  }
+  switch (op) {
+    case BinaryOpKind::kEq:
+      set->intervals = std::move(eq);
+      break;
+    case BinaryOpKind::kNotEq:
+      set->intervals = ComplementIntervals(eq, tc.lo, tc.hi);
+      break;
+    case BinaryOpKind::kGreater:
+      set->intervals = std::move(above);
+      break;
+    case BinaryOpKind::kGreaterEq:
+      set->intervals = AtOrAbove(pos, tc);
+      break;
+    case BinaryOpKind::kLess:
+      set->intervals = ComplementIntervals(AtOrAbove(pos, tc), tc.lo, tc.hi);
+      break;
+    default:  // kLessEq
+      set->intervals = ComplementIntervals(above, tc.lo, tc.hi);
+      break;
+  }
+}
+
+/// Resolves a leaf's column reference: a scan column of string or
+/// integer-backed type, and the same column for every leaf of the tree.
 bool ResolveTreeColumn(const ColumnRefExpr* col, const ScanOp& scan,
-                       const TableSnapshot& table, int* col_idx) {
+                       const TableSnapshot& table, TreeColumn* tc) {
   if (col == nullptr) return false;
   const int idx = FindScanColumn(scan, col->name());
   if (idx < 0) return false;
-  if (table.schema->column(static_cast<size_t>(idx)).type.id !=
-      TypeId::kString) {
+  if (tc->idx >= 0) return tc->idx == idx;
+  const DataType& type = table.schema->column(static_cast<size_t>(idx)).type;
+  if (type.id == TypeId::kString) {
+    tc->dict = table.main_column(static_cast<size_t>(idx)).dictionary.get();
+    tc->lo = 0;
+    tc->hi = static_cast<int64_t>(tc->dict->size()) - 1;
+  } else if (type.IsIntegerBacked()) {
+    tc->lo = std::numeric_limits<int64_t>::min();
+    tc->hi = std::numeric_limits<int64_t>::max();
+  } else {
     return false;
   }
-  if (*col_idx >= 0 && *col_idx != idx) return false;
-  *col_idx = idx;
+  tc->idx = idx;
+  tc->type = &type;
   return true;
 }
 
-/// Recursively lowers a boolean tree to a CodeSet. Returns false when any
+/// Places a comparison literal in the tree column's domain. Only literals
+/// EvalBinary compares without raising lower: non-NULL, and a string
+/// against a string column or an integer-backed value of the column's
+/// scale against an integer-backed column.
+bool LocateLiteral(const LiteralExpr* lit, const TreeColumn& tc,
+                   int64_t* pos, bool* present) {
+  if (lit == nullptr || lit->value().is_null()) return false;
+  const DataType& lt = lit->value().type();
+  if (tc.dict != nullptr) {
+    if (lt.id != TypeId::kString) return false;
+    const std::string& s = lit->value().AsString();
+    const auto it = std::lower_bound(tc.dict->begin(), tc.dict->end(), s);
+    *pos = it - tc.dict->begin();
+    *present = it != tc.dict->end() && *it == s;
+    return true;
+  }
+  if (!lt.IsIntegerBacked() || lt.scale != tc.type->scale) return false;
+  *pos = lit->value().AsInt64();  // raw storage for all integer-backed
+  *present = true;
+  return true;
+}
+
+/// Recursively lowers a boolean tree to a ValueSet. Returns false when any
 /// node falls outside the supported shape (the conjunct then stays in the
-/// residual). `*col_idx` starts at -1 and is pinned by the first leaf.
-bool BuildCodeSet(const ExprRef& e, const ScanOp& scan,
-                  const TableSnapshot& table,
-                  int* col_idx, CodeSet* set) {
+/// residual). `tc` starts unpinned and is pinned by the first leaf.
+bool BuildValueSet(const ExprRef& e, const ScanOp& scan,
+                   const TableSnapshot& table, TreeColumn* tc,
+                   ValueSet* set) {
   if (e->kind() == ExprKind::kBinary) {
     const auto& bin = static_cast<const BinaryExpr&>(*e);
     if (bin.op() == BinaryOpKind::kAnd || bin.op() == BinaryOpKind::kOr) {
-      CodeSet lhs;
-      CodeSet rhs;
-      if (!BuildCodeSet(bin.left(), scan, table, col_idx, &lhs) ||
-          !BuildCodeSet(bin.right(), scan, table, col_idx, &rhs)) {
+      ValueSet lhs;
+      ValueSet rhs;
+      if (!BuildValueSet(bin.left(), scan, table, tc, &lhs) ||
+          !BuildValueSet(bin.right(), scan, table, tc, &rhs)) {
         return false;
       }
       if (bin.op() == BinaryOpKind::kAnd) {
@@ -360,38 +395,31 @@ bool BuildCodeSet(const ExprRef& e, const ScanOp& scan,
       lit = AsLiteral(bin.left());
       op = FlipComparison(op);
     }
-    if (lit == nullptr || lit->value().is_null() ||
-        lit->value().type().id != TypeId::kString) {
+    int64_t pos = 0;
+    bool present = false;
+    if (!ResolveTreeColumn(col, scan, table, tc) ||
+        !LocateLiteral(lit, *tc, &pos, &present)) {
       return false;
     }
-    if (!ResolveTreeColumn(col, scan, table, col_idx)) return false;
-    CompareToIntervals(
-        op, *table.main_column(static_cast<size_t>(*col_idx)).dictionary,
-        lit->value().AsString(), set);
+    CompareToIntervals(op, pos, present, *tc, set);
     return true;
   }
   if (e->kind() == ExprKind::kUnary) {
     const auto& un = static_cast<const UnaryExpr&>(*e);
     if (un.op() != UnaryOpKind::kNot) return false;
-    CodeSet inner;
-    if (!BuildCodeSet(un.operand(), scan, table, col_idx, &inner)) {
-      return false;
-    }
-    const int32_t size = static_cast<int32_t>(
-        table.main_column(static_cast<size_t>(*col_idx)).dictionary->size());
-    set->intervals = ComplementIntervals(inner.intervals, size);
+    ValueSet inner;
+    if (!BuildValueSet(un.operand(), scan, table, tc, &inner)) return false;
+    set->intervals = ComplementIntervals(inner.intervals, tc->lo, tc->hi);
     set->on_null = Not3(inner.on_null);
     return true;
   }
   if (e->kind() == ExprKind::kIsNull) {
     const auto& isn = static_cast<const IsNullExpr&>(*e);
-    if (!ResolveTreeColumn(AsColumnRef(isn.operand()), scan, table, col_idx)) {
+    if (!ResolveTreeColumn(AsColumnRef(isn.operand()), scan, table, tc)) {
       return false;
     }
-    const int32_t size = static_cast<int32_t>(
-        table.main_column(static_cast<size_t>(*col_idx)).dictionary->size());
     if (isn.negated()) {
-      if (size > 0) set->intervals.emplace_back(0, size - 1);
+      set->intervals = AtOrAbove(tc->lo, *tc);  // every non-NULL value
       set->on_null = TriState::kFalse;
     } else {
       set->on_null = TriState::kTrue;
@@ -406,193 +434,70 @@ bool BuildCodeSet(const ExprRef& e, const ScanOp& scan,
         lit->value().type().id != TypeId::kString) {
       return false;
     }
-    if (!ResolveTreeColumn(AsColumnRef(fn.children()[0]), scan, table,
-                           col_idx)) {
+    if (!ResolveTreeColumn(AsColumnRef(fn.children()[0]), scan, table, tc) ||
+        tc->dict == nullptr) {
       return false;
     }
-    const auto& dict =
-        *table.main_column(static_cast<size_t>(*col_idx)).dictionary;
-    const int32_t size = static_cast<int32_t>(dict.size());
+    const std::vector<std::string>& dict = *tc->dict;
     const std::string& pat = lit->value().AsString();
     const size_t wild = pat.find_first_of("%_");
     set->on_null = TriState::kNull;
     if (wild == std::string::npos) {
-      CompareToIntervals(BinaryOpKind::kEq, dict, pat, set);
+      int64_t pos = 0;
+      bool present = false;
+      LocateLiteral(lit, *tc, &pos, &present);
+      CompareToIntervals(BinaryOpKind::kEq, pos, present, *tc, set);
       return true;
     }
     if (wild != pat.size() - 1 || pat.back() != '%') return false;
+    // `x LIKE 'prefix%'`: the dictionary's prefix partition (every
+    // non-NULL value for a bare '%').
     const std::string prefix = pat.substr(0, pat.size() - 1);
-    if (prefix.empty()) {
-      // `x LIKE '%'`: every non-NULL value.
-      if (size > 0) set->intervals.emplace_back(0, size - 1);
-      return true;
-    }
     auto begin_it = std::lower_bound(dict.begin(), dict.end(), prefix);
     auto end_it = std::partition_point(
         begin_it, dict.end(), [&](const std::string& s) {
           return s.compare(0, prefix.size(), prefix) == 0;
         });
     if (begin_it != end_it) {
-      set->intervals.emplace_back(
-          static_cast<int32_t>(begin_it - dict.begin()),
-          static_cast<int32_t>(end_it - dict.begin()) - 1);
+      set->intervals.emplace_back(begin_it - dict.begin(),
+                                  (end_it - dict.begin()) - 1);
     }
     return true;
   }
   return false;
 }
 
-/// Lowers a whole boolean tree over one string column to a single kernel
-/// predicate. Under a WHERE conjunct NULL collapses to false, so the
-/// CodeSet's NULL side contributes matches only when definitely true.
-/// Degenerate sets normalize to the cheaper single-predicate kinds.
-bool LowerStringTree(const ExprRef& e, const ScanOp& scan,
-                     const TableSnapshot& table,
-                     std::vector<LoweredPred>* out) {
-  int col_idx = -1;
-  CodeSet set;
-  if (!BuildCodeSet(e, scan, table, &col_idx, &set) || col_idx < 0) {
-    return false;
-  }
-  const int32_t size = static_cast<int32_t>(
-      table.main_column(static_cast<size_t>(col_idx)).dictionary->size());
-  const bool match_null = set.on_null == TriState::kTrue;
-  LoweredPred p;
-  p.schema_idx = static_cast<size_t>(col_idx);
-  if (set.intervals.empty()) {
-    if (match_null) {
-      p.kind = LoweredPred::Kind::kCodeNull;  // NULL rows only
-    } else {
-      p.kind = LoweredPred::Kind::kNever;
-    }
-    out->push_back(p);
-    return true;
-  }
-  const bool full = set.intervals.size() == 1 && set.intervals[0].first == 0 &&
-                    set.intervals[0].second == size - 1;
-  if (full) {
-    if (match_null) return true;  // tautology over this column: no predicate
-    p.kind = LoweredPred::Kind::kCodeNull;
-    p.negated = true;  // every non-NULL row
-    out->push_back(p);
-    return true;
-  }
-  if (set.intervals.size() == 2 && !match_null &&
-      set.intervals[0] == std::make_pair(0, set.intervals[1].first - 2) &&
-      set.intervals[1].second == size - 1) {
-    p.kind = LoweredPred::Kind::kCodeNe;  // every code but one
-    p.code = set.intervals[1].first - 1;
-    out->push_back(p);
-    return true;
-  }
-  if (set.intervals.size() == 1 && !match_null) {
-    if (set.intervals[0].first == set.intervals[0].second) {
-      p.kind = LoweredPred::Kind::kCodeEq;
-      p.code = set.intervals[0].first;
-    } else {
-      p.kind = LoweredPred::Kind::kCodeRange;
-      p.lo = set.intervals[0].first;
-      p.hi = set.intervals[0].second;
-    }
-    out->push_back(p);
-    return true;
-  }
-  p.kind = LoweredPred::Kind::kCodeSet;
-  p.match_null = match_null;
-  p.set_lo.reserve(set.intervals.size());
-  p.set_hi.reserve(set.intervals.size());
-  for (const auto& iv : set.intervals) {
-    p.set_lo.push_back(iv.first);
-    p.set_hi.push_back(iv.second);
-  }
-  out->push_back(p);
-  return true;
-}
-
-/// Attempts to lower one conjunct to a kernel predicate. Returns false to
+/// Attempts to lower one conjunct to an interval set. Returns false to
 /// leave it in the residual. Lowering must be *exactly* EvalBinary's
-/// semantics (expr/eval.cc), so only the cases that cannot raise are
-/// taken: trees over one string column against string literals (same
-/// types — no TypeError possible) and integer-backed columns compared at
-/// equal scale. NULL literals, double/mixed-scale comparisons, and
-/// anything non-trivial stay residual — and the residual is evaluated even
-/// for zero survivors, so row-independent type errors surface exactly as
-/// on the generic path.
+/// semantics (expr/eval.cc), so only trees whose every leaf cannot raise
+/// are taken (see LocateLiteral); double columns, NULL literals and
+/// mixed-scale comparisons stay residual — and the residual is evaluated
+/// even for zero survivors, so row-independent type errors surface exactly
+/// as on the generic path. Under a WHERE conjunct a NULL row matches only
+/// when the tree is definitely true on NULL. The compressed path scans the
+/// main fragment only, so an integer column without validity bytes has no
+/// NULL to match, and a set covering its whole domain lowers to nothing.
 bool LowerConjunct(const ExprRef& e, const ScanOp& scan,
                    const TableSnapshot& table,
                    std::vector<LoweredPred>* out) {
-  if (LowerStringTree(e, scan, table, out)) return true;
-  if (e->kind() == ExprKind::kBinary) {
-    const auto& bin = static_cast<const BinaryExpr&>(*e);
-    if (!IsComparisonOp(bin.op())) return false;
-    const ColumnRefExpr* col = AsColumnRef(bin.left());
-    const LiteralExpr* lit = AsLiteral(bin.right());
-    BinaryOpKind op = bin.op();
-    if (col == nullptr) {
-      col = AsColumnRef(bin.right());
-      lit = AsLiteral(bin.left());
-      op = FlipComparison(op);
-    }
-    if (col == nullptr || lit == nullptr || lit->value().is_null()) {
-      return false;
-    }
-    int idx = FindScanColumn(scan, col->name());
-    if (idx < 0) return false;
-    const DataType& ct = table.schema->column(static_cast<size_t>(idx)).type;
-    const DataType& lt = lit->value().type();
-    if (!ct.IsIntegerBacked() || !lt.IsIntegerBacked() || ct.scale != lt.scale) {
-      return false;
-    }
-    LoweredPred p;
-    p.kind = LoweredPred::Kind::kInt64Cmp;
-    p.schema_idx = static_cast<size_t>(idx);
-    p.literal = lit->value().AsInt64();  // raw storage for all int-backed
-    switch (op) {
-      case BinaryOpKind::kEq:
-        p.cmp = kernels::CmpOp::kEq;
-        break;
-      case BinaryOpKind::kNotEq:
-        p.cmp = kernels::CmpOp::kNe;
-        break;
-      case BinaryOpKind::kLess:
-        p.cmp = kernels::CmpOp::kLt;
-        break;
-      case BinaryOpKind::kLessEq:
-        p.cmp = kernels::CmpOp::kLe;
-        break;
-      case BinaryOpKind::kGreater:
-        p.cmp = kernels::CmpOp::kGt;
-        break;
-      default:
-        p.cmp = kernels::CmpOp::kGe;
-        break;
-    }
-    out->push_back(p);
-    return true;
+  TreeColumn tc;
+  ValueSet set;
+  if (!BuildValueSet(e, scan, table, &tc, &set) || tc.idx < 0) return false;
+  LoweredPred p;
+  p.schema_idx = static_cast<size_t>(tc.idx);
+  p.codes = tc.dict != nullptr;
+  const bool nulls =
+      p.codes || !table.main_column(p.schema_idx).validity.empty();
+  p.match_null = nulls && set.on_null == TriState::kTrue;
+  const bool whole_domain =
+      set.intervals.size() == 1 && set.intervals[0] == Interval(tc.lo, tc.hi);
+  if (whole_domain && (p.match_null || !nulls)) return true;  // tautology
+  for (const Interval& iv : set.intervals) {
+    p.lo.push_back(iv.first);
+    p.hi.push_back(iv.second);
   }
-  if (e->kind() == ExprKind::kIsNull) {
-    // Non-string (string columns lowered above): the main fragment's
-    // validity emptiness decides statically (fragments are immutable
-    // during execution).
-    const auto& isn = static_cast<const IsNullExpr&>(*e);
-    const ColumnRefExpr* col = AsColumnRef(isn.operand());
-    if (col == nullptr) return false;
-    int idx = FindScanColumn(scan, col->name());
-    if (idx < 0 ||
-        !table.main_column(static_cast<size_t>(idx)).validity.empty()) {
-      return false;
-    }
-    if (!isn.negated()) {
-      LoweredPred p;
-      p.kind = LoweredPred::Kind::kNever;
-      p.schema_idx = static_cast<size_t>(idx);
-      out->push_back(p);
-    }
-    // IS NOT NULL over an all-valid column is vacuously true: lower to
-    // nothing at all.
-    return true;
-  }
-  return false;
+  out->push_back(std::move(p));
+  return true;
 }
 
 /// Compiles the contiguous Filter run directly above the Scan (the end of
@@ -743,66 +648,35 @@ class ExecutorImpl {
                           Chunk* out_chunk, uint64_t* gathered) {
     const size_t n = end - begin;
     SelectionVector sel;
-    bool never = false;
-    for (const LoweredPred& p : cf.lowered) {
-      if (p.kind == LoweredPred::Kind::kNever) never = true;
-    }
-    // The first predicate filters the morsel into `sel`; the rest refine
-    // it. A statically-false conjunct selects nothing.
-    for (size_t i = 0; i < cf.lowered.size() && !never; ++i) {
+    // The first set filters the morsel into `sel`; the rest refine it. A
+    // set that matches nothing selects nothing.
+    const bool none = std::any_of(cf.lowered.begin(), cf.lowered.end(),
+                                  [](const LoweredPred& p) {
+                                    return p.MatchesNothing();
+                                  });
+    for (size_t i = 0; i < cf.lowered.size() && !none; ++i) {
       const LoweredPred& p = cf.lowered[i];
       const bool first = i == 0;
       if (!first && sel.empty()) break;
       const MainColumn& mc = table.main_column(p.schema_idx);
-      // Codes are stored as uint32 with kNullCode = 0xFFFFFFFF; the
-      // kernels read them as int32 where negative means NULL (the
-      // static_assert in table.cc pins the bit pattern).
-      const int32_t* codes =
-          reinterpret_cast<const int32_t*>(mc.codes.data()) + begin;
-      const int64_t* ints = mc.ints.data() + begin;
-      const uint8_t* valid =
-          mc.validity.empty() ? nullptr : mc.validity.data() + begin;
+      const kernels::IntervalSet set = p.Set();
       if (first) sel.resize(n);
       uint32_t* out = sel.data();
       const size_t k = sel.size();
-      switch (p.kind) {
-        case LoweredPred::Kind::kCodeEq:
-          sel.resize(first ? kernels::FilterCodesEq(codes, n, p.code, out)
-                           : kernels::RefineCodesEq(codes, out, k, p.code));
-          break;
-        case LoweredPred::Kind::kCodeNe:
-          sel.resize(first ? kernels::FilterCodesNe(codes, n, p.code, out)
-                           : kernels::RefineCodesNe(codes, out, k, p.code));
-          break;
-        case LoweredPred::Kind::kCodeRange:
-          sel.resize(first ? kernels::FilterCodesRange(codes, n, p.lo, p.hi,
-                                                       out)
-                           : kernels::RefineCodesRange(codes, out, k, p.lo,
-                                                       p.hi));
-          break;
-        case LoweredPred::Kind::kCodeNull:
-          sel.resize(first ? kernels::FilterCodesNull(codes, n, p.negated,
-                                                      out)
-                           : kernels::RefineCodesNull(codes, out, k,
-                                                      p.negated));
-          break;
-        case LoweredPred::Kind::kCodeSet:
-          sel.resize(first ? kernels::FilterCodesIntervalUnion(
-                                 codes, n, p.set_lo.data(), p.set_hi.data(),
-                                 p.set_lo.size(), p.match_null, out)
-                           : kernels::RefineCodesIntervalUnion(
-                                 codes, out, k, p.set_lo.data(),
-                                 p.set_hi.data(), p.set_lo.size(),
-                                 p.match_null));
-          break;
-        case LoweredPred::Kind::kInt64Cmp:
-          sel.resize(first ? kernels::FilterInt64(ints, valid, n, p.cmp,
-                                                  p.literal, out)
-                           : kernels::RefineInt64(ints, valid, out, k, p.cmp,
-                                                  p.literal));
-          break;
-        case LoweredPred::Kind::kNever:
-          break;
+      if (p.codes) {
+        // Codes are stored as uint32 with kNullCode = 0xFFFFFFFF; the
+        // kernels read them as int32 where negative means NULL (the
+        // static_assert in table.cc pins the bit pattern).
+        const int32_t* codes =
+            reinterpret_cast<const int32_t*>(mc.codes.data()) + begin;
+        sel.resize(first ? kernels::FilterCodes(codes, n, set, out)
+                         : kernels::RefineCodes(codes, out, k, set));
+      } else {
+        const int64_t* ints = mc.ints.data() + begin;
+        const uint8_t* valid =
+            mc.validity.empty() ? nullptr : mc.validity.data() + begin;
+        sel.resize(first ? kernels::FilterInt64(ints, valid, n, set, out)
+                         : kernels::RefineInt64(ints, valid, out, k, set));
       }
     }
 
@@ -1160,9 +1034,14 @@ class ExecutorImpl {
   /// row) order; without a hash table (no equi key) every build row
   /// matches. The residual then drops matches, a LEFT OUTER probe row left
   /// without one is null-extended, and at most the step's budget of rows
-  /// is kept: the caller needs only a prefix.
-  static Status ProbeStep(const Chain& chain, const ChainStep& step,
-                          const Level& in, Batch* b) {
+  /// is kept: the caller needs only a prefix. The match vectors grow with
+  /// the join's fan-out, not with the morsel, so each doubling is charged
+  /// to the query before it is allocated and the governor is polled every
+  /// kMatchPollStep matches: a budget or CANCEL stops a runaway probe
+  /// inside the morsel. The charge ends with the step; RunWaves charges
+  /// the row indexes the batch keeps.
+  Status ProbeStep(const Chain& chain, const ChainStep& step,
+                   const Level& in, Batch* b) {
     const size_t n = b->n;
     std::vector<size_t> lrows, rrows, matches;
     lrows.reserve(n);
@@ -1184,12 +1063,29 @@ class ExecutorImpl {
       prober.emplace(*step.table);
       prober->Bind(&key_cols);
     }
+    constexpr size_t kMatchPollStep = size_t{1} << 16;
+    ScopedMemoryCharge match_mem(&ctx_->memory());
+    size_t next_poll = kMatchPollStep;
     const size_t build_rows = step.build.NumRows();
     for (size_t l = 0; l < n; ++l) {
       size_t count = build_rows;
       if (prober.has_value()) {
         matches.clear();
         count = prober->ProbeRow(l, &matches);
+      }
+      const size_t need = lrows.size() + std::max<size_t>(count, 1);
+      if (need > lrows.capacity()) {
+        const size_t cap = std::max(need, 2 * lrows.capacity());
+        VDM_RETURN_NOT_OK(match_mem.Charge(static_cast<int64_t>(
+            2 * (cap - lrows.capacity()) * sizeof(size_t))));
+        lrows.reserve(cap);
+        rrows.reserve(cap);
+      }
+      if (need >= next_poll) {
+        next_poll = need + kMatchPollStep;
+        VDM_RETURN_NOT_OK(ctx_->CheckAlive());
+      }
+      if (prober.has_value()) {
         for (size_t r : matches) {
           lrows.push_back(l);
           rrows.push_back(r);

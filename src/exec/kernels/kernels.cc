@@ -28,51 +28,45 @@ bool CpuHasAvx2() {
 #endif
 }
 
-template <CmpOp Op>
-inline bool CmpInt64(int64_t v, int64_t lit) {
-  if constexpr (Op == CmpOp::kEq) return v == lit;
-  if constexpr (Op == CmpOp::kNe) return v != lit;
-  if constexpr (Op == CmpOp::kLt) return v < lit;
-  if constexpr (Op == CmpOp::kLe) return v <= lit;
-  if constexpr (Op == CmpOp::kGt) return v > lit;
-  return v >= lit;
-}
+// The row test of one interval set. v in [lo, hi] iff v - lo <= hi - lo
+// in modular uint64 arithmetic: one compare, defined over the whole int64
+// range (no signed overflow at the domain ends), and a negative NULL code
+// never fits a code interval. The first interval is held in members and
+// tested without a branch, as most lowered predicates have exactly one;
+// the rows' verdicts are combined with `&` / `|` for the same reason.
+class SetTest {
+ public:
+  explicit SetTest(const IntervalSet& set)
+      : set_(set),
+        lo0_(set.size > 0 ? static_cast<uint64_t>(set.lo[0]) : 0),
+        span0_(set.size > 0 ? static_cast<uint64_t>(set.hi[0]) - lo0_ : 0) {}
 
-template <CmpOp Op>
-size_t FilterInt64Impl(const int64_t* vals, const uint8_t* validity, size_t n,
-                       int64_t lit, uint32_t* out) {
-  size_t k = 0;
-  if (validity == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if (CmpInt64<Op>(vals[i], lit)) out[k++] = static_cast<uint32_t>(i);
+  bool Contains(int64_t v) const {
+    const uint64_t u = static_cast<uint64_t>(v);
+    bool hit = (set_.size > 0) & (u - lo0_ <= span0_);
+    for (size_t j = 1; j < set_.size; ++j) {
+      const uint64_t lo = static_cast<uint64_t>(set_.lo[j]);
+      hit |= u - lo <= static_cast<uint64_t>(set_.hi[j]) - lo;
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (validity[i] && CmpInt64<Op>(vals[i], lit)) {
-        out[k++] = static_cast<uint32_t>(i);
-      }
-    }
+    return hit;
   }
-  return k;
-}
 
-template <CmpOp Op>
-size_t RefineInt64Impl(const int64_t* vals, const uint8_t* validity,
-                       uint32_t* sel, size_t k, int64_t lit) {
-  size_t m = 0;
-  if (validity == nullptr) {
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t row = sel[i];
-      if (CmpInt64<Op>(vals[row], lit)) sel[m++] = row;
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t row = sel[i];
-      if (validity[row] && CmpInt64<Op>(vals[row], lit)) sel[m++] = row;
-    }
+  bool MatchesCode(int32_t c) const {
+    return Contains(c) | (set_.match_null & (c < 0));
   }
-  return m;
-}
+
+  // A NULL row matches iff the set matches NULL, whatever its stored value.
+  bool MatchesValue(const int64_t* vals, const uint8_t* validity,
+                    size_t i) const {
+    const bool valid = validity == nullptr || validity[i] != 0;
+    return (valid & Contains(vals[i])) | (!valid & set_.match_null);
+  }
+
+ private:
+  IntervalSet set_;
+  uint64_t lo0_;
+  uint64_t span0_;
+};
 
 }  // namespace
 
@@ -100,176 +94,52 @@ void SetSimdOverride(int force) {
 // ---------------------------------------------------------------------------
 namespace scalar {
 
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out) {
+  const SetTest test(set);
   size_t k = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (codes[i] == target) out[k++] = static_cast<uint32_t>(i);
-  }
-  return k;
-}
-
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (codes[i] >= 0 && codes[i] != target) {
-      out[k++] = static_cast<uint32_t>(i);
-    }
-  }
-  return k;
-}
-
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    // Unsigned trick: NULL (-1) wraps above any dictionary size, and
-    // (c - lo) <= (hi - lo) is the inclusive interval test.
-    if (static_cast<uint32_t>(codes[i] - lo) <=
-        static_cast<uint32_t>(hi - lo)) {
-      out[k++] = static_cast<uint32_t>(i);
-    }
-  }
-  return k;
-}
-
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out) {
-  size_t k = 0;
-  if (negated) {
-    for (size_t i = 0; i < n; ++i) {
-      if (codes[i] >= 0) out[k++] = static_cast<uint32_t>(i);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (codes[i] < 0) out[k++] = static_cast<uint32_t>(i);
-    }
-  }
-  return k;
-}
-
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t c = codes[i];
-    bool hit = match_null && c < 0;
-    for (size_t j = 0; j < num_intervals && !hit; ++j) {
-      // Same unsigned trick as FilterCodesRange: NULL wraps above any span.
-      hit = static_cast<uint32_t>(c - lo[j]) <=
-            static_cast<uint32_t>(hi[j] - lo[j]);
-    }
-    if (hit) out[k++] = static_cast<uint32_t>(i);
+    // Branch-free append: out has room for n entries and k <= i.
+    out[k] = static_cast<uint32_t>(i);
+    k += test.MatchesCode(codes[i]) ? 1 : 0;
   }
   return k;
 }
 
 size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out) {
-  switch (op) {
-    case CmpOp::kEq:
-      return FilterInt64Impl<CmpOp::kEq>(vals, validity, n, lit, out);
-    case CmpOp::kNe:
-      return FilterInt64Impl<CmpOp::kNe>(vals, validity, n, lit, out);
-    case CmpOp::kLt:
-      return FilterInt64Impl<CmpOp::kLt>(vals, validity, n, lit, out);
-    case CmpOp::kLe:
-      return FilterInt64Impl<CmpOp::kLe>(vals, validity, n, lit, out);
-    case CmpOp::kGt:
-      return FilterInt64Impl<CmpOp::kGt>(vals, validity, n, lit, out);
-    case CmpOp::kGe:
-      return FilterInt64Impl<CmpOp::kGe>(vals, validity, n, lit, out);
+                   const IntervalSet& set, uint32_t* out) {
+  const SetTest test(set);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[k] = static_cast<uint32_t>(i);
+    k += test.MatchesValue(vals, validity, i) ? 1 : 0;
   }
-  return 0;
+  return k;
 }
 
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set) {
+  const SetTest test(set);
   size_t m = 0;
   for (size_t i = 0; i < k; ++i) {
+    // Branch-free in-place compaction: m <= i, and sel[i] is already read.
     const uint32_t row = sel[i];
-    if (codes[row] == target) sel[m++] = row;
-  }
-  return m;
-}
-
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
-  size_t m = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const uint32_t row = sel[i];
-    if (codes[row] >= 0 && codes[row] != target) sel[m++] = row;
-  }
-  return m;
-}
-
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi) {
-  size_t m = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const uint32_t row = sel[i];
-    if (static_cast<uint32_t>(codes[row] - lo) <=
-        static_cast<uint32_t>(hi - lo)) {
-      sel[m++] = row;
-    }
-  }
-  return m;
-}
-
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated) {
-  size_t m = 0;
-  if (negated) {
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t row = sel[i];
-      if (codes[row] >= 0) sel[m++] = row;
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t row = sel[i];
-      if (codes[row] < 0) sel[m++] = row;
-    }
-  }
-  return m;
-}
-
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null) {
-  size_t m = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const uint32_t row = sel[i];
-    const int32_t c = codes[row];
-    bool hit = match_null && c < 0;
-    for (size_t j = 0; j < num_intervals && !hit; ++j) {
-      hit = static_cast<uint32_t>(c - lo[j]) <=
-            static_cast<uint32_t>(hi[j] - lo[j]);
-    }
-    if (hit) sel[m++] = row;
+    sel[m] = row;
+    m += test.MatchesCode(codes[row]) ? 1 : 0;
   }
   return m;
 }
 
 size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit) {
-  switch (op) {
-    case CmpOp::kEq:
-      return RefineInt64Impl<CmpOp::kEq>(vals, validity, sel, k, lit);
-    case CmpOp::kNe:
-      return RefineInt64Impl<CmpOp::kNe>(vals, validity, sel, k, lit);
-    case CmpOp::kLt:
-      return RefineInt64Impl<CmpOp::kLt>(vals, validity, sel, k, lit);
-    case CmpOp::kLe:
-      return RefineInt64Impl<CmpOp::kLe>(vals, validity, sel, k, lit);
-    case CmpOp::kGt:
-      return RefineInt64Impl<CmpOp::kGt>(vals, validity, sel, k, lit);
-    case CmpOp::kGe:
-      return RefineInt64Impl<CmpOp::kGe>(vals, validity, sel, k, lit);
+                   uint32_t* sel, size_t k, const IntervalSet& set) {
+  const SetTest test(set);
+  size_t m = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const uint32_t row = sel[i];
+    sel[m] = row;
+    m += test.MatchesValue(vals, validity, row) ? 1 : 0;
   }
-  return 0;
+  return m;
 }
 
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,
@@ -313,69 +183,24 @@ void GatherBytes(const uint8_t* src, const uint32_t* sel, size_t k,
 #define VDM_DISPATCH_VOID(fn, ...) scalar::fn(__VA_ARGS__)
 #endif
 
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
-  VDM_DISPATCH(FilterCodesEq, codes, n, target, out);
-}
-
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
-  VDM_DISPATCH(FilterCodesNe, codes, n, target, out);
-}
-
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out) {
-  VDM_DISPATCH(FilterCodesRange, codes, n, lo, hi, out);
-}
-
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out) {
-  VDM_DISPATCH(FilterCodesNull, codes, n, negated, out);
-}
-
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out) {
-  VDM_DISPATCH(FilterCodesIntervalUnion, codes, n, lo, hi, num_intervals,
-               match_null, out);
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out) {
+  VDM_DISPATCH(FilterCodes, codes, n, set, out);
 }
 
 size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out) {
-  VDM_DISPATCH(FilterInt64, vals, validity, n, op, lit, out);
+                   const IntervalSet& set, uint32_t* out) {
+  VDM_DISPATCH(FilterInt64, vals, validity, n, set, out);
 }
 
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
-  VDM_DISPATCH(RefineCodesEq, codes, sel, k, target);
-}
-
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
-  VDM_DISPATCH(RefineCodesNe, codes, sel, k, target);
-}
-
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi) {
-  VDM_DISPATCH(RefineCodesRange, codes, sel, k, lo, hi);
-}
-
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated) {
-  VDM_DISPATCH(RefineCodesNull, codes, sel, k, negated);
-}
-
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null) {
-  VDM_DISPATCH(RefineCodesIntervalUnion, codes, sel, k, lo, hi, num_intervals,
-               match_null);
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set) {
+  VDM_DISPATCH(RefineCodes, codes, sel, k, set);
 }
 
 size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit) {
-  VDM_DISPATCH(RefineInt64, vals, validity, sel, k, op, lit);
+                   uint32_t* sel, size_t k, const IntervalSet& set) {
+  VDM_DISPATCH(RefineInt64, vals, validity, sel, k, set);
 }
 
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,

@@ -1,27 +1,33 @@
 // Vectorized filter / gather kernels over dictionary codes and fixed-width
 // values (DESIGN.md §13). These are the leaves of the compressed execution
-// path: the executor lowers string predicates to code compares against the
-// sorted main-fragment dictionary, then runs these kernels on the raw
+// path: the executor lowers every scan predicate it can to one form, an
+// interval set (sorted dictionary codes for string columns, raw int64
+// values for integer-backed ones), then runs these kernels on the raw
 // fragment arrays before any value is materialized.
 //
-// Every kernel has a scalar reference implementation in `scalar::` and, when
-// compiled with VDMQO_SIMD (the default on x86-64), an AVX2 twin selected by
-// runtime CPU dispatch. The public entry points dispatch per call; the
-// `VDM_SIMD=0` environment knob and SetSimdOverride() force the scalar path
-// so results can be compared byte-for-byte (tests/kernel_test.cc does this
-// on randomized inputs).
+// There are eight dispatching entry points: FilterCodes / RefineCodes and
+// FilterInt64 / RefineInt64 over an IntervalSet, and four typed gathers.
+// Every one has a scalar reference implementation in `scalar::` and, when
+// compiled with VDMQO_SIMD (the default on x86-64), an AVX2 twin selected
+// by runtime CPU dispatch (GatherBytes excepted: its scalar loop is
+// already load-bound). The public entry points dispatch per call; the
+// `VDM_SIMD=0` environment knob and SetSimdOverride() force the scalar
+// path so results can be compared byte-for-byte (tests/kernel_test.cc does
+// this on randomized inputs).
 //
 // Conventions shared by all kernels:
 //   * `codes` are int32 dictionary codes where negative means NULL (the
 //     executor bit-casts MainColumn's uint32 kNullCode to -1; see table.h).
+//   * int64 `validity` holds one byte per value, 0 = NULL; nullptr means
+//     every value is valid.
 //   * Filter kernels append matching row offsets (relative to the input
 //     pointer) to `out`, which must have room for `n` entries, and return
-//     the match count. Output offsets are strictly increasing.
+//     the match count. Output offsets are strictly increasing; entries
+//     past the returned count are scratch.
 //   * Refine kernels compact a selection vector in place and return the
 //     surviving count; `sel` entries must be strictly increasing row
-//     offsets into the input array.
-//   * NULL never matches a comparison (3-valued logic collapses to false
-//     under a WHERE conjunct).
+//     offsets into the input array, and those past the returned count are
+//     scratch afterwards.
 #ifndef VDMQO_EXEC_KERNELS_KERNELS_H_
 #define VDMQO_EXEC_KERNELS_KERNELS_H_
 
@@ -35,9 +41,18 @@
 namespace vdm {
 namespace kernels {
 
-// Comparison operator for the value kernels. Matches the comparison
-// subset of BinaryOp that EvalBinary implements.
-enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+// The one lowered predicate form: a value matches when it lies in any of
+// the `size` inclusive intervals [lo[j], hi[j]]; a NULL matches iff
+// `match_null`. Intervals may touch INT64_MIN / INT64_MAX. The executor's
+// lowering keeps them sorted and disjoint; the kernels only require
+// lo[j] <= hi[j]. Over dictionary codes every bound lies in
+// [0, INT32_MAX].
+struct IntervalSet {
+  const int64_t* lo;
+  const int64_t* hi;
+  size_t size;
+  bool match_null;
+};
 
 // ---------------------------------------------------------------------------
 // Dispatch control.
@@ -53,57 +68,22 @@ bool SimdEnabled();
 void SetSimdOverride(int force);
 
 // ---------------------------------------------------------------------------
-// Dense filters: scan codes[0..n), append matching offsets to out.
+// Dispatching entry points.
 // ---------------------------------------------------------------------------
 
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-// Matches non-NULL codes != target.
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-// Matches non-NULL codes in [lo, hi] (inclusive on both ends; callers
-// encode open bounds by adjusting the code interval).
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out);
-// negated=false: match NULL codes (IS NULL); true: match non-NULL.
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out);
-// Matches codes falling in any of the `num_intervals` inclusive intervals
-// [lo[j], hi[j]]; NULL codes match iff match_null. Intervals are the lowered
-// form of OR-disjunctions / NOT LIKE over one dictionary column (DESIGN.md
-// §13); the lowering keeps them sorted and disjoint, but the kernel only
-// requires lo[j] <= hi[j].
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out);
-// Compare int64 values against a literal; rows with validity[i]==0 never
-// match. validity may be nullptr (all rows valid).
+// Dense filters: scan [0, n), append the offsets of matching rows to out.
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out);
 size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out);
+                   const IntervalSet& set, uint32_t* out);
 
-// ---------------------------------------------------------------------------
 // Selection refinement: compact sel[0..k) in place, return survivors.
-// ---------------------------------------------------------------------------
-
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi);
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated);
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null);
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set);
 size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit);
+                   uint32_t* sel, size_t k, const IntervalSet& set);
 
-// ---------------------------------------------------------------------------
 // Typed gathers: dst[i] = src[sel[i]] for i in [0, k).
-// ---------------------------------------------------------------------------
-
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,
                  int32_t* dst);
 void GatherInt64(const int64_t* src, const uint32_t* sel, size_t k,
@@ -118,33 +98,14 @@ void GatherBytes(const uint8_t* src, const uint32_t* sel, size_t k,
 // the microbenchmark can pin the baseline regardless of dispatch state.
 // ---------------------------------------------------------------------------
 namespace scalar {
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out);
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out);
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out);
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out);
 size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out);
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi);
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated);
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null);
+                   const IntervalSet& set, uint32_t* out);
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set);
 size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit);
+                   uint32_t* sel, size_t k, const IntervalSet& set);
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,
                  int32_t* dst);
 void GatherInt64(const int64_t* src, const uint32_t* sel, size_t k,
@@ -160,33 +121,14 @@ void GatherBytes(const uint8_t* src, const uint32_t* sel, size_t k,
 // __attribute__((target("avx2"))). Callable only when the host CPU has
 // AVX2 — use the dispatching entry points above unless benchmarking.
 namespace avx2 {
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out);
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out);
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out);
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out);
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out);
 size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out);
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target);
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi);
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated);
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null);
+                   const IntervalSet& set, uint32_t* out);
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set);
 size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit);
+                   uint32_t* sel, size_t k, const IntervalSet& set);
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,
                  int32_t* dst);
 void GatherInt64(const int64_t* src, const uint32_t* sel, size_t k,

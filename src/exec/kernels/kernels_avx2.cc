@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 namespace vdm {
 namespace kernels {
 namespace avx2 {
@@ -36,23 +38,146 @@ constexpr CompressLut MakeCompressLut() {
 
 constexpr CompressLut kCompressLut = MakeCompressLut();
 
+// The first four lanes of perm[mask] for a 4-bit mask: the left-pack
+// permutation of four 32-bit lanes.
+inline __m128i Perm4(unsigned mask) {
+  return _mm_load_si128(
+      reinterpret_cast<const __m128i*>(kCompressLut.perm[mask]));
+}
+
 inline unsigned MaskI32(__m256i eq_or_cmp) {
   return static_cast<unsigned>(
       _mm256_movemask_ps(_mm256_castsi256_ps(eq_or_cmp)));
 }
 
-// Shared skeleton for the dense code filters: mask_of(vector-of-8-codes)
-// returns the 8-bit match mask, pred(code) the scalar tail predicate.
-template <typename MaskFn, typename ScalarPred>
-inline size_t DenseFilter(const int32_t* codes, size_t n, uint32_t* out,
-                          MaskFn mask_of, ScalarPred pred) {
+// The scalar twin's interval test (kernels.cc), for the tails.
+inline bool InSet(int64_t v, const IntervalSet& set) {
+  for (size_t j = 0; j < set.size; ++j) {
+    if (static_cast<uint64_t>(v) - static_cast<uint64_t>(set.lo[j]) <=
+        static_cast<uint64_t>(set.hi[j]) - static_cast<uint64_t>(set.lo[j])) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Mask/predicate pair for the code kernels: OR of one unsigned offset test
+// per interval, plus the sign mask when NULL matches. A NULL code (-1)
+// wraps above any code span (bounds lie in [0, INT32_MAX]), so only the
+// sign mask can match it. The set is copied in by value and the first
+// interval's broadcasts are hoisted: the kernels' stores may alias
+// anything, so fields read through a reference would reload every vector,
+// and most lowered predicates have exactly one interval.
+struct CodeSetPred {
+  IntervalSet set;
+  __m256i lo0;
+  __m256i span0;
+
+  static __m256i Lo(const IntervalSet& s, size_t j) {
+    return _mm256_set1_epi32(static_cast<int32_t>(s.lo[j]));
+  }
+  static __m256i Span(const IntervalSet& s, size_t j) {
+    return _mm256_set1_epi32(static_cast<int32_t>(
+        static_cast<uint32_t>(s.hi[j]) - static_cast<uint32_t>(s.lo[j])));
+  }
+
+  explicit CodeSetPred(const IntervalSet& s)
+      : set(s),
+        lo0(s.size > 0 ? Lo(s, 0) : _mm256_setzero_si256()),
+        span0(s.size > 0 ? Span(s, 0) : _mm256_setzero_si256()) {}
+
+  static __m256i InInterval(__m256i v, __m256i lo, __m256i span) {
+    // (v - lo) <=u span  <=>  min_epu32(v - lo, span) == v - lo.
+    const __m256i shifted = _mm256_sub_epi32(v, lo);
+    return _mm256_cmpeq_epi32(_mm256_min_epu32(shifted, span), shifted);
+  }
+
+  unsigned operator()(__m256i v) const {
+    __m256i m = set.match_null
+                    ? _mm256_cmpgt_epi32(_mm256_setzero_si256(), v)
+                    : _mm256_setzero_si256();
+    if (set.size > 0) m = _mm256_or_si256(m, InInterval(v, lo0, span0));
+    for (size_t j = 1; j < set.size; ++j) {
+      m = _mm256_or_si256(m, InInterval(v, Lo(set, j), Span(set, j)));
+    }
+    return MaskI32(m);
+  }
+
+  bool operator()(int32_t c) const {
+    return c < 0 ? set.match_null : InSet(c, set);
+  }
+};
+
+// 4-bit lane mask of the int64 values in `v` that lie in any interval of
+// the set, validity aside. A lane is outside [lo, hi] iff lo > v or v > hi
+// (signed compares, so INT64_MIN / INT64_MAX bounds need no special case).
+// Held by value with the first interval hoisted, as CodeSetPred.
+struct Int64SetPred {
+  IntervalSet set;
+  __m256i lo0;
+  __m256i hi0;
+
+  explicit Int64SetPred(const IntervalSet& s)
+      : set(s),
+        lo0(_mm256_set1_epi64x(s.size > 0 ? s.lo[0] : 0)),
+        hi0(_mm256_set1_epi64x(s.size > 0 ? s.hi[0] : 0)) {}
+
+  static __m256i Outside(__m256i v, __m256i lo, __m256i hi) {
+    return _mm256_or_si256(_mm256_cmpgt_epi64(lo, v),
+                           _mm256_cmpgt_epi64(v, hi));
+  }
+
+  unsigned operator()(__m256i v) const {
+    if (set.size == 0) return 0;
+    __m256i outside = Outside(v, lo0, hi0);
+    for (size_t j = 1; j < set.size; ++j) {
+      outside = _mm256_and_si256(
+          outside, Outside(v, _mm256_set1_epi64x(set.lo[j]),
+                           _mm256_set1_epi64x(set.hi[j])));
+    }
+    return ~static_cast<unsigned>(
+               _mm256_movemask_pd(_mm256_castsi256_pd(outside))) &
+           0xFu;
+  }
+};
+
+// Lane bits of four consecutive validity bytes that are non-zero.
+inline unsigned ValidBits(const uint8_t* validity) {
+  int32_t word;
+  std::memcpy(&word, validity, sizeof(word));
+  const __m128i nulls =
+      _mm_cmpeq_epi8(_mm_cvtsi32_si128(word), _mm_setzero_si128());
+  return ~static_cast<unsigned>(_mm_movemask_epi8(nulls)) & 0xFu;
+}
+
+// Lane bits of the validity bytes of four selected rows that are non-zero.
+inline unsigned ValidBits(const uint8_t* validity, const uint32_t* rows) {
+  unsigned valid = 0;
+  for (unsigned b = 0; b < 4; ++b) {
+    valid |= static_cast<unsigned>(validity[rows[b]] != 0) << b;
+  }
+  return valid;
+}
+
+// Folds validity into a lane mask: a NULL lane matches iff the set matches
+// NULL, whatever its (meaningless) stored value.
+inline unsigned ApplyValidity(unsigned mask, unsigned valid,
+                              bool match_null) {
+  return (mask & valid) | (match_null ? ~valid & 0xFu : 0u);
+}
+
+}  // namespace
+
+size_t FilterCodes(const int32_t* codes, size_t n, const IntervalSet& set,
+                   uint32_t* out) {
+  const CodeSetPred pred(set);
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   size_t k = 0;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    const unsigned mask = mask_of(v);
+    const unsigned mask = pred(v);
     if (mask != 0) {
       const __m256i idx =
           _mm256_add_epi32(lane, _mm256_set1_epi32(static_cast<int>(i)));
@@ -72,18 +197,16 @@ inline size_t DenseFilter(const int32_t* codes, size_t n, uint32_t* out,
   return k;
 }
 
-// Shared skeleton for the selection-refining code filters: gathers codes at
-// sel positions, left-packs the surviving sel entries in place.
-template <typename MaskFn, typename ScalarPred>
-inline size_t RefineFilter(const int32_t* codes, uint32_t* sel, size_t k,
-                           MaskFn mask_of, ScalarPred pred) {
+size_t RefineCodes(const int32_t* codes, uint32_t* sel, size_t k,
+                   const IntervalSet& set) {
+  const CodeSetPred pred(set);
   size_t m = 0;
   size_t i = 0;
   for (; i + 8 <= k; i += 8) {
     const __m256i rows =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
     const __m256i v = _mm256_i32gather_epi32(codes, rows, 4);
-    const unsigned mask = mask_of(v);
+    const unsigned mask = pred(v);
     if (mask != 0) {
       const __m256i perm = _mm256_load_si256(
           reinterpret_cast<const __m256i*>(kCompressLut.perm[mask]));
@@ -101,80 +224,37 @@ inline size_t RefineFilter(const int32_t* codes, uint32_t* sel, size_t k,
   return m;
 }
 
-template <CmpOp Op>
-inline bool CmpInt64Scalar(int64_t v, int64_t lit) {
-  if constexpr (Op == CmpOp::kEq) return v == lit;
-  if constexpr (Op == CmpOp::kNe) return v != lit;
-  if constexpr (Op == CmpOp::kLt) return v < lit;
-  if constexpr (Op == CmpOp::kLe) return v <= lit;
-  if constexpr (Op == CmpOp::kGt) return v > lit;
-  return v >= lit;
-}
-
-// 4-bit match mask for four int64 lanes against the broadcast literal.
-template <CmpOp Op>
-inline unsigned MaskInt64(__m256i v, __m256i lit) {
-  __m256i m;
-  bool invert = false;
-  if constexpr (Op == CmpOp::kEq) {
-    m = _mm256_cmpeq_epi64(v, lit);
-  } else if constexpr (Op == CmpOp::kNe) {
-    m = _mm256_cmpeq_epi64(v, lit);
-    invert = true;
-  } else if constexpr (Op == CmpOp::kLt) {
-    m = _mm256_cmpgt_epi64(lit, v);
-  } else if constexpr (Op == CmpOp::kLe) {
-    m = _mm256_cmpgt_epi64(v, lit);
-    invert = true;
-  } else if constexpr (Op == CmpOp::kGt) {
-    m = _mm256_cmpgt_epi64(v, lit);
-  } else {  // kGe
-    m = _mm256_cmpgt_epi64(lit, v);
-    invert = true;
-  }
-  unsigned mask =
-      static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-  if (invert) mask ^= 0xFu;
-  return mask;
-}
-
-template <CmpOp Op>
-size_t FilterInt64Impl(const int64_t* vals, const uint8_t* validity, size_t n,
-                       int64_t lit, uint32_t* out) {
-  const __m256i vlit = _mm256_set1_epi64x(lit);
+size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
+                   const IntervalSet& set, uint32_t* out) {
+  const Int64SetPred pred(set);
   size_t k = 0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    unsigned mask = MaskInt64<Op>(v, vlit);
-    if (validity != nullptr && mask != 0) {
-      unsigned valid = 0;
-      if (validity[i + 0]) valid |= 1u;
-      if (validity[i + 1]) valid |= 2u;
-      if (validity[i + 2]) valid |= 4u;
-      if (validity[i + 3]) valid |= 8u;
-      mask &= valid;
+    unsigned mask = pred(v);
+    if (validity != nullptr) {
+      mask = ApplyValidity(mask, ValidBits(validity + i), set.match_null);
     }
-    while (mask != 0) {
-      const unsigned b = static_cast<unsigned>(__builtin_ctz(mask));
-      out[k++] = static_cast<uint32_t>(i + b);
-      mask &= mask - 1;
-    }
+    // Left-pack the matching offsets with the first four lanes of the
+    // compress LUT; unconditional 4-lane store as in FilterCodes (k <= i).
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
+                     _mm_add_epi32(Perm4(mask),
+                                   _mm_set1_epi32(static_cast<int>(i))));
+    k += static_cast<size_t>(__builtin_popcount(mask));
   }
   for (; i < n; ++i) {
-    if ((validity == nullptr || validity[i]) &&
-        CmpInt64Scalar<Op>(vals[i], lit)) {
-      out[k++] = static_cast<uint32_t>(i);
-    }
+    const bool hit = validity != nullptr && validity[i] == 0
+                         ? set.match_null
+                         : InSet(vals[i], set);
+    if (hit) out[k++] = static_cast<uint32_t>(i);
   }
   return k;
 }
 
-template <CmpOp Op>
-size_t RefineInt64Impl(const int64_t* vals, const uint8_t* validity,
-                       uint32_t* sel, size_t k, int64_t lit) {
-  const __m256i vlit = _mm256_set1_epi64x(lit);
+size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
+                   uint32_t* sel, size_t k, const IntervalSet& set) {
+  const Int64SetPred pred(set);
   size_t m = 0;
   size_t i = 0;
   for (; i + 4 <= k; i += 4) {
@@ -182,245 +262,26 @@ size_t RefineInt64Impl(const int64_t* vals, const uint8_t* validity,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
     const __m256i v = _mm256_i32gather_epi64(
         reinterpret_cast<const long long*>(vals), rows, 8);
-    unsigned mask = MaskInt64<Op>(v, vlit);
-    if (validity != nullptr && mask != 0) {
-      unsigned valid = 0;
-      if (validity[sel[i + 0]]) valid |= 1u;
-      if (validity[sel[i + 1]]) valid |= 2u;
-      if (validity[sel[i + 2]]) valid |= 4u;
-      if (validity[sel[i + 3]]) valid |= 8u;
-      mask &= valid;
+    unsigned mask = pred(v);
+    if (validity != nullptr) {
+      mask = ApplyValidity(mask, ValidBits(validity, sel + i),
+                           set.match_null);
     }
-    while (mask != 0) {
-      const unsigned b = static_cast<unsigned>(__builtin_ctz(mask));
-      sel[m++] = sel[i + b];
-      mask &= mask - 1;
-    }
+    // In-place left-pack as in RefineCodes: m <= i, and sel[i..i+3] is
+    // already in `rows`.
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + m),
+                     _mm_castps_si128(_mm_permutevar_ps(
+                         _mm_castsi128_ps(rows), Perm4(mask))));
+    m += static_cast<size_t>(__builtin_popcount(mask));
   }
   for (; i < k; ++i) {
     const uint32_t row = sel[i];
-    if ((validity == nullptr || validity[row]) &&
-        CmpInt64Scalar<Op>(vals[row], lit)) {
-      sel[m++] = row;
-    }
+    const bool hit = validity != nullptr && validity[row] == 0
+                         ? set.match_null
+                         : InSet(vals[row], set);
+    if (hit) sel[m++] = row;
   }
   return m;
-}
-
-}  // namespace
-
-size_t FilterCodesEq(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
-  const __m256i vt = _mm256_set1_epi32(target);
-  return DenseFilter(
-      codes, n, out,
-      [vt](__m256i v) { return MaskI32(_mm256_cmpeq_epi32(v, vt)); },
-      [target](int32_t c) { return c == target; });
-}
-
-size_t FilterCodesNe(const int32_t* codes, size_t n, int32_t target,
-                     uint32_t* out) {
-  const __m256i vt = _mm256_set1_epi32(target);
-  const __m256i minus1 = _mm256_set1_epi32(-1);
-  return DenseFilter(
-      codes, n, out,
-      [vt, minus1](__m256i v) {
-        // non-NULL (c > -1) and c != target.
-        const __m256i not_null = _mm256_cmpgt_epi32(v, minus1);
-        const __m256i eq = _mm256_cmpeq_epi32(v, vt);
-        return MaskI32(_mm256_andnot_si256(eq, not_null));
-      },
-      [target](int32_t c) { return c >= 0 && c != target; });
-}
-
-size_t FilterCodesRange(const int32_t* codes, size_t n, int32_t lo,
-                        int32_t hi, uint32_t* out) {
-  // Unsigned interval test (c - lo) <= (hi - lo): NULL (-1) wraps to
-  // UINT32_MAX - lo + ... above any dictionary span, so it never matches.
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vspan =
-      _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(hi) -
-                                             static_cast<uint32_t>(lo)));
-  return DenseFilter(
-      codes, n, out,
-      [vlo, vspan](__m256i v) {
-        const __m256i shifted = _mm256_sub_epi32(v, vlo);
-        // shifted <=u span  ⟺  min_epu32(shifted, span) == shifted.
-        const __m256i le =
-            _mm256_cmpeq_epi32(_mm256_min_epu32(shifted, vspan), shifted);
-        return MaskI32(le);
-      },
-      [lo, hi](int32_t c) {
-        return static_cast<uint32_t>(c - lo) <= static_cast<uint32_t>(hi - lo);
-      });
-}
-
-size_t FilterCodesNull(const int32_t* codes, size_t n, bool negated,
-                       uint32_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  if (negated) {
-    return DenseFilter(
-        codes, n, out,
-        [zero](__m256i v) {
-          return MaskI32(_mm256_cmpgt_epi32(zero, v)) ^ 0xFFu;
-        },
-        [](int32_t c) { return c >= 0; });
-  }
-  return DenseFilter(
-      codes, n, out,
-      [zero](__m256i v) { return MaskI32(_mm256_cmpgt_epi32(zero, v)); },
-      [](int32_t c) { return c < 0; });
-}
-
-namespace {
-
-// Shared mask/predicate pair for the interval-union kernels: OR of one
-// unsigned-range test per interval, plus the sign mask when NULL matches.
-struct IntervalUnionPred {
-  const int32_t* lo;
-  const int32_t* hi;
-  size_t num;
-  bool match_null;
-
-  unsigned operator()(__m256i v) const {
-    __m256i m = match_null ? _mm256_cmpgt_epi32(_mm256_setzero_si256(), v)
-                           : _mm256_setzero_si256();
-    for (size_t j = 0; j < num; ++j) {
-      const __m256i vlo = _mm256_set1_epi32(lo[j]);
-      const __m256i vspan = _mm256_set1_epi32(static_cast<int32_t>(
-          static_cast<uint32_t>(hi[j]) - static_cast<uint32_t>(lo[j])));
-      const __m256i shifted = _mm256_sub_epi32(v, vlo);
-      const __m256i le =
-          _mm256_cmpeq_epi32(_mm256_min_epu32(shifted, vspan), shifted);
-      m = _mm256_or_si256(m, le);
-    }
-    return MaskI32(m);
-  }
-
-  bool operator()(int32_t c) const {
-    if (c < 0) return match_null;
-    for (size_t j = 0; j < num; ++j) {
-      if (static_cast<uint32_t>(c - lo[j]) <=
-          static_cast<uint32_t>(hi[j] - lo[j])) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
-size_t FilterCodesIntervalUnion(const int32_t* codes, size_t n,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null,
-                                uint32_t* out) {
-  const IntervalUnionPred pred{lo, hi, num_intervals, match_null};
-  return DenseFilter(codes, n, out, pred, pred);
-}
-
-size_t FilterInt64(const int64_t* vals, const uint8_t* validity, size_t n,
-                   CmpOp op, int64_t lit, uint32_t* out) {
-  switch (op) {
-    case CmpOp::kEq:
-      return FilterInt64Impl<CmpOp::kEq>(vals, validity, n, lit, out);
-    case CmpOp::kNe:
-      return FilterInt64Impl<CmpOp::kNe>(vals, validity, n, lit, out);
-    case CmpOp::kLt:
-      return FilterInt64Impl<CmpOp::kLt>(vals, validity, n, lit, out);
-    case CmpOp::kLe:
-      return FilterInt64Impl<CmpOp::kLe>(vals, validity, n, lit, out);
-    case CmpOp::kGt:
-      return FilterInt64Impl<CmpOp::kGt>(vals, validity, n, lit, out);
-    case CmpOp::kGe:
-      return FilterInt64Impl<CmpOp::kGe>(vals, validity, n, lit, out);
-  }
-  return 0;
-}
-
-size_t RefineCodesEq(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
-  const __m256i vt = _mm256_set1_epi32(target);
-  return RefineFilter(
-      codes, sel, k,
-      [vt](__m256i v) { return MaskI32(_mm256_cmpeq_epi32(v, vt)); },
-      [target](int32_t c) { return c == target; });
-}
-
-size_t RefineCodesNe(const int32_t* codes, uint32_t* sel, size_t k,
-                     int32_t target) {
-  const __m256i vt = _mm256_set1_epi32(target);
-  const __m256i minus1 = _mm256_set1_epi32(-1);
-  return RefineFilter(
-      codes, sel, k,
-      [vt, minus1](__m256i v) {
-        const __m256i not_null = _mm256_cmpgt_epi32(v, minus1);
-        const __m256i eq = _mm256_cmpeq_epi32(v, vt);
-        return MaskI32(_mm256_andnot_si256(eq, not_null));
-      },
-      [target](int32_t c) { return c >= 0 && c != target; });
-}
-
-size_t RefineCodesRange(const int32_t* codes, uint32_t* sel, size_t k,
-                        int32_t lo, int32_t hi) {
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vspan =
-      _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(hi) -
-                                             static_cast<uint32_t>(lo)));
-  return RefineFilter(
-      codes, sel, k,
-      [vlo, vspan](__m256i v) {
-        const __m256i shifted = _mm256_sub_epi32(v, vlo);
-        const __m256i le =
-            _mm256_cmpeq_epi32(_mm256_min_epu32(shifted, vspan), shifted);
-        return MaskI32(le);
-      },
-      [lo, hi](int32_t c) {
-        return static_cast<uint32_t>(c - lo) <= static_cast<uint32_t>(hi - lo);
-      });
-}
-
-size_t RefineCodesNull(const int32_t* codes, uint32_t* sel, size_t k,
-                       bool negated) {
-  const __m256i zero = _mm256_setzero_si256();
-  if (negated) {
-    return RefineFilter(
-        codes, sel, k,
-        [zero](__m256i v) {
-          return MaskI32(_mm256_cmpgt_epi32(zero, v)) ^ 0xFFu;
-        },
-        [](int32_t c) { return c >= 0; });
-  }
-  return RefineFilter(
-      codes, sel, k,
-      [zero](__m256i v) { return MaskI32(_mm256_cmpgt_epi32(zero, v)); },
-      [](int32_t c) { return c < 0; });
-}
-
-size_t RefineCodesIntervalUnion(const int32_t* codes, uint32_t* sel, size_t k,
-                                const int32_t* lo, const int32_t* hi,
-                                size_t num_intervals, bool match_null) {
-  const IntervalUnionPred pred{lo, hi, num_intervals, match_null};
-  return RefineFilter(codes, sel, k, pred, pred);
-}
-
-size_t RefineInt64(const int64_t* vals, const uint8_t* validity,
-                   uint32_t* sel, size_t k, CmpOp op, int64_t lit) {
-  switch (op) {
-    case CmpOp::kEq:
-      return RefineInt64Impl<CmpOp::kEq>(vals, validity, sel, k, lit);
-    case CmpOp::kNe:
-      return RefineInt64Impl<CmpOp::kNe>(vals, validity, sel, k, lit);
-    case CmpOp::kLt:
-      return RefineInt64Impl<CmpOp::kLt>(vals, validity, sel, k, lit);
-    case CmpOp::kLe:
-      return RefineInt64Impl<CmpOp::kLe>(vals, validity, sel, k, lit);
-    case CmpOp::kGt:
-      return RefineInt64Impl<CmpOp::kGt>(vals, validity, sel, k, lit);
-    case CmpOp::kGe:
-      return RefineInt64Impl<CmpOp::kGe>(vals, validity, sel, k, lit);
-  }
-  return 0;
 }
 
 void GatherInt32(const int32_t* src, const uint32_t* sel, size_t k,

@@ -274,71 +274,111 @@ const GenColumn& QueryGenerator::Pick(const std::vector<GenColumn>& cols) {
 }
 
 std::string QueryGenerator::Predicate(const GenColumn& col) {
-  static const char* kOps[] = {"<", ">", "<=", ">=", "<>"};
-  const char* op = kOps[rng_.Uniform(0, 4)];
-  switch (col.cls) {
-    case GenColClass::kInt: {
-      int64_t lit = rng_.Bernoulli(0.5) ? rng_.Uniform(0, 100)
-                                        : rng_.Uniform(0, 5000);
-      return StrFormat("%s %s %lld", col.sql.c_str(), op,
-                       static_cast<long long>(lit));
+  if (col.cls == GenColClass::kString) {
+    // Deliberately exercises the sorted-dictionary lowering edge cases:
+    // equality/inequality against values absent from any dictionary,
+    // range endpoints that fall between dictionary entries, LIKE
+    // prefixes (present, absent, bare '%'), exact-match LIKE, and the
+    // whole-tree forms (OR disjunctions, NOT LIKE, nested NOT) that
+    // lower to code-interval unions. OR predicates are parenthesized
+    // because the WHERE clause joins conjuncts with bare " and ".
+    switch (rng_.Uniform(0, 15)) {
+      case 0:
+        return col.sql + " is not null";
+      case 1:
+        return col.sql + " is null";
+      case 2:
+        return col.sql + " > 'B'";
+      case 3:
+        return col.sql + " < 'm'";
+      case 4:
+        return col.sql + " = 'F'";  // present in some dictionaries
+      case 5:
+        return col.sql + " = 'zz#absent'";
+      case 6:
+        return col.sql + " <> 'zz#absent'";
+      case 7:
+        return col.sql + " >= 'Customer#000000001m'";  // between entries
+      case 8:
+        return col.sql + " like 'C%'";
+      case 9:
+        return col.sql + " like '%'";
+      case 10:
+        return col.sql + " like 'zq%'";  // absent prefix
+      case 11:
+        return col.sql + " not like 'C%'";
+      case 12:
+        return "(" + col.sql + " = 'F' or " + col.sql + " like 'C%')";
+      case 13:
+        return "(" + col.sql + " < 'D' or " + col.sql +
+               " > 'm' or " + col.sql + " is null)";
+      case 14:
+        return "not (" + col.sql + " like 'C%' or " + col.sql +
+               " = 'zz#absent')";
+      default:
+        return col.sql + " like 'F'";  // wildcard-free LIKE = equality
     }
-    case GenColClass::kDecimal:
-      return StrFormat("%s %s %lld.%02lld", col.sql.c_str(), op,
-                       static_cast<long long>(rng_.Uniform(0, 3000)),
-                       static_cast<long long>(rng_.Uniform(0, 99)));
-    case GenColClass::kString: {
-      // Deliberately exercises the sorted-dictionary lowering edge cases:
-      // equality/inequality against values absent from any dictionary,
-      // range endpoints that fall between dictionary entries, LIKE
-      // prefixes (present, absent, bare '%'), exact-match LIKE, and the
-      // whole-tree forms (OR disjunctions, NOT LIKE, nested NOT) that
-      // lower to code-interval unions. OR predicates are parenthesized
-      // because the WHERE clause joins conjuncts with bare " and ".
-      switch (rng_.Uniform(0, 15)) {
-        case 0:
-          return col.sql + " is not null";
-        case 1:
-          return col.sql + " is null";
-        case 2:
-          return col.sql + " > 'B'";
-        case 3:
-          return col.sql + " < 'm'";
-        case 4:
-          return col.sql + " = 'F'";  // present in some dictionaries
-        case 5:
-          return col.sql + " = 'zz#absent'";
-        case 6:
-          return col.sql + " <> 'zz#absent'";
-        case 7:
-          return col.sql + " >= 'Customer#000000001m'";  // between entries
-        case 8:
-          return col.sql + " like 'C%'";
-        case 9:
-          return col.sql + " like '%'";
-        case 10:
-          return col.sql + " like 'zq%'";  // absent prefix
-        case 11:
-          return col.sql + " not like 'C%'";
-        case 12:
-          return "(" + col.sql + " = 'F' or " + col.sql + " like 'C%')";
-        case 13:
-          return "(" + col.sql + " < 'D' or " + col.sql +
-                 " > 'm' or " + col.sql + " is null)";
-        case 14:
-          return "not (" + col.sql + " like 'C%' or " + col.sql +
-                 " = 'zz#absent')";
-        default:
-          return col.sql + " like 'F'";  // wildcard-free LIKE = equality
-      }
-    }
-    case GenColClass::kDate:
-      return StrFormat("%s %s date '%04lld-%02lld-%02lld'", col.sql.c_str(),
-                       op, static_cast<long long>(rng_.Uniform(1992, 1999)),
-                       static_cast<long long>(rng_.Uniform(1, 12)),
-                       static_cast<long long>(rng_.Uniform(1, 28)));
   }
-  return col.sql + " is not null";
+  // Integer-backed columns (int, decimal, date) lower to int64 interval
+  // sets just as strings lower to code sets (DESIGN.md §13), so they get
+  // the same shapes: every comparison operator, IS [NOT] NULL, OR and NOT
+  // trees, literals at the int64 extremes (INT64_MIN is written as a
+  // folded subtraction because the lexer cannot read its magnitude) and,
+  // for decimals, a literal of another scale that must stay residual.
+  static const char* kOps[] = {"<", ">", "<=", ">=", "<>", "="};
+  auto literal = [&]() -> std::string {
+    switch (col.cls) {
+      case GenColClass::kInt:
+        switch (rng_.Uniform(0, 9)) {
+          case 0:
+            return "9223372036854775807";
+          case 1:
+            return "(0 - 9223372036854775807 - 1)";
+          default:
+            return std::to_string(rng_.Bernoulli(0.5)
+                                      ? rng_.Uniform(0, 100)
+                                      : rng_.Uniform(0, 5000));
+        }
+      case GenColClass::kDecimal:
+        if (rng_.Bernoulli(0.2)) {
+          return StrFormat("%lld.%lld",
+                           static_cast<long long>(rng_.Uniform(0, 3000)),
+                           static_cast<long long>(rng_.Uniform(0, 9)));
+        }
+        return StrFormat("%lld.%02lld",
+                         static_cast<long long>(rng_.Uniform(0, 3000)),
+                         static_cast<long long>(rng_.Uniform(0, 99)));
+      default:  // kDate
+        return StrFormat("date '%04lld-%02lld-%02lld'",
+                         static_cast<long long>(rng_.Uniform(1992, 1999)),
+                         static_cast<long long>(rng_.Uniform(1, 12)),
+                         static_cast<long long>(rng_.Uniform(1, 28)));
+    }
+  };
+  auto compare = [&] {
+    const char* op = kOps[rng_.Uniform(0, 5)];
+    return col.sql + " " + op + " " + literal();
+  };
+  // Two comparisons joined by `conn`; drawn in sequence, because the
+  // operands of one `+` expression are evaluated in unspecified order.
+  auto pair = [&](const char* conn) {
+    const std::string lhs = compare();
+    return lhs + conn + compare();
+  };
+  switch (rng_.Uniform(0, 7)) {
+    case 0:
+      return col.sql + (rng_.Bernoulli(0.5) ? " is null" : " is not null");
+    case 1:
+      return "(" + pair(" or ") + ")";
+    case 2:
+      return "not (" + compare() + ")";
+    case 3:
+      return "(" + compare() + " or " + col.sql + " is null)";
+    case 4:
+      return "not (" + pair(" and ") + ")";
+    default:  // single comparisons stay the common shape
+      return compare();
+  }
 }
 
 GeneratedQuery QueryGenerator::Next() {

@@ -6,6 +6,8 @@
 // early exit.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstring>
 #include <set>
 #include <string>
@@ -532,6 +534,36 @@ TEST_F(ExecChainTest, MemoryLimitTripsInsideTheChain) {
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << result.status().ToString();
   }
+}
+
+TEST_F(ExecChainTest, ProbeChargesItsMatchesInsideTheMorsel) {
+  // A self-join on one constant key: 3000 probe rows in one morsel make
+  // 9M matches, 144 MB of row-index pairs. The probe charges its match
+  // vectors while they grow, so a 16 MB budget stops it inside the morsel
+  // instead of after the whole morsel's matches are held.
+  ASSERT_TRUE(db_.Execute("create table onekey (id int, k int)").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int64_t r = 0; r < 3000; ++r) {
+    rows.push_back({Value::Int64(r), Value::Int64(1)});
+  }
+  ASSERT_TRUE(db_.Insert("onekey", rows).ok());
+  db_.MergeAllDeltas();
+  PlanRef plan = Scan("onekey", "a")
+                     .Join(Scan("onekey", "b"), JoinType::kInner,
+                           Eq(Col("a.k"), Col("b.k")))
+                     .Build();
+  QueryContext ctx;
+  ctx.memory().set_limit(int64_t{16} << 20);
+  struct rusage before {};
+  struct rusage after {};
+  getrusage(RUSAGE_SELF, &before);
+  Result<Chunk> result = Execute(plan, nullptr, 4096, nullptr, &ctx);
+  getrusage(RUSAGE_SELF, &after);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  // ru_maxrss is in KiB on Linux.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
 
 TEST_F(ExecChainTest, GathersEachOutputColumnOnce) {

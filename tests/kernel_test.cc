@@ -1,15 +1,19 @@
 // Differential tests for the compressed-execution kernels: every
 // dispatching entry point must agree with its scalar reference on
-// randomized inputs — including NULL codes, all-match / none-match
-// columns, varying selection densities, morsel-boundary tails
-// (length % 8 != 0), and unaligned starting offsets. When the AVX2
-// kernels are compiled in and the CPU supports them, the SIMD override
-// pins dispatch to SIMD so the comparison is real; otherwise the test
-// degenerates to scalar-vs-scalar and still checks the harness.
+// randomized inputs — interval sets of 0, 1, 2 and many intervals, with
+// and without match_null, intervals touching INT64_MIN / INT64_MAX, NULL
+// codes and validity bytes (or none), all-match / none-match columns,
+// varying selection densities, morsel-boundary tails (length % lanes !=
+// 0), and unaligned starting offsets. When the AVX2 kernels are compiled
+// in and the CPU supports them, the SIMD override pins dispatch to SIMD so
+// the comparison is real; otherwise the test degenerates to
+// scalar-vs-scalar and still checks the harness.
 #include "exec/kernels/kernels.h"
 
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -95,149 +99,90 @@ TEST(KernelDispatchTest, CompiledImpliesConsistentDispatch) {
   EXPECT_EQ(a, b);
 }
 
-TEST(KernelFilterTest, CodesEqNeRandomized) {
+using Intervals = std::vector<std::pair<int64_t, int64_t>>;
+
+/// An IntervalSet over owned bounds.
+class SetFixture {
+ public:
+  SetFixture(const Intervals& ivs, bool match_null) {
+    for (const auto& [l, h] : ivs) {
+      lo_.push_back(l);
+      hi_.push_back(h);
+    }
+    set_ = {lo_.data(), hi_.data(), lo_.size(), match_null};
+  }
+  const IntervalSet& set() const { return set_; }
+
+ private:
+  std::vector<int64_t> lo_, hi_;
+  IntervalSet set_;
+};
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+// Code interval shapes over codes drawn from [0, 20]: none, one code, one
+// range, every code but one (the `<>` shape), many, all codes, and spans
+// reaching past the dictionary up to INT32_MAX.
+const Intervals kCodeShapes[] = {
+    {},
+    {{5, 5}},
+    {{3, 9}},
+    {{0, 4}, {6, 20}},
+    {{0, 3}, {7, 9}, {15, 20}},
+    {{2, 4}, {6, 6}, {10, 14}, {18, 19}, {21, 30}},
+    {{0, 20}},
+    {{19, 25}},
+    {{12, std::numeric_limits<int32_t>::max()}},
+    {{0, std::numeric_limits<int32_t>::max()}},
+};
+
+// int64 interval shapes, values drawn from [-10, 10] plus the extremes:
+// none, one value, one range, the `<>` shape, many, the whole domain, and
+// intervals touching INT64_MIN / INT64_MAX.
+const Intervals kInt64Shapes[] = {
+    {},
+    {{2, 2}},
+    {{-3, 7}},
+    {{kMin, 1}, {3, kMax}},
+    {{-9, -7}, {-2, 0}, {4, 4}, {8, 10}},
+    {{kMin, kMax}},
+    {{kMin, kMin}},
+    {{kMax, kMax}},
+    {{kMin, -5}},
+    {{5, kMax}},
+    {{kMin, kMin + 1}, {kMax - 1, kMax}},
+};
+
+/// Values in [-10, 10] with ~1 in 8 drawn from the int64 extremes.
+std::vector<int64_t> RandomInt64s(std::mt19937& rng, size_t n) {
+  const int64_t extremes[] = {kMin, kMin + 1, kMax - 1, kMax};
+  std::vector<int64_t> out = RandomInts(rng, n, -10, 10);
+  std::uniform_int_distribution<int> pick(0, 31);
+  for (int64_t& v : out) {
+    const int p = pick(rng);
+    if (p < 4) v = extremes[p];
+  }
+  return out;
+}
+
+TEST(KernelFilterTest, CodesRandomized) {
   SimdOverrideGuard guard(1);
   std::mt19937 rng(7);
-  for (size_t n : kLengths) {
-    for (size_t off : kOffsets) {
-      for (int null_pm : {0, 50, 1000}) {
-        std::vector<int32_t> codes = RandomCodes(rng, n + off, 12, null_pm);
-        const int32_t* base = codes.data() + off;
-        for (int32_t target : {0, 5, 12, 99}) {  // 99: none-match
-          CheckFilter(
-              [&](uint32_t* out) {
-                return FilterCodesEq(base, n, target, out);
-              },
-              [&](uint32_t* out) {
-                return scalar::FilterCodesEq(base, n, target, out);
-              },
-              n);
-          CheckFilter(
-              [&](uint32_t* out) {
-                return FilterCodesNe(base, n, target, out);
-              },
-              [&](uint32_t* out) {
-                return scalar::FilterCodesNe(base, n, target, out);
-              },
-              n);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelFilterTest, CodesRangeRandomized) {
-  SimdOverrideGuard guard(1);
-  std::mt19937 rng(11);
-  for (size_t n : kLengths) {
-    for (size_t off : kOffsets) {
-      std::vector<int32_t> codes = RandomCodes(rng, n + off, 20, 100);
-      const int32_t* base = codes.data() + off;
-      // Intervals covering all-match ([0,20]), partial, empty ([7,3]),
-      // and single-code ([9,9]) shapes.
-      const std::pair<int32_t, int32_t> ranges[] = {
-          {0, 20}, {5, 15}, {7, 3}, {9, 9}, {19, 25}};
-      for (auto [lo, hi] : ranges) {
-        CheckFilter(
-            [&](uint32_t* out) {
-              return FilterCodesRange(base, n, lo, hi, out);
-            },
-            [&](uint32_t* out) {
-              return scalar::FilterCodesRange(base, n, lo, hi, out);
-            },
-            n);
-      }
-    }
-  }
-}
-
-TEST(KernelFilterTest, CodesNullRandomized) {
-  SimdOverrideGuard guard(1);
-  std::mt19937 rng(13);
-  for (size_t n : kLengths) {
-    for (size_t off : kOffsets) {
-      for (int null_pm : {0, 300, 1000}) {
-        std::vector<int32_t> codes = RandomCodes(rng, n + off, 6, null_pm);
-        const int32_t* base = codes.data() + off;
-        for (bool negated : {false, true}) {
-          CheckFilter(
-              [&](uint32_t* out) {
-                return FilterCodesNull(base, n, negated, out);
-              },
-              [&](uint32_t* out) {
-                return scalar::FilterCodesNull(base, n, negated, out);
-              },
-              n);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelFilterTest, Int64AllOpsRandomized) {
-  SimdOverrideGuard guard(1);
-  std::mt19937 rng(17);
-  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
-                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
-  for (size_t n : kLengths) {
-    for (size_t off : kOffsets) {
-      std::vector<int64_t> vals = RandomInts(rng, n + off, -10, 10);
-      std::vector<uint8_t> validity = RandomValidity(rng, n + off, 100);
-      const int64_t* base = vals.data() + off;
-      const uint8_t* vbase = validity.data() + off;
-      for (CmpOp op : ops) {
-        for (int64_t lit : {-11, -3, 0, 10, 42}) {
-          for (const uint8_t* v : {static_cast<const uint8_t*>(nullptr),
-                                   vbase}) {
-            CheckFilter(
-                [&](uint32_t* out) {
-                  return FilterInt64(base, v, n, op, lit, out);
-                },
-                [&](uint32_t* out) {
-                  return scalar::FilterInt64(base, v, n, op, lit, out);
-                },
-                n);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelFilterTest, CodesIntervalUnionRandomized) {
-  SimdOverrideGuard guard(1);
-  std::mt19937 rng(17);
-  // Interval lists covering empty, single, disjoint-multi, and
-  // all-covering shapes (inclusive bounds, codes drawn from [0, 20]).
-  const std::vector<std::pair<int32_t, int32_t>> shapes[] = {
-      {},
-      {{5, 5}},
-      {{0, 3}, {7, 9}, {15, 20}},
-      {{0, 20}},
-      {{2, 4}, {6, 6}, {10, 14}, {18, 19}},
-  };
   for (size_t n : kLengths) {
     for (size_t off : kOffsets) {
       for (int null_pm : {0, 200, 1000}) {
         std::vector<int32_t> codes = RandomCodes(rng, n + off, 20, null_pm);
         const int32_t* base = codes.data() + off;
-        for (const auto& ivs : shapes) {
-          std::vector<int32_t> lo, hi;
-          for (auto [l, h] : ivs) {
-            lo.push_back(l);
-            hi.push_back(h);
-          }
+        for (const Intervals& ivs : kCodeShapes) {
           for (bool match_null : {false, true}) {
+            const SetFixture fx(ivs, match_null);
             CheckFilter(
                 [&](uint32_t* out) {
-                  return FilterCodesIntervalUnion(base, n, lo.data(),
-                                                  hi.data(), lo.size(),
-                                                  match_null, out);
+                  return FilterCodes(base, n, fx.set(), out);
                 },
                 [&](uint32_t* out) {
-                  return scalar::FilterCodesIntervalUnion(base, n, lo.data(),
-                                                          hi.data(), lo.size(),
-                                                          match_null, out);
+                  return scalar::FilterCodes(base, n, fx.set(), out);
                 },
                 n);
           }
@@ -247,74 +192,103 @@ TEST(KernelFilterTest, CodesIntervalUnionRandomized) {
   }
 }
 
-TEST(KernelRefineTest, CodesIntervalUnionRandomizedDensities) {
+TEST(KernelFilterTest, Int64Randomized) {
   SimdOverrideGuard guard(1);
-  std::mt19937 rng(29);
-  const int32_t lo[] = {0, 7, 15};
-  const int32_t hi[] = {3, 9, 20};
+  std::mt19937 rng(17);
   for (size_t n : kLengths) {
-    for (int density : {0, 50, 500, 1000}) {
-      std::vector<int32_t> codes = RandomCodes(rng, n, 20, 150);
-      SelectionVector sel = RandomSelection(rng, n, density);
-      for (bool match_null : {false, true}) {
-        SelectionVector got = sel, want = sel;
-        size_t kg = RefineCodesIntervalUnion(
-            codes.data(), got.empty() ? nullptr : got.data(), got.size(), lo,
-            hi, 3, match_null);
-        size_t kw = scalar::RefineCodesIntervalUnion(
-            codes.data(), want.empty() ? nullptr : want.data(), want.size(),
-            lo, hi, 3, match_null);
-        ASSERT_EQ(kg, kw);
-        for (size_t i = 0; i < kg; ++i) ASSERT_EQ(got[i], want[i]);
+    for (size_t off : kOffsets) {
+      std::vector<int64_t> vals = RandomInt64s(rng, n + off);
+      std::vector<uint8_t> validity = RandomValidity(rng, n + off, 150);
+      const int64_t* base = vals.data() + off;
+      for (const uint8_t* v :
+           {static_cast<const uint8_t*>(nullptr),
+            static_cast<const uint8_t*>(validity.data() + off)}) {
+        for (const Intervals& ivs : kInt64Shapes) {
+          for (bool match_null : {false, true}) {
+            const SetFixture fx(ivs, match_null);
+            CheckFilter(
+                [&](uint32_t* out) {
+                  return FilterInt64(base, v, n, fx.set(), out);
+                },
+                [&](uint32_t* out) {
+                  return scalar::FilterInt64(base, v, n, fx.set(), out);
+                },
+                n);
+          }
+        }
       }
     }
   }
 }
 
+TEST(KernelFilterTest, ScalarReferenceSemantics) {
+  // The reference itself, on hand-checked rows: NULL codes and invalid
+  // values match only through match_null, and intervals at the int64 ends
+  // include exactly their bounds.
+  const int32_t codes[] = {-1, 0, 5, 6, 20};
+  const SetFixture five({{5, 5}}, false);
+  const SetFixture five_or_null({{5, 5}}, true);
+  std::vector<uint32_t> out(8);
+  ASSERT_EQ(scalar::FilterCodes(codes, 5, five.set(), out.data()), 1u);
+  EXPECT_EQ(out[0], 2u);
+  ASSERT_EQ(scalar::FilterCodes(codes, 5, five_or_null.set(), out.data()),
+            2u);
+  EXPECT_EQ(out[0], 0u);
+  EXPECT_EQ(out[1], 2u);
+
+  const int64_t vals[] = {kMin, kMin + 1, 0, kMax - 1, kMax};
+  const uint8_t valid[] = {1, 1, 0, 1, 1};
+  const SetFixture ends({{kMin, kMin}, {kMax, kMax}}, false);
+  ASSERT_EQ(scalar::FilterInt64(vals, nullptr, 5, ends.set(), out.data()),
+            2u);
+  EXPECT_EQ(out[0], 0u);
+  EXPECT_EQ(out[1], 4u);
+  const SetFixture all_or_null({{kMin, kMax}}, true);
+  const SetFixture all({{kMin, kMax}}, false);
+  EXPECT_EQ(
+      scalar::FilterInt64(vals, valid, 5, all_or_null.set(), out.data()), 5u);
+  EXPECT_EQ(scalar::FilterInt64(vals, valid, 5, all.set(), out.data()), 4u);
+  const SetFixture null_only({}, true);
+  ASSERT_EQ(scalar::FilterInt64(vals, valid, 5, null_only.set(), out.data()),
+            1u);
+  EXPECT_EQ(out[0], 2u);
+}
+
+/// Refines a random selection of each density with the dispatching and
+/// the scalar kernel and asserts identical survivors.
+template <typename RefineFn, typename ScalarFn>
+void CheckRefine(std::mt19937& rng, size_t n, const RefineFn& refine,
+                 const ScalarFn& ref) {
+  for (int density : {0, 50, 500, 1000}) {
+    SelectionVector sel = RandomSelection(rng, n, density);
+    SelectionVector got = sel, want = sel;
+    size_t kg = refine(got.empty() ? nullptr : got.data(), got.size());
+    size_t kw = ref(want.empty() ? nullptr : want.data(), want.size());
+    ASSERT_EQ(kg, kw) << "density " << density;
+    for (size_t i = 0; i < kg; ++i) ASSERT_EQ(got[i], want[i]);
+  }
+}
+
 TEST(KernelRefineTest, CodesRandomizedDensities) {
   SimdOverrideGuard guard(1);
-  std::mt19937 rng(19);
+  std::mt19937 rng(29);
   for (size_t n : kLengths) {
-    for (int density : {0, 50, 500, 1000}) {
-      std::vector<int32_t> codes = RandomCodes(rng, n, 12, 100);
-      SelectionVector sel = RandomSelection(rng, n, density);
-      auto check = [&](auto refine, auto ref) {
-        SelectionVector got = sel, want = sel;
-        size_t kg = got.empty() ? refine(got.data(), size_t{0})
-                                : refine(got.data(), got.size());
-        size_t kw = want.empty() ? ref(want.data(), size_t{0})
-                                 : ref(want.data(), want.size());
-        ASSERT_EQ(kg, kw);
-        for (size_t i = 0; i < kg; ++i) ASSERT_EQ(got[i], want[i]);
-      };
-      check(
-          [&](uint32_t* s, size_t k) {
-            return RefineCodesEq(codes.data(), s, k, 5);
-          },
-          [&](uint32_t* s, size_t k) {
-            return scalar::RefineCodesEq(codes.data(), s, k, 5);
-          });
-      check(
-          [&](uint32_t* s, size_t k) {
-            return RefineCodesNe(codes.data(), s, k, 5);
-          },
-          [&](uint32_t* s, size_t k) {
-            return scalar::RefineCodesNe(codes.data(), s, k, 5);
-          });
-      check(
-          [&](uint32_t* s, size_t k) {
-            return RefineCodesRange(codes.data(), s, k, 3, 9);
-          },
-          [&](uint32_t* s, size_t k) {
-            return scalar::RefineCodesRange(codes.data(), s, k, 3, 9);
-          });
-      check(
-          [&](uint32_t* s, size_t k) {
-            return RefineCodesNull(codes.data(), s, k, true);
-          },
-          [&](uint32_t* s, size_t k) {
-            return scalar::RefineCodesNull(codes.data(), s, k, true);
-          });
+    for (size_t off : kOffsets) {
+      std::vector<int32_t> codes = RandomCodes(rng, n + off, 20, 150);
+      const int32_t* base = codes.data() + off;
+      for (const Intervals& ivs : kCodeShapes) {
+        for (bool match_null : {false, true}) {
+          const SetFixture fx(ivs, match_null);
+          CheckRefine(
+              rng, n,
+              [&](uint32_t* s, size_t k) {
+                return RefineCodes(base, s, k, fx.set());
+              },
+              [&](uint32_t* s, size_t k) {
+                return scalar::RefineCodes(base, s, k, fx.set());
+              });
+        }
+      }
     }
   }
 }
@@ -322,24 +296,26 @@ TEST(KernelRefineTest, CodesRandomizedDensities) {
 TEST(KernelRefineTest, Int64RandomizedDensities) {
   SimdOverrideGuard guard(1);
   std::mt19937 rng(23);
-  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
-                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
   for (size_t n : kLengths) {
-    for (int density : {50, 500, 1000}) {
-      std::vector<int64_t> vals = RandomInts(rng, n, -10, 10);
-      std::vector<uint8_t> validity = RandomValidity(rng, n, 100);
-      SelectionVector sel = RandomSelection(rng, n, density);
-      for (CmpOp op : ops) {
-        for (const uint8_t* v :
-             {static_cast<const uint8_t*>(nullptr),
-              static_cast<const uint8_t*>(validity.data())}) {
-          SelectionVector got = sel, want = sel;
-          size_t kg = RefineInt64(vals.data(), v, got.data(), got.size(),
-                                  op, 2);
-          size_t kw = scalar::RefineInt64(vals.data(), v, want.data(),
-                                          want.size(), op, 2);
-          ASSERT_EQ(kg, kw);
-          for (size_t i = 0; i < kg; ++i) ASSERT_EQ(got[i], want[i]);
+    for (size_t off : kOffsets) {
+      std::vector<int64_t> vals = RandomInt64s(rng, n + off);
+      std::vector<uint8_t> validity = RandomValidity(rng, n + off, 150);
+      const int64_t* base = vals.data() + off;
+      for (const uint8_t* v :
+           {static_cast<const uint8_t*>(nullptr),
+            static_cast<const uint8_t*>(validity.data() + off)}) {
+        for (const Intervals& ivs : kInt64Shapes) {
+          for (bool match_null : {false, true}) {
+            const SetFixture fx(ivs, match_null);
+            CheckRefine(
+                rng, n,
+                [&](uint32_t* s, size_t k) {
+                  return RefineInt64(base, v, s, k, fx.set());
+                },
+                [&](uint32_t* s, size_t k) {
+                  return scalar::RefineInt64(base, v, s, k, fx.set());
+                });
+          }
         }
       }
     }
@@ -382,30 +358,6 @@ TEST(KernelGatherTest, TypedGathersRandomized) {
       EXPECT_EQ(got64, want64);
       EXPECT_EQ(gotd, wantd);
       EXPECT_EQ(gotb, wantb);
-    }
-  }
-}
-
-TEST(KernelFilterTest, Int64ExtremesMatchScalar) {
-  // INT64_MIN/MAX literals exercise the sign-flip paths of the 64-bit
-  // comparators.
-  SimdOverrideGuard guard(1);
-  std::vector<int64_t> vals = {INT64_MIN, -1, 0, 1, INT64_MAX,
-                               INT64_MIN + 1, INT64_MAX - 1, 7, -7, 100};
-  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
-                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
-  for (CmpOp op : ops) {
-    for (int64_t lit : {INT64_MIN, int64_t{0}, INT64_MAX}) {
-      CheckFilter(
-          [&](uint32_t* out) {
-            return FilterInt64(vals.data(), nullptr, vals.size(), op, lit,
-                               out);
-          },
-          [&](uint32_t* out) {
-            return scalar::FilterInt64(vals.data(), nullptr, vals.size(),
-                                       op, lit, out);
-          },
-          vals.size());
     }
   }
 }

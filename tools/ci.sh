@@ -11,8 +11,9 @@
 #   tools/ci.sh server       # wire server: ASan+TSan conformance, fuzz leg,
 #                            # loopback vdmload smoke
 #   tools/ci.sh lint         # no hidden compiler state, warning-clean
-#                            # build, vdmlint catalog audit
-#                            # (baseline-gated), tidy, format
+#                            # build, SIMD-off kernel/exec tests,
+#                            # vdmlint catalog audit (baseline-gated),
+#                            # tidy, format
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,10 +37,12 @@ run_sanitizer() {
       -R 'paper_queries_test|property_random_test|plan_cache_test|governor_test|sql_end2end_test'
   # Third pass with the SIMD kernels forced off: the exec / kernel /
   # paper-query suites must be byte-identical through the scalar
-  # reference kernels (the default run above covers SIMD-on dispatch).
-  echo "== ${san}: exec + kernel + paper-query tests, VDM_SIMD=0 =="
+  # reference kernels (the default run above covers SIMD-on dispatch), and
+  # the differential oracle's compressed-off leg diffs the generic path
+  # against the scalar kernels.
+  echo "== ${san}: exec + kernel + paper-query + differential tests, VDM_SIMD=0 =="
   VDM_SIMD=0 ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -R 'exec_test|exec_parallel_test|kernel_test|paper_queries_test|property_random_test'
+      -R 'exec_test|exec_parallel_test|kernel_test|paper_queries_test|property_random_test|differential_test'
   # Fourth pass with the cost-based join reorderer forced off: the default
   # runs above cover reordering on (it is the default); this leg proves the
   # paper-query, property, and estimator suites are order-independent.
@@ -200,6 +203,16 @@ run_lint() {
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="${werror}" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
+  # The AVX2 kernel TU compiled out (-DVDMQO_SIMD=OFF): dispatch is
+  # scalar at compile time, and the kernel and executor suites must pass
+  # on that build too.
+  local nosimd_dir="build-nosimd"
+  echo "== -DVDMQO_SIMD=OFF build: kernel + exec tests =="
+  cmake -B "${nosimd_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DVDMQO_SIMD=OFF -DCMAKE_CXX_FLAGS="${werror}" >/dev/null
+  cmake --build "${nosimd_dir}" -j "${JOBS}" --target kernel_test exec_test
+  ctest --test-dir "${nosimd_dir}" --output-on-failure -j "${JOBS}" \
+      -R 'kernel_test|exec_test'
   echo "== vdmlint: whole-catalog audit =="
   "${dir}/tools/vdmlint" --catalog-audit --jeib --fixture \
       --baseline tools/vdmlint.baseline --fail-on warning

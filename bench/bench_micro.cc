@@ -87,6 +87,57 @@ void BM_HashAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggregate);
 
+/// Executes `sql`, planned once, per iteration.
+void ExecuteEach(benchmark::State& state, Database* db, const char* sql) {
+  Result<PlanRef> plan = db->PlanQuery(sql);
+  VDM_CHECK(plan.ok());
+  for (auto _ : state) {
+    Result<Chunk> r = db->ExecutePlan(*plan);
+    benchmark::DoNotOptimize(r->NumRows());
+  }
+}
+
+// JEIB's document-total augmentation: a four-column (string, string, int,
+// int) group key, joined back on the same four columns.
+void BM_DocumentTotalJoin(benchmark::State& state) {
+  ExecuteEach(state, S4Db(),
+              "select count(*) as n, sum(dt.documenttotal) as s "
+              "from acdoca a join i_documenttotal dt "
+              "on a.rldnr = dt.rldnr and a.rbukrs = dt.rbukrs "
+              "and a.gjahr = dt.gjahr and a.belnr = dt.belnr");
+}
+BENCHMARK(BM_DocumentTotalJoin);
+
+// Plain strings (unmerged delta rows) probing a dictionary-coded build
+// side: every probe key is looked up by value.
+void BM_PlainStringProbe(benchmark::State& state) {
+  static Database* db = [] {
+    auto* instance = new Database();
+    VDM_CHECK(instance->Execute("create table dictdim (k varchar primary key, "
+                                "label varchar)")
+                  .ok());
+    VDM_CHECK(instance->Execute("create table plainfact (k varchar, v int)")
+                  .ok());
+    std::vector<std::vector<Value>> dim, fact;
+    for (int64_t i = 0; i < 2000; ++i) {
+      dim.push_back({Value::String("key" + std::to_string(i)),
+                     Value::String("label" + std::to_string(i % 7))});
+    }
+    for (int64_t i = 0; i < 20000; ++i) {
+      fact.push_back({Value::String("key" + std::to_string(i * 7 % 2500)),
+                      Value::Int64(i)});
+    }
+    VDM_CHECK(instance->Insert("dictdim", dim).ok());
+    instance->MergeAllDeltas();  // the build side carries a dictionary
+    VDM_CHECK(instance->Insert("plainfact", fact).ok());
+    return instance;
+  }();
+  ExecuteEach(state, db,
+              "select count(*) as n from plainfact f "
+              "join dictdim d on f.k = d.k");
+}
+BENCHMARK(BM_PlainStringProbe);
+
 void BM_OptimizeUajQuery(benchmark::State& state) {
   Database* db = TpchDb();
   Result<PlanRef> bound = db->BindQuery(UajQuerySql(UajQuery::kUaj2a));

@@ -97,7 +97,7 @@ TableStats CollectTableStats(const Table& table) {
       continue;
     }
     ColumnData col = ts.ScanColumnRange(i, 0, physical);
-    if (!all_visible) col = col.GatherSelection(visible);
+    if (!all_visible) col = col.Gather(visible);
     col.EnsureDecoded();
     CollectFromColumn(col, &entry);
   }

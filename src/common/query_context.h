@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "txn/snapshot.h"
@@ -84,6 +85,14 @@ class ScopedMemoryCharge {
   ~ScopedMemoryCharge() { ReleaseAll(); }
   ScopedMemoryCharge(const ScopedMemoryCharge&) = delete;
   ScopedMemoryCharge& operator=(const ScopedMemoryCharge&) = delete;
+  ScopedMemoryCharge(ScopedMemoryCharge&& other) noexcept
+      : tracker_(other.tracker_), charged_(std::exchange(other.charged_, 0)) {}
+  ScopedMemoryCharge& operator=(ScopedMemoryCharge&& other) noexcept {
+    ReleaseAll();
+    tracker_ = other.tracker_;
+    charged_ = std::exchange(other.charged_, 0);
+    return *this;
+  }
 
   /// Charges additional bytes (no-op tracker-less). On failure nothing is
   /// retained.

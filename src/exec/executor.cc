@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <forward_list>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -74,7 +75,7 @@ Result<SelectionVector> SelectWhere(const ExprRef& predicate,
 /// Returns the number of values gathered.
 size_t KeepRows(const SelectionVector& sel, Chunk* chunk) {
   if (sel.size() == chunk->NumRows()) return 0;
-  for (ColumnData& col : chunk->columns) col = col.GatherSelection(sel);
+  for (ColumnData& col : chunk->columns) col = col.Gather(sel);
   return sel.size() * chunk->columns.size();
 }
 
@@ -848,12 +849,13 @@ class ExecutorImpl {
   // Chains. A stack of Join (through the probe side), Filter and Project
   // nodes runs as one morsel pipeline over its base: a Scan, read morsel
   // by morsel, or another operator's materialized output, cut into row
-  // ranges. A morsel in flight is not a chunk but one
-  // row-index vector per source: the base, each join's build side
-  // (kInvalidIndex for a NULL-extended row) and each Project's computed
-  // columns. Join keys, residuals and filters gather only the columns they
-  // read; the chain's top, where a breaker or the result takes over,
-  // gathers each output column once.
+  // ranges. A morsel in flight is not a chunk but one 32-bit row-index
+  // vector per source: the base, each join's build side (kInvalidIndex for
+  // a NULL-extended row) and each Project's computed columns. Join keys
+  // are read through the indexes, residuals and filters gather only the
+  // columns they read, and the chain's top gathers each output column
+  // once. A join emits its matches in waves of at most kWaveMatches, and
+  // every level above consumes a wave before the next one is made.
 
   /// The chain topped by some plan node: its Join, Filter and Project
   /// nodes top-down, and the base under them — a Scan, read morsel by
@@ -934,6 +936,7 @@ class ExecutorImpl {
     JoinKeys keys;
     Chunk build;
     std::unique_ptr<JoinHashTable> table;
+    JoinHashTable::ProbeMap probe_map;
     // Project: the items that are not bare column references
     std::vector<const ProjectOp::Item*> computed;
   };
@@ -945,39 +948,45 @@ class ExecutorImpl {
     Level base;
     size_t num_sources = 1;
     std::vector<uint8_t> read_once;    // per top column: its slot only once
+    const SortOp* top_k_sort = nullptr;
+    int64_t top_k = kNoBudget;
     std::vector<size_t> top_k_inputs;  // top columns the sort keys read
   };
 
   /// One source of a morsel in flight.
   struct Source {
-    std::vector<size_t> rows;  // source row per batch row
-    bool identity = false;     // rows[i] == i, not stored
+    SelectionVector rows;     // source row per batch row
+    bool identity = false;    // rows[i] == i, not stored
     bool live = false;
-    Chunk owned;  // a per-morsel source: the scan morsel, computed columns
+    Chunk* owned = nullptr;   // a per-morsel source's columns
   };
 
-  /// One morsel in flight: `n` rows, each a row of every live source.
+  /// Rows in flight: `n` rows, each a row of every live source.
   struct Batch {
     size_t n = 0;
     std::vector<Source> src;
-    uint64_t gathered = 0;
 
     explicit Batch(size_t num_sources) : src(num_sources) {}
 
-    /// Keeps batch rows `pick` (in that order) of every live source.
-    void Pick(const std::vector<size_t>& pick) {
-      for (Source& s : src) {
-        if (!s.live) continue;
-        if (s.identity) {
-          s.rows = pick;
-          s.identity = false;
+    /// Batch rows `pick` (in that order) of every live source.
+    Batch Composed(const SelectionVector& pick) const {
+      Batch out(src.size());
+      out.n = pick.size();
+      for (size_t s = 0; s < src.size(); ++s) {
+        if (!src[s].live) continue;
+        Source& o = out.src[s];
+        o.live = true;
+        o.owned = src[s].owned;
+        if (src[s].identity) {
+          o.rows = pick;
           continue;
         }
-        std::vector<size_t> next(pick.size());
-        for (size_t i = 0; i < pick.size(); ++i) next[i] = s.rows[pick[i]];
-        s.rows = std::move(next);
+        o.rows.resize(pick.size());
+        for (size_t i = 0; i < o.rows.size(); ++i) {
+          o.rows[i] = src[s].rows[pick[i]];
+        }
       }
-      n = pick.size();
+      return out;
     }
 
     /// Releases the sources no longer read.
@@ -991,176 +1000,296 @@ class ExecutorImpl {
     size_t IndexBytes() const {
       size_t bytes = 0;
       for (const Source& s : src) bytes += s.rows.size();
-      return bytes * sizeof(size_t);
+      return bytes * sizeof(uint32_t);
     }
+  };
+
+  /// One morsel's chain output and the counts RunWaves and metrics read.
+  struct ChainPiece {
+    Chunk out;
+    std::vector<size_t> level_rows;  // rows leaving the base and each step
+    size_t index_bytes = 0;          // peak row-index bytes of one wave
+    uint64_t gathered = 0;
+    ScopedMemoryCharge out_mem;      // `out`, charged as it grows
+  };
+
+  /// One morsel's run through a chain.
+  struct MorselRun {
+    const Chain& chain;
+    ChainPiece* piece;
+    size_t filtered = 0;  // bottom Filter steps the scan already applied
+    std::vector<int64_t> emitted = {};  // per step: rows a join has kept
+    JoinHashTable::ProbeScratch scratch = {};
   };
 
   static const ColumnData& SourceColumn(const Chain& chain, const Batch& b,
                                         Slot slot) {
     const Chunk* chunk = chain.shared[slot.src];
-    return (chunk != nullptr ? *chunk : b.src[slot.src].owned).columns[slot.col];
+    return (chunk != nullptr ? *chunk : *b.src[slot.src].owned)
+        .columns[slot.col];
   }
 
   /// Column `slot` at the batch's rows.
-  static ColumnData Take(const Chain& chain, Batch* b, Slot slot) {
-    const ColumnData& col = SourceColumn(chain, *b, slot);
-    b->gathered += b->n;
-    if (b->src[slot.src].identity) return col;
-    return col.Gather(b->src[slot.src].rows);
+  static ColumnData Take(MorselRun* run, const Batch& b, Slot slot) {
+    const ColumnData& col = SourceColumn(run->chain, b, slot);
+    run->piece->gathered += b.n;
+    if (b.src[slot.src].identity) return col;
+    return col.Gather(b.src[slot.src].rows);
   }
 
   /// The `cols` of `level` at the batch's rows, by name: the input chunk
   /// of an expression that reads only those columns.
-  static Chunk View(const Chain& chain, const Level& level,
-                    const std::vector<size_t>& cols, Batch* b) {
+  static Chunk View(MorselRun* run, const Level& level,
+                    const std::vector<size_t>& cols, const Batch& b) {
     Chunk view;
     for (size_t c : cols) {
       view.names.push_back(level.names[c]);
-      view.columns.push_back(Take(chain, b, level.slots[c]));
+      view.columns.push_back(Take(run, b, level.slots[c]));
     }
     return view;
   }
 
-  /// Keeps the first `budget` entries of a row pair list (all with
-  /// kNoBudget).
-  static void KeepPrefix(int64_t budget, std::vector<size_t>* a,
-                         std::vector<size_t>* b) {
-    if (budget < 0 || a->size() <= static_cast<size_t>(budget)) return;
-    a->resize(static_cast<size_t>(budget));
-    b->resize(static_cast<size_t>(budget));
+  /// Step i's batch is final: drops the sources no longer read, counts it.
+  static void Advance(MorselRun* run, size_t i, Batch* b) {
+    b->Retain(run->chain.steps[i].live);
+    run->piece->level_rows[i + 1] += b->n;
+    run->piece->index_bytes =
+        std::max(run->piece->index_bytes, b->IndexBytes());
   }
 
-  /// Probes the batch through join `step` in (probe row, ascending build
-  /// row) order; without a hash table (no equi key) every build row
-  /// matches. The residual then drops matches, a LEFT OUTER probe row left
-  /// without one is null-extended, and at most the step's budget of rows
-  /// is kept: the caller needs only a prefix. The match vectors grow with
-  /// the join's fan-out, not with the morsel, so each doubling is charged
-  /// to the query before it is allocated and the governor is polled every
-  /// kMatchPollStep matches: a budget or CANCEL stops a runaway probe
-  /// inside the morsel. The charge ends with the step; RunWaves charges
-  /// the row indexes the batch keeps.
-  Status ProbeStep(const Chain& chain, const ChainStep& step,
-                   const Level& in, Batch* b) {
-    const size_t n = b->n;
-    std::vector<size_t> lrows, rrows, matches;
-    lrows.reserve(n);
-    rrows.reserve(n);
-    std::vector<ColumnData> gathered_keys;
-    gathered_keys.reserve(step.keys.cols.size());
-    std::vector<const ColumnData*> key_cols;
-    std::optional<JoinHashTable::Prober> prober;
-    if (step.table != nullptr) {
-      for (const auto& [lc, rc] : step.keys.cols) {
-        const Slot slot = in.slots[lc];
-        if (b->src[slot.src].identity) {
-          key_cols.push_back(&SourceColumn(chain, *b, slot));
-        } else {
-          gathered_keys.push_back(Take(chain, b, slot));
-          key_cols.push_back(&gathered_keys.back());
+  /// Runs chain steps [i, end) on `b`, then gathers the top into the
+  /// morsel's piece. A join hands each of its waves on and returns.
+  Status RunSteps(MorselRun* run, size_t i, Batch b) {
+    const Chain& chain = run->chain;
+    std::forward_list<Chunk> computed;  // this frame's Project columns
+    for (; i < chain.steps.size(); ++i) {
+      const ChainStep& step = chain.steps[i];
+      const Level& in = i == 0 ? chain.base : chain.steps[i - 1].out;
+      switch (i < run->filtered ? OpKind::kScan : step.op->kind()) {
+        case OpKind::kScan:
+          break;
+        case OpKind::kJoin:
+          return ProbeStep(run, i, in, std::move(b));
+        case OpKind::kFilter: {
+          const auto& filter = static_cast<const FilterOp&>(*step.op);
+          VDM_ASSIGN_OR_RETURN(
+              SelectionVector sel,
+              SelectWhere(filter.predicate(), View(run, in, step.inputs, b)));
+          if (sel.size() != b.n) b = b.Composed(sel);
+          break;
+        }
+        default: {  // kProject
+          if (step.computed.empty()) break;
+          const Chunk view = View(run, in, step.inputs, b);
+          Chunk& cols = computed.emplace_front();
+          for (const ProjectOp::Item* item : step.computed) {
+            VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(item->expr, view));
+            cols.columns.push_back(std::move(col));
+          }
+          b.src[step.src] = Source{{}, true, true, &cols};
+          break;
         }
       }
-      prober.emplace(*step.table);
-      prober->Bind(&key_cols);
+      Advance(run, i, &b);
     }
-    constexpr size_t kMatchPollStep = size_t{1} << 16;
-    ScopedMemoryCharge match_mem(&ctx_->memory());
-    size_t next_poll = kMatchPollStep;
-    const size_t build_rows = step.build.NumRows();
-    for (size_t l = 0; l < n; ++l) {
-      size_t count = build_rows;
-      if (prober.has_value()) {
-        matches.clear();
-        count = prober->ProbeRow(l, &matches);
-      }
-      const size_t need = lrows.size() + std::max<size_t>(count, 1);
-      if (need > lrows.capacity()) {
-        const size_t cap = std::max(need, 2 * lrows.capacity());
-        VDM_RETURN_NOT_OK(match_mem.Charge(static_cast<int64_t>(
-            2 * (cap - lrows.capacity()) * sizeof(size_t))));
-        lrows.reserve(cap);
-        rrows.reserve(cap);
-      }
-      if (need >= next_poll) {
-        next_poll = need + kMatchPollStep;
-        VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-      }
-      if (prober.has_value()) {
-        for (size_t r : matches) {
-          lrows.push_back(l);
-          rrows.push_back(r);
-        }
+    // The top. With a top-k sort, only the batch's first `top_k` rows in
+    // that order (kept in input order); each output column is gathered
+    // once into the morsel's piece, which is cut back to its own top k
+    // when it holds more than one wave.
+    const Level& level =
+        chain.steps.empty() ? chain.base : chain.steps.back().out;
+    if (chain.top_k_sort != nullptr) {
+      VDM_ASSIGN_OR_RETURN(
+          SelectionVector keep,
+          SortOrder(*chain.top_k_sort,
+                    View(run, level, chain.top_k_inputs, b), chain.top_k));
+      std::sort(keep.begin(), keep.end());
+      if (keep.size() != b.n) b = b.Composed(keep);
+    }
+    // The breaker's gather: each output column once. A per-morsel column
+    // read once at identity rows moves out instead.
+    Chunk& out = run->piece->out;
+    out.names = level.names;
+    for (size_t c = 0; c < level.slots.size(); ++c) {
+      const Slot slot = level.slots[c];
+      const bool movable = chain.read_once[c] && b.src[slot.src].identity &&
+                           chain.shared[slot.src] == nullptr;
+      ColumnData col = movable
+                           ? std::move(b.src[slot.src].owned->columns[slot.col])
+                           : Take(run, b, slot);
+      if (out.columns.size() == c) {
+        out.columns.push_back(std::move(col));
       } else {
-        for (size_t r = 0; r < count; ++r) {
-          lrows.push_back(l);
-          rrows.push_back(r);
-        }
-      }
-      if (count == 0 && step.left_outer) {
-        lrows.push_back(l);
-        rrows.push_back(ColumnData::kInvalidIndex);
+        out.columns[c].AppendColumn(std::move(col));
       }
     }
-    // Without a residual the budget applies before the sources compose.
-    const bool residual = step.keys.residual != nullptr;
-    if (!residual) KeepPrefix(step.budget, &lrows, &rrows);
-    b->Pick(lrows);
-    b->src[step.src].rows = std::move(rrows);
-    b->src[step.src].live = true;
-    if (!residual) return Status::OK();
-    // The residual is part of the join condition: it runs on every
-    // candidate (even none, so type errors surface), and a LEFT OUTER probe
-    // row whose matches all fail reverts to null extension.
-    VDM_ASSIGN_OR_RETURN(
-        SelectionVector pass,
-        SelectWhere(step.keys.residual,
-                    View(chain, step.out, step.inputs, b)));
-    const std::vector<size_t>& cand_r = b->src[step.src].rows;
-    std::vector<size_t> kept, kept_r;  // candidate index, build row
-    size_t p = 0;
-    for (size_t i = 0; i < lrows.size();) {
-      const size_t first = i;
-      bool any = false;
-      for (; i < lrows.size() && lrows[i] == lrows[first]; ++i) {
-        const bool passed = p < pass.size() && pass[p] == i;
-        if (passed) ++p;
-        if (passed && cand_r[i] != ColumnData::kInvalidIndex) {
-          kept.push_back(i);
-          kept_r.push_back(cand_r[i]);
-          any = true;
-        }
-      }
-      if (!any && step.left_outer) {
-        kept.push_back(first);
-        kept_r.push_back(ColumnData::kInvalidIndex);
-      }
+    VDM_RETURN_NOT_OK(run->piece->out_mem.Charge(
+        static_cast<int64_t>(b.n * level.slots.size() * sizeof(int64_t))));
+    if (chain.top_k_sort == nullptr || out.NumRows() == b.n) {
+      return Status::OK();
     }
-    KeepPrefix(step.budget, &kept, &kept_r);
-    b->src[step.src].live = false;
-    b->Pick(kept);
-    b->src[step.src].rows = std::move(kept_r);
-    b->src[step.src].live = true;
+    VDM_ASSIGN_OR_RETURN(SelectionVector keep,
+                         SortOrder(*chain.top_k_sort, out, chain.top_k));
+    if (keep.size() == out.NumRows()) return Status::OK();
+    std::sort(keep.begin(), keep.end());
+    run->piece->gathered += keep.size() * out.NumColumns();
+    for (ColumnData& col : out.columns) col = col.Gather(keep);
     return Status::OK();
   }
 
-  /// One morsel's chain output and the counts RunWaves and the metrics
-  /// read.
-  struct ChainPiece {
-    Chunk out;
-    std::vector<size_t> level_rows;  // rows leaving the base and each step
-    size_t index_bytes = 0;          // peak row-index bytes held
-    uint64_t gathered = 0;
-  };
+  /// Probes `b` through join step i in (probe row, ascending build row)
+  /// order; without a hash table (no equi key) every build row matches.
+  /// All chain heads are found first, then the chains are walked into
+  /// waves of at most kWaveMatches pairs, each handed on before the next
+  /// is made, ending at a probe-row boundary unless one row overflows one.
+  /// A LEFT OUTER row whose candidates all fail the residual is
+  /// null-extended once, and the step keeps at most its budget of rows
+  /// over the morsel. Each wave polls the governor and charges its match
+  /// vectors' growth.
+  Status ProbeStep(MorselRun* run, size_t i, const Level& in, Batch b) {
+    constexpr size_t kWaveMatches = size_t{1} << 16;
+    constexpr uint32_t kEnd = JoinHashTable::kEnd;
+    const ChainStep& step = run->chain.steps[i];
+    const size_t n = b.n;
+    const uint32_t build_rows = static_cast<uint32_t>(step.build.NumRows());
+    std::vector<uint32_t> heads;
+    if (step.table != nullptr) {
+      std::vector<KeyColumn> keys;
+      for (const auto& [lc, rc] : step.keys.cols) {
+        const Slot slot = in.slots[lc];
+        const Source& s = b.src[slot.src];
+        keys.push_back({&SourceColumn(run->chain, b, slot),
+                        s.identity ? nullptr : s.rows.data()});
+      }
+      step.table->FindHeads(step.probe_map, keys, n, &run->scratch, &heads);
+    }
+    // A LEFT OUTER join on a key with one build row emits its chain heads
+    // as they are, kEnd as the NULL extension.
+    int64_t& emitted = run->emitted[i];
+    if (step.left_outer && step.table != nullptr && step.table->unique() &&
+        step.keys.residual == nullptr && n <= kWaveMatches &&
+        (step.budget < 0 || static_cast<int64_t>(n) <= step.budget - emitted)) {
+      VDM_RETURN_NOT_OK(ctx_->CheckAlive());
+      emitted += static_cast<int64_t>(n);
+      b.src[step.src] = Source{std::move(heads), false, true, nullptr};
+      Advance(run, i, &b);
+      return RunSteps(run, i + 1, std::move(b));
+    }
+    auto head = [&](size_t l) {
+      return step.table != nullptr ? heads[l] : (build_rows > 0 ? 0 : kEnd);
+    };
+    auto next = [&](uint32_t r) {
+      return step.table != nullptr ? step.table->Next(r)
+                                   : (r + 1 < build_rows ? r + 1 : kEnd);
+    };
+    ScopedMemoryCharge match_mem(&ctx_->memory());
+    size_t charged = 0;  // match-vector entries charged
+    SelectionVector lrows, rrows, kept, kept_r;
+    // Keeps the prefix of a wave's pairs the step's budget still allows.
+    auto keep_prefix = [&](SelectionVector* a, SelectionVector* c) {
+      if (step.budget >= 0) {
+        a->resize(std::min<size_t>(a->size(), step.budget - emitted));
+      }
+      c->resize(a->size());
+      emitted += static_cast<int64_t>(a->size());
+    };
+    size_t l = 0;            // next probe row
+    uint32_t resume = kEnd;  // where a split row's chain goes on
+    bool carried = false;    // some candidate of the split row passed
+    lrows.reserve(std::min(n, kWaveMatches));
+    do {
+      VDM_RETURN_NOT_OK(ctx_->CheckAlive());
+      lrows.clear();
+      rrows.clear();
+      rrows.reserve(std::min(n, kWaveMatches));
+      const bool continued = resume != kEnd;  // the wave starts mid-row
+      bool split = false;                     // ... and ends mid-row
+      while (l < n && lrows.size() < kWaveMatches) {
+        const size_t start = lrows.size();
+        const bool matched_before = resume != kEnd;
+        uint32_t r = matched_before ? resume : head(l);
+        resume = kEnd;
+        for (; r != kEnd && lrows.size() < kWaveMatches; r = next(r)) {
+          lrows.push_back(static_cast<uint32_t>(l));
+          rrows.push_back(r);
+        }
+        if (r != kEnd) {  // the row's matches overflow the wave
+          if (start > 0) {  // restart it in the next wave
+            lrows.resize(start);
+            rrows.resize(start);
+          } else {
+            resume = r;
+            split = true;
+          }
+          break;
+        }
+        if (lrows.size() == start && !matched_before && step.left_outer) {
+          lrows.push_back(static_cast<uint32_t>(l));
+          rrows.push_back(ColumnData::kInvalidIndex);
+        }
+        ++l;
+      }
+      const size_t entries = lrows.capacity() + rrows.capacity();
+      if (entries > charged) {
+        VDM_RETURN_NOT_OK(match_mem.Charge(
+            static_cast<int64_t>((entries - charged) * sizeof(uint32_t))));
+        charged = entries;
+      }
+      const bool residual = step.keys.residual != nullptr;
+      if (!residual) keep_prefix(&lrows, &rrows);
+      Batch w = b.Composed(lrows);
+      w.src[step.src] = Source{std::move(rrows), false, true, nullptr};
+      if (residual) {
+        // The residual is part of the join condition: it runs on every
+        // candidate (even none, so type errors surface), and a LEFT OUTER
+        // probe row whose candidates all fail reverts to null extension.
+        VDM_ASSIGN_OR_RETURN(
+            SelectionVector pass,
+            SelectWhere(step.keys.residual,
+                        View(run, step.out, step.inputs, w)));
+        const SelectionVector& cand_r = w.src[step.src].rows;
+        kept.clear();
+        kept_r.clear();
+        size_t p = 0;
+        for (size_t c = 0; c < lrows.size();) {
+          const size_t first = c;
+          bool any = first == 0 && continued && carried;
+          for (; c < lrows.size() && lrows[c] == lrows[first]; ++c) {
+            const bool passed = p < pass.size() && pass[p] == c;
+            if (passed) ++p;
+            if (passed && cand_r[c] != ColumnData::kInvalidIndex) {
+              kept.push_back(static_cast<uint32_t>(c));
+              kept_r.push_back(cand_r[c]);
+              any = true;
+            }
+          }
+          if (c == lrows.size() && split) {
+            carried = any;  // the row goes on in the next wave
+          } else if (!any && step.left_outer) {
+            kept.push_back(static_cast<uint32_t>(first));
+            kept_r.push_back(ColumnData::kInvalidIndex);
+          }
+        }
+        keep_prefix(&kept, &kept_r);
+        w.src[step.src].live = false;
+        w = w.Composed(kept);
+        w.src[step.src] = Source{std::move(kept_r), false, true, nullptr};
+      }
+      Advance(run, i, &w);
+      VDM_RETURN_NOT_OK(RunSteps(run, i + 1, std::move(w)));
+    } while ((l < n || resume != kEnd) &&
+             (step.budget < 0 || emitted < step.budget));
+    return Status::OK();
+  }
 
-  /// Runs morsel(m, &(*pieces)[m]) for every morsel, in waves, and returns
-  /// how many morsels ran (always a prefix). `budgets` holds a row budget
-  /// (or kNoBudget) per chain level. Without one, one wave holds every
-  /// morsel. With one, each wave holds two pool-widths of morsels, and the
-  /// waves stop once some level has produced its budget: the chain's
-  /// output is a prefix in morsel order, so a downstream LIMIT keeps the
-  /// same rows. Every morsel polls the governor first; the first failure
-  /// in morsel order is returned. `charge` is charged each wave's row
-  /// indexes.
+  /// Runs morsel(m, &(*pieces)[m]) for every morsel, in waves of morsels,
+  /// and returns how many ran (always a prefix). `budgets` holds a row
+  /// budget (or kNoBudget) per chain level. Without one, one wave holds
+  /// every morsel. With one, a wave holds two pool-widths of morsels, and
+  /// the waves stop once some level has produced its budget (the output is
+  /// a prefix in morsel order, so a LIMIT keeps the same rows). Every
+  /// morsel polls the governor first; the first failure in morsel order is
+  /// returned. `charge` is charged each wave's row indexes.
   Result<size_t> RunWaves(
       size_t num_morsels, const std::vector<int64_t>& budgets,
       const std::function<Status(size_t, ChainPiece*)>& morsel,
@@ -1206,101 +1335,33 @@ class ExecutorImpl {
     return processed;
   }
 
-  /// Concatenates the outputs of pieces[0, count) in morsel order.
-  /// pieces[0] always exists and carries the names and column types, even
-  /// when empty.
-  static Chunk ConcatPieces(std::vector<ChainPiece>* pieces, size_t count) {
-    Chunk out = std::move((*pieces)[0].out);
-    for (size_t m = 1; m < count; ++m) {
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].AppendColumn(std::move((*pieces)[m].out.columns[c]));
-      }
-    }
-    return out;
-  }
-
-  /// The chain's work for one morsel, gathered into piece->out. With
-  /// `top_k_sort`, only the morsel's first `top_k` rows in that order
-  /// (kept in input order) are gathered.
-  Status ChainMorsel(const Chain& chain, const ScanPrep* prep,
-                     const SortOp* top_k_sort, int64_t top_k, size_t m,
+  /// The chain's work for one morsel, gathered into piece->out.
+  Status ChainMorsel(const Chain& chain, const ScanPrep* prep, size_t m,
                      ChainPiece* piece) {
+    piece->out_mem = ScopedMemoryCharge(&ctx_->memory());
+    MorselRun run{chain, piece};
+    run.emitted.assign(chain.steps.size(), 0);
     Batch b(chain.num_sources);
     b.src[0].live = true;
-    size_t filtered = 0;  // bottom Filter steps the scan already applied
+    Chunk scanned;
     if (prep != nullptr) {
       VDM_RETURN_NOT_OK(
-          ScanMorsel(*prep, m, &b.src[0].owned, &filtered, &b.gathered));
+          ScanMorsel(*prep, m, &scanned, &run.filtered, &piece->gathered));
       b.src[0].identity = true;
-      b.n = b.src[0].owned.NumRows();
+      b.src[0].owned = &scanned;
+      b.n = scanned.NumRows();
     } else {
       const size_t rows = chain.shared[0]->NumRows();
       const size_t begin = std::min(rows, m * morsel_size_);
       b.n = std::min(rows, begin + morsel_size_) - begin;
       b.src[0].rows.resize(b.n);
-      for (size_t i = 0; i < b.n; ++i) b.src[0].rows[i] = begin + i;
-    }
-    piece->level_rows.reserve(chain.steps.size() + 1);
-    piece->level_rows.push_back(b.n);
-    const Level* level = &chain.base;
-    for (size_t i = 0; i < chain.steps.size(); ++i) {
-      const ChainStep& step = chain.steps[i];
-      switch (i < filtered ? OpKind::kScan : step.op->kind()) {
-        case OpKind::kScan:
-          break;
-        case OpKind::kJoin:
-          VDM_RETURN_NOT_OK(ProbeStep(chain, step, *level, &b));
-          break;
-        case OpKind::kFilter: {
-          const auto& filter = static_cast<const FilterOp&>(*step.op);
-          VDM_ASSIGN_OR_RETURN(
-              SelectionVector sel,
-              SelectWhere(filter.predicate(),
-                          View(chain, *level, step.inputs, &b)));
-          if (sel.size() != b.n) {
-            b.Pick(std::vector<size_t>(sel.begin(), sel.end()));
-          }
-          break;
-        }
-        default: {  // kProject
-          if (step.computed.empty()) break;
-          const Chunk view = View(chain, *level, step.inputs, &b);
-          Chunk& computed = b.src[step.src].owned;
-          for (const ProjectOp::Item* item : step.computed) {
-            VDM_ASSIGN_OR_RETURN(ColumnData col, EvalExpr(item->expr, view));
-            computed.columns.push_back(std::move(col));
-          }
-          b.src[step.src].identity = true;
-          b.src[step.src].live = true;
-          break;
-        }
+      for (size_t i = 0; i < b.n; ++i) {
+        b.src[0].rows[i] = static_cast<uint32_t>(begin + i);
       }
-      b.Retain(step.live);
-      level = &step.out;
-      piece->level_rows.push_back(b.n);
-      piece->index_bytes = std::max(piece->index_bytes, b.IndexBytes());
     }
-    if (top_k_sort != nullptr) {
-      VDM_ASSIGN_OR_RETURN(
-          std::vector<size_t> keep,
-          SortOrder(*top_k_sort, View(chain, *level, chain.top_k_inputs, &b),
-                    top_k));
-      std::sort(keep.begin(), keep.end());
-      if (keep.size() != b.n) b.Pick(keep);
-    }
-    // The breaker's gather: each output column once. A per-morsel column
-    // read once at identity rows moves out instead.
-    piece->out.names = level->names;
-    for (size_t c = 0; c < level->slots.size(); ++c) {
-      const Slot slot = level->slots[c];
-      const bool movable = chain.read_once[c] && b.src[slot.src].identity &&
-                           chain.shared[slot.src] == nullptr;
-      piece->out.columns.push_back(
-          movable ? std::move(b.src[slot.src].owned.columns[slot.col])
-                  : Take(chain, &b, slot));
-    }
-    piece->gathered = b.gathered;
-    return Status::OK();
+    piece->level_rows.assign(chain.steps.size() + 1, 0);
+    piece->level_rows[0] = b.n;
+    return RunSteps(&run, 0, std::move(b));
   }
 
   /// Builds join `step`'s hash table over its materialized build side.
@@ -1309,6 +1370,7 @@ class ExecutorImpl {
     step->keys = ResolveJoinKeys(join);
     VDM_ASSIGN_OR_RETURN(step->build, Run(join.right(), kNoBudget));
     if (metrics_ != nullptr) metrics_->rows_build_input += step->build.NumRows();
+    VDM_CHECK(step->build.NumRows() < ColumnData::kInvalidIndex);
     if (!step->keys.cols.empty()) {
       std::vector<const ColumnData*> build_cols;
       build_cols.reserve(step->keys.cols.size());
@@ -1327,11 +1389,36 @@ class ExecutorImpl {
     return Status::OK();
   }
 
+  /// A chain that is a bare Scan (every join build side over a table): its
+  /// morsels, under the LIMIT budget, with no chain set up.
+  Result<Chunk> RunScan(const ScanOp& scan, int64_t budget) {
+    VDM_ASSIGN_OR_RETURN(ScanPrep prep, PrepareScan({}, scan));
+    VDM_FAULT_POINT("exec.pipeline.morsel");
+    std::vector<ChainPiece> pieces;
+    ScopedMemoryCharge no_indexes;
+    VDM_ASSIGN_OR_RETURN(
+        size_t processed,
+        RunWaves(prep.num_morsels,
+                 {options_.enable_limit_early_exit ? budget : kNoBudget},
+                 [&](size_t m, ChainPiece* piece) -> Status {
+                   size_t filtered = 0;
+                   VDM_RETURN_NOT_OK(ScanMorsel(prep, m, &piece->out,
+                                                &filtered, &piece->gathered));
+                   piece->level_rows = {piece->out.NumRows()};
+                   return Status::OK();
+                 },
+                 &pieces, &no_indexes));
+    return FinishChain(&prep, &pieces, processed);
+  }
+
   /// Runs a chain and gathers its output. `budget` is the ancestor LIMIT's
   /// row budget; `top_k_sort`/`top_k` are the LIMIT-over-SORT breaker's
   /// (each morsel then gathers only its own top k rows).
   Result<Chunk> RunChain(const ChainShape& shape, int64_t budget,
                          const SortOp* top_k_sort, int64_t top_k) {
+    if (shape.ops.empty() && top_k_sort == nullptr) {
+      return RunScan(static_cast<const ScanOp&>(*shape.base), budget);
+    }
     const size_t num_steps = shape.ops.size();
     // Row budgets per level (0 = base, i + 1 = step i), top-down: a Project
     // passes its budget through, a Filter's input is unbounded, and a Join
@@ -1363,6 +1450,7 @@ class ExecutorImpl {
       chain.base.names = shape.base->OutputNames();
     } else {
       VDM_ASSIGN_OR_RETURN(base, Run(shape.base, budgets[0]));
+      VDM_CHECK(base.NumRows() < ColumnData::kInvalidIndex);
       chain.shared.push_back(&base);
       chain.base.names = base.names;
     }
@@ -1431,6 +1519,8 @@ class ExecutorImpl {
                         }) == 1);
     }
     if (top_k_sort != nullptr) {
+      chain.top_k_sort = top_k_sort;
+      chain.top_k = top_k;
       std::vector<ExprRef> keys;
       for (const SortOp::SortKey& key : top_k_sort->keys()) {
         keys.push_back(key.expr);
@@ -1448,6 +1538,29 @@ class ExecutorImpl {
       num_morsels = prep->num_morsels;
       if (!shape.has_join) VDM_FAULT_POINT("exec.pipeline.morsel");
     }
+    // Each join's probe-side code maps, before any morsel runs, from what
+    // a key column may carry: a shared chunk's column exactly; a scan
+    // column the main fragment's dictionary, and plain strings when a
+    // delta exists; a computed column anything.
+    for (size_t i = 0; i < num_steps; ++i) {
+      ChainStep& step = chain.steps[i];
+      if (step.table == nullptr) continue;
+      const Level& in = i == 0 ? chain.base : chain.steps[i - 1].out;
+      std::vector<JoinHashTable::ProbeSide> sides(step.keys.cols.size(),
+                                                  {nullptr, true});
+      for (size_t k = 0; k < sides.size(); ++k) {
+        const Slot slot = in.slots[step.keys.cols[k].first];
+        if (const Chunk* shared = chain.shared[slot.src]) {
+          const ColumnData& col = shared->columns[slot.col];
+          sides[k] = {col.dict().get(), !col.has_dict()};
+        } else if (slot.src == 0 && prep.has_value()) {
+          const size_t idx = prep->scan->column_indexes()[slot.col];
+          sides[k] = {prep->snap.main_column(idx).dictionary.get(),
+                      prep->n > prep->main_rows};
+        }
+      }
+      step.probe_map = step.table->MapProbe(sides);
+    }
     // Row indexes are the chain's largest intermediate besides the build
     // tables; RunWaves charges them wave by wave so a budget violation
     // surfaces before the allocation runs away.
@@ -1457,27 +1570,41 @@ class ExecutorImpl {
         size_t processed,
         RunWaves(num_morsels, budgets,
                  [&](size_t m, ChainPiece* piece) {
-                   return ChainMorsel(chain, prep ? &*prep : nullptr,
-                                      top_k_sort, top_k, m, piece);
+                   return ChainMorsel(chain, prep ? &*prep : nullptr, m,
+                                      piece);
                  },
                  &pieces, &index_mem));
-    if (metrics_ != nullptr) {
-      if (prep.has_value()) {
-        metrics_->rows_scanned += std::min(prep->n, processed * morsel_size_);
-        metrics_->morsels_scanned += processed;
-      }
-      for (size_t m = 0; m < processed; ++m) {
-        metrics_->values_gathered += pieces[m].gathered;
-        for (size_t i = 0; i < num_steps; ++i) {
-          if (chain.steps[i].op->kind() != OpKind::kJoin) continue;
-          metrics_->rows_probe_input += pieces[m].level_rows[i];
-          if (m == 0) metrics_->morsels_probed += processed;
-        }
+    for (size_t m = 0; m < processed && metrics_ != nullptr; ++m) {
+      for (size_t i = 0; i < num_steps; ++i) {
+        if (chain.steps[i].op->kind() != OpKind::kJoin) continue;
+        metrics_->rows_probe_input += pieces[m].level_rows[i];
+        if (m == 0) metrics_->morsels_probed += processed;
       }
     }
+    return FinishChain(prep ? &*prep : nullptr, &pieces, processed);
+  }
 
-    // The last wave may overshoot the budget; the ancestor LimitOp trims.
-    return ConcatPieces(&pieces, processed);
+  /// Counts a chain run's scanned morsels and gathered values, and
+  /// concatenates the outputs of its first `processed` pieces in morsel
+  /// order. pieces[0] always exists and carries the names and column
+  /// types, even when empty. The last wave may overshoot the budget; the
+  /// ancestor LimitOp trims.
+  Chunk FinishChain(const ScanPrep* prep, std::vector<ChainPiece>* pieces,
+                    size_t processed) {
+    if (metrics_ != nullptr && prep != nullptr) {
+      metrics_->rows_scanned += std::min(prep->n, processed * morsel_size_);
+      metrics_->morsels_scanned += processed;
+    }
+    Chunk out = std::move((*pieces)[0].out);
+    for (size_t m = 0; m < processed; ++m) {
+      if (metrics_ != nullptr) {
+        metrics_->values_gathered += (*pieces)[m].gathered;
+      }
+      for (size_t c = 0; m > 0 && c < out.columns.size(); ++c) {
+        out.columns[c].AppendColumn(std::move((*pieces)[m].out.columns[c]));
+      }
+    }
+    return out;
   }
 
   // -----------------------------------------------------------------------
@@ -1499,7 +1626,7 @@ class ExecutorImpl {
   /// first row of each group in first-occurrence order, and the partials.
   struct AggPartition {
     std::unique_ptr<GroupKeyTable> table;
-    std::vector<size_t> first_rows;
+    SelectionVector first_rows;
     std::vector<std::vector<AggPartial>> states;  // [agg][group]
     Status status;
   };
@@ -1652,6 +1779,7 @@ class ExecutorImpl {
     VDM_ASSIGN_OR_RETURN(Chunk input, Run(agg.child(0), kNoBudget));
     VDM_FAULT_POINT("exec.aggregate");
     size_t n = input.NumRows();
+    VDM_CHECK(n < ColumnData::kInvalidIndex);
     if (metrics_ != nullptr) metrics_->rows_aggregated += n;
 
     // Evaluate group expressions (a bare column is borrowed, not copied).
@@ -1703,7 +1831,7 @@ class ExecutorImpl {
 
     bool global = agg.group_by().empty();
 
-    std::vector<size_t> first_row;          // per group, in output order
+    SelectionVector first_row;              // per group, in output order
     std::vector<ColumnData> agg_results;    // one column per aggregate node
     VDM_RETURN_NOT_OK(AggregateRows(n, global, key_ptrs, agg_exprs, arg_cols,
                                     result_types, &first_row, &agg_results));
@@ -1775,7 +1903,7 @@ class ExecutorImpl {
                        const std::vector<const AggregateExpr*>& aggs,
                        const std::vector<const ColumnData*>& arg_cols,
                        const std::vector<DataType>& result_types,
-                       std::vector<size_t>* first_row,
+                       SelectionVector* first_row,
                        std::vector<ColumnData>* agg_results) {
     for (const AggregateExpr* a : aggs) {
       if (a->distinct() && a->agg() != AggKind::kCount &&
@@ -1791,7 +1919,7 @@ class ExecutorImpl {
     std::vector<AggPartition> parts(split ? (n + part_rows - 1) / part_rows
                                           : 1);
     auto add_group = [&](AggPartition* part, size_t row) {
-      part->first_rows.push_back(row);
+      part->first_rows.push_back(static_cast<uint32_t>(row));
       for (size_t k = 0; k < num_aggs; ++k) part->states[k].emplace_back();
     };
     auto accumulate = [&](size_t m) {
@@ -1806,20 +1934,28 @@ class ExecutorImpl {
         part.table->set_tracker(&ctx_->memory());
       }
       std::string key;
-      for (size_t r = begin; r < end; ++r) {
-        if (((r - begin) & 4095) == 0) {
-          part.status = ctx_->CheckAlive();
-          if (part.status.ok() && !global) part.status = part.table->status();
-          if (!part.status.ok()) return;
-        }
-        size_t g = 0;
+      // Group ids a block of rows at a time; the governor is polled per
+      // block.
+      constexpr size_t kBlock = 4096;
+      std::vector<uint32_t> ids(global ? 0 : std::min(kBlock, end - begin));
+      for (size_t block = begin; block < end; block += kBlock) {
+        part.status = ctx_->CheckAlive();
+        if (part.status.ok() && !global) part.status = part.table->status();
+        if (!part.status.ok()) return;
+        const size_t stop = std::min(end, block + kBlock);
         if (!global) {
-          g = part.table->GetOrAdd(r);
-          if (g == part.first_rows.size()) add_group(&part, r);
+          part.table->GetOrAdd(nullptr, block, stop - block, ids.data());
         }
-        for (size_t k = 0; k < num_aggs; ++k) {
-          Accumulate(*aggs[k], *arg_cols[k], result_types[k], r, &key,
-                     &part.states[k][g]);
+        for (size_t r = block; r < stop; ++r) {
+          size_t g = 0;
+          if (!global) {
+            g = ids[r - block];
+            if (g == part.first_rows.size()) add_group(&part, r);
+          }
+          for (size_t k = 0; k < num_aggs; ++k) {
+            Accumulate(*aggs[k], *arg_cols[k], result_types[k], r, &key,
+                       &part.states[k][g]);
+          }
         }
       }
       if (!global) part.status = part.table->status();
@@ -1833,9 +1969,14 @@ class ExecutorImpl {
     AggPartition& merged = parts[0];
     for (size_t m = 1; m < parts.size(); ++m) {
       AggPartition& part = parts[m];
+      std::vector<uint32_t> ids(global ? 0 : part.first_rows.size());
+      if (!global) {
+        merged.table->GetOrAdd(part.first_rows.data(), 0, ids.size(),
+                               ids.data());
+      }
       for (size_t lg = 0; lg < part.first_rows.size(); ++lg) {
-        const size_t row = part.first_rows[lg];
-        const size_t g = global ? 0 : merged.table->GetOrAdd(row);
+        const uint32_t row = part.first_rows[lg];
+        const size_t g = global ? 0 : ids[lg];
         if (g == merged.first_rows.size()) {
           merged.first_rows.push_back(row);
           for (size_t k = 0; k < num_aggs; ++k) {
@@ -1935,7 +2076,7 @@ class ExecutorImpl {
   /// Row positions of `input` in `sort` order, ties broken by position.
   /// With `top_k >= 0` only the first top_k positions are ordered and
   /// returned.
-  static Result<std::vector<size_t>> SortOrder(const SortOp& sort,
+  static Result<SelectionVector> SortOrder(const SortOp& sort,
                                                const Chunk& input,
                                                int64_t top_k) {
     std::vector<ColumnData> key_storage(sort.keys().size());
@@ -1945,9 +2086,12 @@ class ExecutorImpl {
                            EvalExprBorrowed(sort.keys()[k].expr, input,
                                             &key_storage[k]));
     }
-    std::vector<size_t> order(input.NumRows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto less = [&](size_t a, size_t b) {
+    VDM_CHECK(input.NumRows() < ColumnData::kInvalidIndex);
+    SelectionVector order(input.NumRows());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+    }
+    auto less = [&](uint32_t a, uint32_t b) {
       for (size_t k = 0; k < key_cols.size(); ++k) {
         const int cmp = CompareKeyRows(*key_cols[k], a, b);
         if (cmp != 0) return sort.keys()[k].ascending ? cmp < 0 : cmp > 0;
@@ -1966,7 +2110,7 @@ class ExecutorImpl {
   }
 
   /// Gathers `rows` of every column of `input`.
-  Chunk GatherChunk(const Chunk& input, const std::vector<size_t>& rows) {
+  Chunk GatherChunk(const Chunk& input, const SelectionVector& rows) {
     Chunk out;
     out.names = input.names;
     out.columns.reserve(input.columns.size());
@@ -1981,7 +2125,7 @@ class ExecutorImpl {
 
   Result<Chunk> RunSort(const SortOp& sort) {
     VDM_ASSIGN_OR_RETURN(Chunk input, Run(sort.child(0), kNoBudget));
-    VDM_ASSIGN_OR_RETURN(std::vector<size_t> order,
+    VDM_ASSIGN_OR_RETURN(SelectionVector order,
                          SortOrder(sort, input, kNoBudget));
     return GatherChunk(input, order);
   }
@@ -1998,7 +2142,7 @@ class ExecutorImpl {
       const int64_t top_k = limit.offset() + limit.limit();
       VDM_ASSIGN_OR_RETURN(Chunk candidates,
                            Run(sort.child(0), kNoBudget, &sort, top_k));
-      VDM_ASSIGN_OR_RETURN(std::vector<size_t> order,
+      VDM_ASSIGN_OR_RETURN(SelectionVector order,
                            SortOrder(sort, candidates, top_k));
       input = GatherChunk(candidates, order);
     } else {
@@ -2006,12 +2150,12 @@ class ExecutorImpl {
           input, Run(limit.child(0),
                      options_.enable_limit_early_exit ? my_budget : kNoBudget));
     }
-    std::vector<size_t> rows;
+    SelectionVector rows;
     int64_t start = limit.offset();
     int64_t end = start + limit.limit();
     for (int64_t i = start;
          i < end && i < static_cast<int64_t>(input.NumRows()); ++i) {
-      rows.push_back(static_cast<size_t>(i));
+      rows.push_back(static_cast<uint32_t>(i));
     }
     if (rows.size() == input.NumRows()) return input;
     return GatherChunk(input, rows);
@@ -2026,23 +2170,25 @@ class ExecutorImpl {
     GroupKeyTable table(key_ptrs);
     table.set_tracker(&ctx_->memory());
     bool limit_aware = budget >= 0 && options_.enable_limit_early_exit;
-    std::vector<size_t> rows;
-    size_t n = input.NumRows();
-    for (size_t i = 0; i < n; ++i) {
-      if ((i & 4095) == 0) {
-        VDM_RETURN_NOT_OK(ctx_->CheckAlive());
-        VDM_RETURN_NOT_OK(table.status());
-      }
-      size_t g = table.GetOrAdd(i);
-      if (g == rows.size()) {
-        rows.push_back(i);
-        if (limit_aware && rows.size() >= static_cast<uint64_t>(budget) &&
-            i + 1 < n) {
-          if (metrics_ != nullptr) ++metrics_->limit_early_exits;
-          break;
-        }
+    SelectionVector rows;
+    const size_t n = input.NumRows();
+    VDM_CHECK(n < ColumnData::kInvalidIndex);
+    constexpr size_t kBlock = 4096;
+    std::vector<uint32_t> ids(std::min(n, kBlock));
+    bool stopped = false;
+    for (size_t begin = 0; begin < n && !stopped; begin += kBlock) {
+      VDM_RETURN_NOT_OK(ctx_->CheckAlive());
+      VDM_RETURN_NOT_OK(table.status());
+      const size_t count = std::min(kBlock, n - begin);
+      table.GetOrAdd(nullptr, begin, count, ids.data());
+      for (size_t i = begin; i < begin + count && !stopped; ++i) {
+        if (ids[i - begin] != rows.size()) continue;
+        rows.push_back(static_cast<uint32_t>(i));
+        stopped = limit_aware &&
+                  rows.size() >= static_cast<uint64_t>(budget) && i + 1 < n;
       }
     }
+    if (stopped && metrics_ != nullptr) ++metrics_->limit_early_exits;
     VDM_RETURN_NOT_OK(table.status());
     if (metrics_ != nullptr) {
       metrics_->peak_hash_table_entries = std::max<uint64_t>(

@@ -3,25 +3,26 @@
 // Scans, and every stack of Join (through its probe side), Filter and
 // Project nodes above one, run as pipelines: a morsel of the base flows
 // through every probe, filter and projection before anything is
-// materialized. In flight a morsel is one row-index vector per source (the
-// base, each join's build side, each Project's computed columns); a join
-// key, residual or filter gathers only the columns it reads, and the
-// pipeline's top gathers each output column once, for the breaker above it
-// (aggregate, sort/top-k, distinct, union, or the result). Build sides and
-// breaker inputs are fully materialized Chunks. Every operator has one
-// implementation, and the worker pool is only a parameter of it: without
-// a pool every morsel runs inline on the calling thread. Results are
-// byte-for-byte independent of the thread count and the morsel size:
-// morsels are fixed row ranges, every morsel writes its own slot, and
-// pieces are concatenated (or aggregate partials merged) in morsel order.
+// materialized. In flight a morsel is one 32-bit row-index vector per
+// source (the base, each join's build side, each Project's computed
+// columns); join keys are read through the indexes, a residual or filter
+// gathers only the columns it reads, and the pipeline's top gathers each
+// output column once, for the breaker above it (aggregate, sort/top-k,
+// distinct, union, or the result). A probe emits its matches in waves of
+// at most 64k, each consumed by every level above before the next is
+// made. Build sides and breaker inputs are fully materialized Chunks.
+// Every operator has one implementation, and the worker pool is only a
+// parameter of it: without a pool every morsel runs inline on the calling
+// thread. Results are byte-for-byte independent of the thread count and
+// the morsel size: morsels are fixed row ranges, every morsel writes its
+// own slot, and pieces are concatenated (or aggregate partials merged) in
+// morsel order.
 //
 // Joins are hash joins that always build on the augmenter (right) side
 // and probe in anchor order — which is what makes limit pushdown across
-// augmentation joins (§4.4) behave the way the paper describes. Build
-// tables are typed (exec/hash_table.h): integer keys hash the raw 64-bit
-// value, string keys join on dictionary codes when the build side carries
-// a fragment dictionary, and only irregular keys fall back to byte
-// serialization.
+// augmentation joins (§4.4) behave the way the paper describes. Keys are
+// one 64-bit word per column (exec/hash_table.h), probed a morsel at a
+// time.
 //
 // A LIMIT's row budget (offset + limit) is threaded down through
 // order-preserving operators; pipelines run in waves and stop once some
@@ -74,8 +75,8 @@ struct ExecMetrics {
   uint64_t morsels_probed = 0;     // join probe morsels processed
   uint64_t peak_hash_table_entries = 0;  // largest join/group table built
   uint64_t limit_early_exits = 0;  // waves cut short by a LIMIT budget
-  // Values copied by row index between operators: join keys, residual and
-  // filter inputs, each chain's output, sorts, LIMIT slices and group keys.
+  // Values copied by row index between operators: residual and filter
+  // inputs, each chain's output, sorts, LIMIT slices and group keys.
   uint64_t values_gathered = 0;
   // Governor counters (common/query_context.h). The engine fills the last
   // two: degraded_serial_retries counts kResourceExhausted queries that

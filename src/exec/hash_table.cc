@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/macros.h"
@@ -21,21 +21,106 @@ Status ChargeTo(MemoryTracker* tracker, int64_t bytes, int64_t* charged) {
   return Status::OK();
 }
 
-}  // namespace
-
-const char* KeyLayoutName(KeyLayout layout) {
-  switch (layout) {
-    case KeyLayout::kInt64:
-      return "int64";
-    case KeyLayout::kDict32:
-      return "dict32";
-    case KeyLayout::kPacked16:
-      return "packed16";
-    case KeyLayout::kSerialized:
-      return "serialized";
-  }
-  return "?";
+size_t NextPow2(size_t n) {
+  size_t p = 16;
+  while (p < n) p <<= 1;
+  return p;
 }
+
+bool IsString(const ColumnData& col) {
+  return col.type().id == TypeId::kString;
+}
+
+constexpr uint32_t kNullRow = ColumnData::kInvalidIndex;
+
+/// How one key column's rows become words.
+struct WordSource {
+  KeyColumn key;
+  const int32_t* codes = nullptr;      // strings: the code of each row
+  const int32_t* translate = nullptr;  // then: code -> build code
+  const StringCodes* index = nullptr;  // plain strings: value -> code
+  bool never = false;                  // a string against a number
+};
+
+/// Writes the word of each of n key rows to out[i * stride] and flags
+/// NULL rows in nulls[i]: a fixed-width value's raw image (0 when NULL), a
+/// string's code, or -1 for a NULL string or one the code space lacks.
+/// Every input is read through locals: the byte stores to `nulls` may
+/// alias anything else.
+void WriteWords(const WordSource& s, size_t n, uint64_t* out, size_t stride,
+                uint8_t* nulls) {
+  const ColumnData& col = *s.key.col;
+  const KeyColumn key = s.key;
+  if (s.never) {
+    std::fill(nulls, nulls + n, 1);
+  } else if (s.codes != nullptr) {
+    const int32_t* codes = s.codes;
+    const int32_t* translate = s.translate;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = key.Row(i);
+      int32_t c = r == kNullRow ? -1 : codes[r];
+      if (c >= 0 && translate != nullptr) c = translate[c];
+      out[i * stride] = static_cast<uint64_t>(static_cast<int64_t>(c));
+      nulls[i] |= c < 0;
+    }
+  } else if (s.index != nullptr) {
+    const StringCodes& index = *s.index;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = key.Row(i);
+      int32_t c = -1;
+      if (r != kNullRow && !col.IsNull(r)) {
+        auto it = index.find(col.StringAt(r));
+        if (it != index.end()) c = it->second;
+      }
+      out[i * stride] = static_cast<uint64_t>(static_cast<int64_t>(c));
+      nulls[i] |= c < 0;
+    }
+  } else {
+    const bool dbl = col.type().id == TypeId::kDouble;
+    const int64_t* ints = col.ints().data();
+    const double* doubles = col.doubles().data();
+    const uint8_t* valid = col.HasNulls() ? col.validity().data() : nullptr;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = key.Row(i);
+      const bool null = r == kNullRow || (valid != nullptr && valid[r] == 0);
+      out[i * stride] = null  ? 0
+                        : dbl ? std::bit_cast<uint64_t>(doubles[r])
+                              : static_cast<uint64_t>(ints[r]);
+      nulls[i] |= null;
+    }
+  }
+}
+
+/// Codes of n key rows of a plain string column in `index`, each new
+/// value interned as the next code (NULL: -1). Returns the bytes added.
+int64_t Intern(const KeyColumn& key, size_t n, StringCodes* index,
+               int32_t* codes) {
+  int64_t bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = key.Row(i);
+    if (key.col->IsNull(r)) {
+      codes[i] = -1;
+      continue;
+    }
+    auto [it, added] = index->try_emplace(
+        key.col->StringAt(r), static_cast<int32_t>(index->size()));
+    codes[i] = it->second;
+    if (added) bytes += static_cast<int64_t>(it->first.size()) + 64;
+  }
+  return bytes;
+}
+
+/// Value -> code of every entry of a dictionary.
+StringCodes IndexOf(const std::vector<std::string>& dict) {
+  StringCodes index;
+  index.reserve(dict.size());
+  for (size_t c = 0; c < dict.size(); ++c) {
+    index.emplace(dict[c], static_cast<int32_t>(c));
+  }
+  return index;
+}
+
+}  // namespace
 
 void AppendKeyBytes(const ColumnData& col, size_t row, std::string* out) {
   if (col.IsNull(row)) {
@@ -57,170 +142,93 @@ void AppendKeyBytes(const ColumnData& col, size_t row, std::string* out) {
   }
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// KeySlots
 
-/// Raw 64-bit image of a fixed-width column value (doubles bit-cast, so
-/// equality matches the legacy byte encoding).
-inline int64_t RawValue64(const ColumnData& col, size_t row) {
-  if (col.type().id == TypeId::kDouble) {
-    return std::bit_cast<int64_t>(col.doubles()[row]);
+void KeySlots::Reset(size_t width, size_t capacity) {
+  width_ = width;
+  mask_ = capacity - 1;
+  data_.assign(capacity * (width + 1), 0);
+  for (size_t i = 0; i < capacity; ++i) data_[i * (width + 1) + width] = kEmpty;
+}
+
+void KeySlots::Grow() {
+  KeySlots old = std::move(*this);
+  Reset(old.width_, old.capacity() * 2);
+  for (size_t i = 0; i < old.capacity(); ++i) {
+    const uint64_t* s = &old.data_[i * (width_ + 1)];
+    if (s[width_] == kEmpty) continue;
+    uint64_t* d = Find(HashWords(s, width_), s);
+    std::copy(s, s + width_ + 1, d);
   }
-  return col.ints()[row];
-}
-
-inline bool IsFixed64(const ColumnData& col) {
-  return col.type().id != TypeId::kString;
-}
-
-inline uint64_t Hash128(uint64_t lo, uint64_t hi) {
-  return HashInt64(lo) ^ (HashInt64(hi) * 0x9E3779B97F4A7C15ull);
-}
-
-size_t NextPow2(size_t n) {
-  size_t p = 16;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& key_cols) {
-  VDM_CHECK(!key_cols.empty());
-  if (key_cols.size() == 1) {
-    if (IsFixed64(*key_cols[0])) return KeyLayout::kInt64;
-    return key_cols[0]->has_dict() ? KeyLayout::kDict32
-                                   : KeyLayout::kSerialized;
-  }
-  if (key_cols.size() == 2 && IsFixed64(*key_cols[0]) &&
-      IsFixed64(*key_cols[1])) {
-    return KeyLayout::kPacked16;
-  }
-  return KeyLayout::kSerialized;
 }
 
 // ---------------------------------------------------------------------------
 // JoinHashTable
 
 JoinHashTable::JoinHashTable(std::vector<const ColumnData*> build_cols)
-    : layout_(ChooseKeyLayout(build_cols)), build_cols_(std::move(build_cols)) {
+    : build_cols_(std::move(build_cols)) {
+  VDM_CHECK(!build_cols_.empty());
   build_rows_ = build_cols_[0]->size();
   VDM_CHECK(build_rows_ < kEnd);
+  interned_.resize(build_cols_.size());
 }
 
 JoinHashTable::~JoinHashTable() {
   if (tracker_ != nullptr) tracker_->Release(charged_bytes_);
 }
 
-bool JoinHashTable::Key64(const std::vector<const ColumnData*>& cols,
-                          size_t row, int64_t* key) const {
-  const ColumnData& col = *cols[0];
-  if (layout_ == KeyLayout::kDict32) {
-    int32_t code = col.dict_codes()[row];
-    if (code < 0) return false;
-    *key = code;
-    return true;
-  }
-  if (col.IsNull(row)) return false;
-  *key = RawValue64(col, row);
-  return true;
-}
-
-bool JoinHashTable::Key128(const std::vector<const ColumnData*>& cols,
-                           size_t row, uint64_t* lo, uint64_t* hi) const {
-  if (cols[0]->IsNull(row) || cols[1]->IsNull(row)) return false;
-  *lo = static_cast<uint64_t>(RawValue64(*cols[0], row));
-  *hi = static_cast<uint64_t>(RawValue64(*cols[1], row));
-  return true;
-}
-
-bool JoinHashTable::KeyBytes(const std::vector<const ColumnData*>& cols,
-                             size_t row, std::string* key) const {
-  key->clear();
-  for (const ColumnData* col : cols) {
-    if (col->IsNull(row)) return false;  // join keys exclude NULLs
-    AppendKeyBytes(*col, row, key);
-  }
-  return true;
-}
-
 Status JoinHashTable::Build(ThreadPool* pool, QueryContext* ctx) {
   VDM_FAULT_POINT("exec.hash_build.oom");
-  size_t n = build_rows_;
+  const size_t n = build_rows_;
+  const size_t w = build_cols_.size();
   tracker_ = ctx != nullptr ? &ctx->memory() : nullptr;
-  // Charge the per-row build arrays before allocating them. Fixed layouts
-  // are exact; the serialized layout is estimated (header + typical short
-  // key) because the actual key bytes are only known after phase 0.
-  int64_t per_row = sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint64_t);
-  switch (layout_) {
-    case KeyLayout::kInt64:
-    case KeyLayout::kDict32:
-      per_row += sizeof(int64_t);
-      break;
-    case KeyLayout::kPacked16:
-      per_row += 2 * sizeof(uint64_t);
-      break;
-    case KeyLayout::kSerialized:
-      per_row += static_cast<int64_t>(sizeof(std::string)) + 16;
-      break;
+  // Charge the per-row arrays before allocating them: the key words, hash
+  // and NULL flag live while building, the chain link as long as the table.
+  const int64_t transient = static_cast<int64_t>((8 * w + 9) * n);
+  VDM_RETURN_NOT_OK(ChargeTo(
+      tracker_, transient + static_cast<int64_t>(4 * n), &charged_bytes_));
+
+  // A string column without a dictionary gets a code space of its own:
+  // its values interned in first-occurrence order.
+  std::vector<std::vector<int32_t>> interned_rows(w);
+  for (size_t k = 0; k < w; ++k) {
+    const ColumnData& col = *build_cols_[k];
+    if (!IsString(col) || col.has_dict()) continue;
+    interned_rows[k].resize(n);
+    const int64_t bytes = Intern(KeyColumn{&col}, n, &interned_[k],
+                                 interned_rows[k].data());
+    VDM_RETURN_NOT_OK(ChargeTo(tracker_, bytes + static_cast<int64_t>(4 * n),
+                               &charged_bytes_));
   }
-  VDM_RETURN_NOT_OK(
-      ChargeTo(tracker_, per_row * static_cast<int64_t>(n), &charged_bytes_));
 
   next_.assign(n, kEnd);
-  key_valid_.assign(n, 0);
-  hashes_.resize(n);
+  std::vector<uint64_t> words(n * w);
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint8_t> nulls(n, 0);
   size_t threads = pool == nullptr ? 1 : pool->size();
 
-  // Phase 0: extract keys and hashes for every build row (parallel over
-  // morsels; each task writes a disjoint row range).
-  switch (layout_) {
-    case KeyLayout::kInt64:
-    case KeyLayout::kDict32:
-      keys64_.resize(n);
-      break;
-    case KeyLayout::kPacked16:
-      keys_lo_.resize(n);
-      keys_hi_.resize(n);
-      break;
-    case KeyLayout::kSerialized:
-      keys_ser_.resize(n);
-      break;
-  }
+  // Phase 0: every build row's key words and hash (parallel over morsels;
+  // each task writes a disjoint row range).
   constexpr size_t kHashMorsel = 8192;
   size_t num_morsels = (n + kHashMorsel - 1) / kHashMorsel;
   auto hash_morsel = [&](size_t m) {
     // Governor check once per morsel: a cancelled/expired query stops
     // hashing within one morsel on every worker.
     if (ctx != nullptr && !ctx->CheckAlive().ok()) return;
-    size_t begin = m * kHashMorsel;
-    size_t end = std::min(n, begin + kHashMorsel);
-    for (size_t r = begin; r < end; ++r) {
-      switch (layout_) {
-        case KeyLayout::kInt64:
-        case KeyLayout::kDict32: {
-          int64_t key;
-          if (!Key64(build_cols_, r, &key)) continue;
-          keys64_[r] = key;
-          hashes_[r] = HashInt64(static_cast<uint64_t>(key));
-          key_valid_[r] = 1;
-          break;
-        }
-        case KeyLayout::kPacked16: {
-          uint64_t lo, hi;
-          if (!Key128(build_cols_, r, &lo, &hi)) continue;
-          keys_lo_[r] = lo;
-          keys_hi_[r] = hi;
-          hashes_[r] = Hash128(lo, hi);
-          key_valid_[r] = 1;
-          break;
-        }
-        case KeyLayout::kSerialized: {
-          if (!KeyBytes(build_cols_, r, &keys_ser_[r])) continue;
-          hashes_[r] = std::hash<std::string>{}(keys_ser_[r]);
-          key_valid_[r] = 1;
-          break;
-        }
+    const size_t begin = m * kHashMorsel;
+    const size_t end = std::min(n, begin + kHashMorsel);
+    for (size_t k = 0; k < w; ++k) {
+      const ColumnData& col = *build_cols_[k];
+      WordSource src{KeyColumn{&col, nullptr, begin}};
+      if (IsString(col)) {
+        src.codes = col.has_dict() ? col.dict_codes().data()
+                                   : interned_rows[k].data();
       }
+      WriteWords(src, end - begin, &words[begin * w + k], w, &nulls[begin]);
+    }
+    for (size_t r = begin; r < end; ++r) {
+      hashes[r] = HashWords(&words[r * w], w);
     }
   };
   if (pool != nullptr && threads > 1 && num_morsels > 1) {
@@ -242,347 +250,197 @@ Status JoinHashTable::Build(ThreadPool* pool, QueryContext* ctx) {
   partitions_.resize(num_partitions);
   size_t expected = n / num_partitions + 16;
   size_t cap = NextPow2(tight ? expected + expected / 4 : expected * 2);
-  int64_t slot_bytes = 0;
-  if (layout_ == KeyLayout::kSerialized) {
-    // unordered_map node + bucket estimate per expected key.
-    slot_bytes = static_cast<int64_t>(num_partitions * expected) * 64;
-  } else if (layout_ == KeyLayout::kPacked16) {
-    slot_bytes = static_cast<int64_t>(num_partitions * cap) * sizeof(Slot128);
-  } else {
-    slot_bytes = static_cast<int64_t>(num_partitions * cap) * sizeof(Slot64);
-  }
-  VDM_RETURN_NOT_OK(ChargeTo(tracker_, slot_bytes, &charged_bytes_));
-  for (Partition& part : partitions_) {
-    part.mask = cap - 1;
-    if (layout_ == KeyLayout::kSerialized) {
-      part.serialized.reserve(expected);
-    } else if (layout_ == KeyLayout::kPacked16) {
-      part.slots128.assign(cap, Slot128{0, 0, kEnd});
-    } else {
-      part.slots64.assign(cap, Slot64{0, kEnd});
+  VDM_RETURN_NOT_OK(ChargeTo(
+      tracker_, static_cast<int64_t>(num_partitions * cap * (w + 1) * 8),
+      &charged_bytes_));
+  for (KeySlots& slots : partitions_) slots.Reset(w, cap);
+  auto build_partition = [&](size_t p) -> Status {
+    KeySlots& slots = partitions_[p];
+    // Insert in descending row order so chains list build rows ascending.
+    for (size_t i = n; i-- > 0;) {
+      if (ctx != nullptr && (i & 8191) == 0) {
+        VDM_RETURN_NOT_OK(ctx->CheckAlive());
+      }
+      if (nulls[i] || (num_partitions > 1 && PartitionOf(hashes[i]) != p)) {
+        continue;
+      }
+      const uint64_t* key = &words[i * w];
+      uint64_t* s = slots.Find(hashes[i], key);
+      if (s[w] == KeySlots::kEmpty) {
+        std::copy(key, key + w, s);
+      } else {
+        next_[i] = static_cast<uint32_t>(s[w]);
+      }
+      s[w] = i;
     }
-  }
+    return Status::OK();
+  };
   if (num_partitions > 1) {
     std::vector<Status> part_status(num_partitions);
-    VDM_RETURN_NOT_OK(pool->ParallelFor(
-        num_partitions, [&](size_t p) { part_status[p] = BuildPartition(p, ctx); }));
+    VDM_RETURN_NOT_OK(pool->ParallelFor(num_partitions, [&](size_t p) {
+      part_status[p] = build_partition(p);
+    }));
     for (Status& s : part_status) VDM_RETURN_NOT_OK(std::move(s));
   } else {
-    VDM_RETURN_NOT_OK(BuildPartition(0, ctx));
+    VDM_RETURN_NOT_OK(build_partition(0));
   }
-  entries_ = 0;
-  for (size_t r = 0; r < n; ++r) entries_ += key_valid_[r];
-  return Status::OK();
-}
-
-Status JoinHashTable::BuildPartition(size_t p, QueryContext* ctx) {
-  Partition& part = partitions_[p];
-  size_t n = build_rows_;
-  bool multi = partitions_.size() > 1;
-  // Insert in descending row order so chains list build rows ascending.
-  for (size_t i = n; i-- > 0;) {
-    if (ctx != nullptr && (i & 8191) == 0) {
-      VDM_RETURN_NOT_OK(ctx->CheckAlive());
-    }
-    if (!key_valid_[i]) continue;
-    uint64_t hash = hashes_[i];
-    if (multi && PartitionOf(hash) != p) continue;
-    uint32_t row = static_cast<uint32_t>(i);
-    switch (layout_) {
-      case KeyLayout::kInt64:
-      case KeyLayout::kDict32: {
-        int64_t key = keys64_[i];
-        uint64_t slot = hash & part.mask;
-        while (true) {
-          Slot64& s = part.slots64[slot];
-          if (s.head == kEnd) {
-            s.key = key;
-            s.head = row;
-            break;
-          }
-          if (s.key == key) {
-            next_[i] = s.head;
-            s.head = row;
-            break;
-          }
-          slot = (slot + 1) & part.mask;
-        }
-        break;
-      }
-      case KeyLayout::kPacked16: {
-        uint64_t lo = keys_lo_[i], hi = keys_hi_[i];
-        uint64_t slot = hash & part.mask;
-        while (true) {
-          Slot128& s = part.slots128[slot];
-          if (s.head == kEnd) {
-            s.lo = lo;
-            s.hi = hi;
-            s.head = row;
-            break;
-          }
-          if (s.lo == lo && s.hi == hi) {
-            next_[i] = s.head;
-            s.head = row;
-            break;
-          }
-          slot = (slot + 1) & part.mask;
-        }
-        break;
-      }
-      case KeyLayout::kSerialized: {
-        auto [it, inserted] = part.serialized.emplace(keys_ser_[i], row);
-        if (!inserted) {
-          next_[i] = it->second;
-          it->second = row;
-        }
-        break;
-      }
-    }
+  entries_ = static_cast<size_t>(std::count(nulls.begin(), nulls.end(), 0));
+  unique_ = std::count(next_.begin(), next_.end(), kEnd) ==
+            static_cast<std::ptrdiff_t>(n);
+  if (tracker_ != nullptr) {
+    tracker_->Release(transient);
+    charged_bytes_ -= transient;
   }
   return Status::OK();
 }
 
-size_t JoinHashTable::ProbeKey64(int64_t key, std::vector<size_t>* out) const {
-  uint64_t hash = HashInt64(static_cast<uint64_t>(key));
-  const Partition& part =
-      partitions_[partitions_.size() > 1 ? PartitionOf(hash) : 0];
-  uint32_t head = kEnd;
-  uint64_t slot = hash & part.mask;
-  while (true) {
-    const Slot64& s = part.slots64[slot];
-    if (s.head == kEnd) break;
-    if (s.key == key) {
-      head = s.head;
-      break;
-    }
-    slot = (slot + 1) & part.mask;
-  }
-  size_t count = 0;
-  for (uint32_t r = head; r != kEnd; r = next_[r]) {
-    out->push_back(r);
-    ++count;
-  }
-  return count;
-}
-
-size_t JoinHashTable::ProbeKey128(uint64_t lo, uint64_t hi,
-                                  std::vector<size_t>* out) const {
-  uint64_t hash = Hash128(lo, hi);
-  const Partition& part =
-      partitions_[partitions_.size() > 1 ? PartitionOf(hash) : 0];
-  uint32_t head = kEnd;
-  uint64_t slot = hash & part.mask;
-  while (true) {
-    const Slot128& s = part.slots128[slot];
-    if (s.head == kEnd) break;
-    if (s.lo == lo && s.hi == hi) {
-      head = s.head;
-      break;
-    }
-    slot = (slot + 1) & part.mask;
-  }
-  size_t count = 0;
-  for (uint32_t r = head; r != kEnd; r = next_[r]) {
-    out->push_back(r);
-    ++count;
-  }
-  return count;
-}
-
-size_t JoinHashTable::ProbeSerialized(const std::string& key,
-                                      std::vector<size_t>* out) const {
-  uint64_t hash = std::hash<std::string>{}(key);
-  const Partition& part =
-      partitions_[partitions_.size() > 1 ? PartitionOf(hash) : 0];
-  auto it = part.serialized.find(key);
-  uint32_t head = it != part.serialized.end() ? it->second : kEnd;
-  size_t count = 0;
-  for (uint32_t r = head; r != kEnd; r = next_[r]) {
-    out->push_back(r);
-    ++count;
-  }
-  return count;
-}
-
-const std::vector<int32_t>* JoinHashTable::TranslationFor(
-    const std::vector<std::string>* probe_dict) const {
-  if (probe_dict == build_cols_[0]->dict().get()) return nullptr;
-  std::lock_guard<std::mutex> lock(stream_mu_);
-  auto it = stream_maps_.find(probe_dict);
-  if (it != stream_maps_.end()) return &it->second;
-  std::vector<int32_t>& map = stream_maps_[probe_dict];
-  const std::vector<std::string>& pd = *probe_dict;
-  map.assign(pd.size(), -1);
-  for (size_t p = 0; p < pd.size(); ++p) {
-    map[p] = BuildCodeOf(pd[p]);
-  }
-  return &map;
-}
-
-int32_t JoinHashTable::BuildCodeOf(const std::string& s) const {
-  // Called with stream_mu_ held (from TranslationFor) or from Bind on the
-  // string-lookup path — Bind takes the lock itself before the first use.
-  const std::vector<std::string>& bd = *build_cols_[0]->dict();
-  if (!build_code_index_ready_) {
-    build_code_index_.reserve(bd.size());
-    for (size_t c = 0; c < bd.size(); ++c) {
-      build_code_index_.emplace(bd[c], static_cast<int32_t>(c));
-    }
-    build_code_index_ready_ = true;
-  }
-  auto it = build_code_index_.find(s);
-  return it != build_code_index_.end() ? it->second : -1;
-}
-
-void JoinHashTable::Prober::Bind(
-    const std::vector<const ColumnData*>* cols) {
-  cols_ = cols;
-  code_map_ = nullptr;
-  lookup_strings_ = false;
-  never_match_ = false;
-  for (size_t i = 0; i < t_.build_cols_.size(); ++i) {
-    bool build_str = t_.build_cols_[i]->type().id == TypeId::kString;
-    bool probe_str = (*cols_)[i]->type().id == TypeId::kString;
-    if (build_str != probe_str) {
-      never_match_ = true;
-      return;
+JoinHashTable::ProbeMap JoinHashTable::MapProbe(
+    const std::vector<ProbeSide>& sides) const {
+  ProbeMap map;
+  map.cols.resize(build_cols_.size());
+  for (size_t k = 0; k < build_cols_.size(); ++k) {
+    const ColumnData& build = *build_cols_[k];
+    if (!IsString(build)) continue;
+    const std::vector<std::string>* bd = build.dict().get();
+    const ProbeSide& side = sides[k];
+    ProbeMap::Column& mc = map.cols[k];
+    const bool translate = side.dict != nullptr && side.dict != bd;
+    if (bd != nullptr && (side.plain || translate)) mc.index = IndexOf(*bd);
+    if (translate) {
+      const StringCodes& index = bd != nullptr ? mc.index : interned_[k];
+      mc.dict = side.dict;
+      mc.codes.resize(side.dict->size());
+      for (size_t c = 0; c < side.dict->size(); ++c) {
+        auto it = index.find((*side.dict)[c]);
+        mc.codes[c] = it != index.end() ? it->second : -1;
+      }
     }
   }
-  if (t_.layout_ != KeyLayout::kDict32) return;
-  const ColumnData& probe = *(*cols_)[0];
-  if (probe.has_dict()) {
-    code_map_ = t_.TranslationFor(probe.dict().get());
-  } else {
-    // Plain strings (e.g. delta-overlapping morsels): resolve each row
-    // against the build dictionary. Warm the index once under the lock so
-    // concurrent probes only read it.
-    lookup_strings_ = true;
-    std::lock_guard<std::mutex> lock(t_.stream_mu_);
-    if (!t_.build_code_index_ready_) t_.BuildCodeOf(std::string());
-  }
+  return map;
 }
 
-size_t JoinHashTable::Prober::ProbeRow(size_t row,
-                                             std::vector<size_t>* out) {
-  if (never_match_) return 0;
-  const std::vector<const ColumnData*>& cols = *cols_;
-  switch (t_.layout_) {
-    case KeyLayout::kInt64: {
-      const ColumnData& col = *cols[0];
-      if (col.IsNull(row)) return 0;
-      return t_.ProbeKey64(RawValue64(col, row), out);
-    }
-    case KeyLayout::kDict32: {
-      const ColumnData& col = *cols[0];
-      int32_t code;
-      if (lookup_strings_) {
-        if (col.IsNull(row)) return 0;
-        code = t_.BuildCodeOf(col.StringAt(row));
+void JoinHashTable::FindHeads(const ProbeMap& map,
+                              const std::vector<KeyColumn>& keys, size_t n,
+                              ProbeScratch* scratch,
+                              std::vector<uint32_t>* heads) const {
+  const size_t w = build_cols_.size();
+  std::vector<uint64_t>& words = scratch->words;
+  std::vector<uint64_t>& hashes = scratch->hashes;
+  std::vector<uint8_t>& nulls = scratch->nulls;
+  words.resize(n * w);
+  hashes.resize(n);
+  nulls.assign(n, 0);
+  StringCodes unforeseen;  // a build index no probe side asked for
+  for (size_t k = 0; k < w; ++k) {
+    const ColumnData& build = *build_cols_[k];
+    const ColumnData& probe = *keys[k].col;
+    WordSource src{keys[k]};
+    src.never = IsString(build) != IsString(probe);
+    if (IsString(build) && !src.never) {
+      const std::vector<std::string>* bd = build.dict().get();
+      const std::vector<std::string>* pd = probe.dict().get();
+      const ProbeMap::Column& mc = map.cols[k];
+      if (pd != nullptr && (pd == bd || pd == mc.dict)) {
+        src.codes = probe.dict_codes().data();
+        if (pd != bd) src.translate = mc.codes.data();
+      } else if (bd == nullptr) {
+        src.index = &interned_[k];
       } else {
-        code = col.dict_codes()[row];
-        if (code >= 0 && code_map_ != nullptr) {
-          code = (*code_map_)[static_cast<size_t>(code)];
-        }
+        if (mc.index.empty()) unforeseen = IndexOf(*bd);
+        src.index = mc.index.empty() ? &unforeseen : &mc.index;
       }
-      if (code < 0) return 0;
-      return t_.ProbeKey64(code, out);
     }
-    case KeyLayout::kPacked16: {
-      uint64_t lo, hi;
-      if (!t_.Key128(cols, row, &lo, &hi)) return 0;
-      return t_.ProbeKey128(lo, hi, out);
-    }
-    case KeyLayout::kSerialized: {
-      if (!t_.KeyBytes(cols, row, &scratch_)) return 0;
-      return t_.ProbeSerialized(scratch_, out);
-    }
+    WriteWords(src, n, words.data() + k, w, nulls.data());
   }
-  return 0;
+  // Hash every key and prefetch its slot, then find every chain head.
+  const uint64_t* key = words.data();
+  uint64_t* hash = hashes.data();
+  for (size_t i = 0; i < n; ++i) {
+    hash[i] = HashWords(key + i * w, w);
+    SlotsFor(hash[i]).Prefetch(hash[i]);
+  }
+  heads->resize(n);
+  uint32_t* head = heads->data();
+  for (size_t i = 0; i < n; ++i) {
+    head[i] = nulls[i] ? kEnd
+                       : static_cast<uint32_t>(
+                             SlotsFor(hash[i]).Find(hash[i], key + i * w)[w]);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // GroupKeyTable
 
 GroupKeyTable::GroupKeyTable(std::vector<const ColumnData*> key_cols)
-    : layout_(ChooseKeyLayout(key_cols)), key_cols_(std::move(key_cols)) {
-  // The packed layout cannot represent NULL group keys in-band; fall back
-  // to the serialized encoding (which NULL-marks every component).
-  if (layout_ == KeyLayout::kPacked16) layout_ = KeyLayout::kSerialized;
-  if (layout_ != KeyLayout::kSerialized) {
-    slots_.assign(1024, Slot{0, kEmpty});
-    mask_ = slots_.size() - 1;
+    : key_cols_(std::move(key_cols)) {
+  VDM_CHECK(!key_cols_.empty());
+  size_t nullable = 0;
+  for (const ColumnData* col : key_cols_) {
+    nullable += !IsString(*col) && col->HasNulls();
   }
+  width_ = key_cols_.size() + (nullable + 63) / 64;
+  interned_.resize(key_cols_.size());
+  slots_.Reset(width_, 1024);
 }
 
 GroupKeyTable::~GroupKeyTable() {
   if (tracker_ != nullptr) tracker_->Release(charged_bytes_);
 }
 
-void GroupKeyTable::GrowIfNeeded() {
-  if (used_ * 10 < slots_.size() * 7) return;
-  // The growth must happen even when the charge is refused — a table that
+void GroupKeyTable::Charge(int64_t bytes) {
+  // The table must keep working when the charge is refused — a table that
   // stops growing would fill up and probe forever. The refusal is latched
   // into status_ instead; callers poll it at morsel granularity and abort
   // the query long before accounting drift matters.
-  if (tracker_ != nullptr && status_.ok()) {
-    int64_t bytes = static_cast<int64_t>(slots_.size()) * sizeof(Slot);
-    Status charged = ChargeTo(tracker_, bytes, &charged_bytes_);
-    if (!charged.ok()) status_ = std::move(charged);
-  }
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{0, kEmpty});
-  mask_ = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.group == kEmpty) continue;
-    uint64_t slot = HashInt64(static_cast<uint64_t>(s.key)) & mask_;
-    while (slots_[slot].group != kEmpty) slot = (slot + 1) & mask_;
-    slots_[slot] = s;
-  }
+  if (tracker_ == nullptr || !status_.ok()) return;
+  Status charged = ChargeTo(tracker_, bytes, &charged_bytes_);
+  if (!charged.ok()) status_ = std::move(charged);
 }
 
-size_t GroupKeyTable::GetOrAdd(size_t row) {
-  if (layout_ == KeyLayout::kSerialized) {
-    scratch_.clear();
-    for (const ColumnData* col : key_cols_) {
-      AppendKeyBytes(*col, row, &scratch_);
+void GroupKeyTable::GetOrAdd(const uint32_t* rows, size_t first, size_t n,
+                             uint32_t* ids) {
+  const size_t w = width_;
+  const size_t cols = key_cols_.size();
+  words_.assign(n * w, 0);
+  nulls_.resize(n);
+  size_t null_bit = 0;  // next null-mask bit
+  for (size_t k = 0; k < cols; ++k) {
+    const ColumnData& col = *key_cols_[k];
+    WordSource src{KeyColumn{&col, rows, first}};
+    if (IsString(col) && col.has_dict()) {
+      src.codes = col.dict_codes().data();
+    } else if (IsString(col)) {
+      // Plain strings: codes in this table's own code space.
+      codes_.resize(n);
+      Charge(Intern(src.key, n, &interned_[k], codes_.data()));
+      src = WordSource{KeyColumn{&col}, codes_.data()};
     }
-    auto [it, inserted] = serialized_.emplace(
-        scratch_, static_cast<uint32_t>(num_groups_));
-    if (inserted) {
-      ++num_groups_;
-      if (tracker_ != nullptr && status_.ok()) {
-        int64_t bytes = static_cast<int64_t>(scratch_.size()) + 64;
-        Status charged = ChargeTo(tracker_, bytes, &charged_bytes_);
-        if (!charged.ok()) status_ = std::move(charged);
-      }
+    std::fill(nulls_.begin(), nulls_.end(), 0);
+    WriteWords(src, n, words_.data() + k, w, nulls_.data());
+    if (IsString(col) || !col.HasNulls()) continue;  // NULL is code -1
+    for (size_t i = 0; i < n; ++i) {
+      words_[i * w + cols + null_bit / 64] |=
+          static_cast<uint64_t>(nulls_[i]) << (null_bit % 64);
     }
-    return it->second;
+    ++null_bit;
   }
-  const ColumnData& col = *key_cols_[0];
-  int64_t key;
-  if (layout_ == KeyLayout::kDict32) {
-    key = col.dict_codes()[row];  // -1 encodes NULL, distinct in-band
-  } else if (col.IsNull(row)) {
-    // NULLs form one group, out of band (any int64 is a valid key).
-    if (null_group_ == kEmpty) {
-      null_group_ = static_cast<uint32_t>(num_groups_++);
-    }
-    return null_group_;
-  } else {
-    key = RawValue64(col, row);
+  hashes_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    hashes_[i] = HashWords(&words_[i * w], w);
+    slots_.Prefetch(hashes_[i]);
   }
-  GrowIfNeeded();
-  uint64_t slot = HashInt64(static_cast<uint64_t>(key)) & mask_;
-  while (true) {
-    Slot& s = slots_[slot];
-    if (s.group == kEmpty) {
-      s.key = key;
-      s.group = static_cast<uint32_t>(num_groups_++);
-      ++used_;
-      return s.group;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* key = &words_[i * w];
+    uint64_t* s = slots_.Find(hashes_[i], key);
+    if (s[w] == KeySlots::kEmpty) {
+      std::copy(key, key + w, s);
+      s[w] = num_groups_++;
     }
-    if (s.key == key) return s.group;
-    slot = (slot + 1) & mask_;
+    ids[i] = static_cast<uint32_t>(s[w]);
+    if (num_groups_ * 10 >= slots_.capacity() * 7) {
+      Charge(static_cast<int64_t>(slots_.capacity() * (w + 1) * 8));
+      slots_.Grow();
+    }
   }
 }
 

@@ -1,35 +1,30 @@
-// Typed hash tables for the executor's joins, group-bys, and distinct.
+// Hash tables for the executor's joins, group-bys, and DISTINCT.
 //
-// The seed executor serialized every key into a length-prefixed
-// std::string and hashed that — one heap-backed string per build row,
-// probe row, and group-by row. These tables pick the cheapest layout the
-// key columns support:
+// One key form: every key column contributes one 64-bit word — an
+// integer-backed value's raw int64, a double's bits (byte equality: -0.0
+// and 0.0 differ, NaNs match by bit pattern), or a string's code in the
+// build column's code space: its dictionary (ColumnData::dict()), or
+// codes interned from its values at Build when it has none. Slots hold the
+// words inline with a 32-bit payload, so a one-word key is a 16-byte slot
+// and a wider one (JEIB's four-column document key) compares all its
+// words. Probe strings reach build codes before any key is hashed: the
+// build dictionary's codes directly, another dictionary's through a
+// translation computed once per run (JoinHashTable::MapProbe), plain
+// strings by lookup. A string never equals a number.
 //
-//   kInt64      one integer-backed or double column; the raw 64-bit value
-//               is the key (doubles are bit-cast, matching the byte
-//               equality of the legacy serialized encoding).
-//   kDict32     one string column that carries a fragment dictionary
-//               (ColumnData::dict()); the table runs on 32-bit dictionary
-//               codes, and probe morsels with another dictionary or plain
-//               strings are translated to build codes. Augmentation
-//               self-joins — the paper's UAJ/ASJ patterns — share one
-//               dictionary and probe codes directly.
-//   kPacked16   two integer-backed/double columns packed into a 16-byte
-//               key.
-//   kSerialized anything else: the legacy byte-string encoding.
-//
-// Join tables exclude NULL keys (SQL equi-join semantics); group tables
-// give NULLs their own group. Probe results are emitted in ascending
-// build-row order and group ids in first-occurrence order, so results are
-// byte-for-byte identical to the legacy executor.
+// Join tables exclude NULL keys and list each key's build rows ascending.
+// Group tables give NULL its own group (code -1 in-band for strings, a
+// null-mask bit otherwise) and assign ids in first-occurrence order. Both
+// work a batch of rows at a time: every key's words, then every hash,
+// then every slot.
 #ifndef VDMQO_EXEC_HASH_TABLE_H_
 #define VDMQO_EXEC_HASH_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -40,21 +35,12 @@ namespace vdm {
 
 class ThreadPool;
 
-enum class KeyLayout {
-  kInt64,
-  kDict32,
-  kPacked16,
-  kSerialized,
-};
-
-const char* KeyLayoutName(KeyLayout layout);
-
-/// Appends a hash-key encoding of column[row] to *out (length-prefixed,
-/// null-marked — collision-free across rows). The serialized-fallback
-/// encoding, shared with DISTINCT-aggregate deduplication.
+/// Appends a byte encoding of column[row] to *out (length-prefixed,
+/// null-marked, so concatenations never collide). COUNT(DISTINCT) dedups
+/// its values with it.
 void AppendKeyBytes(const ColumnData& col, size_t row, std::string* out);
 
-/// splitmix64 finalizer — the hash for all fixed-width layouts.
+/// splitmix64 finalizer.
 inline uint64_t HashInt64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -62,10 +48,61 @@ inline uint64_t HashInt64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Chooses the cheapest layout supported by the key columns of a join's
-/// build side or a group table. The layout depends on this side alone:
-/// join probes adapt to it (JoinHashTable::Prober).
-KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& key_cols);
+/// Hash of a key of `width` words; a one-word key hashes as HashInt64.
+inline uint64_t HashWords(const uint64_t* words, size_t width) {
+  uint64_t h = HashInt64(words[0]);
+  for (size_t k = 1; k < width; ++k) h = HashInt64(h ^ words[k]);
+  return h;
+}
+
+/// One key column read through row indexes: key row i is column row
+/// rows[i], or first + i when `rows` is null. kInvalidIndex reads as NULL
+/// (a row null-extended by an earlier LEFT OUTER join).
+struct KeyColumn {
+  const ColumnData* col = nullptr;
+  const uint32_t* rows = nullptr;
+  size_t first = 0;
+
+  uint32_t Row(size_t i) const {
+    return rows != nullptr ? rows[i] : static_cast<uint32_t>(first + i);
+  }
+};
+
+using StringCodes = std::unordered_map<std::string, int32_t>;
+
+/// Open addressing over keys of `width` words, each slot the key inline
+/// followed by a 32-bit payload word (kEmpty marks a free slot).
+class KeySlots {
+ public:
+  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+
+  void Reset(size_t width, size_t capacity);  // capacity: a power of two
+  size_t capacity() const { return mask_ + 1; }
+
+  /// The slot holding `key`, or the free slot where it belongs.
+  uint64_t* Find(uint64_t hash, const uint64_t* key) {
+    return const_cast<uint64_t*>(std::as_const(*this).Find(hash, key));
+  }
+  const uint64_t* Find(uint64_t hash, const uint64_t* key) const {
+    for (uint64_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const uint64_t* s = &data_[i * (width_ + 1)];
+      if (s[width_] == kEmpty) return s;
+      if (width_ == 1 ? s[0] == key[0] : std::equal(key, key + width_, s)) {
+        return s;
+      }
+    }
+  }
+  void Prefetch(uint64_t hash) const {
+    __builtin_prefetch(&data_[(hash & mask_) * (width_ + 1)]);
+  }
+  /// Moves every used slot into a table of twice the capacity.
+  void Grow();
+
+ private:
+  std::vector<uint64_t> data_;
+  uint64_t mask_ = 0;
+  size_t width_ = 1;
+};
 
 // ---------------------------------------------------------------------------
 
@@ -74,129 +111,90 @@ KeyLayout ChooseKeyLayout(const std::vector<const ColumnData*>& key_cols);
 /// descending order so every chain lists build rows ascending (legacy
 /// match order). Builds can be partitioned across a thread pool: each
 /// partition owns a disjoint slice of the hash space, so workers never
-/// touch the same slot array.
+/// touch the same slot array. After Build the table is read-only.
 class JoinHashTable {
  public:
-  static constexpr uint32_t kEnd = 0xFFFFFFFFu;
+  /// A chain's end, and a missing head: kInvalidIndex, so a head doubles
+  /// as the build row of a NULL-extended probe row.
+  static constexpr uint32_t kEnd = ColumnData::kInvalidIndex;
 
   explicit JoinHashTable(std::vector<const ColumnData*> build_cols);
   ~JoinHashTable();
 
-  KeyLayout layout() const { return layout_; }
-
-  /// Hashes and inserts all build rows with non-NULL keys. `pool` may be
-  /// nullptr for a serial build. `ctx`, when given, governs the build:
-  /// every allocation is charged to ctx->memory() (released when the
-  /// table dies), cancellation/deadline are checked at morsel/partition
-  /// granularity, and ctx->degraded() switches the slot arrays to tight
-  /// reservations (load factor ~0.8 instead of ~0.5 — the engine's
-  /// serial-retry rung). Returns kResourceExhausted / kCancelled /
-  /// kDeadlineExceeded instead of allocating past the budget.
+  /// Hashes and inserts all build rows with non-NULL keys; `pool` may be
+  /// nullptr. `ctx`, when given, governs the build: allocations are
+  /// charged to ctx->memory() (slots until the table dies, per-row key
+  /// words until Build returns), cancellation/deadline are checked per
+  /// morsel/partition, and ctx->degraded() packs the slot arrays to load
+  /// ~0.8 instead of ~0.5 (the engine's serial-retry rung). Returns
+  /// kResourceExhausted / kCancelled / kDeadlineExceeded instead of
+  /// allocating past the budget.
   Status Build(ThreadPool* pool, QueryContext* ctx = nullptr);
 
   /// Rows actually inserted (build rows minus NULL keys).
   size_t num_entries() const { return entries_; }
-  size_t num_build_rows() const { return build_rows_; }
+  /// Whether every key has at most one build row: a chain head is then the
+  /// key's only match.
+  bool unique() const { return unique_; }
 
-  /// Per-thread probe cursor over caller-supplied key columns, bound one
-  /// probe morsel (or materialized chunk) at a time. Bind() never fails:
-  /// fixed-width layouts read the keys directly, and the dictionary layout
-  /// accepts code-carrying columns (codes of another dictionary go through
-  /// a translation map, cached on the table per dictionary) as well as
-  /// plain strings (each resolves to a build code). Matches equal those of
-  /// comparing the key values themselves.
-  class Prober {
-   public:
-    explicit Prober(const JoinHashTable& table) : t_(table) {}
-    /// Binds one morsel's key columns (column-wise parallel to the build
-    /// columns; not owned, must outlive the probes).
-    void Bind(const std::vector<const ColumnData*>* cols);
-    /// Appends build rows matching morsel row `row` to *out in ascending
-    /// order; returns the number appended (0 for NULL keys).
-    size_t ProbeRow(size_t row, std::vector<size_t>* out);
-
-   private:
-    const JoinHashTable& t_;
-    const std::vector<const ColumnData*>* cols_ = nullptr;
-    // String/non-string mismatch against the build columns: a string
-    // never equals a number, so every probe misses (0 matches, like NULL
-    // keys) instead of reading the keys in the wrong layout.
-    bool never_match_ = false;
-    // kDict32 binding state: exactly one of these is used per morsel.
-    const std::vector<int32_t>* code_map_ = nullptr;  // probe -> build code
-    bool lookup_strings_ = false;  // materialized strings: resolve per row
-    std::string scratch_;
+  /// What a probe key column may carry: `dict`, a dictionary its morsels
+  /// use, and `plain`, whether strings without that dictionary (plain
+  /// ones, or another dictionary) may appear too.
+  struct ProbeSide {
+    const std::vector<std::string>* dict = nullptr;
+    bool plain = false;
   };
+
+  /// How probe string columns reach the build codes, computed once per run
+  /// before the probe morsels (MapProbe) and read-only while they run.
+  struct ProbeMap {
+    struct Column {
+      const std::vector<std::string>* dict = nullptr;  // translated
+      std::vector<int32_t> codes;  // dict code -> build code (-1: absent)
+      StringCodes index;           // value -> build dictionary code
+    };
+    std::vector<Column> cols;  // per key column
+  };
+  ProbeMap MapProbe(const std::vector<ProbeSide>& sides) const;
+
+  /// Buffers FindHeads reuses from call to call (one per thread).
+  struct ProbeScratch {
+    std::vector<uint64_t> words, hashes;
+    std::vector<uint8_t> nulls;
+  };
+
+  /// The chain head of each of n probe keys (kEnd: a NULL key or no
+  /// match). `keys` are parallel to the build columns. Every key's words
+  /// are built first, then every hash, then every slot is found.
+  void FindHeads(const ProbeMap& map, const std::vector<KeyColumn>& keys,
+                 size_t n, ProbeScratch* scratch,
+                 std::vector<uint32_t>* heads) const;
+
+  /// The build row after `row` in its key's chain, or kEnd.
+  uint32_t Next(uint32_t row) const { return next_[row]; }
 
  private:
-  friend class Prober;
-
-  // Shared probe tail: walks the chain for an extracted key.
-  size_t ProbeKey64(int64_t key, std::vector<size_t>* out) const;
-  size_t ProbeKey128(uint64_t lo, uint64_t hi,
-                     std::vector<size_t>* out) const;
-  size_t ProbeSerialized(const std::string& key,
-                         std::vector<size_t>* out) const;
-
-  /// kDict32 probing: code translation map for `probe_dict` (cached per
-  /// dictionary; nullptr = same dictionary, no translation).
-  const std::vector<int32_t>* TranslationFor(
-      const std::vector<std::string>* probe_dict) const;
-  /// kDict32 probing from plain strings: the build code of `s`, or -1
-  /// when absent (never matches, like a NULL key).
-  int32_t BuildCodeOf(const std::string& s) const;
-  struct Slot64 {
-    int64_t key;
-    uint32_t head;  // kEnd marks an empty slot
-  };
-  struct Slot128 {
-    uint64_t lo, hi;
-    uint32_t head;
-  };
-  struct Partition {
-    std::vector<Slot64> slots64;
-    std::vector<Slot128> slots128;
-    std::unordered_map<std::string, uint32_t> serialized;
-    uint64_t mask = 0;
-  };
-
-  // Key extraction; returns false for NULL keys.
-  bool Key64(const std::vector<const ColumnData*>& cols, size_t row,
-             int64_t* key) const;
-  bool Key128(const std::vector<const ColumnData*>& cols, size_t row,
-              uint64_t* lo, uint64_t* hi) const;
-  bool KeyBytes(const std::vector<const ColumnData*>& cols, size_t row,
-                std::string* key) const;
   size_t PartitionOf(uint64_t hash) const {
     // fastrange: maps the high hash bits uniformly onto partitions.
     return static_cast<size_t>(
         (static_cast<unsigned __int128>(hash) * partitions_.size()) >> 64);
   }
-  Status BuildPartition(size_t p, QueryContext* ctx);
+  const KeySlots& SlotsFor(uint64_t hash) const {
+    return partitions_[partitions_.size() > 1 ? PartitionOf(hash) : 0];
+  }
 
-  KeyLayout layout_;
   std::vector<const ColumnData*> build_cols_;
-  // kDict32 probing caches, built lazily under a lock — Probers bind
-  // morsels concurrently across workers.
-  mutable std::mutex stream_mu_;
-  mutable std::map<const std::vector<std::string>*, std::vector<int32_t>>
-      stream_maps_;
-  mutable std::unordered_map<std::string, int32_t> build_code_index_;
-  mutable bool build_code_index_ready_ = false;
+  // Per string key column without a dictionary: its values interned at
+  // Build.
+  std::vector<StringCodes> interned_;
   size_t build_rows_ = 0;
   size_t entries_ = 0;
+  bool unique_ = true;
   // Governor accounting for the build-side arrays; released on destruction.
   MemoryTracker* tracker_ = nullptr;
   int64_t charged_bytes_ = 0;
 
-  // Phase 0: per-row hashes (fixed layouts) or serialized keys.
-  std::vector<uint64_t> hashes_;
-  std::vector<int64_t> keys64_;
-  std::vector<uint64_t> keys_lo_, keys_hi_;
-  std::vector<std::string> keys_ser_;
-  std::vector<uint8_t> key_valid_;
-
-  std::vector<Partition> partitions_;
+  std::vector<KeySlots> partitions_;  // each a disjoint slice of hashes
   std::vector<uint32_t> next_;  // chain links, indexed by build row
 };
 
@@ -204,23 +202,25 @@ class JoinHashTable {
 
 /// Group-by / DISTINCT key table: maps a row's key to a dense group id
 /// assigned in first-occurrence order (the legacy output order). NULL
-/// keys are valid group keys. Only the single-column fixed layouts and
-/// the serialized fallback apply (NULLs cannot be encoded in-band in the
-/// packed layout).
+/// keys are valid group keys.
 class GroupKeyTable {
  public:
   explicit GroupKeyTable(std::vector<const ColumnData*> key_cols);
   ~GroupKeyTable();
 
-  KeyLayout layout() const { return layout_; }
-
-  /// Group id for the key at `row`, assigning the next id on first
-  /// occurrence.
-  size_t GetOrAdd(size_t row);
+  /// Group ids of key rows [0, n) of `rows` (KeyColumn's row mapping)
+  /// into ids[0, n), assigning the next id on each first occurrence, in
+  /// row order.
+  void GetOrAdd(const uint32_t* rows, size_t first, size_t n, uint32_t* ids);
+  uint32_t GetOrAdd(size_t row) {
+    uint32_t id;
+    GetOrAdd(nullptr, row, 1, &id);
+    return id;
+  }
 
   size_t num_groups() const { return num_groups_; }
 
-  /// Attaches a memory tracker: slot-array growth and new serialized keys
+  /// Attaches a memory tracker: slot-array growth and interned strings
   /// are charged to it (released on destruction). GetOrAdd cannot fail
   /// mid-insert, so a failed charge is latched into status() — callers
   /// poll it at morsel granularity and abort the aggregation.
@@ -228,24 +228,18 @@ class GroupKeyTable {
   const Status& status() const { return status_; }
 
  private:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-  struct Slot {
-    int64_t key;
-    uint32_t group;  // kEmpty marks a free slot
-  };
-  void GrowIfNeeded();
+  void Charge(int64_t bytes);
 
-  KeyLayout layout_;
   std::vector<const ColumnData*> key_cols_;
+  size_t width_ = 0;  // key columns plus null-mask words
+  std::vector<StringCodes> interned_;  // per plain string column
+  KeySlots slots_;
   size_t num_groups_ = 0;
-  // kInt64 / kDict32: open addressing + an out-of-band NULL group.
-  std::vector<Slot> slots_;
-  uint64_t mask_ = 0;
-  size_t used_ = 0;
-  uint32_t null_group_ = kEmpty;
-  // kSerialized fallback.
-  std::unordered_map<std::string, uint32_t> serialized_;
-  std::string scratch_;
+  // Per-batch scratch.
+  std::vector<uint64_t> words_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint8_t> nulls_;
+  std::vector<int32_t> codes_;
   // Governor accounting (see set_tracker).
   MemoryTracker* tracker_ = nullptr;
   int64_t charged_bytes_ = 0;

@@ -112,7 +112,7 @@ class Interp {
     Chunk out;
     for (size_t schema_idx : scan.column_indexes()) {
       ColumnData col = pinned.ScanColumnRange(schema_idx, 0, n);
-      if (!all) col = col.GatherSelection(visible);
+      if (!all) col = col.Gather(visible);
       out.names.push_back(scan.QualifiedName(schema_idx));
       out.columns.push_back(std::move(col));
     }

@@ -334,7 +334,7 @@ Result<size_t> Table::Mutate(const TxnSnapshot& snap, uint64_t marker,
   for (size_t c = 0; c < schema_.NumColumns(); ++c) {
     visible.names.push_back(schema_.column(c).name);
     ColumnData col = ScanRangeLocked(c, 0, n);
-    if (phys.size() != n) col = col.GatherSelection(phys);
+    if (phys.size() != n) col = col.Gather(phys);
     col.EnsureDecoded();
     visible.columns.push_back(std::move(col));
   }
@@ -785,7 +785,7 @@ Result<Chunk> Table::ScanVisible(const std::vector<std::string>& column_names,
   for (size_t idx : indexes) {
     out.names.push_back(schema_.column(idx).name);
     ColumnData col = ts.ScanColumnRange(idx, 0, n);
-    if (!all) col = col.GatherSelection(sel);
+    if (!all) col = col.Gather(sel);
     col.EnsureDecoded();
     out.columns.push_back(std::move(col));
   }

@@ -100,7 +100,7 @@ struct TableSnapshot {
 
   /// Materializes rows [row_begin, row_end) of one column, with the same
   /// lazy-string / raw-copy fast paths as Table::ScanColumnRange. Performs
-  /// NO visibility filtering — pair with VisibleRows + GatherSelection.
+  /// NO visibility filtering — pair with VisibleRows + ColumnData::Gather.
   ColumnData ScanColumnRange(size_t column_index, size_t row_begin,
                              size_t row_end) const;
 };

@@ -96,130 +96,45 @@ void ColumnData::AppendFrom(const ColumnData& other, size_t i) {
   }
 }
 
-ColumnData ColumnData::Gather(const std::vector<size_t>& row_indexes) const {
+ColumnData ColumnData::Gather(const SelectionVector& rows) const {
   ColumnData out(type_);
-  const size_t m = row_indexes.size();
+  const size_t m = rows.size();
   // NULL rows (including kInvalidIndex) leave the zero-initialized value
   // slot in place, exactly as the append path would.
-  auto mark_null = [&](size_t i) {
+  auto null_at = [&](size_t i) {
+    const uint32_t idx = rows[i];
+    if (idx != kInvalidIndex && !IsNull(idx)) return false;
     if (out.validity_.empty()) out.validity_.assign(m, 1);
     out.validity_[i] = 0;
+    return true;
   };
   if (type_.id == TypeId::kString && lazy_) {
     // Lazy columns gather codes only; the strings stay in the dictionary.
-    for (size_t i = 0; i < m; ++i) {
-      size_t idx = row_indexes[i];
-      if (idx == kInvalidIndex || IsNull(idx)) mark_null(i);
-    }
-    out.size_ = m;
-    std::vector<int32_t> codes;
-    codes.reserve(m);
-    for (size_t idx : row_indexes) {
-      codes.push_back(idx == kInvalidIndex ? -1 : dict_codes_[idx]);
-    }
-    out.SetDictionary(dict_, std::move(codes));
-    out.lazy_ = true;
-    return out;
-  }
-  if (type_.id == TypeId::kString) {
+    for (size_t i = 0; i < m; ++i) null_at(i);
+  } else if (type_.id == TypeId::kString) {
     out.strings_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      size_t idx = row_indexes[i];
-      if (idx == kInvalidIndex || IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.strings_[i] = strings_[idx];
-      }
+      if (!null_at(i)) out.strings_[i] = strings_[rows[i]];
     }
   } else if (type_.id == TypeId::kDouble) {
     out.doubles_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      size_t idx = row_indexes[i];
-      if (idx == kInvalidIndex || IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.doubles_[i] = doubles_[idx];
-      }
+      if (!null_at(i)) out.doubles_[i] = doubles_[rows[i]];
     }
   } else {
     out.ints_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      size_t idx = row_indexes[i];
-      if (idx == kInvalidIndex || IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.ints_[i] = ints_[idx];
-      }
+      if (!null_at(i)) out.ints_[i] = ints_[rows[i]];
     }
   }
   out.size_ = m;
   if (dict_ != nullptr) {
-    std::vector<int32_t> codes;
-    codes.reserve(m);
-    for (size_t idx : row_indexes) {
-      codes.push_back(idx == kInvalidIndex ? -1 : dict_codes_[idx]);
+    std::vector<int32_t> codes(m);
+    for (size_t i = 0; i < m; ++i) {
+      codes[i] = rows[i] == kInvalidIndex ? -1 : dict_codes_[rows[i]];
     }
     out.SetDictionary(dict_, std::move(codes));
-  }
-  return out;
-}
-
-ColumnData ColumnData::GatherSelection(const SelectionVector& selection) const {
-  ColumnData out(type_);
-  const size_t m = selection.size();
-  auto mark_null = [&](size_t i) {
-    if (out.validity_.empty()) out.validity_.assign(m, 1);
-    out.validity_[i] = 0;
-  };
-  if (type_.id == TypeId::kString && lazy_) {
-    for (size_t i = 0; i < m; ++i) {
-      if (IsNull(selection[i])) mark_null(i);
-    }
-    out.size_ = m;
-    std::vector<int32_t> codes;
-    codes.reserve(m);
-    for (uint32_t idx : selection) codes.push_back(dict_codes_[idx]);
-    out.SetDictionary(dict_, std::move(codes));
-    out.lazy_ = true;
-    return out;
-  }
-  if (type_.id == TypeId::kString) {
-    out.strings_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      uint32_t idx = selection[i];
-      if (IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.strings_[i] = strings_[idx];
-      }
-    }
-  } else if (type_.id == TypeId::kDouble) {
-    out.doubles_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      uint32_t idx = selection[i];
-      if (IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.doubles_[i] = doubles_[idx];
-      }
-    }
-  } else {
-    out.ints_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      uint32_t idx = selection[i];
-      if (IsNull(idx)) {
-        mark_null(i);
-      } else {
-        out.ints_[i] = ints_[idx];
-      }
-    }
-  }
-  out.size_ = m;
-  if (dict_ != nullptr) {
-    std::vector<int32_t> codes;
-    codes.reserve(m);
-    for (uint32_t idx : selection) codes.push_back(dict_codes_[idx]);
-    out.SetDictionary(dict_, std::move(codes));
+    out.lazy_ = lazy_;
   }
   return out;
 }

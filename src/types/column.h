@@ -15,10 +15,10 @@
 
 namespace vdm {
 
-/// Row indexes selected out of a chunk (the morsel-driven executor's
-/// alternative to materializing filtered intermediates). 32-bit on purpose:
-/// morsels are bounded, and half-width indexes keep selection vectors in
-/// cache.
+/// Row indexes into a column (the morsel-driven executor's alternative to
+/// materializing filtered or joined intermediates). 32-bit on purpose:
+/// chunks stay below 2^32 rows, and half-width indexes keep selection
+/// vectors in cache. ColumnData::kInvalidIndex marks a NULL row.
 using SelectionVector = std::vector<uint32_t>;
 
 class ColumnData {
@@ -64,6 +64,8 @@ class ColumnData {
     return !validity_.empty() && validity_[i] == 0;
   }
   bool HasNulls() const { return !validity_.empty(); }
+  /// 1 = valid, 0 = NULL per row; empty when no row is NULL.
+  const std::vector<uint8_t>& validity() const { return validity_; }
 
   /// Appends a raw non-null integer-backed value.
   void AppendInt(int64_t v) {
@@ -99,14 +101,10 @@ class ColumnData {
   void AppendFrom(const ColumnData& other, size_t i);
 
   /// Gathers rows by index into a new column; index kInvalidIndex appends
-  /// NULL (used for the null-extended side of outer joins). Preserves the
-  /// shared-dictionary annotation.
-  static constexpr size_t kInvalidIndex = static_cast<size_t>(-1);
-  ColumnData Gather(const std::vector<size_t>& row_indexes) const;
-
-  /// Gathers by selection vector (no invalid-index support; the filter
-  /// fast path of the morsel executor).
-  ColumnData GatherSelection(const SelectionVector& selection) const;
+  /// NULL (the null-extended side of outer joins). Preserves the
+  /// shared-dictionary annotation, and a lazy column stays lazy.
+  static constexpr uint32_t kInvalidIndex = 0xFFFFFFFFu;
+  ColumnData Gather(const SelectionVector& rows) const;
 
   /// Appends every row of `other` (same type), stealing its string
   /// storage. `other` is left empty.

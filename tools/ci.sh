@@ -180,16 +180,18 @@ run_lint() {
   # warning or above, so intentional additions regenerate the baseline with
   #   build-lint/tools/vdmlint --catalog-audit --jeib --fixture \
   #       --write-baseline tools/vdmlint.baseline
-  # The compiler keeps no hidden state: per-compile caches (the run's
-  # inference engine, the join reorderer's estimator) are objects the
-  # optimizer driver owns and passes down (DESIGN.md §4.1), so concurrent
-  # compiles through one Database share nothing writable.
-  echo "== no thread_local / mutable state in the compiler =="
+  # The compiler and the executor keep no hidden state: per-compile caches
+  # (the run's inference engine, the join reorderer's estimator) are
+  # objects the optimizer driver owns and passes down (DESIGN.md §4.1), and
+  # a join's probe-side code maps are computed before its morsels run
+  # (DESIGN.md §8), so concurrent compiles and morsels share nothing
+  # writable.
+  echo "== no thread_local / mutable state in the compiler or executor =="
   local hidden
   if hidden="$(git grep -nE 'thread_local|\bmutable\b' -- src/optimizer \
-      src/analysis/infer src/analysis/stats src/plan)"; then
+      src/analysis/infer src/analysis/stats src/plan src/exec)"; then
     echo "${hidden}"
-    echo "error: thread_local or mutable state in compiler code" >&2
+    echo "error: thread_local or mutable state in compiler or executor code" >&2
     return 1
   fi
 
